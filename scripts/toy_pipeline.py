@@ -28,7 +28,7 @@ def main() -> None:
         print(f"  {r.family:>10s} {r.snr_db:+6.1f} dB  f1_macro={r.f1_macro:.3f} "
               f"ssnr={r.ssnr_db:+.2f} dB  l1={r.l1:.4f}")
     report = run_analyze(cfg.output_dir)
-    print(f"analytics written ({len(report.switch_agreement)} groups)")
+    print(f"routing analytics written by eval ({len(report.switch_agreement)} groups)")
 
 
 if __name__ == "__main__":

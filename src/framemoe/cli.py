@@ -132,13 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="score a trained run on the test sweep")
+    p = sub.add_parser("eval", help="score the test sweep and write its routing analytics")
     _add_config_args(p)
     p.add_argument("--run", default=None, metavar="DIR",
                    help="run directory (default: the config's output_dir)")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("analyze", help="routing analytics for a trained run")
+    p = sub.add_parser("analyze", help="print the routing analytics that eval stored")
     _add_config_args(p)
     p.add_argument("--run", default=None, metavar="DIR",
                    help="run directory (default: the config's output_dir)")

@@ -270,6 +270,8 @@ def validate(cfg: ExperimentConfig) -> None:
         problems.append(f"data.class_proportions needs 4 positive entries, got {d.class_proportions}")
     if not d.eval_snrs_db:
         problems.append("data.eval_snrs_db must not be empty")
+    elif len(set(d.eval_snrs_db)) != len(d.eval_snrs_db):
+        problems.append(f"data.eval_snrs_db lists an SNR twice: {d.eval_snrs_db}")
 
     if s.frame < 2 or s.hop < 1 or s.hop > s.frame:
         problems.append(f"ssnr framing invalid: frame={s.frame} hop={s.hop}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
@@ -79,15 +80,21 @@ def prepare_run_dir(cfg: ExperimentConfig) -> Path:
     return run_dir
 
 
-def update_report(run_dir: Path, **fields) -> Path:
-    path = run_dir / REPORT_NAME
-    if path.exists():
-        report = json.loads(path.read_text())
-    else:
-        report = {"schema": "framemoe-report", "version": 1}
-    report.update(fields)
-    path.write_text(json.dumps(report, sort_keys=True, indent=2))
+def write_report(run_dir: Path, **fields) -> Path:
+    """Replace report.json with `fields`: a temp file, then one rename, so
+    no reader ever sees half a report."""
+    path = Path(run_dir) / REPORT_NAME
+    tmp = path.with_name(f".{REPORT_NAME}.{os.getpid()}.tmp")
+    tmp.write_text(json.dumps({"schema": "framemoe-report", "version": 1, **fields},
+                              sort_keys=True, indent=2))
+    os.replace(tmp, path)
     return path
+
+
+def update_report(run_dir: Path, **fields) -> Path:
+    path = Path(run_dir) / REPORT_NAME
+    old = json.loads(path.read_text()) if path.exists() else {}
+    return write_report(run_dir, **{**old, **fields})
 
 
 def ensure_corpus(cfg: ExperimentConfig) -> tuple[Corpus, dict[str, NoisyUtterance], Path]:
@@ -160,7 +167,9 @@ def run_train(cfg: ExperimentConfig) -> dict:
     _write_losses_csv(run_dir / "losses_phase1.csv", phase1.curve.rows)
 
     wall = time.monotonic() - start
-    update_report(
+    # A new checkpoint starts a new report: eval and analytics fields of an
+    # earlier training run no longer describe this one.
+    write_report(
         run_dir,
         config_digest=config_digest(cfg),
         seed=cfg.seed,
@@ -203,10 +212,10 @@ def load_trained(run_dir: str | Path) -> tuple[ExperimentConfig, JointModel, dic
 
 
 def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, test_utts,
-                   family: str, snr_db: float, snr_index: int,
-                   collect_traces: bool = False
+                   family: str, snr_db: float, snr_index: int
                    ) -> tuple[MetricsReport, list[RoutingTrace]]:
-    """Metrics for one (family, SNR) cell over the test split.
+    """Metrics and per-utterance routing traces for one (family, SNR) cell
+    over the test split.
 
     Denoising is scored in the normalized domain: L1 on log1p spectra and
     segmental SNR on the estimate resynthesized with the noisy phase.
@@ -239,12 +248,11 @@ def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, test_utts,
         ssnr_sum += ssnr(clean_z.samples[:span], resynth, cfg.ssnr)
         ssnr_noisy_sum += ssnr(clean_z.samples[:span], noisy_z.samples[:span], cfg.ssnr)
 
-        if collect_traces:
-            traces.append(RoutingTrace(
-                uid=utt.uid, family=family, snr_db=float(snr_db),
-                label=int(utt.label),
-                ser_top1=out.ser_decision.indices[:, 0].copy(),
-                se_top1=out.se_decision.indices[:, 0].copy()))
+        traces.append(RoutingTrace(
+            uid=utt.uid, family=family, snr_db=float(snr_db),
+            label=int(utt.label),
+            ser_top1=out.ser_decision.indices[:, 0].copy(),
+            se_top1=out.se_decision.indices[:, 0].copy()))
 
     n = len(test_utts)
     macro, micro = f1_scores(y_true, y_pred)
@@ -260,29 +268,6 @@ def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, test_utts,
     return report, traces
 
 
-def _eval_sweep(cfg: ExperimentConfig, model: JointModel, meta: dict,
-                collect_traces: bool) -> tuple[list[MetricsReport], list[RoutingTrace]]:
-    from .training import NormStats
-
-    corpus, _, _ = ensure_corpus(cfg)
-    stats = NormStats(**meta["norm_stats"])
-    reports: list[MetricsReport] = []
-    traces: list[RoutingTrace] = []
-    seen = set()
-    for family in (cfg.data.train_noise_family, *held_out_families(cfg.data.train_noise_family)):
-        for snr_index, snr_db in enumerate(cfg.data.eval_snrs_db):
-            key = (family, float(snr_db))
-            if key in seen:
-                raise ValueError(f"evaluation condition {key} listed twice")
-            seen.add(key)
-            report, cond_traces = eval_condition(
-                model, cfg, stats, corpus.test, family, snr_db, snr_index,
-                collect_traces=collect_traces)
-            reports.append(report)
-            traces.extend(cond_traces)
-    return reports, traces
-
-
 def write_metrics_csv(path: Path, reports: list[MetricsReport]) -> None:
     rows = [r.as_row() for r in reports]
     with open(path, "w", newline="") as fh:
@@ -292,31 +277,42 @@ def write_metrics_csv(path: Path, reports: list[MetricsReport]) -> None:
 
 
 def run_eval(run_dir: str | Path) -> list[MetricsReport]:
-    """Sweep every noise family over every evaluation SNR on the test split."""
+    """Sweep every noise family over every evaluation SNR on the test split,
+    scoring both tasks and summarizing the sweep's routing traces."""
+    from .training import NormStats
+
     start = time.monotonic()
-    cfg, model, meta = load_trained(run_dir)
-    reports, _ = _eval_sweep(cfg, model, meta, collect_traces=False)
     run_dir = Path(run_dir)
+    cfg, model, meta = load_trained(run_dir)
+    corpus_dir = run_dir / "corpus"
+    if not (corpus_dir / MANIFEST_NAME).exists():
+        raise ConfigError(f"{run_dir} has no corpus; train there first")
+    corpus, _ = read_corpus(corpus_dir)
+    stats = NormStats(**meta["norm_stats"])
+    reports: list[MetricsReport] = []
+    traces: list[RoutingTrace] = []
+    for family in (cfg.data.train_noise_family, *held_out_families(cfg.data.train_noise_family)):
+        for snr_index, snr_db in enumerate(cfg.data.eval_snrs_db):
+            report, cond_traces = eval_condition(
+                model, cfg, stats, corpus.test, family, snr_db, snr_index)
+            reports.append(report)
+            traces.extend(cond_traces)
+    analytics = analytics_report(traces, cfg.moe.n_experts)
     write_metrics_csv(run_dir / "metrics.csv", reports)
+    write_analytics(analytics, run_dir)
     update_report(run_dir, metrics=[r.as_row() for r in reports],
+                  analytics=asdict(analytics),
                   wall_time_s_eval=time.monotonic() - start)
     return reports
 
 
 def run_analyze(run_dir: str | Path) -> AnalyticsReport:
-    """Collect routing traces over the evaluation sweep and summarize them."""
-    start = time.monotonic()
-    cfg, model, meta = load_trained(run_dir)
-    _, traces = _eval_sweep(cfg, model, meta, collect_traces=True)
-    report = analytics_report(traces, cfg.moe.n_experts)
-    run_dir = Path(run_dir)
-    write_analytics(report, run_dir)
-    update_report(run_dir,
-                  analytics={"switch_agreement": report.switch_agreement,
-                             "usage_by_snr": report.usage_by_snr,
-                             "usage_by_label": report.usage_by_label},
-                  wall_time_s_analyze=time.monotonic() - start)
-    return report
+    """The routing analytics that `run_eval` stored in the run's report."""
+    path = Path(run_dir) / REPORT_NAME
+    stored = json.loads(path.read_text()).get("analytics") if path.exists() else None
+    if stored is None:
+        raise ConfigError(f"{run_dir} has no routing analytics; run eval there first")
+    return AnalyticsReport(**stored)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,19 @@ def test_validate_balancing_needs_top1():
         validate(cfg)
 
 
+def test_validate_rejects_duplicate_eval_snrs(tmp_path, capsys):
+    cfg = ExperimentConfig()
+    cfg.data.eval_snrs_db = [-5.0, 0.0, -5.0]
+    with pytest.raises(ConfigError, match="eval_snrs_db lists an SNR twice"):
+        validate(cfg)
+    # Caught before training starts: no run directory is written.
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(tmp_path / "run"))
+    assert main(["train", "--config", cfg_path,
+                 "--set", "data.eval_snrs_db=[-5,-5]"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_digest_stable_and_sensitive():
     a = ExperimentConfig()
     b = ExperimentConfig()

@@ -18,6 +18,9 @@ from framemoe.config import (
     load_config,
     validate,
 )
+from framemoe import experiment
+from framemoe.analytics import AnalyticsReport
+from framemoe.cli import main
 from framemoe.experiment import (
     ABLATION_BALANCING,
     ABLATION_EXPERT_COUNTS,
@@ -192,6 +195,75 @@ def test_run_analyze_groups_by_condition_and_label(tmp_path):
         assert (Path(cfg.output_dir) / name).exists()
     stored = json.loads((Path(cfg.output_dir) / "report.json").read_text())
     assert "analytics" in stored
+
+
+def test_eval_sweeps_once_and_analyze_only_reads_the_report(tmp_path, monkeypatch):
+    cfg = tiny_cfg(tmp_path / "run")
+    run_train(cfg)
+    run = Path(cfg.output_dir)
+    calls = []
+    real = experiment.eval_condition
+
+    def counted(*args, **kwargs):
+        calls.append(args[4:6])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "eval_condition", counted)
+    run_eval(run)
+    assert len(calls) == 3 * len(cfg.data.eval_snrs_db) == len(set(calls))
+    for name in ("switch_agreement.csv", "usage_by_snr.csv", "usage_by_label.csv"):
+        assert (run / name).exists(), name
+
+    calls.clear()
+    # analyze needs neither the checkpoint nor a forward pass.
+    (run / "checkpoint_final.json").unlink()
+    report = run_analyze(run)
+    assert calls == []
+    stored = json.loads((run / "report.json").read_text())["analytics"]
+    assert report == AnalyticsReport(**stored)
+    assert report.n_experts == cfg.moe.n_experts
+    assert [r["condition"] for r in report.switch_agreement
+            if r["group_by"] == "snr_db"] == cfg.data.eval_snrs_db
+
+
+def test_retrain_starts_a_fresh_report(tmp_path, capsys):
+    cfg = tiny_cfg(tmp_path / "run")
+    run_train(cfg)
+    run_eval(cfg.output_dir)
+    run_train(tiny_cfg(tmp_path / "run", seed=1))
+    run = Path(cfg.output_dir)
+    report = json.loads((run / "report.json").read_text())
+    assert report["seed"] == 1
+    for field in ("metrics", "analytics", "wall_time_s_eval"):
+        assert field not in report, field
+    # Every report write goes through a temp file that is renamed away.
+    assert not list(run.glob("*.tmp"))
+    with pytest.raises(ConfigError, match="run eval there first"):
+        run_analyze(run)
+    assert main(["analyze", "--run", str(run)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_eval_reads_the_corpus_of_the_run_it_is_given(tmp_path, monkeypatch):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    monkeypatch.chdir(a)
+    cfg = tiny_cfg("runs/x")
+    run_train(cfg)
+    run_eval(cfg.output_dir)
+    run = a / "runs" / "x"
+    expected = (run / "metrics.csv").read_bytes()
+
+    monkeypatch.chdir(b)
+    run_eval(run)
+    assert not list(b.iterdir())
+    assert (run / "metrics.csv").read_bytes() == expected
+
+    shutil.rmtree(run / "corpus")
+    with pytest.raises(ConfigError, match="no corpus"):
+        run_eval(run)
+    assert not list(b.iterdir())
 
 
 def test_rerun_from_same_resolved_config_is_bit_identical(tmp_path):
