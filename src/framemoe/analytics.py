@@ -155,14 +155,16 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
+ANALYTICS_FILES = ("switch_agreement.csv", "usage_by_snr.csv", "usage_by_label.csv")
+
+
 def write_analytics(report: AnalyticsReport, out_dir: str | Path) -> list[Path]:
     """Emit switch_agreement.csv, usage_by_snr.csv, usage_by_label.csv."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, rows in (("switch_agreement.csv", report.switch_agreement),
-                       ("usage_by_snr.csv", report.usage_by_snr),
-                       ("usage_by_label.csv", report.usage_by_label)):
+    tables = (report.switch_agreement, report.usage_by_snr, report.usage_by_label)
+    for name, rows in zip(ANALYTICS_FILES, tables):
         if not rows:
             continue
         path = out_dir / name

@@ -1,10 +1,12 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-Every operation allocates a new Tensor node holding its value and a closure
-that routes the output gradient back to its parents. Calling backprop() on a
-scalar node walks the tape in reverse topological order. The op set is exactly
-what the routing pipeline needs; there is no broadcasting beyond what the ops
-below use themselves.
+Every operation allocates a new Tensor node holding its value and, when some
+operand needs a gradient, a closure that routes the output gradient back to
+its parents. Nodes computed only from constants, and every node made inside
+`no_tape()`, keep neither: they are constants themselves, so forward-only
+passes hold no graph. Calling backprop() on a scalar node walks the tape in
+reverse topological order. The op set is exactly what the routing pipeline
+needs; there is no broadcasting beyond what the ops below use themselves.
 """
 
 from __future__ import annotations
@@ -48,6 +50,23 @@ def record_kinks() -> Iterator[list[float]]:
 def _note_kink(margin: float) -> None:
     if _KINK_TRACE is not None:
         _KINK_TRACE.append(float(margin))
+
+
+# While False, ops record no parents and no backward closures.
+_TAPE = True
+
+
+@contextmanager
+def no_tape() -> Iterator[None]:
+    """Forward-only evaluation: nodes made inside keep no parents or closures,
+    so each intermediate is freed as soon as nothing reads it."""
+    global _TAPE
+    prev = _TAPE
+    _TAPE = False
+    try:
+        yield
+    finally:
+        _TAPE = prev
 
 
 class Tensor:
@@ -136,8 +155,10 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not _tracks(t):
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # A copy: g may be a view of another node's gradient or read-only.
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -151,7 +172,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _node(op: str, data: np.ndarray, parents: tuple, backward) -> Tensor:
-    return Tensor(data, _parents=parents, _backward=backward, _op=op)
+    if _TAPE and any(_tracks(p) for p in parents):
+        return Tensor(data, _parents=parents, _backward=backward, _op=op)
+    return Tensor(data, _op=op)
 
 
 def add(a, b) -> Tensor:
@@ -189,8 +212,10 @@ def mul(a, b) -> Tensor:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from exc
 
     def backward(out: Tensor) -> None:
-        _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
-        _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
+        if _tracks(a):
+            _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
+        if _tracks(b):
+            _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
 
     return _node("mul", data, (a, b), backward)
 
@@ -203,8 +228,10 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
 
     def backward(out: Tensor) -> None:
-        _accum(a, out.grad @ b.data.T)
-        _accum(b, a.data.T @ out.grad)
+        if _tracks(a):
+            _accum(a, out.grad @ b.data.T)
+        if _tracks(b):
+            _accum(b, a.data.T @ out.grad)
 
     return _node("matmul", a.data @ b.data, (a, b), backward)
 
@@ -321,17 +348,6 @@ def log_softmax_rows(a) -> Tensor:
     return _node("log_softmax_rows", y, (a,), backward)
 
 
-def transpose(a) -> Tensor:
-    a = _lift(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose: expects a 2-d operand, got {a.shape}")
-
-    def backward(out: Tensor) -> None:
-        _accum(a, out.grad.T)
-
-    return _node("transpose", a.data.T.copy(), (a,), backward)
-
-
 def concat(parts: Sequence, axis: int) -> Tensor:
     parts = [_lift(p) for p in parts]
     if not parts:
@@ -371,7 +387,7 @@ def sum_all(a) -> Tensor:
     shape = a.data.shape
 
     def backward(out: Tensor) -> None:
-        _accum(a, np.broadcast_to(out.grad, shape).copy())
+        _accum(a, np.broadcast_to(out.grad, shape))
 
     return _node("sum", np.sum(a.data), (a,), backward)
 
@@ -384,22 +400,9 @@ def mean_all(a) -> Tensor:
     shape = a.data.shape
 
     def backward(out: Tensor) -> None:
-        _accum(a, np.broadcast_to(out.grad / size, shape).copy())
+        _accum(a, np.broadcast_to(out.grad / size, shape))
 
     return _node("mean", np.mean(a.data), (a,), backward)
-
-
-def sum_rows(a) -> Tensor:
-    """Sum over axis 0 of a 2-d tensor, result shape (1, cols)."""
-    a = _lift(a)
-    if a.ndim != 2:
-        raise ShapeError(f"sum_rows: expects a 2-d operand, got {a.shape}")
-    rows = a.shape[0]
-
-    def backward(out: Tensor) -> None:
-        _accum(a, np.broadcast_to(out.grad, (rows, a.shape[1])).copy())
-
-    return _node("sum_rows", np.sum(a.data, axis=0, keepdims=True), (a,), backward)
 
 
 def mean_rows(a) -> Tensor:
@@ -412,9 +415,65 @@ def mean_rows(a) -> Tensor:
         raise ShapeError("mean_rows: empty operand")
 
     def backward(out: Tensor) -> None:
-        _accum(a, np.broadcast_to(out.grad / rows, (rows, a.shape[1])).copy())
+        _accum(a, np.broadcast_to(out.grad / rows, (rows, a.shape[1])))
 
     return _node("mean_rows", np.mean(a.data, axis=0, keepdims=True), (a,), backward)
+
+
+def reshape(a, shape: tuple[int, ...]) -> Tensor:
+    a = _lift(a)
+    try:
+        data = a.data.reshape(shape)
+    except ValueError as exc:
+        raise ShapeError(f"reshape: cannot reshape {a.shape} to {tuple(shape)}") from exc
+
+    def backward(out: Tensor) -> None:
+        _accum(a, out.grad.reshape(a.shape))
+
+    return _node("reshape", data, (a,), backward)
+
+
+def sum_segments(a, segment: int) -> Tensor:
+    """Sums of consecutive blocks of `segment` rows: (B*segment, D) -> (B, D)."""
+    a = _lift(a)
+    if a.ndim != 2 or segment < 1 or a.shape[0] % segment:
+        raise ShapeError(f"sum_segments: cannot split {a.shape} into blocks of {segment} rows")
+    rows, cols = a.shape
+
+    def backward(out: Tensor) -> None:
+        _accum(a, np.repeat(out.grad, segment, axis=0))
+
+    return _node("sum_segments",
+                 a.data.reshape(rows // segment, segment, cols).sum(axis=1), (a,), backward)
+
+
+def take_rows(a, rows: np.ndarray) -> Tensor:
+    """The rows of a 2-d tensor at the given distinct indices, in that order."""
+    a = _lift(a)
+    if a.ndim != 2:
+        raise ShapeError(f"take_rows: expects a 2-d operand, got {a.shape}")
+
+    def backward(out: Tensor) -> None:
+        g = np.zeros_like(a.data)
+        g[rows] = out.grad
+        _accum(a, g)
+
+    return _node("take_rows", a.data[rows], (a,), backward)
+
+
+def scatter_rows(a, rows: np.ndarray, n_rows: int) -> Tensor:
+    """An (n_rows, cols) tensor holding a's rows at the given distinct indices
+    and zeros elsewhere; the inverse of take_rows."""
+    a = _lift(a)
+    if a.ndim != 2 or a.shape[0] != len(rows):
+        raise ShapeError(f"scatter_rows: {len(rows)} indices for operand {a.shape}")
+    data = np.zeros((n_rows, a.shape[1]))
+    data[rows] = a.data
+
+    def backward(out: Tensor) -> None:
+        _accum(a, out.grad[rows])
+
+    return _node("scatter_rows", data, (a,), backward)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -438,7 +497,11 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backprop(output: Tensor) -> None:
-    """Accumulate d(output)/d(leaf) into .grad over the tape of `output`."""
+    """Accumulate d(output)/d(leaf) into .grad over the tape of `output`.
+
+    Interior nodes drop their gradient once it has been passed on, so only
+    the leaves hold gradients afterwards.
+    """
     if output.data.shape != ():
         raise AutodiffError(f"backprop: output must be scalar, got shape {output.shape}")
     order = _topo_order(output)
@@ -446,6 +509,8 @@ def backprop(output: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node)
+        if node._parents:
+            node.grad = None
 
 
 @dataclass
@@ -563,10 +628,12 @@ def finite_difference_check(graph: Graph, inputs: Mapping[str, np.ndarray] | Non
         worst = 0.0
         for i in range(flat.size):
             keep = flat[i]
-            flat[i] = keep + step
-            hi = float(forward(graph, inputs).data)
-            flat[i] = keep - step
-            lo = float(forward(graph, inputs).data)
+            # Probes need values only.
+            with no_tape():
+                flat[i] = keep + step
+                hi = float(forward(graph, inputs).data)
+                flat[i] = keep - step
+                lo = float(forward(graph, inputs).data)
             flat[i] = keep
             numeric = (hi - lo) / (2.0 * step)
             worst = max(worst, _rel_err(float(analytic[name].reshape(-1)[i]), numeric))

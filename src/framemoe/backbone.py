@@ -61,11 +61,16 @@ class LayerStack:
 
 @dataclass
 class ConcatRepresentation:
-    """Column-wise concatenation of all layer outputs, shape (T, (L+1)*width)."""
+    """Column-wise concatenation of all layer outputs, shape (B*T, (L+1)*width).
+
+    The frames of B utterances of T frames each are stacked in order; `segment`
+    is T, and defaults to all rows (one utterance).
+    """
 
     frames: Tensor
     n_layers: int
     width: int
+    segment: int | None = None
 
     def __post_init__(self) -> None:
         if self.frames.ndim != 2:
@@ -74,6 +79,12 @@ class ConcatRepresentation:
         if self.frames.shape[1] != expected:
             raise ValueError(
                 f"concat width {self.frames.shape[1]} does not match (L+1)*D = {expected}"
+            )
+        if self.segment is None:
+            self.segment = self.frames.shape[0]
+        if self.segment < 1 or self.frames.shape[0] % self.segment:
+            raise ValueError(
+                f"{self.frames.shape[0]} frames do not split into utterances of {self.segment}"
             )
 
     @property
@@ -137,11 +148,20 @@ def init_backbone(rng: np.random.Generator, n_layers: int, width: int,
                           frame=frame, hop=hop, width=width, frozen=frozen)
 
 
+def spectral_input(waveform: Waveform, params: BackboneParams) -> np.ndarray:
+    """The stack's input: log1p |rfft| of each frame, shape (T, frame//2 + 1)."""
+    frames = frame_signal(waveform.samples, params.frame, params.hop)
+    return np.log1p(np.abs(np.fft.rfft(frames, n=params.frame, axis=1)))
+
+
 def synth_layer_stack(waveform: Waveform, params: BackboneParams) -> LayerStack:
     """Run the stack, returning all L+1 layer outputs frame-aligned."""
-    frames = frame_signal(waveform.samples, params.frame, params.hop)
-    mags = np.abs(np.fft.rfft(frames, n=params.frame, axis=1))
-    h = matmul(const(np.log1p(mags)), params.projection)
+    return run_layers(spectral_input(waveform, params), params)
+
+
+def run_layers(spectra: np.ndarray, params: BackboneParams) -> LayerStack:
+    """The stack on precomputed inputs; rows may stack several utterances."""
+    h = matmul(const(spectra), params.projection)
     layers = [h]
     for w, b in params.affines:
         h = relu(affine(h, w, b))
@@ -149,8 +169,8 @@ def synth_layer_stack(waveform: Waveform, params: BackboneParams) -> LayerStack:
     return LayerStack(layers=layers)
 
 
-def concat_layers(stack: LayerStack) -> ConcatRepresentation:
+def concat_layers(stack: LayerStack, segment: int | None = None) -> ConcatRepresentation:
     """Concatenate layer outputs column-wise into one (T, (L+1)*D) matrix."""
     frames = concat(stack.layers, axis=1)
     return ConcatRepresentation(frames=frames, n_layers=len(stack.layers) - 1,
-                                width=stack.width)
+                                width=stack.width, segment=segment)

@@ -138,19 +138,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"config: unknown keys {unknown}")
     kwargs: dict = {}
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
     for key, value in raw.items():
         if key in nested:
             kwargs[key] = _hydrate(nested[key], value, key)
         else:
-            kwargs[key] = value
+            kwargs[key] = _checked(key, types[key], value)
     return ExperimentConfig(**kwargs)
 
 
 def _hydrate(cls, raw, path: str):
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(raw).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(raw) - known)
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(raw) - set(types))
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
     kwargs = {}
@@ -158,8 +159,32 @@ def _hydrate(cls, raw, path: str):
         if cls is HeadsConfig and key == "stft":
             kwargs[key] = _hydrate(StftBlock, value, f"{path}.stft")
         else:
-            kwargs[key] = value
+            kwargs[key] = _checked(f"{path}.{key}", types[key], value)
     return cls(**kwargs)
+
+
+# Scalar field types by their annotation; bool is not accepted as a number.
+_SCALAR_TYPES = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+}
+
+
+def _type_ok(annotation: str, value) -> bool:
+    if annotation.endswith(" | None"):
+        return value is None or _type_ok(annotation.removesuffix(" | None"), value)
+    if annotation.startswith("list["):
+        item = annotation[len("list["):-1]
+        return isinstance(value, list) and all(_type_ok(item, v) for v in value)
+    return _SCALAR_TYPES[annotation](value)
+
+
+def _checked(path: str, annotation: str, value):
+    if not _type_ok(annotation, value):
+        raise ConfigError(f"{path}: expected {annotation}, got {value!r}")
+    return value
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -268,6 +293,12 @@ def validate(cfg: ExperimentConfig) -> None:
         problems.append(f"data.sample_rate must be >= 1, got {d.sample_rate}")
     if len(d.class_proportions) != 4 or any(p <= 0 for p in d.class_proportions):
         problems.append(f"data.class_proportions needs 4 positive entries, got {d.class_proportions}")
+    from .datagen import FAMILY_NAMES
+
+    if d.train_noise_family not in FAMILY_NAMES:
+        problems.append(
+            f"data.train_noise_family must be one of {list(FAMILY_NAMES)}, "
+            f"got {d.train_noise_family!r}")
     if not d.eval_snrs_db:
         problems.append("data.eval_snrs_db must not be empty")
     elif len(set(d.eval_snrs_db)) != len(d.eval_snrs_db):

@@ -17,8 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import AnalyticsReport, RoutingTrace, analytics_report, write_analytics
-from .autodiff import Graph, finite_difference_check, record_kinks
+from .analytics import (
+    ANALYTICS_FILES,
+    AnalyticsReport,
+    RoutingTrace,
+    analytics_report,
+    write_analytics,
+)
+from .autodiff import Graph, const, finite_difference_check, no_tape, record_kinks
 from .config import (
     BackboneConfig,
     ConfigError,
@@ -71,6 +77,7 @@ RESOLVED_CONFIG_NAME = "resolved_config.yaml"
 CHECKPOINT_PHASE1 = "checkpoint_phase1.json"
 CHECKPOINT_FINAL = "checkpoint_final.json"
 REPORT_NAME = "report.json"
+METRICS_NAME = "metrics.csv"
 
 
 def prepare_run_dir(cfg: ExperimentConfig) -> Path:
@@ -167,8 +174,10 @@ def run_train(cfg: ExperimentConfig) -> dict:
     _write_losses_csv(run_dir / "losses_phase1.csv", phase1.curve.rows)
 
     wall = time.monotonic() - start
-    # A new checkpoint starts a new report: eval and analytics fields of an
+    # A new checkpoint starts a new report, and the evaluation files of an
     # earlier training run no longer describe this one.
+    for name in (METRICS_NAME, *ANALYTICS_FILES):
+        (run_dir / name).unlink(missing_ok=True)
     write_report(
         run_dir,
         config_digest=config_digest(cfg),
@@ -206,6 +215,10 @@ def load_trained(run_dir: str | Path) -> tuple[ExperimentConfig, JointModel, dic
     if not ckpt_path.exists():
         raise ConfigError(f"{run_dir} has no {CHECKPOINT_FINAL}; train there first")
     params, meta = load_checkpoint(ckpt_path)
+    if meta.get("config_digest") != config_digest(cfg):
+        raise ConfigError(
+            f"{ckpt_path} was trained with a different config than {cfg_path}; "
+            "retrain there")
     model = build_model(cfg)
     restore_params(named_parameters(model), params)
     return cfg, model, meta
@@ -226,33 +239,42 @@ def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, test_utts,
     l1_sum = l1_noisy_sum = ssnr_sum = ssnr_noisy_sum = 0.0
     traces = []
     offset = SPLIT_NOISE_OFFSETS["test"]
-    for i, utt in enumerate(test_utts):
-        noise = noise_for(cfg.seed, offset + i, family, snr_index,
-                          len(utt.clean), utt.clean.sample_rate)
-        mixed = mix_at_snr(utt.clean, noise, snr_db, family=family, source_id=utt.uid)
-        noisy_z = z_normalize(mixed.noisy, stats)
-        clean_z = z_normalize(utt.clean, stats)
-        feats = compute_features(model, utt.uid, noisy_z, clean_z, int(utt.label))
-        out = forward_features(model, feats)
+    chunk = cfg.training.phase2_batch
+    for start in range(0, len(test_utts), chunk):
+        utts = test_utts[start : start + chunk]
+        waves, batch = [], []
+        for i, utt in enumerate(utts, start):
+            noise = noise_for(cfg.seed, offset + i, family, snr_index,
+                              len(utt.clean), utt.clean.sample_rate)
+            mixed = mix_at_snr(utt.clean, noise, snr_db, family=family, source_id=utt.uid)
+            noisy_z = z_normalize(mixed.noisy, stats)
+            clean_z = z_normalize(utt.clean, stats)
+            waves.append((noisy_z, clean_z))
+            batch.append(compute_features(model, utt.uid, noisy_z, clean_z, int(utt.label)))
+        with no_tape():
+            out = forward_features(model, batch)
+        seg = out.ser_seq.segment
 
-        y_true.append(int(utt.label))
-        y_pred.append(int(predict_label(out.ser_logits)))
+        for b, (utt, feats, (noisy_z, clean_z)) in enumerate(zip(utts, batch, waves)):
+            rows = slice(b * seg, (b + 1) * seg)
+            y_true.append(int(utt.label))
+            y_pred.append(int(predict_label(const(out.ser_logits.data[b : b + 1]))))
 
-        enhanced = out.enhanced.frames.data
-        l1_sum += float(np.mean(np.abs(enhanced - feats.x_clean)))
-        l1_noisy_sum += float(np.mean(np.abs(feats.x_noisy - feats.x_clean)))
+            enhanced = out.enhanced.frames.data[rows]
+            l1_sum += float(np.mean(np.abs(enhanced - feats.x_clean)))
+            l1_noisy_sum += float(np.mean(np.abs(feats.x_noisy - feats.x_clean)))
 
-        phase_ref = stft(noisy_z, model.stft)
-        resynth = resynthesize(enhanced, phase_ref, model.stft, len(noisy_z))
-        span = resynth.size
-        ssnr_sum += ssnr(clean_z.samples[:span], resynth, cfg.ssnr)
-        ssnr_noisy_sum += ssnr(clean_z.samples[:span], noisy_z.samples[:span], cfg.ssnr)
+            phase_ref = stft(noisy_z, model.stft)
+            resynth = resynthesize(enhanced, phase_ref, model.stft, len(noisy_z))
+            span = resynth.size
+            ssnr_sum += ssnr(clean_z.samples[:span], resynth, cfg.ssnr)
+            ssnr_noisy_sum += ssnr(clean_z.samples[:span], noisy_z.samples[:span], cfg.ssnr)
 
-        traces.append(RoutingTrace(
-            uid=utt.uid, family=family, snr_db=float(snr_db),
-            label=int(utt.label),
-            ser_top1=out.ser_decision.indices[:, 0].copy(),
-            se_top1=out.se_decision.indices[:, 0].copy()))
+            traces.append(RoutingTrace(
+                uid=utt.uid, family=family, snr_db=float(snr_db),
+                label=int(utt.label),
+                ser_top1=out.ser_decision.indices[rows, 0].copy(),
+                se_top1=out.se_decision.indices[rows, 0].copy()))
 
     n = len(test_utts)
     macro, micro = f1_scores(y_true, y_pred)
@@ -298,7 +320,7 @@ def run_eval(run_dir: str | Path) -> list[MetricsReport]:
             reports.append(report)
             traces.extend(cond_traces)
     analytics = analytics_report(traces, cfg.moe.n_experts)
-    write_metrics_csv(run_dir / "metrics.csv", reports)
+    write_metrics_csv(run_dir / METRICS_NAME, reports)
     write_analytics(analytics, run_dir)
     update_report(run_dir, metrics=[r.as_row() for r in reports],
                   analytics=asdict(analytics),
@@ -382,10 +404,10 @@ def _gradcheck_batch(cfg: ExperimentConfig, model: JointModel, attempt: int):
 
 def _margins(model: JointModel, feats, cfg: ExperimentConfig) -> tuple[float, float]:
     """(min gate tie margin, min kink distance) at the current point."""
-    with record_kinks() as kinks:
+    with record_kinks() as kinks, no_tape():
         _, _, decisions = batch_joint_loss(model, feats, np.ones(4), cfg.moe,
                                            cfg.training)
-    gate_margin = min(d.tie_margin for task in ("ser", "se") for d in decisions[task])
+    gate_margin = min(d.tie_margin for d in decisions.values())
     kink_margin = min(kinks) if kinks else float("inf")
     return gate_margin, kink_margin
 

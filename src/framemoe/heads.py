@@ -1,11 +1,12 @@
 """Task heads: emotion classification over pooled statistics and per-frame
 spectral denoising.
 
-The classification head pools the task sequence with attentive statistics
-(softmax-weighted mean and standard deviation over frames) and maps the pooled
-vector to four class logits. The denoising head concatenates each mixed frame
-with the noisy log1p spectrum frame and decodes the clean log1p spectrum with
-a small relu network; the final relu keeps outputs non-negative.
+The classification head pools each utterance's task sequence with attentive
+statistics (softmax-weighted mean and standard deviation over its frames) and
+maps the pooled vector to four class logits. The denoising head concatenates
+each mixed frame with the noisy log1p spectrum frame and decodes the clean
+log1p spectrum with a small relu network; the final relu keeps outputs
+non-negative.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from .autodiff import (
     mul,
     param,
     relu,
+    reshape,
     softmax_rows,
     sqrt,
     sub,
-    sum_rows,
-    transpose,
+    sum_segments,
 )
 from .backbone import Waveform, frame_signal
 from .moe import TaskSequence
@@ -189,22 +190,23 @@ def identity_se_head(width: int, n_bins: int) -> SeHead:
 
 
 def attentive_stats_pool(head: SerHead, seq: TaskSequence) -> Tensor:
-    """Softmax-attention weighted mean and std over frames, shape (1, 2*D).
+    """Softmax-attention weighted mean and std over each utterance's frames,
+    shape (B, 2*D).
 
     The standard deviation is floored at sqrt(1e-8) to keep the gradient
     finite on constant sequences.
     """
-    z = seq.z
+    z, seg = seq.z, seq.segment
     scores = affine(z, head.scorer_w, head.scorer_b)
-    attn = transpose(softmax_rows(transpose(scores)))
-    mean = sum_rows(mul(attn, z))
-    second = sum_rows(mul(attn, mul(z, z)))
+    attn = reshape(softmax_rows(reshape(scores, (-1, seg))), (-1, 1))
+    mean = sum_segments(mul(attn, z), seg)
+    second = sum_segments(mul(attn, mul(z, z)), seg)
     std = sqrt(clamp_min(sub(second, mul(mean, mean)), VARIANCE_FLOOR))
     return concat([mean, std], axis=1)
 
 
 def ser_classify(head: SerHead, seq: TaskSequence) -> Tensor:
-    """Class logits from the pooled sequence, shape (1, 4)."""
+    """Class logits from the pooled sequence, one row per utterance, (B, 4)."""
     pooled = attentive_stats_pool(head, seq)
     hidden = relu(affine(pooled, head.cls_w1, head.cls_b1))
     return affine(hidden, head.cls_w2, head.cls_b2)

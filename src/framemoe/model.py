@@ -4,7 +4,9 @@ and evaluation share.
 
 With the backbone frozen, the concatenated layer features of an utterance
 never change, so they are computed once and re-entered into each step's graph
-as constants. The unfrozen variant rebuilds the backbone in-graph every step.
+as constants. The unfrozen variant caches the backbone's spectral input and
+rebuilds the layers in-graph every step. A batch of utterances, all of one
+length, runs as a single graph over their stacked frames.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .backbone import (
     Waveform,
     concat_layers,
     init_backbone,
+    run_layers,
+    spectral_input,
     synth_layer_stack,
 )
 from .config import ExperimentConfig, component_rng
@@ -153,11 +157,10 @@ class UtteranceFeatures:
 
     uid: str
     label: int | None
-    sample_rate: int
-    noisy_samples: np.ndarray
     x_noisy: np.ndarray
     x_clean: np.ndarray | None
-    concat_rep: np.ndarray | None  # None when the backbone is unfrozen
+    concat_rep: np.ndarray | None  # frozen backbone: the layer concatenation
+    spectra: np.ndarray | None  # unfrozen backbone: the stack's input
 
 
 def compute_features(model: JointModel, uid: str, noisy: Waveform,
@@ -168,21 +171,27 @@ def compute_features(model: JointModel, uid: str, noisy: Waveform,
     x_clean = None
     if clean is not None:
         x_clean = log1p_spectrum(clean, model.stft).frames.data
-    rep = None
+    rep = spectra = None
     if model.backbone.frozen:
         rep = concat_layers(synth_layer_stack(noisy, model.backbone)).frames.data
-        if rep.shape[0] != x_noisy.shape[0]:
-            raise ValueError(
-                f"backbone frames ({rep.shape[0]}) misaligned with spectral frames "
-                f"({x_noisy.shape[0]})"
-            )
-    return UtteranceFeatures(uid=uid, label=label, sample_rate=noisy.sample_rate,
-                             noisy_samples=noisy.samples, x_noisy=x_noisy,
-                             x_clean=x_clean, concat_rep=rep)
+        n_frames = rep.shape[0]
+    else:
+        spectra = spectral_input(noisy, model.backbone)
+        n_frames = spectra.shape[0]
+    if n_frames != x_noisy.shape[0]:
+        raise ValueError(
+            f"backbone frames ({n_frames}) misaligned with spectral frames "
+            f"({x_noisy.shape[0]})"
+        )
+    return UtteranceFeatures(uid=uid, label=label, x_noisy=x_noisy, x_clean=x_clean,
+                             concat_rep=rep, spectra=spectra)
 
 
 @dataclass
 class ModelOutputs:
+    """One batch's outputs; rows of utterance b are b*T .. (b+1)*T - 1, with
+    T = ser_seq.segment, and row b of ser_logits is its class scores."""
+
     ser_logits: Tensor
     enhanced: SpectralFeature
     ser_seq: TaskSequence
@@ -191,22 +200,27 @@ class ModelOutputs:
     se_decision: RoutingDecision
 
 
-def representation(model: JointModel, feats: UtteranceFeatures) -> ConcatRepresentation:
-    if feats.concat_rep is not None:
-        return ConcatRepresentation(frames=const(feats.concat_rep),
+def representation(model: JointModel, batch: list[UtteranceFeatures]) -> ConcatRepresentation:
+    """The stacked backbone frames of a batch of equal-length utterances."""
+    counts = sorted({f.x_noisy.shape[0] for f in batch})
+    if len(counts) != 1:
+        raise ValueError(f"a batch needs one frame count per utterance, got {counts}")
+    if model.backbone.frozen:
+        return ConcatRepresentation(frames=const(np.vstack([f.concat_rep for f in batch])),
                                     n_layers=model.backbone.n_layers,
-                                    width=model.backbone.width)
-    wave = Waveform(samples=feats.noisy_samples, sample_rate=feats.sample_rate)
-    return concat_layers(synth_layer_stack(wave, model.backbone))
+                                    width=model.backbone.width, segment=counts[0])
+    stack = run_layers(np.vstack([f.spectra for f in batch]), model.backbone)
+    return concat_layers(stack, segment=counts[0])
 
 
-def forward_features(model: JointModel, feats: UtteranceFeatures) -> ModelOutputs:
-    """One utterance through routing and both heads."""
-    rep = representation(model, feats)
+def forward_features(model: JointModel, batch: list[UtteranceFeatures]) -> ModelOutputs:
+    """A batch of utterances through routing and both heads, as one graph."""
+    rep = representation(model, batch)
     ser_seq, ser_dec = moe_forward(model.pool, model.gates[TASK_SER], rep, model.top_k)
     se_seq, se_dec = moe_forward(model.pool, model.gates[TASK_SE], rep, model.top_k)
     logits = ser_classify(model.ser_head, ser_seq)
-    noisy_feat = SpectralFeature(frames=const(feats.x_noisy), config=model.stft)
+    noisy_feat = SpectralFeature(frames=const(np.vstack([f.x_noisy for f in batch])),
+                                 config=model.stft)
     enhanced = se_decode(model.se_head, se_seq, noisy_feat)
     return ModelOutputs(ser_logits=logits, enhanced=enhanced,
                         ser_seq=ser_seq, se_seq=se_seq,

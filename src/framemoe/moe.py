@@ -7,6 +7,11 @@ original magnitudes (no renormalization) and the pruned ones are exactly zero.
 The mixture output is the retained-weight sum of expert outputs. Top-K is
 treated as a constant during backprop: gradients flow through the retained
 softmax values only.
+
+A batch of equal-length utterances is routed as one stacked matrix. Each
+expert runs on the whole utterances that route at least one frame to it,
+gathered, never on single rows: a BLAS product on a subset of rows need not
+reproduce the bits of the full product.
 """
 
 from __future__ import annotations
@@ -20,14 +25,15 @@ from .autodiff import (
     add,
     affine,
     col,
-    concat,
     const,
     mean_rows,
     mul,
     param,
     relu,
+    scatter_rows,
     softmax_rows,
     sum_all,
+    take_rows,
 )
 from .backbone import ConcatRepresentation
 
@@ -75,7 +81,8 @@ class GatingNetwork:
 class RoutingDecision:
     """Gate probabilities and the per-frame sparse selection derived from them.
 
-    gates: full softmax distribution, shape (T, N)
+    gates: full softmax distribution, shape (T, N), T counting the frames of
+        every utterance of a batch
     retained: gates with all but the top K entries per frame zeroed, same shape
     indices: selected expert indices per frame, shape (T, K), best first
     tie_margin: smallest gap between the K-th and (K+1)-th gate value over all
@@ -100,10 +107,16 @@ class RoutingDecision:
 
 @dataclass
 class TaskSequence:
-    """The task-specific mixed representation, shape (T, D)."""
+    """The task-specific mixed representation, shape (B*T, D): B utterances
+    of `segment` = T frames each, stacked; segment defaults to all rows."""
 
     task: str
     z: Tensor
+    segment: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.segment is None:
+            self.segment = self.z.shape[0]
 
 
 def init_expert_pool(rng: np.random.Generator, n_experts: int, in_width: int,
@@ -185,9 +198,12 @@ def moe_forward(pool: ExpertPool, gate: GatingNetwork, rep: ConcatRepresentation
                 top_k: int) -> tuple[TaskSequence, RoutingDecision]:
     """Route every frame through its top-k experts and mix the outputs.
 
-    Experts whose retained weight is zero for every frame are skipped; the
-    result is bit-equal to the dense sum over all experts because adding a
-    zero-weighted term never changes an IEEE accumulation.
+    Expert n runs only on the utterances (blocks of rep.segment rows) that
+    route at least one frame to it, and its retained-weighted output is
+    scattered back to their rows; every other row of that term is exactly
+    zero. A lone utterance is never gathered, so its result is bit-equal to
+    the dense sum over all experts: adding a zero-weighted term never
+    changes an IEEE accumulation.
     """
     frames = rep.frames
     gates = gate_scores(gate, frames)
@@ -198,41 +214,30 @@ def moe_forward(pool: ExpertPool, gate: GatingNetwork, rep: ConcatRepresentation
     mask, indices, margin = _topk_rows(gates.data, top_k)
     retained = mul(gates, const(mask))
 
-    t = frames.shape[0]
+    t, seg = frames.shape[0], rep.segment
+    used = mask.reshape(t // seg, seg, pool.n_experts).any(axis=1)
     z: Tensor = const(np.zeros((t, pool.out_width)))
     for n in range(pool.n_experts):
-        if not np.any(mask[:, n]):
+        utts = np.flatnonzero(used[:, n])
+        if utts.size == 0:
             continue
-        z = add(z, mul(col(retained, n), expert_forward(pool, n, frames)))
+        if utts.size == used.shape[0]:
+            z = add(z, mul(col(retained, n), expert_forward(pool, n, frames)))
+            continue
+        rows = (utts[:, None] * seg + np.arange(seg)).reshape(-1)
+        out = mul(take_rows(col(retained, n), rows),
+                  expert_forward(pool, n, take_rows(frames, rows)))
+        z = add(z, scatter_rows(out, rows, t))
 
     decision = RoutingDecision(task=gate.task, gates=gates, retained=retained,
                                indices=indices, top_k=top_k, tie_margin=margin)
-    return TaskSequence(task=gate.task, z=z), decision
+    return TaskSequence(task=gate.task, z=z, segment=seg), decision
 
 
 def dense_moe_forward(pool: ExpertPool, gate: GatingNetwork,
                       rep: ConcatRepresentation) -> tuple[TaskSequence, RoutingDecision]:
     """Soft mixture over all experts; identical to moe_forward with K = N."""
     return moe_forward(pool, gate, rep, top_k=pool.n_experts)
-
-
-def concat_decisions(decisions: list[RoutingDecision]) -> RoutingDecision:
-    """Pool several decisions for the same task into one frame-stacked decision."""
-    if not decisions:
-        raise ValueError("no decisions to pool")
-    task = decisions[0].task
-    top_k = decisions[0].top_k
-    for d in decisions:
-        if d.task != task or d.top_k != top_k:
-            raise ValueError("pooled decisions must share task and top_k")
-    return RoutingDecision(
-        task=task,
-        gates=concat([d.gates for d in decisions], axis=0),
-        retained=concat([d.retained for d in decisions], axis=0),
-        indices=np.concatenate([d.indices for d in decisions], axis=0),
-        top_k=top_k,
-        tie_margin=min(d.tie_margin for d in decisions),
-    )
 
 
 def balancing_loss(decision: RoutingDecision, alpha: float = 0.01) -> Tensor:

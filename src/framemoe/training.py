@@ -22,12 +22,12 @@ from .autodiff import (
     abs_,
     add,
     backprop,
-    concat,
     const,
     log_softmax_rows,
     mean_all,
     mul,
     neg,
+    no_tape,
     sub,
     sum_all,
 )
@@ -226,49 +226,33 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarr
 
 
 def batch_joint_loss(model, batch_feats, class_weights, moe_cfg, train_cfg):
-    """Joint objective over a batch of utterances.
+    """Joint objective over a batch of utterances, built as one graph.
 
     Returns (total, parts, decisions) where parts holds float components and
-    decisions the per-task routing for every utterance. The balancing term is
-    computed once over the frames of the whole batch (per-batch pooling) and
-    averaged over the two task gates so the uniform-routing value stays at
-    alpha.
+    decisions the per-task routing pooled over the batch's frames. The
+    balancing term is computed once over the frames of the whole batch
+    (per-batch pooling) and averaged over the two task gates so the
+    uniform-routing value stays at alpha. All utterances have the same frame
+    count, so the L1 mean over the stacked frames equals the mean of the
+    per-utterance L1 means.
     """
     from .model import forward_features
-    from .moe import balancing_loss, concat_decisions
+    from .moe import balancing_loss
 
-    logit_rows = []
-    labels = []
-    l1_terms = []
-    ser_decisions = []
-    se_decisions = []
-    for feats in batch_feats:
-        out = forward_features(model, feats)
-        ser_decisions.append(out.ser_decision)
-        se_decisions.append(out.se_decision)
-        if train_cfg.ser_loss_enabled:
-            logit_rows.append(out.ser_logits)
-            labels.append(feats.label)
-        if train_cfg.se_loss_enabled:
-            l1_terms.append(l1_loss(out.enhanced.frames, const(feats.x_clean)))
-
+    out = forward_features(model, batch_feats)
     zero = const(np.zeros(()))
     wce = zero
-    if logit_rows:
-        wce = weighted_cross_entropy(concat(logit_rows, axis=0), labels, class_weights)
+    if train_cfg.ser_loss_enabled:
+        wce = weighted_cross_entropy(out.ser_logits, [f.label for f in batch_feats],
+                                     class_weights)
     l1 = zero
-    if l1_terms:
-        acc = l1_terms[0]
-        for term in l1_terms[1:]:
-            acc = add(acc, term)
-        l1 = mul(acc, 1.0 / len(l1_terms))
+    if train_cfg.se_loss_enabled:
+        l1 = l1_loss(out.enhanced.frames, const(np.vstack([f.x_clean for f in batch_feats])))
 
     balance = None
     if moe_cfg.balancing_loss_enabled:
-        per_task = [
-            balancing_loss(concat_decisions(ser_decisions), moe_cfg.balancing_alpha),
-            balancing_loss(concat_decisions(se_decisions), moe_cfg.balancing_alpha),
-        ]
+        per_task = [balancing_loss(out.ser_decision, moe_cfg.balancing_alpha),
+                    balancing_loss(out.se_decision, moe_cfg.balancing_alpha)]
         balance = mul(add(per_task[0], per_task[1]), 0.5)
 
     total = joint_loss(wce, l1, balance)
@@ -278,23 +262,27 @@ def batch_joint_loss(model, batch_feats, class_weights, moe_cfg, train_cfg):
         "balance": float(balance.data) if balance is not None else 0.0,
         "total": float(total.data),
     }
-    return total, parts, {"ser": ser_decisions, "se": se_decisions}
+    return total, parts, {"ser": out.ser_decision, "se": out.se_decision}
 
 
-def cache_task_sequences(model, feats_list):
+def cache_task_sequences(model, feats_list, batch_size: int) -> dict[str, np.ndarray]:
     """Mixed per-task sequences with the current (frozen) experts and gates.
 
     Used by phase 1: with the backbone, experts, and gates all fixed, each
     utterance's task sequences are constants, so the head-only training loops
     can reuse them instead of rebuilding the routing graph every step.
+    Returns one (utterances, T, D) array per task, computed forward-only in
+    batches of `batch_size`.
     """
     from .model import forward_features
 
-    cached = []
-    for feats in feats_list:
-        out = forward_features(model, feats)
-        cached.append({"ser": out.ser_seq.z.data.copy(), "se": out.se_seq.z.data.copy()})
-    return cached
+    parts: dict[str, list[np.ndarray]] = {"ser": [], "se": []}
+    with no_tape():
+        for start in range(0, len(feats_list), batch_size):
+            out = forward_features(model, feats_list[start : start + batch_size])
+            for seq in (out.ser_seq, out.se_seq):
+                parts[seq.task].append(seq.z.data.reshape(-1, seq.segment, seq.z.shape[1]))
+    return {task: np.concatenate(arrays) for task, arrays in parts.items()}
 
 
 @dataclass
@@ -324,22 +312,26 @@ def train_phase1(model, train_feats, class_weights, cfg, rng) -> PhaseResult:
 
     if not train_feats:
         raise ValueError("phase 1 needs a non-empty training set")
-    cached = cache_task_sequences(model, train_feats)
-    curve = LossCurve()
+    cached = cache_task_sequences(model, train_feats, cfg.phase2_batch)
+    n_utts, seg, _ = cached["ser"].shape
+    labels = np.array([f.label for f in train_feats])
+    x_noisy = np.stack([f.x_noisy for f in train_feats])
+    x_clean = np.stack([f.x_clean for f in train_feats])
 
+    def stacked(arrays: np.ndarray, batch: np.ndarray) -> np.ndarray:
+        return arrays[batch].reshape(len(batch) * seg, -1)
+
+    curve = LossCurve()
     opt = AdamW([{"params": ser_parameters(model), "lr": cfg.phase1_ser_lr}],
                 weight_decay=cfg.weight_decay)
     for epoch in range(cfg.phase1_ser_epochs):
         losses = []
-        for batch in _batches(len(train_feats), cfg.phase1_ser_batch, rng):
+        for batch in _batches(n_utts, cfg.phase1_ser_batch, rng):
             opt.zero_grad()
-            rows = []
-            labels = []
-            for i in batch:
-                seq = TaskSequence(task=TASK_SER, z=const(cached[i]["ser"]))
-                rows.append(ser_classify(model.ser_head, seq))
-                labels.append(train_feats[i].label)
-            loss = weighted_cross_entropy(concat(rows, axis=0), labels, class_weights)
+            seq = TaskSequence(task=TASK_SER, z=const(stacked(cached["ser"], batch)),
+                               segment=seg)
+            loss = weighted_cross_entropy(ser_classify(model.ser_head, seq), labels[batch],
+                                          class_weights)
             backprop(loss)
             opt.step()
             losses.append(float(loss.data))
@@ -351,19 +343,13 @@ def train_phase1(model, train_feats, class_weights, cfg, rng) -> PhaseResult:
     base = len(curve.rows)
     for epoch in range(cfg.phase1_se_epochs):
         losses = []
-        for batch in _batches(len(train_feats), cfg.phase1_se_batch, rng):
+        for batch in _batches(n_utts, cfg.phase1_se_batch, rng):
             opt.zero_grad()
-            terms = []
-            for i in batch:
-                feats = train_feats[i]
-                seq = TaskSequence(task=TASK_SE, z=const(cached[i]["se"]))
-                noisy = SpectralFeature(frames=const(feats.x_noisy), config=model.stft)
-                enhanced = se_decode(model.se_head, seq, noisy)
-                terms.append(l1_loss(enhanced.frames, const(feats.x_clean)))
-            acc = terms[0]
-            for term in terms[1:]:
-                acc = add(acc, term)
-            loss = mul(acc, 1.0 / len(terms))
+            seq = TaskSequence(task=TASK_SE, z=const(stacked(cached["se"], batch)),
+                               segment=seg)
+            noisy = SpectralFeature(frames=const(stacked(x_noisy, batch)), config=model.stft)
+            enhanced = se_decode(model.se_head, seq, noisy)
+            loss = l1_loss(enhanced.frames, const(stacked(x_clean, batch)))
             backprop(loss)
             opt.step()
             losses.append(float(loss.data))
@@ -375,7 +361,8 @@ def train_phase1(model, train_feats, class_weights, cfg, rng) -> PhaseResult:
 
 def evaluate_joint_loss(model, feats_list, class_weights, moe_cfg, train_cfg) -> float:
     """Forward-only joint loss over a whole split, as one pooled batch."""
-    _, parts, _ = batch_joint_loss(model, feats_list, class_weights, moe_cfg, train_cfg)
+    with no_tape():
+        _, parts, _ = batch_joint_loss(model, feats_list, class_weights, moe_cfg, train_cfg)
     return parts["total"]
 
 

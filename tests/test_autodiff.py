@@ -30,15 +30,18 @@ from framemoe.autodiff import (
     mean_rows,
     mul,
     neg,
+    no_tape,
     param,
     record_kinks,
     relu,
+    reshape,
+    scatter_rows,
     softmax_rows,
     sqrt,
     sub,
     sum_all,
-    sum_rows,
-    transpose,
+    sum_segments,
+    take_rows,
 )
 
 finite_floats = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False,
@@ -189,12 +192,15 @@ def test_structural_op_gradients():
     x = param("x", rand(rng, 4, 3))
     y = param("y", rand(rng, 2, 3))
     w = const(rand(rng, 3, 4))
-    check_grad(lambda: sum_all(mul(transpose(x), w)), x)
+    check_grad(lambda: sum_all(mul(reshape(x, (3, 4)), w)), x)
     check_grad(lambda: sum_all(concat([x, y], axis=0)), y)
     check_grad(lambda: sum_all(col(x, 1)), x)
     check_grad(lambda: mean_all(x), x)
-    check_grad(lambda: sum_all(sum_rows(x)), x)
+    check_grad(lambda: sum_all(mul(sum_segments(mul(x, x), 2), y)), x)
     check_grad(lambda: sum_all(mean_rows(x)), x)
+    rows = np.array([3, 0])
+    check_grad(lambda: sum_all(mul(take_rows(x, rows), y)), x)
+    check_grad(lambda: sum_all(mul(scatter_rows(y, rows, 4), const(w.data.T))), y)
 
 
 def test_col_takes_the_right_column():
@@ -218,7 +224,7 @@ def test_mean_rows_is_exactly_sum_rows_over_n():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((13, 5))
     lhs = mean_rows(const(x)).data
-    rhs = sum_rows(const(x)).data / 13.0
+    rhs = np.sum(x, axis=0, keepdims=True) / 13.0
     np.testing.assert_array_equal(lhs, rhs)
 
 
@@ -369,3 +375,50 @@ def test_record_kinks_collects_distances():
     # Outside the context nothing is recorded.
     relu(const([[0.01]]))
     assert len(kinks) == 3
+
+
+def test_batching_ops_values():
+    x = np.arange(12.0).reshape(6, 2)
+    np.testing.assert_array_equal(sum_segments(const(x), 3).data,
+                                  [x[:3].sum(axis=0), x[3:].sum(axis=0)])
+    rows = np.array([5, 0])
+    np.testing.assert_array_equal(take_rows(const(x), rows).data, x[rows])
+    back = scatter_rows(take_rows(const(x), rows), rows, 6).data
+    np.testing.assert_array_equal(back[rows], x[rows])
+    assert not np.any(back[[1, 2, 3, 4]])
+    np.testing.assert_array_equal(reshape(const(x), (2, 6)).data, x.reshape(2, 6))
+    with pytest.raises(ShapeError, match="sum_segments"):
+        sum_segments(const(x), 4)
+    with pytest.raises(ShapeError, match="reshape"):
+        reshape(const(x), (5, 2))
+
+
+def test_no_tape_nodes_keep_no_graph():
+    x = param("x", np.ones((2, 2)))
+    with no_tape():
+        y = mul(relu(x), 2.0)
+        z = sum_all(y)
+    assert y._parents == () and y._backward is None
+    assert z._parents == () and z._backward is None
+    assert float(z.data) == 8.0
+    # Outside the context the tape records again.
+    assert mul(x, 2.0)._parents
+
+
+def test_constant_operands_build_no_graph():
+    a = const(np.ones((2, 2)))
+    assert matmul(a, a)._parents == ()
+    assert add(a, param("p", np.ones((2, 2))))._parents
+
+
+def test_backprop_keeps_leaf_grads_and_drops_interior_ones():
+    rng = np.random.default_rng(22)
+    w = param("w", rand(rng, 3, 2))
+    x = const(rand(rng, 4, 3))
+    hidden = relu(matmul(x, w))
+    out = sum_all(mul(hidden, hidden))
+    backprop(out)
+    h = np.maximum(x.data @ w.data, 0.0)
+    np.testing.assert_allclose(w.grad, x.data.T @ (2.0 * h), atol=1e-12)
+    assert hidden.grad is None and out.grad is None
+    assert x.grad is None

@@ -211,6 +211,33 @@ def test_cli_gen_writes_corpus(tmp_path, capsys):
     assert (corpus / "signals.f32").exists()
 
 
+def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(tmp_path / "run"))
+    assert main(["gen", "--config", cfg_path, "--set", "moe.n_experts=abc"]) == 1
+    assert "moe.n_experts: expected int" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    for item in ("moe.top_k=true", "backbone.unfrozen=1", "data.eval_snrs_db=5",
+                 "data.class_proportions=[1,2,x,4]", "seed=0.5", "output_dir=3"):
+        with pytest.raises(ConfigError, match="expected"):
+            apply_overrides(ExperimentConfig(), [item])
+    # Ints are valid floats, and a null backbone seed is allowed.
+    cfg = apply_overrides(ExperimentConfig(), ["data.train_snr_db=5", "backbone.seed=null",
+                                               "backbone.seed=3"])
+    assert cfg.data.train_snr_db == 5 and cfg.backbone.seed == 3
+
+
+def test_validate_rejects_unknown_noise_family(tmp_path, capsys):
+    cfg = ExperimentConfig()
+    cfg.data.train_noise_family = "traffic"
+    with pytest.raises(ConfigError, match="train_noise_family"):
+        validate(cfg)
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(tmp_path / "run"))
+    assert main(["train", "--config", cfg_path,
+                 "--set", "data.train_noise_family=traffic"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_config_error_is_exit_code_1(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, tiny_cfg_dict(tmp_path / "run"))
     assert main(["gen", "--config", cfg_path, "--set", "moe.n_experts=0"]) == 1

@@ -244,6 +244,34 @@ def test_retrain_starts_a_fresh_report(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_retrain_removes_the_previous_evaluation_files(tmp_path):
+    cfg = tiny_cfg(tmp_path / "run")
+    run_train(cfg)
+    run_eval(cfg.output_dir)
+    run = Path(cfg.output_dir)
+    names = ("metrics.csv", "switch_agreement.csv", "usage_by_snr.csv", "usage_by_label.csv")
+    assert all((run / name).exists() for name in names)
+    run_train(tiny_cfg(tmp_path / "run", seed=1))
+    for name in names:
+        assert not (run / name).exists(), name
+    run_eval(run)
+    assert all((run / name).exists() for name in names)
+
+
+def test_load_trained_rejects_a_checkpoint_of_another_config(tmp_path):
+    cfg = tiny_cfg(tmp_path / "run")
+    run_train(cfg)
+    run = Path(cfg.output_dir)
+    # A config edited after training no longer describes the checkpoint.
+    prepare_run_dir(tiny_cfg(tmp_path / "run", seed=1))
+    with pytest.raises(ConfigError, match="different config"):
+        load_trained(run)
+    with pytest.raises(ConfigError, match="different config"):
+        run_eval(run)
+    prepare_run_dir(cfg)
+    load_trained(run)
+
+
 def test_eval_reads_the_corpus_of_the_run_it_is_given(tmp_path, monkeypatch):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir()

@@ -13,7 +13,6 @@ from framemoe.moe import (
     GatingNetwork,
     RoutingDecision,
     balancing_loss,
-    concat_decisions,
     dense_moe_forward,
     expert_forward,
     gate_scores,
@@ -422,39 +421,6 @@ def test_balancing_loss_gradient_reaches_gate_parameters():
     assert gate.w.grad is not None and np.any(gate.w.grad)
 
 
-def test_concat_decisions_pools_frames():
-    rng = np.random.default_rng(19)
-    pool, gate = make_pool_gate(rng, 3, 8)
-    reps = [make_rep(rng, t) for t in (3, 5, 2)]
-    decisions = [moe_forward(pool, gate, rep, top_k=1)[1] for rep in reps]
-    pooled = concat_decisions(decisions)
-    assert pooled.gates.shape == (10, 3)
-    assert pooled.indices.shape == (10, 1)
-    np.testing.assert_array_equal(
-        pooled.gates.data, np.concatenate([d.gates.data for d in decisions]))
-    assert pooled.tie_margin == min(d.tie_margin for d in decisions)
-
-    # Pooling then tallying equals tallying the concatenation by hand.
-    got = float(balancing_loss(pooled, alpha=0.01).data)
-    idx = np.concatenate([d.indices[:, 0] for d in decisions])
-    f = np.bincount(idx, minlength=3) / 10
-    p = pooled.gates.data.mean(axis=0)
-    assert got == 0.01 * 3 * float(np.sum(f * p))
-
-
-def test_concat_decisions_rejects_mixed_tasks():
-    rng = np.random.default_rng(20)
-    pool, ser_gate = make_pool_gate(rng, 3, 8, task=TASK_SER)
-    se_gate = init_gate(rng, TASK_SE, 8, 3)
-    rep = make_rep(rng, 3)
-    d1 = moe_forward(pool, ser_gate, rep, top_k=1)[1]
-    d2 = moe_forward(pool, se_gate, rep, top_k=1)[1]
-    with pytest.raises(ValueError):
-        concat_decisions([d1, d2])
-    with pytest.raises(ValueError):
-        concat_decisions([])
-
-
 def test_shared_pool_distinct_gates_share_expert_outputs():
     # Both tasks route over the same pool; with equal gate parameters the
     # two task sequences coincide exactly.
@@ -467,3 +433,41 @@ def test_shared_pool_distinct_gates_share_expert_outputs():
     ser_seq, _ = moe_forward(pool, ser_gate, rep, top_k=1)
     se_seq, _ = moe_forward(pool, se_gate, rep, top_k=1)
     np.testing.assert_array_equal(ser_seq.z.data, se_seq.z.data)
+
+
+def test_moe_forward_runs_each_expert_on_whole_routed_utterances(monkeypatch):
+    # Three utterances of four frames; the first feature, +50 or -50 per
+    # utterance, routes every frame of utterance u to expert u % 2.
+    from framemoe import moe
+
+    rng = np.random.default_rng(23)
+    pool, gate = make_pool_gate(rng, 3, 8)
+    frames = rng.standard_normal((12, 8))
+    frames[:, 0] = np.repeat([1.0, -1.0, 1.0], 4) * 50.0
+    gate.w.data[...] = 0.0
+    gate.w.data[0] = [1.0, -1.0, -0.5]
+    rep = ConcatRepresentation(frames=const(frames), n_layers=1, width=4, segment=4)
+    seen = []
+    real = moe.expert_forward
+
+    def counted(pool, n, x):
+        seen.append((n, x.shape[0]))
+        return real(pool, n, x)
+
+    monkeypatch.setattr(moe, "expert_forward", counted)
+    seq, decision = moe_forward(pool, gate, rep, top_k=1)
+    assert seen == [(0, 8), (1, 4)]
+    assert seq.segment == 4
+    np.testing.assert_array_equal(decision.indices[:, 0], np.repeat([0, 1, 0], 4))
+    for u in range(3):
+        rows = slice(4 * u, 4 * u + 4)
+        one = ConcatRepresentation(frames=const(frames[rows]), n_layers=1, width=4)
+        single, _ = moe_forward(pool, gate, one, top_k=1)
+        np.testing.assert_allclose(seq.z.data[rows], single.z.data, rtol=0, atol=1e-12)
+
+
+def test_representation_segment_must_divide_frames():
+    rng = np.random.default_rng(24)
+    with pytest.raises(ValueError, match="do not split"):
+        ConcatRepresentation(frames=const(rng.standard_normal((10, 8))), n_layers=1,
+                             width=4, segment=4)

@@ -19,6 +19,7 @@ from framemoe.model import (
     compute_features,
     forward_features,
     named_parameters,
+    representation,
 )
 from framemoe.training import (
     AdamW,
@@ -320,10 +321,13 @@ def test_batch_joint_loss_parts_and_decisions():
     assert parts["total"] == float(total.data)
     assert abs(parts["total"] - (parts["wce"] + parts["l1"] + parts["balance"])) < 1e-12
     assert parts["balance"] > 0.0
-    assert len(decisions["ser"]) == len(feats)
-    assert len(decisions["se"]) == len(feats)
-    assert all(d.task == "ser" for d in decisions["ser"])
-    assert all(d.task == "se" for d in decisions["se"])
+    # One decision per task, pooled over the frames of the whole batch.
+    rows = sum(f.x_noisy.shape[0] for f in feats)
+    for task in ("ser", "se"):
+        decision = decisions[task]
+        assert decision.task == task
+        assert decision.gates.shape == (rows, cfg.moe.n_experts)
+        assert decision.indices.shape == (rows, cfg.moe.top_k)
 
 
 def test_batch_joint_loss_respects_task_switches():
@@ -347,12 +351,16 @@ def test_cache_task_sequences_matches_forward():
     cfg = tiny_cfg()
     model = build_model(cfg)
     rng = np.random.default_rng(9)
-    feats = tiny_feats(model, rng, n=2)
-    cached = cache_task_sequences(model, feats)
-    for f, c in zip(feats, cached):
-        out = forward_features(model, f)
-        np.testing.assert_array_equal(c["ser"], out.ser_seq.z.data)
-        np.testing.assert_array_equal(c["se"], out.se_seq.z.data)
+    feats = tiny_feats(model, rng, n=3)
+    cached = cache_task_sequences(model, feats, 2)
+    t = feats[0].x_noisy.shape[0]
+    assert cached["ser"].shape == cached["se"].shape == (3, t, cfg.backbone.width)
+    for chunk in (slice(0, 2), slice(2, 3)):
+        out = forward_features(model, feats[chunk])
+        np.testing.assert_array_equal(cached["ser"][chunk].reshape(-1, cfg.backbone.width),
+                                      out.ser_seq.z.data)
+        np.testing.assert_array_equal(cached["se"][chunk].reshape(-1, cfg.backbone.width),
+                                      out.se_seq.z.data)
 
 
 def test_train_phase1_updates_only_the_heads():
@@ -447,3 +455,44 @@ def test_evaluate_joint_loss_is_forward_only():
     after = named_parameters(model)
     for name in before:
         np.testing.assert_array_equal(after[name].data, before[name])
+
+
+@pytest.mark.parametrize("unfrozen", [False, True])
+def test_batched_forward_matches_one_utterance_at_a_time(unfrozen):
+    cfg = tiny_cfg(unfrozen=unfrozen, n_experts=3)
+    model = build_model(cfg)
+    rng = np.random.default_rng(15)
+    feats = tiny_feats(model, rng, n=5)
+    t = feats[0].x_noisy.shape[0]
+    # Gates centred on the batch's mean frame, so that some expert serves
+    # only part of the batch and the gathered path runs.
+    mean_frame = representation(model, feats).frames.data.mean(axis=0)
+    for gate in model.gates.values():
+        gate.w.data[...] = rng.normal(0.0, 1.0, gate.w.shape)
+        gate.b.data[...] = -mean_frame @ gate.w.data
+    batched = forward_features(model, feats)
+    assert batched.ser_logits.shape == (5, 4)
+    for decision in (batched.ser_decision, batched.se_decision):
+        used = decision.retained.data.reshape(5, t, -1).any(axis=1)
+        assert not np.all(used.all(axis=0) == used.any(axis=0))
+    for b, f in enumerate(feats):
+        single = forward_features(model, [f])
+        rows = slice(b * t, (b + 1) * t)
+        np.testing.assert_allclose(batched.ser_logits.data[b], single.ser_logits.data[0],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batched.enhanced.frames.data[rows],
+                                   single.enhanced.frames.data, rtol=0, atol=1e-12)
+        for task in ("ser_decision", "se_decision"):
+            got, want = getattr(batched, task), getattr(single, task)
+            np.testing.assert_allclose(got.retained.data[rows], want.retained.data,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(got.indices[rows], want.indices)
+
+
+def test_batched_forward_rejects_mixed_frame_counts():
+    cfg = tiny_cfg()
+    model = build_model(cfg)
+    rng = np.random.default_rng(16)
+    feats = tiny_feats(model, rng, n=2) + tiny_feats(model, rng, n=1, length=192)
+    with pytest.raises(ValueError, match="frame count"):
+        forward_features(model, feats)
