@@ -10,12 +10,12 @@ line.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .files import write_csv
 from .heads import EmotionLabel
 
 AVERAGING_NOTE = "# averaging: pooled frame-weighted (totals over traces, then one ratio)"
@@ -147,14 +147,6 @@ def analytics_report(traces: list[RoutingTrace], n_experts: int) -> AnalyticsRep
     )
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(AVERAGING_NOTE + "\n")
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 ANALYTICS_FILES = ("switch_agreement.csv", "usage_by_snr.csv", "usage_by_label.csv")
 
 
@@ -168,6 +160,6 @@ def write_analytics(report: AnalyticsReport, out_dir: str | Path) -> list[Path]:
         if not rows:
             continue
         path = out_dir / name
-        _write_csv(path, rows)
+        write_csv(path, rows, note=AVERAGING_NOTE)
         written.append(path)
     return written

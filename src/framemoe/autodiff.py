@@ -12,8 +12,8 @@ needs; there is no broadcasting beyond what the ops below use themselves.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,40 +94,12 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
     def __repr__(self) -> str:
         tag = self.name or "tensor"
         return f"Tensor({tag}, shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; the named functions below do the work.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def const(data, name: str | None = None) -> Tensor:
@@ -287,25 +259,6 @@ def sqrt(a) -> Tensor:
         _accum(a, out.grad * 0.5 / data)
 
     return _node("sqrt", data, (a,), backward)
-
-
-def exp(a) -> Tensor:
-    a = _lift(a)
-    data = np.exp(a.data)
-
-    def backward(out: Tensor) -> None:
-        _accum(a, out.grad * data)
-
-    return _node("exp", data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = _lift(a)
-
-    def backward(out: Tensor) -> None:
-        _accum(a, out.grad / a.data)
-
-    return _node("log", np.log(a.data), (a,), backward)
 
 
 def log1p(a) -> Tensor:
@@ -515,53 +468,21 @@ def backprop(output: Tensor) -> None:
 
 @dataclass
 class Graph:
-    """A callable computation with named parameter leaves.
+    """A scalar computation over named parameter leaves.
 
-    build(params, inputs) must return a scalar or array Tensor assembled from
-    the parameter tensors in `params` and constant tensors lifted from
-    `inputs`. Frozen parameters are leaves with requires_grad False.
+    build() assembles the output from the tensors in `params`; frozen
+    parameters are leaves with requires_grad False. nondiff_guard(), when
+    given, lists the reasons the current point is not differentiable.
     """
 
-    build: Callable[[Mapping[str, Tensor], Mapping[str, Tensor]], Tensor]
+    build: Callable[[], Tensor]
     params: dict[str, Tensor]
-    input_shapes: dict[str, tuple[int, ...]] | None = None
-    nondiff_guard: Callable[[Mapping[str, Tensor], Mapping[str, Tensor]], list[str]] | None = None
-    _output: Tensor | None = field(default=None, repr=False)
+    nondiff_guard: Callable[[], list[str]] | None = None
 
 
-def forward(graph: Graph, inputs: Mapping[str, np.ndarray] | None = None) -> Tensor:
-    """Run the graph on `inputs`, keeping the output for a later backward."""
-    inputs = dict(inputs or {})
-    lifted = {k: _lift(v) for k, v in inputs.items()}
-    if graph.input_shapes is not None:
-        for key, shape in graph.input_shapes.items():
-            if key not in lifted:
-                raise ShapeError(f"forward: missing input '{key}'")
-            if lifted[key].shape != tuple(shape):
-                raise ShapeError(
-                    f"forward: input '{key}' has shape {lifted[key].shape}, expected {tuple(shape)}"
-                )
-    graph._output = graph.build(graph.params, lifted)
-    return graph._output
-
-
-def backward(graph: Graph) -> dict[str, Tensor]:
-    """Gradients of the last forward output with respect to every parameter.
-
-    Frozen parameters map to exact zeros.
-    """
-    if graph._output is None:
-        raise AutodiffError("backward: called before forward")
-    for p in graph.params.values():
-        p.zero_grad()
-    backprop(graph._output)
-    grads: dict[str, Tensor] = {}
-    for name, p in graph.params.items():
-        if p.requires_grad and p.grad is not None:
-            grads[name] = const(p.grad.copy(), name=f"grad:{name}")
-        else:
-            grads[name] = const(np.zeros_like(p.data), name=f"grad:{name}")
-    return grads
+def forward(graph: Graph) -> Tensor:
+    """Evaluate the graph at the current parameter values."""
+    return graph.build()
 
 
 @dataclass
@@ -599,23 +520,25 @@ def _rel_err(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a), abs(n), 1.0)
 
 
-def finite_difference_check(graph: Graph, inputs: Mapping[str, np.ndarray] | None = None,
-                            step: float = 1e-5, tolerance: float = 1e-4) -> GradCheckReport:
+def finite_difference_check(graph: Graph, step: float = 1e-5,
+                            tolerance: float = 1e-4) -> GradCheckReport:
     """Compare analytic gradients against central differences entry by entry.
 
     Relative error uses a unit floor: |a - n| / max(|a|, |n|, 1). If the
     graph's nondiff_guard flags the base point (a routing tie, say), the
     checks are excluded and the flags are reported instead.
     """
-    inputs = dict(inputs or {})
     if graph.nondiff_guard is not None:
-        lifted = {k: _lift(v) for k, v in inputs.items()}
-        flags = graph.nondiff_guard(graph.params, lifted)
+        flags = graph.nondiff_guard()
         if flags:
             return GradCheckReport(checks=[], flags=list(flags), step=step, tolerance=tolerance)
 
-    forward(graph, inputs)
-    analytic = {name: g.data for name, g in backward(graph).items()}
+    for p in graph.params.values():
+        p.zero_grad()
+    backprop(forward(graph))
+    # A leaf the output does not reach, and every frozen leaf, reads as zero.
+    analytic = {name: np.zeros_like(p.data) if p.grad is None else p.grad
+                for name, p in graph.params.items()}
 
     checks: list[ParamCheck] = []
     for name, p in graph.params.items():
@@ -631,9 +554,9 @@ def finite_difference_check(graph: Graph, inputs: Mapping[str, np.ndarray] | Non
             # Probes need values only.
             with no_tape():
                 flat[i] = keep + step
-                hi = float(forward(graph, inputs).data)
+                hi = float(forward(graph).data)
                 flat[i] = keep - step
-                lo = float(forward(graph, inputs).data)
+                lo = float(forward(graph).data)
             flat[i] = keep
             numeric = (hi - lo) / (2.0 * step)
             worst = max(worst, _rel_err(float(analytic[name].reshape(-1)[i]), numeric))

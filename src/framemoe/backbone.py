@@ -9,7 +9,7 @@ layers so the two-rate optimizer path can be exercised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,29 +34,6 @@ class Waveform:
 
     def __len__(self) -> int:
         return self.samples.size
-
-
-@dataclass
-class LayerStack:
-    """Per-layer outputs, each of shape (T, width)."""
-
-    layers: list[Tensor]
-
-    def __post_init__(self) -> None:
-        if not self.layers:
-            raise ValueError("layer stack must hold at least one layer")
-        shape = self.layers[0].shape
-        for i, layer in enumerate(self.layers):
-            if layer.ndim != 2 or layer.shape != shape:
-                raise ValueError(f"layer {i} has shape {layer.shape}, expected {shape}")
-
-    @property
-    def n_frames(self) -> int:
-        return self.layers[0].shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.layers[0].shape[1]
 
 
 @dataclass
@@ -154,23 +131,22 @@ def spectral_input(waveform: Waveform, params: BackboneParams) -> np.ndarray:
     return np.log1p(np.abs(np.fft.rfft(frames, n=params.frame, axis=1)))
 
 
-def synth_layer_stack(waveform: Waveform, params: BackboneParams) -> LayerStack:
-    """Run the stack, returning all L+1 layer outputs frame-aligned."""
+def synth_layer_stack(waveform: Waveform, params: BackboneParams) -> list[Tensor]:
+    """Run the stack, returning all L+1 layer outputs, each (T, width)."""
     return run_layers(spectral_input(waveform, params), params)
 
 
-def run_layers(spectra: np.ndarray, params: BackboneParams) -> LayerStack:
+def run_layers(spectra: np.ndarray, params: BackboneParams) -> list[Tensor]:
     """The stack on precomputed inputs; rows may stack several utterances."""
     h = matmul(const(spectra), params.projection)
     layers = [h]
     for w, b in params.affines:
         h = relu(affine(h, w, b))
         layers.append(h)
-    return LayerStack(layers=layers)
+    return layers
 
 
-def concat_layers(stack: LayerStack, segment: int | None = None) -> ConcatRepresentation:
+def concat_layers(layers: list[Tensor], segment: int | None = None) -> ConcatRepresentation:
     """Concatenate layer outputs column-wise into one (T, (L+1)*D) matrix."""
-    frames = concat(stack.layers, axis=1)
-    return ConcatRepresentation(frames=frames, n_layers=len(stack.layers) - 1,
-                                width=stack.width, segment=segment)
+    return ConcatRepresentation(frames=concat(layers, axis=1), n_layers=len(layers) - 1,
+                                width=layers[0].shape[1], segment=segment)

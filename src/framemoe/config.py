@@ -45,7 +45,6 @@ class StftBlock:
 @dataclass
 class HeadsConfig:
     stft: StftBlock = field(default_factory=StftBlock)
-    ser_classes: int = 4
     ser_hidden: int = 32
     se_hidden: int = 64
 
@@ -259,8 +258,6 @@ def validate(cfg: ExperimentConfig) -> None:
         problems.append(f"stft framing invalid: window={st.window} hop={st.hop}")
     if st.fft_size < st.window:
         problems.append(f"heads.stft.fft_size={st.fft_size} smaller than window {st.window}")
-    if h.ser_classes != 4:
-        problems.append(f"heads.ser_classes is fixed at 4, got {h.ser_classes}")
     if h.ser_hidden < 1 or h.se_hidden < 1:
         problems.append("head hidden widths must be >= 1")
     # Frame alignment: the backbone and the spectral features must produce the
@@ -285,9 +282,12 @@ def validate(cfg: ExperimentConfig) -> None:
 
     if min(d.train_size, d.dev_size, d.test_size) < 1:
         problems.append("data split sizes must all be >= 1")
-    if d.utterance_len < b.frame:
+    # Two frames at least, frame_count(len, frame, hop) >= 2: routing analytics
+    # compare each frame with the next.
+    if d.utterance_len < b.frame + b.hop:
         problems.append(
-            f"data.utterance_len={d.utterance_len} shorter than one frame ({b.frame})"
+            f"data.utterance_len={d.utterance_len} gives fewer than two frames "
+            f"(frame={b.frame}, hop={b.hop})"
         )
     if d.sample_rate < 1:
         problems.append(f"data.sample_rate must be >= 1, got {d.sample_rate}")

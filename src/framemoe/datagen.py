@@ -10,14 +10,16 @@ contaminates the training split; the other two are held out for evaluation.
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .backbone import Waveform
 from .config import DataConfig, component_rng, component_seed
+from .files import write_atomic
 from .heads import EmotionLabel
 
 SNR_TOLERANCE_DB = 1e-6
@@ -243,6 +245,13 @@ SPLIT_NOISE_OFFSETS = {"train": 0, "dev": 1_000_000, "test": 2_000_000}
 
 MANIFEST_NAME = "manifest.jsonl"
 SIGNALS_NAME = "signals.f32"
+DIGEST_NAME = "source_digest.txt"
+
+
+def corpus_digest(data_cfg: DataConfig, seed: int) -> str:
+    """Names what a corpus is drawn from: the data config and the root seed."""
+    source = json.dumps({"data": asdict(data_cfg), "seed": seed}, sort_keys=True)
+    return hashlib.sha256(source.encode()).hexdigest()
 
 
 def write_corpus(corpus: Corpus, out_dir: str | Path, data_cfg: DataConfig,
@@ -252,10 +261,13 @@ def write_corpus(corpus: Corpus, out_dir: str | Path, data_cfg: DataConfig,
     Each clean utterance gets a record; train and dev utterances additionally
     get their training-condition noisy mix. Offsets and lengths are in
     samples. Test-split noisy variants are mixed on demand at evaluation time
-    from the same seed, so they are not stored.
+    from the same seed, so they are not stored. The corpus_digest of the
+    config and seed goes to its own file, written last: a container whose
+    writing did not finish has none.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / DIGEST_NAME).unlink(missing_ok=True)
     records = []
     chunks: list[np.ndarray] = []
     offset = 0
@@ -298,6 +310,7 @@ def write_corpus(corpus: Corpus, out_dir: str | Path, data_cfg: DataConfig,
     with open(out_dir / MANIFEST_NAME, "w") as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")
+    write_atomic(out_dir / DIGEST_NAME, corpus_digest(data_cfg, seed))
     return out_dir
 
 

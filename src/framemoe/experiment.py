@@ -7,9 +7,7 @@ run can be reproduced bit-identically by pointing the CLI at that file.
 
 from __future__ import annotations
 
-import csv
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
@@ -41,17 +39,21 @@ from .config import (
     validate,
 )
 from .datagen import (
+    DIGEST_NAME,
     MANIFEST_NAME,
     SPLIT_NOISE_OFFSETS,
     Corpus,
     NoisyUtterance,
+    corpus_digest,
     generate_corpus,
     held_out_families,
     mix_at_snr,
     noise_for,
     read_corpus,
+    split_counts,
     write_corpus,
 )
+from .files import write_atomic, write_csv
 from .heads import EmotionLabel, predict_label, stft
 from .metrics import MetricsReport, f1_scores, ssnr
 from .model import (
@@ -83,19 +85,15 @@ METRICS_NAME = "metrics.csv"
 def prepare_run_dir(cfg: ExperimentConfig) -> Path:
     run_dir = Path(cfg.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / RESOLVED_CONFIG_NAME).write_text(resolved_yaml(cfg))
+    write_atomic(run_dir / RESOLVED_CONFIG_NAME, resolved_yaml(cfg))
     return run_dir
 
 
 def write_report(run_dir: Path, **fields) -> Path:
-    """Replace report.json with `fields`: a temp file, then one rename, so
-    no reader ever sees half a report."""
-    path = Path(run_dir) / REPORT_NAME
-    tmp = path.with_name(f".{REPORT_NAME}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps({"schema": "framemoe-report", "version": 1, **fields},
-                              sort_keys=True, indent=2))
-    os.replace(tmp, path)
-    return path
+    """Replace report.json with `fields`."""
+    return write_atomic(Path(run_dir) / REPORT_NAME,
+                        json.dumps({"schema": "framemoe-report", "version": 1, **fields},
+                                   sort_keys=True, indent=2))
 
 
 def update_report(run_dir: Path, **fields) -> Path:
@@ -105,16 +103,26 @@ def update_report(run_dir: Path, **fields) -> Path:
 
 
 def ensure_corpus(cfg: ExperimentConfig) -> tuple[Corpus, dict[str, NoisyUtterance], Path]:
-    """Read the run's corpus, generating and writing it first if absent.
+    """Read the run's corpus, generating and writing it first unless the one
+    there was drawn from this config's data section and seed.
 
     Training always consumes the written (float32) container so that a
     pre-generated corpus and an auto-generated one behave identically.
     """
     corpus_dir = Path(cfg.output_dir) / "corpus"
-    if not (corpus_dir / MANIFEST_NAME).exists():
-        corpus = generate_corpus(cfg.data, cfg.seed)
-        write_corpus(corpus, corpus_dir, cfg.data, cfg.seed)
+    digest = corpus_dir / DIGEST_NAME
+    if not digest.exists() or digest.read_text() != corpus_digest(cfg.data, cfg.seed):
+        write_corpus(generate_corpus(cfg.data, cfg.seed), corpus_dir, cfg.data, cfg.seed)
     return (*read_corpus(corpus_dir), corpus_dir)
+
+
+def _check_train_classes(data: DataConfig) -> None:
+    """The class weights need every class in the train split."""
+    counts = split_counts(data.class_proportions, data.train_size)
+    if min(counts) < 1:
+        raise ConfigError(
+            f"data.train_size={data.train_size} leaves a class without training "
+            f"utterances (class counts {counts})")
 
 
 def run_gen(cfg: ExperimentConfig) -> Path:
@@ -136,16 +144,13 @@ def _features_for_split(model: JointModel, utterances, noisy_map, stats):
     return feats
 
 
-def _write_losses_csv(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["epoch", "wce", "l1", "balance", "total"])
-        writer.writeheader()
-        writer.writerows(rows)
+LOSS_FIELDS = ["epoch", "wce", "l1", "balance", "total"]
 
 
 def run_train(cfg: ExperimentConfig) -> dict:
     """Generate or load the corpus, run both phases, write all artifacts."""
     validate(cfg)
+    _check_train_classes(cfg.data)
     start = time.monotonic()
     run_dir = prepare_run_dir(cfg)
     corpus, noisy_map, _ = ensure_corpus(cfg)
@@ -170,8 +175,8 @@ def run_train(cfg: ExperimentConfig) -> dict:
                     extra={"norm_stats": asdict_stats(stats),
                            "config_digest": config_digest(cfg)})
 
-    _write_losses_csv(run_dir / "losses.csv", phase2.curve.rows)
-    _write_losses_csv(run_dir / "losses_phase1.csv", phase1.curve.rows)
+    write_csv(run_dir / "losses.csv", phase2.curve.rows, LOSS_FIELDS)
+    write_csv(run_dir / "losses_phase1.csv", phase1.curve.rows, LOSS_FIELDS)
 
     wall = time.monotonic() - start
     # A new checkpoint starts a new report, and the evaluation files of an
@@ -291,11 +296,7 @@ def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, test_utts,
 
 
 def write_metrics_csv(path: Path, reports: list[MetricsReport]) -> None:
-    rows = [r.as_row() for r in reports]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(path, [r.as_row() for r in reports])
 
 
 def run_eval(run_dir: str | Path) -> list[MetricsReport]:
@@ -434,7 +435,7 @@ def gradcheck_model(cfg: ExperimentConfig, step: float = 1e-5,
 
     weights = np.ones(4)
 
-    def guard(params, inputs):
+    def guard():
         g, k = _margins(model, feats, cfg)
         flags = []
         if g <= GRADCHECK_GATE_MARGIN:
@@ -444,12 +445,11 @@ def gradcheck_model(cfg: ExperimentConfig, step: float = 1e-5,
         return flags
 
     graph = Graph(
-        build=lambda params, inputs: batch_joint_loss(model, feats, weights,
-                                                      cfg.moe, cfg.training)[0],
+        build=lambda: batch_joint_loss(model, feats, weights, cfg.moe, cfg.training)[0],
         params=named_parameters(model),
         nondiff_guard=guard,
     )
-    report = finite_difference_check(graph, {}, step=step, tolerance=tolerance)
+    report = finite_difference_check(graph, step=step, tolerance=tolerance)
     worst = sorted((c for c in report.checks if not c.skipped),
                    key=lambda c: -c.max_rel_err)[:5]
     return {
@@ -482,7 +482,7 @@ def run_gradcheck(base: ExperimentConfig | None = None, step: float = 1e-5,
     results["passed"] = all(results[v]["passed"] for v in ("frozen", "unfrozen"))
     if out_path is not None:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(out_path).write_text(json.dumps(results, sort_keys=True, indent=2))
+        write_atomic(out_path, json.dumps(results, sort_keys=True, indent=2))
     return results
 
 
@@ -556,11 +556,10 @@ def _run_ablation_cell(args: tuple[dict, dict]) -> dict:
 def run_ablate(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Train the routing-by-experts-by-balancing grid and tabulate it."""
     validate(cfg)
+    _check_train_classes(cfg.data)
     run_dir = prepare_run_dir(cfg)
     # One shared corpus: every cell reads the same container.
-    corpus_dir = Path(cfg.output_dir) / "corpus"
-    if not (corpus_dir / MANIFEST_NAME).exists():
-        write_corpus(generate_corpus(cfg.data, cfg.seed), corpus_dir, cfg.data, cfg.seed)
+    _, _, corpus_dir = ensure_corpus(cfg)
 
     base_dict = config_to_dict(cfg)
     cells = _ablation_cells()
@@ -580,10 +579,6 @@ def run_ablate(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     else:
         rows = [_run_ablation_cell(a) for a in args]
 
-    table_path = run_dir / "ablation.csv"
-    with open(table_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(run_dir / "ablation.csv", rows)
     update_report(run_dir, ablation=rows)
     return rows

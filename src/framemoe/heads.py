@@ -174,21 +174,6 @@ def init_se_head(rng: np.random.Generator, width: int, n_bins: int, hidden: int 
     )
 
 
-def identity_se_head(width: int, n_bins: int) -> SeHead:
-    """A decoder that passes the spectral half of its input through untouched.
-
-    Valid because log1p magnitudes are non-negative, so both relus are exact
-    identities on them.
-    """
-    w1 = np.vstack([np.zeros((width, n_bins)), np.eye(n_bins)])
-    return SeHead(
-        w1=param("se.w1", w1),
-        b1=param("se.b1", np.zeros(n_bins)),
-        w2=param("se.w2", np.eye(n_bins)),
-        b2=param("se.b2", np.zeros(n_bins)),
-    )
-
-
 def attentive_stats_pool(head: SerHead, seq: TaskSequence) -> Tensor:
     """Softmax-attention weighted mean and std over each utterance's frames,
     shape (B, 2*D).

@@ -61,10 +61,6 @@ class JointModel:
     stft: StftConfig
     top_k: int
 
-    @property
-    def concat_width(self) -> int:
-        return (self.backbone.n_layers + 1) * self.backbone.width
-
 
 def build_model(cfg: ExperimentConfig) -> JointModel:
     """Construct every component from the config's seed split."""
@@ -96,59 +92,42 @@ def build_model(cfg: ExperimentConfig) -> JointModel:
 
 
 def named_parameters(model: JointModel) -> dict[str, Tensor]:
-    """Every parameter tensor keyed by its name, in a stable order."""
-    params: dict[str, Tensor] = {model.backbone.projection.name: model.backbone.projection}
-    for w, b in model.backbone.affines:
-        params[w.name] = w
-        params[b.name] = b
+    """Every parameter tensor keyed by its name, in a stable order: backbone,
+    experts, gates, classification head, denoising head."""
+    bb, ser, se = model.backbone, model.ser_head, model.se_head
+    tensors = [bb.projection]
+    for w, b in bb.affines:
+        tensors += [w, b]
     for e in model.pool.experts:
-        for t in (e.w1, e.b1, e.w2, e.b2):
-            params[t.name] = t
+        tensors += [e.w1, e.b1, e.w2, e.b2]
     for task in (TASK_SER, TASK_SE):
-        gate = model.gates[task]
-        params[gate.w.name] = gate.w
-        params[gate.b.name] = gate.b
-    h = model.ser_head
-    for t in (h.scorer_w, h.scorer_b, h.cls_w1, h.cls_b1, h.cls_w2, h.cls_b2):
-        params[t.name] = t
-    s = model.se_head
-    for t in (s.w1, s.b1, s.w2, s.b2):
-        params[t.name] = t
-    return params
+        tensors += [model.gates[task].w, model.gates[task].b]
+    tensors += [ser.scorer_w, ser.scorer_b, ser.cls_w1, ser.cls_b1, ser.cls_w2, ser.cls_b2]
+    tensors += [se.w1, se.b1, se.w2, se.b2]
+    return {t.name: t for t in tensors}
+
+
+def _with_prefix(model: JointModel, prefix: str) -> list[Tensor]:
+    return [t for name, t in named_parameters(model).items() if name.startswith(prefix)]
 
 
 def moe_head_parameters(model: JointModel) -> list[Tensor]:
     """Experts, gates, and both heads: the primary learning-rate group."""
-    out: list[Tensor] = []
-    for e in model.pool.experts:
-        out.extend([e.w1, e.b1, e.w2, e.b2])
-    for task in (TASK_SER, TASK_SE):
-        out.extend([model.gates[task].w, model.gates[task].b])
-    h = model.ser_head
-    out.extend([h.scorer_w, h.scorer_b, h.cls_w1, h.cls_b1, h.cls_w2, h.cls_b2])
-    s = model.se_head
-    out.extend([s.w1, s.b1, s.w2, s.b2])
-    return out
+    return [t for name, t in named_parameters(model).items()
+            if not name.startswith("backbone.")]
 
 
 def ser_parameters(model: JointModel) -> list[Tensor]:
-    h = model.ser_head
-    return [h.scorer_w, h.scorer_b, h.cls_w1, h.cls_b1, h.cls_w2, h.cls_b2]
+    return _with_prefix(model, "ser.")
 
 
 def se_parameters(model: JointModel) -> list[Tensor]:
-    s = model.se_head
-    return [s.w1, s.b1, s.w2, s.b2]
+    return _with_prefix(model, "se.")
 
 
 def backbone_parameters(model: JointModel) -> list[Tensor]:
     """The affine layers; empty when the backbone is frozen."""
-    if model.backbone.frozen:
-        return []
-    out: list[Tensor] = []
-    for w, b in model.backbone.affines:
-        out.extend([w, b])
-    return out
+    return [] if model.backbone.frozen else _with_prefix(model, "backbone.layer")
 
 
 @dataclass
@@ -209,8 +188,8 @@ def representation(model: JointModel, batch: list[UtteranceFeatures]) -> ConcatR
         return ConcatRepresentation(frames=const(np.vstack([f.concat_rep for f in batch])),
                                     n_layers=model.backbone.n_layers,
                                     width=model.backbone.width, segment=counts[0])
-    stack = run_layers(np.vstack([f.spectra for f in batch]), model.backbone)
-    return concat_layers(stack, segment=counts[0])
+    layers = run_layers(np.vstack([f.spectra for f in batch]), model.backbone)
+    return concat_layers(layers, segment=counts[0])
 
 
 def forward_features(model: JointModel, batch: list[UtteranceFeatures]) -> ModelOutputs:

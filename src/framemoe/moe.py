@@ -160,23 +160,6 @@ def gate_scores(gate: GatingNetwork, frames) -> Tensor:
     return softmax_rows(affine(frames, gate.w, gate.b))
 
 
-def topk_mask(scores: np.ndarray, k: int) -> np.ndarray:
-    """Zero all but the k largest entries of a score row, keeping magnitudes.
-
-    Ties break toward the lowest index. The input is untouched.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1:
-        raise ValueError(f"topk_mask expects a 1-d row of scores, got shape {scores.shape}")
-    n = scores.size
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for {n} experts")
-    keep = np.argsort(-scores, kind="stable")[:k]
-    out = np.zeros_like(scores)
-    out[keep] = scores[keep]
-    return out
-
-
 def _topk_rows(gates: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Row-wise top-k selection: binary mask, (T, K) indices, min tie margin."""
     t, n = gates.shape
@@ -232,12 +215,6 @@ def moe_forward(pool: ExpertPool, gate: GatingNetwork, rep: ConcatRepresentation
     decision = RoutingDecision(task=gate.task, gates=gates, retained=retained,
                                indices=indices, top_k=top_k, tie_margin=margin)
     return TaskSequence(task=gate.task, z=z, segment=seg), decision
-
-
-def dense_moe_forward(pool: ExpertPool, gate: GatingNetwork,
-                      rep: ConcatRepresentation) -> tuple[TaskSequence, RoutingDecision]:
-    """Soft mixture over all experts; identical to moe_forward with K = N."""
-    return moe_forward(pool, gate, rep, top_k=pool.n_experts)
 
 
 def balancing_loss(decision: RoutingDecision, alpha: float = 0.01) -> Tensor:

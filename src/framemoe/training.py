@@ -32,6 +32,7 @@ from .autodiff import (
     sum_all,
 )
 from .backbone import Waveform
+from .files import write_atomic
 from .heads import N_CLASSES
 
 
@@ -189,7 +190,7 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], extra: dict
     }
     if extra:
         payload.update(extra)
-    Path(path).write_text(json.dumps(payload, sort_keys=True))
+    write_atomic(path, json.dumps(payload, sort_keys=True))
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:

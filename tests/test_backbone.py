@@ -88,17 +88,17 @@ def test_layer_stack_shapes_and_first_layer_oracle():
     wave = Waveform(samples=rng.standard_normal(160), sample_rate=8000)
     stack = synth_layer_stack(wave, bb)
     t = frame_count(160, 32, 16)
-    assert len(stack.layers) == 3
-    for layer in stack.layers:
+    assert len(stack) == 3
+    for layer in stack:
         assert layer.shape == (t, 6)
 
     frames = frame_signal(wave.samples, 32, 16)
     feats = np.log1p(np.abs(np.fft.rfft(frames, n=32, axis=1)))
-    np.testing.assert_array_equal(stack.layers[0].data, feats @ bb.projection.data)
+    np.testing.assert_array_equal(stack[0].data, feats @ bb.projection.data)
     h = feats @ bb.projection.data
     for i, (w, b) in enumerate(bb.affines, start=1):
         h = np.maximum(h @ w.data + b.data, 0.0)
-        np.testing.assert_array_equal(stack.layers[i].data, h)
+        np.testing.assert_array_equal(stack[i].data, h)
 
 
 def test_backbone_is_deterministic_per_seed():
@@ -106,9 +106,9 @@ def test_backbone_is_deterministic_per_seed():
     a = synth_layer_stack(wave, init_backbone(np.random.default_rng(7), 2, 4, 32, 16))
     b = synth_layer_stack(wave, init_backbone(np.random.default_rng(7), 2, 4, 32, 16))
     c = synth_layer_stack(wave, init_backbone(np.random.default_rng(8), 2, 4, 32, 16))
-    for la, lb in zip(a.layers, b.layers):
+    for la, lb in zip(a, b):
         np.testing.assert_array_equal(la.data, lb.data)
-    assert not np.array_equal(a.layers[1].data, c.layers[1].data)
+    assert not np.array_equal(a[1].data, c[1].data)
 
 
 def test_concat_layers_width_and_order():
@@ -117,9 +117,9 @@ def test_concat_layers_width_and_order():
     wave = Waveform(samples=rng.standard_normal(96), sample_rate=8000)
     stack = synth_layer_stack(wave, bb)
     rep = concat_layers(stack)
-    assert rep.frames.shape == (stack.n_frames, 4 * 5)
+    assert rep.frames.shape == (stack[0].shape[0], 4 * 5)
     assert rep.n_layers == 3 and rep.width == 5
-    for i, layer in enumerate(stack.layers):
+    for i, layer in enumerate(stack):
         np.testing.assert_array_equal(rep.frames.data[:, i * 5 : (i + 1) * 5],
                                       layer.data)
 

@@ -238,6 +238,29 @@ def test_validate_rejects_unknown_noise_family(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_split_with_an_empty_class_is_a_config_error(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(tmp_path / "run"))
+    # Three train utterances cannot cover four classes. Caught before any
+    # corpus or run file is written, by train and by ablate.
+    for command in ("train", "ablate"):
+        assert main([command, "--config", cfg_path, "--set", "data.train_size=3"]) == 1
+        assert "leaves a class without training utterances" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+    # The gradient audit's two-utterance train split stays valid: it is
+    # never trained on.
+    validate(config_from_dict(tiny_cfg_dict(tmp_path / "audit", train_size=2)))
+
+
+def test_utterances_shorter_than_two_frames_are_a_config_error(tmp_path, capsys):
+    # The tiny config frames 32 samples at hop 16: 47 samples give one frame,
+    # 48 give two.
+    validate(config_from_dict(tiny_cfg_dict(tmp_path / "ok", utterance_len=48)))
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(tmp_path / "run"))
+    assert main(["train", "--config", cfg_path, "--set", "data.utterance_len=47"]) == 1
+    assert "fewer than two frames" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_config_error_is_exit_code_1(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, tiny_cfg_dict(tmp_path / "run"))
     assert main(["gen", "--config", cfg_path, "--set", "moe.n_experts=0"]) == 1

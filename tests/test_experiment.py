@@ -36,8 +36,10 @@ from framemoe.experiment import (
     run_analyze,
     update_report,
 )
-from framemoe.heads import identity_se_head
-from framemoe.training import load_checkpoint, save_checkpoint
+from framemoe.datagen import generate_corpus, read_corpus
+from framemoe.training import class_weights_from_counts, load_checkpoint, save_checkpoint
+
+from test_heads import identity_se_head
 
 
 def tiny_cfg(output_dir, seed=0):
@@ -88,6 +90,23 @@ def test_ensure_corpus_generates_once_then_rereads(tmp_path):
     again, noisy2, _ = ensure_corpus(cfg)
     np.testing.assert_array_equal(again.train[0].clean.samples, first)
     assert set(noisy) == set(noisy2)
+
+
+def test_retrain_with_another_data_config_regenerates_the_corpus(tmp_path):
+    first = tiny_cfg(tmp_path / "run")
+    first.data.train_size = 24
+    run_train(first)
+    second = tiny_cfg(tmp_path / "run", seed=7)
+    second.data.train_size = 48
+    run_train(second)
+    corpus, _ = read_corpus(tmp_path / "run" / "corpus")
+    assert len(corpus.train) == 48
+    counts = np.bincount([int(u.label) for u in corpus.train], minlength=4)
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["class_weights"] == list(class_weights_from_counts(counts))
+    fresh = generate_corpus(second.data, 7)
+    for stored, drawn in zip(corpus.train, fresh.train):
+        np.testing.assert_allclose(stored.clean.samples, drawn.clean.samples, atol=1e-6)
 
 
 def test_run_gen_matches_on_demand_generation(tmp_path):

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from framemoe.autodiff import backprop, const, sum_all
+from framemoe.autodiff import backprop, const, param, sum_all
 from framemoe.backbone import Waveform, frame_signal
 from framemoe.heads import (
     EmotionLabel,
+    SeHead,
     SpectralFeature,
     StftConfig,
     attentive_stats_pool,
-    identity_se_head,
     init_se_head,
     init_ser_head,
     log1p_spectrum,
@@ -19,6 +19,21 @@ from framemoe.heads import (
     stft,
 )
 from framemoe.moe import TASK_SE, TASK_SER, TaskSequence
+
+
+def identity_se_head(width: int, n_bins: int) -> SeHead:
+    """A decoder that passes the spectral half of its input through untouched.
+
+    Valid because log1p magnitudes are non-negative, so both relus are exact
+    identities on them.
+    """
+    w1 = np.vstack([np.zeros((width, n_bins)), np.eye(n_bins)])
+    return SeHead(
+        w1=param("se.w1", w1),
+        b1=param("se.b1", np.zeros(n_bins)),
+        w2=param("se.w2", np.eye(n_bins)),
+        b2=param("se.b2", np.zeros(n_bins)),
+    )
 
 
 def make_wave(rng, n=512, sr=8000):

@@ -13,14 +13,27 @@ from framemoe.moe import (
     GatingNetwork,
     RoutingDecision,
     balancing_loss,
-    dense_moe_forward,
     expert_forward,
     gate_scores,
     init_expert_pool,
     init_gate,
     moe_forward,
-    topk_mask,
 )
+
+
+def topk_mask(scores: np.ndarray, k: int) -> np.ndarray:
+    """Oracle: zero all but the k largest entries of a score row, keeping
+    magnitudes; ties break toward the lowest index. The input is untouched."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1:
+        raise ValueError(f"topk_mask expects a 1-d row of scores, got shape {scores.shape}")
+    n = scores.size
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range for {n} experts")
+    keep = np.argsort(-scores, kind="stable")[:k]
+    out = np.zeros_like(scores)
+    out[keep] = scores[keep]
+    return out
 
 
 def make_rep(rng, t, n_layers=1, width=4):
@@ -246,7 +259,7 @@ def test_k_equals_n_matches_dense_soft_mixture():
         pool, gate = make_pool_gate(rng, n, 8)
         rep = make_rep(rng, t)
         sparse_seq, sparse_dec = moe_forward(pool, gate, rep, top_k=n)
-        dense_seq, dense_dec = dense_moe_forward(pool, gate, rep)
+        dense_seq, dense_dec = moe_forward(pool, gate, rep, top_k=pool.n_experts)
         np.testing.assert_allclose(sparse_seq.z.data, dense_seq.z.data, atol=1e-12)
         np.testing.assert_allclose(dense_dec.retained.data, dense_dec.gates.data,
                                    atol=1e-15)
@@ -264,7 +277,7 @@ def test_dense_uniform_gates_identical_experts_collapse():
     gate.w.data[...] = 0.0
     gate.b.data[...] = 0.0
     rep = make_rep(rng, 5)
-    seq, _ = dense_moe_forward(pool, gate, rep)
+    seq, _ = moe_forward(pool, gate, rep, top_k=pool.n_experts)
     np.testing.assert_allclose(seq.z.data,
                                expert_oracle(pool, 0, rep.frames.data), atol=1e-12)
 
@@ -274,7 +287,7 @@ def test_single_expert_routing_is_k_independent():
     pool, gate = make_pool_gate(rng, 1, 8)
     rep = make_rep(rng, 6)
     sparse, _ = moe_forward(pool, gate, rep, top_k=1)
-    dense, _ = dense_moe_forward(pool, gate, rep)
+    dense, _ = moe_forward(pool, gate, rep, top_k=pool.n_experts)
     np.testing.assert_array_equal(sparse.z.data, dense.z.data)
 
 
