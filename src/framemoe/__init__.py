@@ -3,7 +3,7 @@ jointly for speech denoising and emotion recognition on synthetic audio."""
 
 __version__ = "0.1.0"
 
-from .config import ExperimentConfig, load_config, full_scale_profile
+from .config import ExperimentConfig, load_config
 from .model import JointModel, build_model
 
 __all__ = [
@@ -11,6 +11,5 @@ __all__ = [
     "JointModel",
     "build_model",
     "load_config",
-    "full_scale_profile",
     "__version__",
 ]

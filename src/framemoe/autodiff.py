@@ -47,9 +47,10 @@ def record_kinks() -> Iterator[list[float]]:
         _KINK_TRACE = prev
 
 
-def _note_kink(margin: float) -> None:
-    if _KINK_TRACE is not None:
-        _KINK_TRACE.append(float(margin))
+def _note_kink(x: np.ndarray, kink: float = 0.0) -> None:
+    """Record min |x - kink| while a recorder is active; free otherwise."""
+    if _KINK_TRACE is not None and x.size:
+        _KINK_TRACE.append(float(np.min(np.abs(x - kink))))
 
 
 # While False, ops record no parents and no backward closures.
@@ -215,8 +216,7 @@ def affine(x, w, b) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _lift(a)
-    if a.data.size:
-        _note_kink(float(np.min(np.abs(a.data))))
+    _note_kink(a.data)
     mask = a.data > 0.0
 
     def backward(out: Tensor) -> None:
@@ -228,8 +228,7 @@ def relu(a) -> Tensor:
 def abs_(a) -> Tensor:
     """Elementwise absolute value; subgradient at 0 is defined as 0."""
     a = _lift(a)
-    if a.data.size:
-        _note_kink(float(np.min(np.abs(a.data))))
+    _note_kink(a.data)
     sign = np.sign(a.data)
 
     def backward(out: Tensor) -> None:
@@ -241,8 +240,7 @@ def abs_(a) -> Tensor:
 def clamp_min(a, floor: float) -> Tensor:
     """max(a, floor) elementwise; gradient is zero where the floor binds."""
     a = _lift(a)
-    if a.data.size:
-        _note_kink(float(np.min(np.abs(a.data - floor))))
+    _note_kink(a.data, floor)
     mask = a.data > floor
 
     def backward(out: Tensor) -> None:

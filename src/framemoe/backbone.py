@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, affine, concat, const, matmul, param, relu
+from .autodiff import Tensor, affine, concat, const, matmul, no_tape, param, relu
 
 
 @dataclass
@@ -76,10 +76,11 @@ def frame_count(n_samples: int, frame: int, hop: int) -> int:
 
 
 def frame_signal(samples: np.ndarray, frame: int, hop: int) -> np.ndarray:
-    """Slice a signal into (T, frame) rows starting every `hop` samples."""
-    t = frame_count(samples.size, frame, hop)
-    view = np.lib.stride_tricks.sliding_window_view(samples, frame)
-    return np.ascontiguousarray(view[:: hop][:t])
+    """Slice signals along the last axis into (..., T, frame) rows starting
+    every `hop` samples; leading axes are kept."""
+    t = frame_count(samples.shape[-1], frame, hop)
+    view = np.lib.stride_tricks.sliding_window_view(samples, frame, axis=-1)
+    return np.ascontiguousarray(view[..., :: hop, :][..., :t, :])
 
 
 @dataclass
@@ -125,25 +126,29 @@ def init_backbone(rng: np.random.Generator, n_layers: int, width: int,
                           frame=frame, hop=hop, width=width, frozen=frozen)
 
 
-def spectral_input(waveform: Waveform, params: BackboneParams) -> np.ndarray:
-    """The stack's input: log1p |rfft| of each frame, shape (T, frame//2 + 1)."""
-    frames = frame_signal(waveform.samples, params.frame, params.hop)
-    return np.log1p(np.abs(np.fft.rfft(frames, n=params.frame, axis=1)))
-
-
-def synth_layer_stack(waveform: Waveform, params: BackboneParams) -> list[Tensor]:
-    """Run the stack, returning all L+1 layer outputs, each (T, width)."""
-    return run_layers(spectral_input(waveform, params), params)
+def spectral_input(samples: np.ndarray, params: BackboneParams) -> np.ndarray:
+    """The stack's input: log1p |rfft| of each frame of (..., N) signals,
+    shape (..., T, frame//2 + 1)."""
+    frames = frame_signal(samples, params.frame, params.hop)
+    return np.log1p(np.abs(np.fft.rfft(frames, n=params.frame, axis=-1)))
 
 
 def run_layers(spectra: np.ndarray, params: BackboneParams) -> list[Tensor]:
-    """The stack on precomputed inputs; rows may stack several utterances."""
+    """The stack on precomputed inputs, returning all L+1 layer outputs, each
+    (rows, width); rows may stack several utterances."""
     h = matmul(const(spectra), params.projection)
     layers = [h]
     for w, b in params.affines:
         h = relu(affine(h, w, b))
         layers.append(h)
     return layers
+
+
+def synth_layer_stack(spectra: np.ndarray, params: BackboneParams) -> np.ndarray:
+    """The layer concatenation of a frozen stack as plain numbers, shape
+    (rows, (L+1)*width): one pass over stacked inputs, with no tape."""
+    with no_tape():
+        return concat_layers(run_layers(spectra, params)).frames.data
 
 
 def concat_layers(layers: list[Tensor], segment: int | None = None) -> ConcatRepresentation:

@@ -99,27 +99,6 @@ class ExperimentConfig:
     ssnr: SsnrConfig = field(default_factory=SsnrConfig)
 
 
-def full_scale_profile() -> ExperimentConfig:
-    """The full-scale training recipe this toy setup mirrors.
-
-    Shapes and schedules only; running it would need the real pretrained
-    encoder and corpus.
-    """
-    cfg = ExperimentConfig()
-    cfg.backbone = BackboneConfig(n_layers=24, width=1024, frame=64, hop=32, unfrozen=True)
-    cfg.moe = MoeConfig(n_experts=3, top_k=1, expert_hidden=4096,
-                        balancing_loss_enabled=False, balancing_alpha=0.01)
-    cfg.training = TrainConfig(
-        phase1_se_epochs=130, phase1_se_batch=16, phase1_se_lr=5e-5,
-        phase1_ser_epochs=20, phase1_ser_batch=32, phase1_ser_lr=5e-5,
-        phase2_epochs=20, phase2_batch=32,
-        lr_heads_gates_experts=5e-5, lr_backbone=2.5e-5,
-    )
-    cfg.data.train_snr_db = 5.0
-    cfg.data.eval_snrs_db = [-5.0, 0.0, 5.0, 10.0]
-    return cfg
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Hydrate an ExperimentConfig from a plain nested dict, strictly."""
     if not isinstance(raw, dict):
@@ -293,6 +272,7 @@ def validate(cfg: ExperimentConfig) -> None:
         problems.append(f"data.sample_rate must be >= 1, got {d.sample_rate}")
     if len(d.class_proportions) != 4 or any(p <= 0 for p in d.class_proportions):
         problems.append(f"data.class_proportions needs 4 positive entries, got {d.class_proportions}")
+    from .backbone import frame_count
     from .datagen import FAMILY_NAMES
 
     if d.train_noise_family not in FAMILY_NAMES:
@@ -306,6 +286,15 @@ def validate(cfg: ExperimentConfig) -> None:
 
     if s.frame < 2 or s.hop < 1 or s.hop > s.frame:
         problems.append(f"ssnr framing invalid: frame={s.frame} hop={s.hop}")
+    # Segmental SNR scores the resynthesized span, which ends with the last
+    # whole backbone frame.
+    if b.frame >= 2 and 1 <= b.hop <= b.frame and d.utterance_len >= b.frame:
+        span = (frame_count(d.utterance_len, b.frame, b.hop) - 1) * b.hop + b.frame
+        if s.frame > span:
+            problems.append(
+                f"ssnr.frame={s.frame} is longer than the {span} scored samples of a "
+                f"{d.utterance_len}-sample utterance (backbone frame={b.frame}, hop={b.hop})"
+            )
     if s.floor_db >= s.ceil_db:
         problems.append(f"ssnr floor {s.floor_db} must be below ceiling {s.ceil_db}")
 

@@ -10,6 +10,7 @@ contaminates the training split; the other two are held out for evaluation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass
@@ -115,8 +116,11 @@ def make_clean(label: EmotionLabel, length: int, sample_rate: int,
     return Waveform(samples=amp * env * tone, sample_rate=sample_rate)
 
 
+@functools.lru_cache(maxsize=None)
 def _band_mask(length: int, band: tuple[float, float], edge: float = 0.01) -> np.ndarray:
-    """Raised-cosine band mask over rfft bins, frequencies in cycles/sample."""
+    """Raised-cosine band mask over rfft bins, frequencies in cycles/sample.
+
+    Cached per (length, band), so the array is read-only."""
     freqs = np.fft.rfftfreq(length)
     lo, hi = band
     mask = np.zeros_like(freqs)
@@ -126,6 +130,7 @@ def _band_mask(length: int, band: tuple[float, float], edge: float = 0.01) -> np
     mask[rise] = 0.5 * (1 + np.cos(np.pi * (lo - freqs[rise]) / edge))
     fall = (freqs > hi) & (freqs <= hi + edge)
     mask[fall] = 0.5 * (1 + np.cos(np.pi * (freqs[fall] - hi) / edge))
+    mask.flags.writeable = False
     return mask
 
 

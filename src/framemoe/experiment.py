@@ -7,10 +7,11 @@ run can be reproduced bit-identically by pointing the CLI at that file.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,7 @@ from .datagen import (
     write_corpus,
 )
 from .files import write_atomic, write_csv
-from .heads import EmotionLabel, predict_label, stft
+from .heads import EmotionLabel, log1p_spectrum, predict_label, resynthesize, stft
 from .metrics import MetricsReport, f1_scores, ssnr
 from .model import (
     JointModel,
@@ -133,15 +134,24 @@ def run_gen(cfg: ExperimentConfig) -> Path:
     return corpus_dir
 
 
+def _stacked_z(waveforms, stats) -> np.ndarray:
+    """Equal-length waveforms, z-normalized and stacked into (B, N)."""
+    return np.stack([z_normalize(w, stats).samples for w in waveforms])
+
+
 def _features_for_split(model: JointModel, utterances, noisy_map, stats):
-    feats = []
     for utt in utterances:
         if utt.uid not in noisy_map:
             raise ValueError(f"no stored noisy mix for utterance '{utt.uid}'")
-        noisy_z = z_normalize(noisy_map[utt.uid].noisy, stats)
-        clean_z = z_normalize(utt.clean, stats)
-        feats.append(compute_features(model, utt.uid, noisy_z, clean_z, int(utt.label)))
-    return feats
+    return compute_features(model, [u.uid for u in utterances],
+                            _stacked_z([noisy_map[u.uid].noisy for u in utterances], stats),
+                            _stacked_z([u.clean for u in utterances], stats),
+                            [int(u.label) for u in utterances])
+
+
+def file_digest(path: str | Path) -> str:
+    """sha256 of a file's bytes."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 LOSS_FIELDS = ["epoch", "wce", "l1", "balance", "total"]
@@ -186,6 +196,7 @@ def run_train(cfg: ExperimentConfig) -> dict:
     write_report(
         run_dir,
         config_digest=config_digest(cfg),
+        checkpoint_digest=file_digest(run_dir / CHECKPOINT_FINAL),
         seed=cfg.seed,
         losses=phase2.curve.rows,
         losses_phase1=phase1.curve.rows,
@@ -229,66 +240,91 @@ def load_trained(run_dir: str | Path) -> tuple[ExperimentConfig, JointModel, dic
     return cfg, model, meta
 
 
-def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, test_utts,
+@dataclass
+class EvalSplit:
+    """The clean side of an evaluated split, the same in every sweep cell:
+    its utterances, their z-normalized waveforms (B, N) and their log1p
+    spectra (B, T, n_bins)."""
+
+    utts: list
+    clean_z: np.ndarray
+    x_clean: np.ndarray
+
+
+def eval_split(model: JointModel, utts, stats) -> EvalSplit:
+    clean_z = _stacked_z([u.clean for u in utts], stats)
+    return EvalSplit(utts=utts, clean_z=clean_z, x_clean=log1p_spectrum(clean_z, model.stft))
+
+
+def _mean_in_order(scores: np.ndarray) -> float:
+    """The mean of per-utterance scores, summed left to right in utterance
+    order as a running total over the utterances would be."""
+    total = 0.0
+    for score in scores:
+        total += float(score)
+    return total / len(scores)
+
+
+def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, split: EvalSplit,
                    family: str, snr_db: float, snr_index: int
                    ) -> tuple[MetricsReport, list[RoutingTrace]]:
     """Metrics and per-utterance routing traces for one (family, SNR) cell
-    over the test split.
+    over a split.
 
     Denoising is scored in the normalized domain: L1 on log1p spectra and
-    segmental SNR on the estimate resynthesized with the noisy phase.
+    segmental SNR on the estimate resynthesized with the noisy phase. The
+    cell runs in chunks of `training.phase2_batch` utterances, each scored
+    as arrays.
     """
-    from .heads import resynthesize
-
-    y_true, y_pred = [], []
-    l1_sum = l1_noisy_sum = ssnr_sum = ssnr_noisy_sum = 0.0
-    traces = []
     offset = SPLIT_NOISE_OFFSETS["test"]
     chunk = cfg.training.phase2_batch
-    for start in range(0, len(test_utts), chunk):
-        utts = test_utts[start : start + chunk]
-        waves, batch = [], []
-        for i, utt in enumerate(utts, start):
-            noise = noise_for(cfg.seed, offset + i, family, snr_index,
-                              len(utt.clean), utt.clean.sample_rate)
-            mixed = mix_at_snr(utt.clean, noise, snr_db, family=family, source_id=utt.uid)
-            noisy_z = z_normalize(mixed.noisy, stats)
-            clean_z = z_normalize(utt.clean, stats)
-            waves.append((noisy_z, clean_z))
-            batch.append(compute_features(model, utt.uid, noisy_z, clean_z, int(utt.label)))
+    y_pred, traces = [], []
+    scores: dict[str, list[np.ndarray]] = {"ssnr": [], "l1": [], "ssnr_noisy": [],
+                                           "l1_noisy": []}
+    for start in range(0, len(split.utts), chunk):
+        utts = split.utts[start : start + chunk]
+        rows = slice(start, start + len(utts))
+        mixes = [mix_at_snr(utt.clean,
+                            noise_for(cfg.seed, offset + i, family, snr_index,
+                                      len(utt.clean), utt.clean.sample_rate),
+                            snr_db, family=family, source_id=utt.uid).noisy
+                 for i, utt in enumerate(utts, start)]
+        noisy_z = _stacked_z(mixes, stats)
+        spectrum = stft(noisy_z, model.stft)
+        feats = compute_features(model, [u.uid for u in utts], noisy_z, spectrum=spectrum)
         with no_tape():
-            out = forward_features(model, batch)
+            out = forward_features(model, feats)
+        y_pred += [int(predict_label(const(row))) for row in out.ser_logits.data]
+
+        enhanced = out.enhanced.frames.data.reshape(spectrum.shape)
+        x_noisy = np.stack([f.x_noisy for f in feats])
+        x_clean = split.x_clean[rows]
+        scores["l1"].append(np.mean(np.abs(enhanced - x_clean).reshape(len(utts), -1), axis=1))
+        scores["l1_noisy"].append(
+            np.mean(np.abs(x_noisy - x_clean).reshape(len(utts), -1), axis=1))
+        resynth = resynthesize(enhanced, spectrum, model.stft, noisy_z.shape[1])
+        span = resynth.shape[1]
+        clean_z = split.clean_z[rows, :span]
+        scores["ssnr"].append(ssnr(clean_z, resynth, cfg.ssnr))
+        scores["ssnr_noisy"].append(ssnr(clean_z, noisy_z[:, :span], cfg.ssnr))
+
         seg = out.ser_seq.segment
+        ser_top1 = out.ser_decision.indices[:, 0].reshape(-1, seg)
+        se_top1 = out.se_decision.indices[:, 0].reshape(-1, seg)
+        traces += [RoutingTrace(uid=utt.uid, family=family, snr_db=float(snr_db),
+                                label=int(utt.label), ser_top1=ser_top1[b],
+                                se_top1=se_top1[b])
+                   for b, utt in enumerate(utts)]
 
-        for b, (utt, feats, (noisy_z, clean_z)) in enumerate(zip(utts, batch, waves)):
-            rows = slice(b * seg, (b + 1) * seg)
-            y_true.append(int(utt.label))
-            y_pred.append(int(predict_label(const(out.ser_logits.data[b : b + 1]))))
-
-            enhanced = out.enhanced.frames.data[rows]
-            l1_sum += float(np.mean(np.abs(enhanced - feats.x_clean)))
-            l1_noisy_sum += float(np.mean(np.abs(feats.x_noisy - feats.x_clean)))
-
-            phase_ref = stft(noisy_z, model.stft)
-            resynth = resynthesize(enhanced, phase_ref, model.stft, len(noisy_z))
-            span = resynth.size
-            ssnr_sum += ssnr(clean_z.samples[:span], resynth, cfg.ssnr)
-            ssnr_noisy_sum += ssnr(clean_z.samples[:span], noisy_z.samples[:span], cfg.ssnr)
-
-            traces.append(RoutingTrace(
-                uid=utt.uid, family=family, snr_db=float(snr_db),
-                label=int(utt.label),
-                ser_top1=out.ser_decision.indices[rows, 0].copy(),
-                se_top1=out.se_decision.indices[rows, 0].copy()))
-
-    n = len(test_utts)
+    means = {name: _mean_in_order(np.concatenate(parts)) for name, parts in scores.items()}
+    y_true = [int(utt.label) for utt in split.utts]
     macro, micro = f1_scores(y_true, y_pred)
     label_counts = np.bincount(y_true, minlength=4)
     report = MetricsReport(
         family=family, snr_db=float(snr_db), f1_macro=macro, f1_micro=micro,
-        ssnr_db=ssnr_sum / n, l1=l1_sum / n,
-        ssnr_noisy_db=ssnr_noisy_sum / n, l1_noisy=l1_noisy_sum / n,
-        n_utterances=n,
+        ssnr_db=means["ssnr"], l1=means["l1"],
+        ssnr_noisy_db=means["ssnr_noisy"], l1_noisy=means["l1_noisy"],
+        n_utterances=len(split.utts),
         per_class_counts={EmotionLabel(c).name.lower(): int(label_counts[c])
                           for c in range(4)},
     )
@@ -307,35 +343,43 @@ def run_eval(run_dir: str | Path) -> list[MetricsReport]:
     start = time.monotonic()
     run_dir = Path(run_dir)
     cfg, model, meta = load_trained(run_dir)
+    scored = file_digest(run_dir / CHECKPOINT_FINAL)
     corpus_dir = run_dir / "corpus"
     if not (corpus_dir / MANIFEST_NAME).exists():
         raise ConfigError(f"{run_dir} has no corpus; train there first")
     corpus, _ = read_corpus(corpus_dir)
     stats = NormStats(**meta["norm_stats"])
+    test = eval_split(model, corpus.test, stats)
     reports: list[MetricsReport] = []
     traces: list[RoutingTrace] = []
     for family in (cfg.data.train_noise_family, *held_out_families(cfg.data.train_noise_family)):
         for snr_index, snr_db in enumerate(cfg.data.eval_snrs_db):
             report, cond_traces = eval_condition(
-                model, cfg, stats, corpus.test, family, snr_db, snr_index)
+                model, cfg, stats, test, family, snr_db, snr_index)
             reports.append(report)
             traces.extend(cond_traces)
     analytics = analytics_report(traces, cfg.moe.n_experts)
     write_metrics_csv(run_dir / METRICS_NAME, reports)
     write_analytics(analytics, run_dir)
     update_report(run_dir, metrics=[r.as_row() for r in reports],
-                  analytics=asdict(analytics),
+                  analytics=asdict(analytics), scored_checkpoint_digest=scored,
                   wall_time_s_eval=time.monotonic() - start)
     return reports
 
 
 def run_analyze(run_dir: str | Path) -> AnalyticsReport:
-    """The routing analytics that `run_eval` stored in the run's report."""
-    path = Path(run_dir) / REPORT_NAME
-    stored = json.loads(path.read_text()).get("analytics") if path.exists() else None
-    if stored is None:
+    """The routing analytics that `run_eval` stored in the run's report,
+    provided they were scored with the run's current checkpoint."""
+    run_dir = Path(run_dir)
+    path = run_dir / REPORT_NAME
+    report = json.loads(path.read_text()) if path.exists() else {}
+    if report.get("analytics") is None:
         raise ConfigError(f"{run_dir} has no routing analytics; run eval there first")
-    return AnalyticsReport(**stored)
+    ckpt_path = run_dir / CHECKPOINT_FINAL
+    if ckpt_path.exists() and report.get("scored_checkpoint_digest") != file_digest(ckpt_path):
+        raise ConfigError(f"the routing analytics in {path} were not scored with "
+                          f"{ckpt_path}; run eval there again")
+    return AnalyticsReport(**report["analytics"])
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +430,6 @@ def _gradcheck_batch(cfg: ExperimentConfig, model: JointModel, attempt: int):
     from .training import NormStats
 
     rng = component_rng(cfg.seed, "gradcheck", attempt)
-    feats = []
     waves = []
     for i in range(2):
         label = EmotionLabel(int(rng.integers(0, 4)))
@@ -397,10 +440,10 @@ def _gradcheck_batch(cfg: ExperimentConfig, model: JointModel, attempt: int):
         waves.append((mixed.noisy, clean, label))
     pooled = np.concatenate([w.samples for w, _, _ in waves])
     stats = NormStats(mean=float(pooled.mean()), std=float(pooled.std()))
-    for i, (noisy, clean, label) in enumerate(waves):
-        feats.append(compute_features(model, f"audit-{i}", z_normalize(noisy, stats),
-                                      z_normalize(clean, stats), int(label)))
-    return feats
+    return compute_features(model, [f"audit-{i}" for i in range(len(waves))],
+                            _stacked_z([noisy for noisy, _, _ in waves], stats),
+                            _stacked_z([clean for _, clean, _ in waves], stats),
+                            [int(label) for _, _, label in waves])
 
 
 def _margins(model: JointModel, feats, cfg: ExperimentConfig) -> tuple[float, float]:
@@ -534,7 +577,7 @@ def _run_ablation_cell(args: tuple[dict, dict]) -> dict:
     corpus, _, _ = ensure_corpus(cfg)
     stats = NormStats(**meta["norm_stats"])
     snr_index = 0
-    report, _ = eval_condition(model, cfg, stats, corpus.dev,
+    report, _ = eval_condition(model, cfg, stats, eval_split(model, corpus.dev, stats),
                                cfg.data.train_noise_family, cfg.data.train_snr_db,
                                snr_index)
     totals = [row["total"] for row in summary["losses"]]

@@ -21,7 +21,6 @@ from .autodiff import (
     affine,
     clamp_min,
     concat,
-    const,
     mul,
     param,
     relu,
@@ -31,7 +30,7 @@ from .autodiff import (
     sub,
     sum_segments,
 )
-from .backbone import Waveform, frame_signal
+from .backbone import frame_signal
 from .moe import TaskSequence
 
 N_CLASSES = 4
@@ -83,25 +82,26 @@ class SpectralFeature:
         return self.frames.shape[0]
 
 
-def stft(waveform: Waveform, config: StftConfig) -> np.ndarray:
-    """Complex spectra of rectangular frames, shape (T, n_bins)."""
-    frames = frame_signal(waveform.samples, config.window, config.hop)
-    return np.fft.rfft(frames, n=config.fft_size, axis=1)
+def stft(samples: np.ndarray, config: StftConfig) -> np.ndarray:
+    """Complex spectra of rectangular frames of (..., N) signals, shape
+    (..., T, n_bins)."""
+    frames = frame_signal(samples, config.window, config.hop)
+    return np.fft.rfft(frames, n=config.fft_size, axis=-1)
 
 
-def log1p_spectrum(waveform: Waveform, config: StftConfig) -> SpectralFeature:
-    """log(1 + |STFT|) of the waveform."""
-    return SpectralFeature(frames=const(np.log1p(np.abs(stft(waveform, config)))),
-                           config=config)
+def log1p_spectrum(samples: np.ndarray, config: StftConfig) -> np.ndarray:
+    """log(1 + |STFT|) of (..., N) signals, shape (..., T, n_bins)."""
+    return np.log1p(np.abs(stft(samples, config)))
 
 
 def resynthesize(log1p_mags: np.ndarray, phase_reference: np.ndarray,
                  config: StftConfig, n_samples: int) -> np.ndarray:
-    """Overlap-add a waveform from log1p magnitudes and borrowed phase.
+    """Overlap-add waveforms from (..., T, n_bins) log1p magnitudes and
+    borrowed phase, shape (..., min(n_samples, (T-1)*hop + window)).
 
     The phase of each reference bin is reused as-is; bins with zero reference
     magnitude fall back to zero phase. Overlapping rectangular frames are
-    averaged by their coverage count.
+    averaged by their coverage count, added in frame order.
     """
     if log1p_mags.shape != phase_reference.shape:
         raise ValueError(
@@ -111,17 +111,17 @@ def resynthesize(log1p_mags: np.ndarray, phase_reference: np.ndarray,
     mags = np.expm1(log1p_mags)
     ref_abs = np.abs(phase_reference)
     unit = np.where(ref_abs > 0.0, phase_reference / np.where(ref_abs > 0.0, ref_abs, 1.0), 1.0)
-    frames = np.fft.irfft(mags * unit, n=config.fft_size, axis=1)[:, : config.window]
-    t = frames.shape[0]
+    frames = np.fft.irfft(mags * unit, n=config.fft_size, axis=-1)[..., : config.window]
+    t = frames.shape[-2]
     length = min(n_samples, (t - 1) * config.hop + config.window)
-    out = np.zeros(length)
+    out = np.zeros(frames.shape[:-2] + (length,))
     cover = np.zeros(length)
     for i in range(t):
         start = i * config.hop
         if start >= length:
             break
         stop = min(start + config.window, length)
-        out[start:stop] += frames[i, : stop - start]
+        out[..., start:stop] += frames[..., i, : stop - start]
         cover[start:stop] += 1.0
     return out / np.maximum(cover, 1.0)
 

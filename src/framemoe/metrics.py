@@ -11,33 +11,31 @@ from .config import SsnrConfig
 from .heads import N_CLASSES
 
 
-def ssnr(clean: np.ndarray, estimate: np.ndarray, config: SsnrConfig) -> float:
+def ssnr(clean: np.ndarray, estimate: np.ndarray, config: SsnrConfig):
     """Mean over frames of the clamped per-frame SNR in dB.
 
     Frames with zero error count as the ceiling, frames with zero clean
     energy as the floor; everything else is 10*log10(clean/error energy)
-    clamped into [floor, ceiling].
+    clamped into [floor, ceiling]. One signal gives a float; signals stacked
+    along a leading axis give one score per row.
     """
     clean = np.asarray(clean, dtype=np.float64)
     estimate = np.asarray(estimate, dtype=np.float64)
     if clean.shape != estimate.shape:
         raise ValueError(f"length mismatch: clean {clean.shape} vs estimate {estimate.shape}")
-    if clean.size < config.frame:
-        raise ValueError(f"signal of {clean.size} samples shorter than one frame")
+    if clean.shape[-1] < config.frame:
+        raise ValueError(f"signal of {clean.shape[-1]} samples shorter than one frame")
     c = frame_signal(clean, config.frame, config.hop)
     e = frame_signal(estimate, config.frame, config.hop)
-    sig = np.sum(c * c, axis=1)
-    err = np.sum((c - e) ** 2, axis=1)
-    per_frame = np.empty(sig.size)
-    for i in range(sig.size):
-        if err[i] == 0.0:
-            per_frame[i] = config.ceil_db
-        elif sig[i] == 0.0:
-            per_frame[i] = config.floor_db
-        else:
-            per_frame[i] = min(max(10.0 * np.log10(sig[i] / err[i]), config.floor_db),
-                               config.ceil_db)
-    return float(np.mean(per_frame))
+    sig = np.sum(c * c, axis=-1)
+    err = np.sum((c - e) ** 2, axis=-1)
+    scored = (err > 0.0) & (sig > 0.0)
+    db = 10.0 * np.log10(np.where(scored, sig, 1.0) / np.where(scored, err, 1.0))
+    per_frame = np.where(err == 0.0, config.ceil_db,
+                         np.where(sig == 0.0, config.floor_db,
+                                  np.clip(db, config.floor_db, config.ceil_db)))
+    scores = np.mean(per_frame, axis=-1)
+    return float(scores) if scores.ndim == 0 else scores
 
 
 def f1_scores(y_true, y_pred, n_classes: int = N_CLASSES) -> tuple[float, float]:

@@ -3,10 +3,11 @@ gates, and both heads, plus the per-utterance feature plumbing that training
 and evaluation share.
 
 With the backbone frozen, the concatenated layer features of an utterance
-never change, so they are computed once and re-entered into each step's graph
-as constants. The unfrozen variant caches the backbone's spectral input and
-rebuilds the layers in-graph every step. A batch of utterances, all of one
-length, runs as a single graph over their stacked frames.
+never change, so they are computed once, in one tape-free pass over a whole
+split, and re-entered into each step's graph as constants. The unfrozen
+variant caches the backbone's spectral input and rebuilds the layers in-graph
+every step. A batch of utterances, all of one length, runs as a single graph
+over their stacked frames.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .autodiff import Tensor, const
 from .backbone import (
     BackboneParams,
     ConcatRepresentation,
-    Waveform,
     concat_layers,
     init_backbone,
     run_layers,
@@ -37,6 +37,7 @@ from .heads import (
     log1p_spectrum,
     se_decode,
     ser_classify,
+    stft,
 )
 from .moe import (
     TASK_SE,
@@ -142,28 +143,38 @@ class UtteranceFeatures:
     spectra: np.ndarray | None  # unfrozen backbone: the stack's input
 
 
-def compute_features(model: JointModel, uid: str, noisy: Waveform,
-                     clean: Waveform | None = None,
-                     label: int | None = None) -> UtteranceFeatures:
-    """Spectra and (for a frozen backbone) the cached layer concatenation."""
-    x_noisy = log1p_spectrum(noisy, model.stft).frames.data
-    x_clean = None
-    if clean is not None:
-        x_clean = log1p_spectrum(clean, model.stft).frames.data
-    rep = spectra = None
-    if model.backbone.frozen:
-        rep = concat_layers(synth_layer_stack(noisy, model.backbone)).frames.data
-        n_frames = rep.shape[0]
-    else:
-        spectra = spectral_input(noisy, model.backbone)
-        n_frames = spectra.shape[0]
-    if n_frames != x_noisy.shape[0]:
-        raise ValueError(
-            f"backbone frames ({n_frames}) misaligned with spectral frames "
-            f"({x_noisy.shape[0]})"
-        )
-    return UtteranceFeatures(uid=uid, label=label, x_noisy=x_noisy, x_clean=x_clean,
-                             concat_rep=rep, spectra=spectra)
+def compute_features(model: JointModel, uids: list[str], noisy: np.ndarray,
+                     clean: np.ndarray | None = None, labels=None,
+                     spectrum: np.ndarray | None = None) -> list[UtteranceFeatures]:
+    """Features of B equal-length utterances from stacked (B, N) waveforms.
+
+    The noisy mixes are framed and transformed once, at the STFT framing
+    (`spectrum`, their complex STFT, may be passed in when the caller has it
+    already). The backbone shares the framing, so it reuses those log1p
+    magnitudes whenever fft_size == frame. A frozen stack runs once over all
+    B utterances and its layer concatenation is cached as numbers.
+    """
+    if spectrum is None:
+        spectrum = stft(noisy, model.stft)
+    x_noisy = np.log1p(np.abs(spectrum))
+    x_clean = None if clean is None else log1p_spectrum(clean, model.stft)
+    n_utts, n_frames, _ = x_noisy.shape
+    bb, st = model.backbone, model.stft
+    shared = (st.window, st.hop, st.fft_size) == (bb.frame, bb.hop, bb.frame)
+    spectra = x_noisy if shared else spectral_input(noisy, bb)
+    if spectra.shape[1] != n_frames:
+        raise ValueError(f"backbone frames ({spectra.shape[1]}) misaligned with "
+                         f"spectral frames ({n_frames})")
+    rep = None
+    if bb.frozen:
+        rep = synth_layer_stack(spectra.reshape(n_utts * n_frames, -1), bb)
+        rep = rep.reshape(n_utts, n_frames, -1)
+    labels = [None] * n_utts if labels is None else labels
+    return [UtteranceFeatures(uid=uids[b], label=labels[b], x_noisy=x_noisy[b],
+                              x_clean=None if x_clean is None else x_clean[b],
+                              concat_rep=None if rep is None else rep[b],
+                              spectra=None if bb.frozen else spectra[b])
+            for b in range(n_utts)]
 
 
 @dataclass

@@ -353,6 +353,21 @@ def test_record_kinks_collects_distances():
     assert len(kinks) == 3
 
 
+def test_record_kinks_takes_one_margin_per_kinked_op_with_or_without_tape():
+    x = param("x", np.array([[0.3, -0.7], [2.0, -0.05]]))
+    with record_kinks() as kinks:
+        relu(x)
+        abs_(x)
+        clamp_min(x, 0.25)
+        with no_tape():
+            relu(x)
+            clamp_min(x, -1.0)
+    assert kinks == [0.05, 0.05, pytest.approx(0.05), 0.05, pytest.approx(0.3)]
+    with record_kinks() as inner:
+        pass
+    assert inner == []
+
+
 def test_batching_ops_values():
     x = np.arange(12.0).reshape(6, 2)
     np.testing.assert_array_equal(sum_segments(const(x), 3).data,

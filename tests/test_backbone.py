@@ -10,6 +10,8 @@ from framemoe.backbone import (
     frame_count,
     frame_signal,
     init_backbone,
+    run_layers,
+    spectral_input,
     synth_layer_stack,
 )
 
@@ -55,6 +57,15 @@ def test_frame_signal_slices_match_manual_indexing():
         np.testing.assert_array_equal(frames[t], x[t * 10 : t * 10 + 32])
 
 
+def test_frame_signal_keeps_leading_axes():
+    x = np.random.default_rng(1).standard_normal((3, 2, 100))
+    frames = frame_signal(x, 32, 10)
+    assert frames.shape == (3, 2, frame_count(100, 32, 10), 32)
+    for i in range(3):
+        for j in range(2):
+            np.testing.assert_array_equal(frames[i, j], frame_signal(x[i, j], 32, 10))
+
+
 def test_init_backbone_shapes_and_freezing():
     rng = np.random.default_rng(1)
     bb = init_backbone(rng, n_layers=3, width=8, frame=32, hop=16)
@@ -86,7 +97,7 @@ def test_layer_stack_shapes_and_first_layer_oracle():
     rng = np.random.default_rng(3)
     bb = init_backbone(rng, n_layers=2, width=6, frame=32, hop=16)
     wave = Waveform(samples=rng.standard_normal(160), sample_rate=8000)
-    stack = synth_layer_stack(wave, bb)
+    stack = run_layers(spectral_input(wave.samples, bb), bb)
     t = frame_count(160, 32, 16)
     assert len(stack) == 3
     for layer in stack:
@@ -102,10 +113,13 @@ def test_layer_stack_shapes_and_first_layer_oracle():
 
 
 def test_backbone_is_deterministic_per_seed():
-    wave = Waveform(samples=np.sin(np.arange(300) * 0.1), sample_rate=8000)
-    a = synth_layer_stack(wave, init_backbone(np.random.default_rng(7), 2, 4, 32, 16))
-    b = synth_layer_stack(wave, init_backbone(np.random.default_rng(7), 2, 4, 32, 16))
-    c = synth_layer_stack(wave, init_backbone(np.random.default_rng(8), 2, 4, 32, 16))
+    samples = np.sin(np.arange(300) * 0.1)
+
+    def layers(seed):
+        bb = init_backbone(np.random.default_rng(seed), 2, 4, 32, 16)
+        return run_layers(spectral_input(samples, bb), bb)
+
+    a, b, c = layers(7), layers(7), layers(8)
     for la, lb in zip(a, b):
         np.testing.assert_array_equal(la.data, lb.data)
     assert not np.array_equal(a[1].data, c[1].data)
@@ -115,13 +129,22 @@ def test_concat_layers_width_and_order():
     rng = np.random.default_rng(4)
     bb = init_backbone(rng, n_layers=3, width=5, frame=32, hop=16)
     wave = Waveform(samples=rng.standard_normal(96), sample_rate=8000)
-    stack = synth_layer_stack(wave, bb)
+    stack = run_layers(spectral_input(wave.samples, bb), bb)
     rep = concat_layers(stack)
     assert rep.frames.shape == (stack[0].shape[0], 4 * 5)
     assert rep.n_layers == 3 and rep.width == 5
     for i, layer in enumerate(stack):
         np.testing.assert_array_equal(rep.frames.data[:, i * 5 : (i + 1) * 5],
                                       layer.data)
+
+
+def test_synth_layer_stack_is_the_layer_concatenation_without_a_tape():
+    rng = np.random.default_rng(5)
+    bb = init_backbone(rng, n_layers=2, width=4, frame=32, hop=16, frozen=False)
+    spectra = spectral_input(rng.standard_normal((2, 96)), bb).reshape(-1, 17)
+    rep = synth_layer_stack(spectra, bb)
+    assert isinstance(rep, np.ndarray) and rep.shape == (spectra.shape[0], 3 * 4)
+    np.testing.assert_array_equal(rep, concat_layers(run_layers(spectra, bb)).frames.data)
 
 
 def test_concat_representation_checks_width():

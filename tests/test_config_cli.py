@@ -21,7 +21,6 @@ from framemoe.config import (
     config_from_dict,
     config_to_dict,
     load_config,
-    full_scale_profile,
     resolved_yaml,
     validate,
 )
@@ -54,18 +53,8 @@ def write_cfg(tmp_path, raw):
     return str(path)
 
 
-def test_default_and_full_scale_configs_validate():
+def test_default_config_validates():
     validate(ExperimentConfig())
-    validate(full_scale_profile())
-
-
-def test_full_scale_profile_dimensions():
-    cfg = full_scale_profile()
-    assert cfg.backbone.n_layers == 24
-    assert cfg.backbone.width == 1024
-    assert cfg.backbone.unfrozen
-    assert cfg.moe.n_experts == 3
-    assert cfg.moe.top_k == 1
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -253,11 +242,27 @@ def test_train_split_with_an_empty_class_is_a_config_error(tmp_path, capsys):
 
 def test_utterances_shorter_than_two_frames_are_a_config_error(tmp_path, capsys):
     # The tiny config frames 32 samples at hop 16: 47 samples give one frame,
-    # 48 give two.
-    validate(config_from_dict(tiny_cfg_dict(tmp_path / "ok", utterance_len=48)))
+    # 48 give two (scored with segmental-SNR frames that fit in 48 samples).
+    ok = tiny_cfg_dict(tmp_path / "ok")
+    ok["data"]["utterance_len"] = 48
+    ok["ssnr"].update(frame=32, hop=16)
+    validate(config_from_dict(ok))
     cfg_path = write_cfg(tmp_path, tiny_cfg_dict(tmp_path / "run"))
     assert main(["train", "--config", cfg_path, "--set", "data.utterance_len=47"]) == 1
     assert "fewer than two frames" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_ssnr_frames_longer_than_the_scored_span_are_a_config_error(tmp_path, capsys):
+    # 160 samples framed 32 at hop 16: nine frames, a scored span of 160.
+    raw = tiny_cfg_dict(tmp_path / "ok")
+    raw["ssnr"].update(frame=160, hop=80)
+    validate(config_from_dict(raw))
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(tmp_path / "run"))
+    assert main(["train", "--config", cfg_path,
+                 "--set", "ssnr.frame=192", "--set", "ssnr.hop=96"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "ssnr.frame=192" in err
     assert not (tmp_path / "run").exists()
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -275,6 +276,26 @@ def test_retrain_removes_the_previous_evaluation_files(tmp_path):
         assert not (run / name).exists(), name
     run_eval(run)
     assert all((run / name).exists() for name in names)
+
+
+def test_analyze_rejects_analytics_scored_with_another_checkpoint(tmp_path):
+    cfg = tiny_cfg(tmp_path / "run")
+    run_train(cfg)
+    run = Path(cfg.output_dir)
+    ckpt = run / "checkpoint_final.json"
+    digest = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+    assert json.loads((run / "report.json").read_text())["checkpoint_digest"] == digest
+    run_eval(run)
+    assert json.loads((run / "report.json").read_text())["scored_checkpoint_digest"] == digest
+    run_analyze(run)
+    # Another checkpoint of the same config lands in the run directory.
+    params, meta = load_checkpoint(ckpt)
+    params["se.b2"] = params["se.b2"] + 1.0
+    save_checkpoint(ckpt, params, extra=meta)
+    with pytest.raises(ConfigError, match="not scored with"):
+        run_analyze(run)
+    run_eval(run)
+    run_analyze(run)
 
 
 def test_load_trained_rejects_a_checkpoint_of_another_config(tmp_path):

@@ -75,6 +75,23 @@ def test_ssnr_matches_bruteforce_oracle():
         assert abs(got - float(np.mean(vals))) < 1e-9
 
 
+def test_batched_ssnr_equals_scalar_ssnr_row_by_row():
+    rng = np.random.default_rng(3)
+    cfg = SsnrConfig(frame=32, hop=16, floor_db=-10.0, ceil_db=35.0)
+    clean = rng.standard_normal((6, 200))
+    estimate = clean + 0.5 * rng.standard_normal((6, 200))
+    clean[0, :48] = 0.0                      # floor frames
+    estimate[1, 16:80] = clean[1, 16:80]     # ceiling frames
+    clean[2] = 0.0                           # every frame at the floor
+    estimate[3] = clean[3]                   # every frame at the ceiling
+    estimate[4] = clean[4] + 1e6             # clamped at the floor
+    got = ssnr(clean, estimate, cfg)
+    assert got.shape == (6,)
+    for b in range(6):
+        assert got[b] == ssnr(clean[b], estimate[b], cfg)
+    assert got[2] == -10.0 and got[3] == 35.0 and got[4] == -10.0
+
+
 def test_ssnr_validation():
     with pytest.raises(ValueError):
         ssnr(np.ones(64), np.ones(65), CFG)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from framemoe.autodiff import backprop, const, param
-from framemoe.backbone import Waveform
+from framemoe.backbone import Waveform, concat_layers, frame_signal, run_layers, spectral_input
 from framemoe.config import (
     BackboneConfig,
     ExperimentConfig,
@@ -61,15 +61,13 @@ def tiny_cfg(seed=0, unfrozen=False, n_experts=2, balancing=True):
     return cfg
 
 
-def tiny_feats(model, rng, n=4, length=160, sr=8000):
-    feats = []
-    for i in range(n):
-        clean = rng.standard_normal(length)
-        noisy = clean + 0.3 * rng.standard_normal(length)
-        feats.append(compute_features(
-            model, uid=f"u{i}", noisy=Waveform(samples=noisy, sample_rate=sr),
-            clean=Waveform(samples=clean, sample_rate=sr), label=i % 4))
-    return feats
+def tiny_feats(model, rng, n=4, length=160):
+    clean, noisy = [], []
+    for _ in range(n):
+        clean.append(rng.standard_normal(length))
+        noisy.append(clean[-1] + 0.3 * rng.standard_normal(length))
+    return compute_features(model, [f"u{i}" for i in range(n)], np.stack(noisy),
+                            np.stack(clean), [i % 4 for i in range(n)])
 
 
 def test_norm_stats_matches_pooled_oracle():
@@ -487,6 +485,43 @@ def test_batched_forward_matches_one_utterance_at_a_time(unfrozen):
             np.testing.assert_allclose(got.retained.data[rows], want.retained.data,
                                        rtol=0, atol=1e-12)
             np.testing.assert_array_equal(got.indices[rows], want.indices)
+
+
+@pytest.mark.parametrize("unfrozen,fft_size", [(False, 32), (True, 32), (False, 64),
+                                               (True, 64)])
+def test_stacked_features_equal_per_utterance_features(unfrozen, fft_size):
+    cfg = tiny_cfg(unfrozen=unfrozen)
+    cfg.heads.stft.fft_size = fft_size
+    validate(cfg)
+    model = build_model(cfg)
+    rng = np.random.default_rng(17)
+    clean = rng.standard_normal((5, 160))
+    noisy = clean + 0.3 * rng.standard_normal((5, 160))
+    uids, labels = [f"u{i}" for i in range(5)], [3, 1, 0, 2, 1]
+    stacked = compute_features(model, uids, noisy, clean, labels)
+    assert [f.uid for f in stacked] == uids and [f.label for f in stacked] == labels
+    bb = model.backbone
+    unused = "concat_rep" if unfrozen else "spectra"
+    for b, feats in enumerate(stacked):
+        (single,) = compute_features(model, [uids[b]], noisy[b : b + 1], clean[b : b + 1],
+                                     [labels[b]])
+        for name in ("x_noisy", "x_clean", "concat_rep", "spectra"):
+            got, want = getattr(feats, name), getattr(single, name)
+            if name == unused:
+                assert got is None and want is None
+            else:
+                np.testing.assert_array_equal(got, want, err_msg=name)
+        # Independent transforms: the noisy STFT at the heads' fft size, and
+        # the backbone's own input at its frame size.
+        frames = frame_signal(noisy[b], 32, 16)
+        np.testing.assert_array_equal(
+            feats.x_noisy, np.log1p(np.abs(np.fft.rfft(frames, n=fft_size, axis=1))))
+        backbone_in = spectral_input(noisy[b], bb)
+        if unfrozen:
+            np.testing.assert_array_equal(feats.spectra, backbone_in)
+        else:
+            np.testing.assert_array_equal(
+                feats.concat_rep, concat_layers(run_layers(backbone_in, bb)).frames.data)
 
 
 def test_batched_forward_rejects_mixed_frame_counts():
