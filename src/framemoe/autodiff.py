@@ -7,6 +7,10 @@ its parents. Nodes computed only from constants, and every node made inside
 passes hold no graph. Calling backprop() on a scalar node walks the tape in
 reverse topological order. The op set is exactly what the routing pipeline
 needs; there is no broadcasting beyond what the ops below use themselves.
+
+Nodes do not check their values. A pass checks what it hands out with
+check_outputs(), which on a non-finite value re-runs the pass under
+check_nodes() so the error names the first op that made one.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ class ShapeError(AutodiffError):
 
 
 class NumericalError(AutodiffError):
-    """A node produced NaN or Inf; message names the offending op."""
+    """NaN or Inf in a checked value; message names the op or parameter."""
 
 
 # Optional kink recorder: while active, relu/abs/clamp_min append the distance
@@ -70,6 +74,38 @@ def no_tape() -> Iterator[None]:
         _TAPE = prev
 
 
+# While True, every new node checks its values and names its op on a
+# non-finite one.
+_CHECK_NODES = False
+
+
+@contextmanager
+def check_nodes() -> Iterator[None]:
+    """Check every node made inside for NaN and Inf as it is constructed."""
+    global _CHECK_NODES
+    prev = _CHECK_NODES
+    _CHECK_NODES = True
+    try:
+        yield
+    finally:
+        _CHECK_NODES = prev
+
+
+def check_outputs(what: str, arrays: Sequence[np.ndarray], rerun: Callable[[], object]) -> None:
+    """Raise NumericalError if any of a pass's output arrays holds NaN or Inf.
+
+    The pass is first re-run under check_nodes(), so the error names the
+    first op that made a non-finite value; `what` names the outputs in the
+    rare case the re-run does not raise.
+    """
+    if all(np.all(np.isfinite(a)) for a in arrays):
+        return
+    if not _CHECK_NODES:
+        with check_nodes():
+            rerun()
+    raise NumericalError(f"{what}: non-finite values")
+
+
 class Tensor:
     """A float64 array plus the bookkeeping needed for reverse mode."""
 
@@ -78,7 +114,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str | None = None,
                  _parents: tuple = (), _backward=None, _op: str = "leaf"):
         self.data = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(self.data)):
+        if _CHECK_NODES and not np.all(np.isfinite(self.data)):
             where = f" '{name}'" if name else ""
             raise NumericalError(f"{_op}: non-finite values in tensor{where}")
         self.grad: np.ndarray | None = None
@@ -531,9 +567,14 @@ def finite_difference_check(graph: Graph, step: float = 1e-5,
         if flags:
             return GradCheckReport(checks=[], flags=list(flags), step=step, tolerance=tolerance)
 
+    def output() -> Tensor:
+        out = forward(graph)
+        check_outputs("audited output", [out.data], lambda: forward(graph))
+        return out
+
     for p in graph.params.values():
         p.zero_grad()
-    backprop(forward(graph))
+    backprop(output())
     # A leaf the output does not reach, and every frozen leaf, reads as zero.
     analytic = {name: np.zeros_like(p.data) if p.grad is None else p.grad
                 for name, p in graph.params.items()}
@@ -552,9 +593,9 @@ def finite_difference_check(graph: Graph, step: float = 1e-5,
             # Probes need values only.
             with no_tape():
                 flat[i] = keep + step
-                hi = float(forward(graph).data)
+                hi = float(output().data)
                 flat[i] = keep - step
-                lo = float(forward(graph).data)
+                lo = float(output().data)
             flat[i] = keep
             numeric = (hi - lo) / (2.0 * step)
             worst = max(worst, _rel_err(float(analytic[name].reshape(-1)[i]), numeric))

@@ -2,7 +2,8 @@
 
 Subcommands: gen, train, eval, analyze, ablate, gradcheck. Exit codes:
 0 on success, 1 for configuration problems, 2 for numerical failures
-(non-finite losses, a failed gradient audit).
+(non-finite losses, gradients, parameters or outputs, a failed gradient
+audit).
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ overrides, validation, and deterministic seed derivation per component."""
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -141,10 +142,12 @@ def _hydrate(cls, raw, path: str):
     return cls(**kwargs)
 
 
-# Scalar field types by their annotation; bool is not accepted as a number.
+# Scalar field types by their annotation; bool is not accepted as a number,
+# and a float must be finite.
 _SCALAR_TYPES = {
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "float": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                        and (isinstance(v, int) or math.isfinite(v))),
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
 }
@@ -161,7 +164,8 @@ def _type_ok(annotation: str, value) -> bool:
 
 def _checked(path: str, annotation: str, value):
     if not _type_ok(annotation, value):
-        raise ConfigError(f"{path}: expected {annotation}, got {value!r}")
+        expected = annotation.replace("float", "finite float")
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
     return value
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -23,7 +24,15 @@ from .analytics import (
     analytics_report,
     write_analytics,
 )
-from .autodiff import Graph, const, finite_difference_check, no_tape, record_kinks
+from .autodiff import (
+    Graph,
+    NumericalError,
+    check_outputs,
+    const,
+    finite_difference_check,
+    no_tape,
+    record_kinks,
+)
 from .config import (
     BackboneConfig,
     ConfigError,
@@ -231,6 +240,9 @@ def load_trained(run_dir: str | Path) -> tuple[ExperimentConfig, JointModel, dic
     if not ckpt_path.exists():
         raise ConfigError(f"{run_dir} has no {CHECKPOINT_FINAL}; train there first")
     params, meta = load_checkpoint(ckpt_path)
+    for name, arr in params.items():
+        if not np.all(np.isfinite(arr)):
+            raise NumericalError(f"{ckpt_path}: non-finite values in parameter '{name}'")
     if meta.get("config_digest") != config_digest(cfg):
         raise ConfigError(
             f"{ckpt_path} was trained with a different config than {cfg_path}; "
@@ -294,6 +306,9 @@ def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, split: EvalS
         feats = compute_features(model, [u.uid for u in utts], noisy_z, spectrum=spectrum)
         with no_tape():
             out = forward_features(model, feats)
+            check_outputs("logits and enhanced spectra",
+                          [out.ser_logits.data, out.enhanced.frames.data],
+                          lambda: forward_features(model, feats))
         y_pred += [int(predict_label(const(row))) for row in out.ser_logits.data]
 
         enhanced = out.enhanced.frames.data.reshape(spectrum.shape)
@@ -513,6 +528,9 @@ def gradcheck_model(cfg: ExperimentConfig, step: float = 1e-5,
 def run_gradcheck(base: ExperimentConfig | None = None, step: float = 1e-5,
                   tolerance: float = 1e-4, out_path: str | Path | None = None) -> dict:
     """Audit both backbone variants at the compact geometry."""
+    for name, value in (("step", step), ("tolerance", tolerance)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"gradcheck {name} must be finite and > 0, got {value}")
     start = time.monotonic()
     results = {}
     for variant in ("frozen", "unfrozen"):
@@ -599,6 +617,8 @@ def _run_ablation_cell(args: tuple[dict, dict]) -> dict:
 def run_ablate(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Train the routing-by-experts-by-balancing grid and tabulate it."""
     validate(cfg)
+    if jobs < 1:
+        raise ConfigError(f"ablate jobs must be >= 1, got {jobs}")
     _check_train_classes(cfg.data)
     run_dir = prepare_run_dir(cfg)
     # One shared corpus: every cell reads the same container.

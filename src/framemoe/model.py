@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, const
+from .autodiff import Tensor, check_outputs, const
 from .backbone import (
     BackboneParams,
     ConcatRepresentation,
@@ -152,7 +152,8 @@ def compute_features(model: JointModel, uids: list[str], noisy: np.ndarray,
     (`spectrum`, their complex STFT, may be passed in when the caller has it
     already). The backbone shares the framing, so it reuses those log1p
     magnitudes whenever fft_size == frame. A frozen stack runs once over all
-    B utterances and its layer concatenation is cached as numbers.
+    B utterances and its layer concatenation is cached as numbers, checked
+    finite once here since later passes take it as a constant.
     """
     if spectrum is None:
         spectrum = stft(noisy, model.stft)
@@ -167,7 +168,10 @@ def compute_features(model: JointModel, uids: list[str], noisy: np.ndarray,
                          f"spectral frames ({n_frames})")
     rep = None
     if bb.frozen:
-        rep = synth_layer_stack(spectra.reshape(n_utts * n_frames, -1), bb)
+        stacked = spectra.reshape(n_utts * n_frames, -1)
+        rep = synth_layer_stack(stacked, bb)
+        check_outputs("frozen layer concatenation", [rep],
+                      lambda: synth_layer_stack(stacked, bb))
         rep = rep.reshape(n_utts, n_frames, -1)
     labels = [None] * n_utts if labels is None else labels
     return [UtteranceFeatures(uid=uids[b], label=labels[b], x_noisy=x_noisy[b],

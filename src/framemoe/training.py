@@ -22,6 +22,7 @@ from .autodiff import (
     abs_,
     add,
     backprop,
+    check_outputs,
     const,
     log_softmax_rows,
     mean_all,
@@ -37,7 +38,7 @@ from .heads import N_CLASSES
 
 
 class TrainingAborted(RuntimeError):
-    """Raised when the loss goes non-finite; carries diagnostics."""
+    """Raised when a phase-2 step meets a non-finite value; carries diagnostics."""
 
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
@@ -133,6 +134,15 @@ class AdamW:
                 p.zero_grad()
 
     def step(self) -> None:
+        """One update of every parameter. A non-finite gradient or parameter
+        value is refused with a NumericalError naming the parameter: a value
+        that a relu zeroes on its way to the loss leaves the loss finite."""
+        for g in self.groups:
+            for p in g["params"]:
+                for what, values in (("gradient", p.grad), ("value", p.data)):
+                    if values is not None and not np.all(np.isfinite(values)):
+                        raise NumericalError(f"AdamW.step: non-finite {what} "
+                                             f"in parameter '{p.name}'")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for g in self.groups:
@@ -257,6 +267,8 @@ def batch_joint_loss(model, batch_feats, class_weights, moe_cfg, train_cfg):
         balance = mul(add(per_task[0], per_task[1]), 0.5)
 
     total = joint_loss(wce, l1, balance)
+    check_outputs("joint loss", [total.data], lambda: batch_joint_loss(
+        model, batch_feats, class_weights, moe_cfg, train_cfg))
     parts = {
         "wce": float(wce.data),
         "l1": float(l1.data),
@@ -280,7 +292,10 @@ def cache_task_sequences(model, feats_list, batch_size: int) -> dict[str, np.nda
     parts: dict[str, list[np.ndarray]] = {"ser": [], "se": []}
     with no_tape():
         for start in range(0, len(feats_list), batch_size):
-            out = forward_features(model, feats_list[start : start + batch_size])
+            batch = feats_list[start : start + batch_size]
+            out = forward_features(model, batch)
+            check_outputs("phase-1 task sequences", [out.ser_seq.z.data, out.se_seq.z.data],
+                          lambda: forward_features(model, batch))
             for seq in (out.ser_seq, out.se_seq):
                 parts[seq.task].append(seq.z.data.reshape(-1, seq.segment, seq.z.shape[1]))
     return {task: np.concatenate(arrays) for task, arrays in parts.items()}
@@ -322,6 +337,17 @@ def train_phase1(model, train_feats, class_weights, cfg, rng) -> PhaseResult:
     def stacked(arrays: np.ndarray, batch: np.ndarray) -> np.ndarray:
         return arrays[batch].reshape(len(batch) * seg, -1)
 
+    def ser_loss(batch: np.ndarray) -> Tensor:
+        seq = TaskSequence(task=TASK_SER, z=const(stacked(cached["ser"], batch)), segment=seg)
+        return weighted_cross_entropy(ser_classify(model.ser_head, seq), labels[batch],
+                                      class_weights)
+
+    def se_loss(batch: np.ndarray) -> Tensor:
+        seq = TaskSequence(task=TASK_SE, z=const(stacked(cached["se"], batch)), segment=seg)
+        noisy = SpectralFeature(frames=const(stacked(x_noisy, batch)), config=model.stft)
+        enhanced = se_decode(model.se_head, seq, noisy)
+        return l1_loss(enhanced.frames, const(stacked(x_clean, batch)))
+
     curve = LossCurve()
     opt = AdamW([{"params": ser_parameters(model), "lr": cfg.phase1_ser_lr}],
                 weight_decay=cfg.weight_decay)
@@ -329,10 +355,8 @@ def train_phase1(model, train_feats, class_weights, cfg, rng) -> PhaseResult:
         losses = []
         for batch in _batches(n_utts, cfg.phase1_ser_batch, rng):
             opt.zero_grad()
-            seq = TaskSequence(task=TASK_SER, z=const(stacked(cached["ser"], batch)),
-                               segment=seg)
-            loss = weighted_cross_entropy(ser_classify(model.ser_head, seq), labels[batch],
-                                          class_weights)
+            loss = ser_loss(batch)
+            check_outputs("phase-1 classification loss", [loss.data], lambda: ser_loss(batch))
             backprop(loss)
             opt.step()
             losses.append(float(loss.data))
@@ -346,11 +370,8 @@ def train_phase1(model, train_feats, class_weights, cfg, rng) -> PhaseResult:
         losses = []
         for batch in _batches(n_utts, cfg.phase1_se_batch, rng):
             opt.zero_grad()
-            seq = TaskSequence(task=TASK_SE, z=const(stacked(cached["se"], batch)),
-                               segment=seg)
-            noisy = SpectralFeature(frames=const(stacked(x_noisy, batch)), config=model.stft)
-            enhanced = se_decode(model.se_head, seq, noisy)
-            loss = l1_loss(enhanced.frames, const(stacked(x_clean, batch)))
+            loss = se_loss(batch)
+            check_outputs("phase-1 denoising loss", [loss.data], lambda: se_loss(batch))
             backprop(loss)
             opt.step()
             losses.append(float(loss.data))
@@ -374,7 +395,8 @@ def train_phase2(model, train_feats, dev_feats, phase1_checkpoint,
     The backbone affine layers join in at their own learning rate when the
     backbone is unfrozen. After each epoch the joint loss on the dev split is
     measured and the best-scoring parameters are the ones returned. A
-    non-finite loss aborts with the last gradient norms attached.
+    non-finite loss, gradient or parameter aborts with the last gradient
+    norms attached.
     """
     from .model import backbone_parameters, moe_head_parameters, named_parameters
 
@@ -405,15 +427,15 @@ def train_phase2(model, train_feats, dev_feats, phase1_checkpoint,
                 total, parts, _ = batch_joint_loss(
                     model, [train_feats[i] for i in batch], class_weights, moe_cfg, cfg)
                 backprop(total)
+                last_norms = opt.grad_norms()
+                opt.step()
             except NumericalError as exc:
                 raise TrainingAborted(
-                    f"non-finite loss in phase 2 at epoch {epoch}: {exc}",
+                    f"non-finite values in phase 2 at epoch {epoch}: {exc}",
                     diagnostics={"epoch": epoch, "batch": n_batches,
                                  "last_grad_norms": last_norms,
                                  "error": str(exc)},
                 ) from exc
-            last_norms = opt.grad_norms()
-            opt.step()
             for key in sums:
                 sums[key] += parts[key]
             n_batches += 1

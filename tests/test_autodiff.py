@@ -14,6 +14,8 @@ from framemoe.autodiff import (
     add,
     affine,
     backprop,
+    check_nodes,
+    check_outputs,
     clamp_min,
     col,
     concat,
@@ -251,14 +253,60 @@ def test_shape_errors_name_the_op():
         add(const(np.ones((2, 3))), const(np.ones((4, 5))))
 
 
+def _consume(build):
+    """A pass that hands out build()'s value, checked where it leaves."""
+    out = build()
+    check_outputs("pass output", [out.data], build)
+    return out
+
+
+# Passes whose first non-finite node is a const leaf, a sqrt and a log1p,
+# with the op name each error must carry (None: any message).
+_W = param("w", np.array([1.0, 2.0]))
+NONFINITE_PASSES = [
+    (lambda: sum_all(add(const(np.inf), _W)), None),
+    (lambda: sum_all(sqrt(mul(_W, -1.0))), "sqrt"),
+    (lambda: sum_all(log1p(mul(_W, -2.0))), "log1p"),
+]
+
+
 def test_nonfinite_values_raise_numerical_error():
-    with pytest.raises(NumericalError):
-        const(np.inf)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match="sqrt"):
+    with np.errstate(invalid="ignore"):
+        for build, op in NONFINITE_PASSES:
+            with pytest.raises(NumericalError, match=op):
+                _consume(build)
+
+
+def test_tape_free_pass_names_the_same_op():
+    with np.errstate(invalid="ignore"):
+        for build, op in NONFINITE_PASSES:
+            with pytest.raises(NumericalError) as taped:
+                _consume(build)
+            with no_tape(), pytest.raises(NumericalError) as tape_free:
+                _consume(build)
+            assert str(tape_free.value) == str(taped.value)
+            if op is not None:
+                assert str(taped.value).startswith(f"{op}:")
+
+
+def test_nodes_are_checked_only_inside_check_nodes():
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(sqrt(const(-1.0)).data)
+        with check_nodes(), pytest.raises(NumericalError, match="sqrt"):
             sqrt(const(-1.0))
-        with pytest.raises(NumericalError, match="log1p"):
-            log1p(const(-2.0))
+        assert np.isnan(sqrt(const(-1.0)).data)
+    with check_nodes(), pytest.raises(NumericalError, match="'x'"):
+        param("x", np.array([np.nan]))
+
+
+def test_check_outputs_passes_finite_values_and_names_what_the_rerun_missed():
+    calls = []
+    check_outputs("outputs", [np.ones(3), np.zeros((2, 2))], lambda: calls.append(1))
+    assert calls == []
+    # A re-run that raises nothing still ends in an error naming the outputs.
+    with pytest.raises(NumericalError, match="outputs: non-finite"):
+        check_outputs("outputs", [np.ones(3), np.array([np.inf])], lambda: calls.append(1))
+    assert calls == [1]
 
 
 def test_graph_forward_backward_and_frozen():
@@ -298,6 +346,14 @@ def test_finite_difference_check_passes_on_smooth_graph():
     assert not report.excluded
     assert report.max_rel_err < 1e-4
     assert {c.name for c in report.checks} == {"w", "b"}
+
+
+def test_finite_difference_check_names_the_op_of_a_nonfinite_probe():
+    # The lower probe takes sqrt of a negative entry.
+    w = param("w", np.array([1.0, 1e-6]))
+    graph = Graph(build=lambda: sum_all(sqrt(w)), params={"w": w})
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="sqrt"):
+        finite_difference_check(graph, step=1e-5)
 
 
 def test_finite_difference_check_catches_wrong_gradient():

@@ -215,6 +215,22 @@ def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, capsys):
     assert cfg.data.train_snr_db == 5 and cfg.backbone.seed == 3
 
 
+@pytest.mark.parametrize("item", [
+    "data.train_snr_db=.nan",
+    "data.eval_snrs_db=[.nan]",
+    "ssnr.floor_db=.nan",
+    "training.lr_heads_gates_experts=.inf",
+])
+def test_nonfinite_config_floats_are_config_errors(tmp_path, capsys, item):
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(tmp_path / "run"))
+    assert main(["train", "--config", cfg_path, "--set", item]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "expected" in err and "finite float" in err
+    assert not (tmp_path / "run").exists()
+    # Huge ints are still finite floats.
+    apply_overrides(ExperimentConfig(), [f"ssnr.ceil_db={10 ** 400}"])
+
+
 def test_validate_rejects_unknown_noise_family(tmp_path, capsys):
     cfg = ExperimentConfig()
     cfg.data.train_noise_family = "traffic"
@@ -326,3 +342,20 @@ def test_cli_gradcheck_writes_report_and_exit_codes(tmp_path, capsys):
     assert main(["gradcheck", "--config", cfg_path, "--out", str(out_path),
                  "--tolerance", "1e-30"]) == 2
     assert "gradient audit failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["gradcheck", "--step", "0"],
+    ["gradcheck", "--step", "nan"],
+    ["gradcheck", "--tolerance", "-0.5"],
+    ["gradcheck", "--tolerance", "inf"],
+    ["ablate", "--jobs", "0"],
+])
+def test_cli_audit_step_tolerance_and_ablate_jobs_are_checked(tmp_path, capsys, args):
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(tmp_path / "run"))
+    out_path = tmp_path / "audit.json"
+    extra = ["--out", str(out_path)] if args[0] == "gradcheck" else []
+    assert main([args[0], "--config", cfg_path, *extra, *args[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and args[1].lstrip("-") in err
+    assert not out_path.exists() and not (tmp_path / "run").exists()

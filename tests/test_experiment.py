@@ -29,6 +29,8 @@ from framemoe.experiment import (
     _ablation_cells,
     _cell_config,
     ensure_corpus,
+    eval_condition,
+    eval_split,
     load_trained,
     prepare_run_dir,
     run_eval,
@@ -38,7 +40,13 @@ from framemoe.experiment import (
     update_report,
 )
 from framemoe.datagen import generate_corpus, read_corpus
-from framemoe.training import class_weights_from_counts, load_checkpoint, save_checkpoint
+from framemoe.autodiff import NumericalError
+from framemoe.training import (
+    NormStats,
+    class_weights_from_counts,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 from test_heads import identity_se_head
 
@@ -296,6 +304,31 @@ def test_analyze_rejects_analytics_scored_with_another_checkpoint(tmp_path):
         run_analyze(run)
     run_eval(run)
     run_analyze(run)
+
+
+def test_eval_of_a_nonfinite_checkpoint_is_exit_code_2(tmp_path, capsys):
+    cfg = tiny_cfg(tmp_path / "run")
+    run_train(cfg)
+    ckpt_path = Path(cfg.output_dir) / "checkpoint_final.json"
+    params, meta = load_checkpoint(ckpt_path)
+    params["gate.se.b"][1] = np.nan
+    save_checkpoint(ckpt_path, params, extra=meta)
+    assert main(["eval", "--run", cfg.output_dir]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "'gate.se.b'" in err
+    assert not (Path(cfg.output_dir) / "metrics.csv").exists()
+
+
+def test_eval_condition_checks_the_logits_and_enhanced_spectra(tmp_path):
+    cfg = tiny_cfg(tmp_path / "run")
+    run_train(cfg)
+    _, model, meta = load_trained(cfg.output_dir)
+    corpus, _, _ = ensure_corpus(cfg)
+    stats = NormStats(**meta["norm_stats"])
+    split = eval_split(model, corpus.test, stats)
+    model.se_head.w2.data[0, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="matmul"):
+        eval_condition(model, cfg, stats, split, "babble", 5.0, 0)
 
 
 def test_load_trained_rejects_a_checkpoint_of_another_config(tmp_path):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from framemoe.autodiff import backprop, const, param
+from framemoe.autodiff import NumericalError, backprop, const, param
 from framemoe.backbone import Waveform, concat_layers, frame_signal, run_layers, spectral_input
 from framemoe.config import (
     BackboneConfig,
@@ -439,6 +439,50 @@ def test_train_phase2_aborts_on_nonfinite_loss():
     assert diag["epoch"] == 0
     assert diag["batch"] == 0
     assert "error" in diag
+
+
+def test_train_phase2_aborts_on_a_nonfinite_parameter_behind_a_relu():
+    # relu(-inf) is 0: the poisoned hidden unit drops out and the loss stays
+    # finite, so only the optimizer's check can refuse the parameter.
+    cfg = tiny_cfg()
+    model = build_model(cfg)
+    feats = tiny_feats(model, np.random.default_rng(13))
+    phase1 = snapshot_params(named_parameters(model))
+    phase1["se.b1"][0] = -np.inf
+    restore_params(named_parameters(model), phase1)
+    _, parts, _ = batch_joint_loss(model, feats[:2], np.ones(4), cfg.moe, cfg.training)
+    assert np.isfinite(parts["total"])
+    with pytest.raises(TrainingAborted, match="se.b1") as exc_info:
+        train_phase2(model, feats, feats[:1], phase1, np.ones(4),
+                     cfg.training, cfg.moe, np.random.default_rng(4))
+    diag = exc_info.value.diagnostics
+    assert (diag["epoch"], diag["batch"]) == (0, 0)
+    assert "non-finite value in parameter 'se.b1'" in diag["error"]
+
+
+def test_adamw_refuses_a_nonfinite_gradient_or_value_and_names_the_parameter():
+    a = param("a", np.ones(3))
+    b = param("b", np.ones(2))
+    opt = AdamW([{"params": [a, b], "lr": 0.1}])
+    b.grad = np.array([1.0, np.nan])
+    with pytest.raises(NumericalError, match="non-finite gradient in parameter 'b'"):
+        opt.step()
+    # Nothing moved: the check comes before any update.
+    np.testing.assert_array_equal(a.data, np.ones(3))
+    assert opt.t == 0
+    b.grad = None
+    b.data[1] = np.inf
+    with pytest.raises(NumericalError, match="non-finite value in parameter 'b'"):
+        opt.step()
+
+
+def test_train_phase1_checks_each_head_loss():
+    cfg = tiny_cfg()
+    model = build_model(cfg)
+    feats = tiny_feats(model, np.random.default_rng(15))
+    model.ser_head.cls_b2.data[0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="add"):
+        train_phase1(model, feats, np.ones(4), cfg.training, np.random.default_rng(1))
 
 
 def test_evaluate_joint_loss_is_forward_only():
