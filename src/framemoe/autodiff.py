@@ -542,7 +542,7 @@ class GradCheckReport:
     @property
     def max_rel_err(self) -> float:
         errs = [c.max_rel_err for c in self.checks if not c.skipped]
-        return max(errs) if errs else 0.0
+        return float(np.max(errs)) if errs else 0.0
 
     @property
     def passed(self) -> bool:
@@ -587,7 +587,7 @@ def finite_difference_check(graph: Graph, step: float = 1e-5,
                                      max_rel_err=0.0, passed=frozen_zero, skipped=True))
             continue
         flat = p.data.reshape(-1)
-        worst = 0.0
+        errs = np.zeros(flat.size)
         for i in range(flat.size):
             keep = flat[i]
             # Probes need values only.
@@ -598,7 +598,9 @@ def finite_difference_check(graph: Graph, step: float = 1e-5,
                 lo = float(output().data)
             flat[i] = keep
             numeric = (hi - lo) / (2.0 * step)
-            worst = max(worst, _rel_err(float(analytic[name].reshape(-1)[i]), numeric))
+            errs[i] = _rel_err(float(analytic[name].reshape(-1)[i]), numeric)
+        # np.max keeps a NaN error (a NaN gradient, say), and NaN fails the check.
+        worst = float(np.max(errs, initial=0.0))
         checks.append(ParamCheck(name=name, n_entries=flat.size,
                                  max_rel_err=worst, passed=worst < tolerance))
     return GradCheckReport(checks=checks, flags=[], step=step, tolerance=tolerance)

@@ -126,16 +126,10 @@ def init_backbone(rng: np.random.Generator, n_layers: int, width: int,
                           frame=frame, hop=hop, width=width, frozen=frozen)
 
 
-def spectral_input(samples: np.ndarray, params: BackboneParams) -> np.ndarray:
-    """The stack's input: log1p |rfft| of each frame of (..., N) signals,
-    shape (..., T, frame//2 + 1)."""
-    frames = frame_signal(samples, params.frame, params.hop)
-    return np.log1p(np.abs(np.fft.rfft(frames, n=params.frame, axis=-1)))
-
-
 def run_layers(spectra: np.ndarray, params: BackboneParams) -> list[Tensor]:
-    """The stack on precomputed inputs, returning all L+1 layer outputs, each
-    (rows, width); rows may stack several utterances."""
+    """The stack on log1p spectrum frames at its own framing
+    (`heads.log1p_spectrum(samples, frame, hop)`), returning all L+1 layer
+    outputs, each (rows, width); rows may stack several utterances."""
     h = matmul(const(spectra), params.projection)
     layers = [h]
     for w, b in params.affines:

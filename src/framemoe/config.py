@@ -236,20 +236,16 @@ def validate(cfg: ExperimentConfig) -> None:
     if m.balancing_alpha < 0:
         problems.append(f"moe.balancing_alpha must be >= 0, got {m.balancing_alpha}")
 
+    # One framing: the experts route the backbone's frames and the denoising
+    # head decodes the spectrum of the same frames. heads.stft only mirrors it.
     st = h.stft
-    if st.window < 2 or st.hop < 1 or st.hop > st.window:
-        problems.append(f"stft framing invalid: window={st.window} hop={st.hop}")
-    if st.fft_size < st.window:
-        problems.append(f"heads.stft.fft_size={st.fft_size} smaller than window {st.window}")
+    if (st.window, st.hop, st.fft_size) != (b.frame, b.hop, b.frame):
+        problems.append(
+            f"heads.stft (window={st.window}, hop={st.hop}, fft_size={st.fft_size}) must "
+            f"match backbone framing: window={b.frame}, hop={b.hop}, fft_size={b.frame}"
+        )
     if h.ser_hidden < 1 or h.se_hidden < 1:
         problems.append("head hidden widths must be >= 1")
-    # Frame alignment: the backbone and the spectral features must produce the
-    # same frame count for every waveform.
-    if st.window != b.frame or st.hop != b.hop:
-        problems.append(
-            f"stft framing (window={st.window}, hop={st.hop}) must match backbone "
-            f"framing (frame={b.frame}, hop={b.hop}) so frame counts align"
-        )
 
     for name in ("phase1_se_epochs", "phase1_ser_epochs", "phase2_epochs"):
         if getattr(t, name) < 0:

@@ -54,11 +54,11 @@ from .datagen import (
     SPLIT_NOISE_OFFSETS,
     Corpus,
     NoisyUtterance,
+    contaminate_split,
     corpus_digest,
     generate_corpus,
     held_out_families,
     mix_at_snr,
-    noise_for,
     read_corpus,
     split_counts,
     write_corpus,
@@ -74,6 +74,7 @@ from .model import (
     named_parameters,
 )
 from .training import (
+    NormStats,
     batch_joint_loss,
     class_weights_from_counts,
     load_checkpoint,
@@ -152,10 +153,10 @@ def _features_for_split(model: JointModel, utterances, noisy_map, stats):
     for utt in utterances:
         if utt.uid not in noisy_map:
             raise ValueError(f"no stored noisy mix for utterance '{utt.uid}'")
-    return compute_features(model, [u.uid for u in utterances],
+    return compute_features(model,
                             _stacked_z([noisy_map[u.uid].noisy for u in utterances], stats),
-                            _stacked_z([u.clean for u in utterances], stats),
-                            [int(u.label) for u in utterances])
+                            [int(u.label) for u in utterances],
+                            _stacked_z([u.clean for u in utterances], stats))
 
 
 def file_digest(path: str | Path) -> str:
@@ -185,13 +186,13 @@ def run_train(cfg: ExperimentConfig) -> dict:
     rng = component_rng(cfg.seed, "shuffle")
     phase1 = train_phase1(model, train_feats, weights, cfg.training, rng)
     save_checkpoint(run_dir / CHECKPOINT_PHASE1, phase1.checkpoint,
-                    extra={"norm_stats": asdict_stats(stats),
+                    extra={"norm_stats": asdict(stats),
                            "config_digest": config_digest(cfg)})
 
     phase2 = train_phase2(model, train_feats, dev_feats, phase1.checkpoint,
                           weights, cfg.training, cfg.moe, rng)
     save_checkpoint(run_dir / CHECKPOINT_FINAL, phase2.checkpoint,
-                    extra={"norm_stats": asdict_stats(stats),
+                    extra={"norm_stats": asdict(stats),
                            "config_digest": config_digest(cfg)})
 
     write_csv(run_dir / "losses.csv", phase2.curve.rows, LOSS_FIELDS)
@@ -223,10 +224,6 @@ def run_train(cfg: ExperimentConfig) -> dict:
     }
 
 
-def asdict_stats(stats) -> dict:
-    return {"mean": stats.mean, "std": stats.std}
-
-
 def load_trained(run_dir: str | Path) -> tuple[ExperimentConfig, JointModel, dict]:
     """Rebuild the model from a run directory's resolved config and checkpoint."""
     run_dir = Path(run_dir)
@@ -236,6 +233,7 @@ def load_trained(run_dir: str | Path) -> tuple[ExperimentConfig, JointModel, dic
     import yaml
 
     cfg = config_from_dict(yaml.safe_load(cfg_path.read_text()))
+    validate(cfg)
     ckpt_path = run_dir / CHECKPOINT_FINAL
     if not ckpt_path.exists():
         raise ConfigError(f"{run_dir} has no {CHECKPOINT_FINAL}; train there first")
@@ -265,7 +263,9 @@ class EvalSplit:
 
 def eval_split(model: JointModel, utts, stats) -> EvalSplit:
     clean_z = _stacked_z([u.clean for u in utts], stats)
-    return EvalSplit(utts=utts, clean_z=clean_z, x_clean=log1p_spectrum(clean_z, model.stft))
+    bb = model.backbone
+    return EvalSplit(utts=utts, clean_z=clean_z,
+                     x_clean=log1p_spectrum(clean_z, bb.frame, bb.hop))
 
 
 def _mean_in_order(scores: np.ndarray) -> float:
@@ -289,6 +289,7 @@ def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, split: EvalS
     as arrays.
     """
     offset = SPLIT_NOISE_OFFSETS["test"]
+    bb = model.backbone
     chunk = cfg.training.phase2_batch
     y_pred, traces = [], []
     scores: dict[str, list[np.ndarray]] = {"ssnr": [], "l1": [], "ssnr_noisy": [],
@@ -296,28 +297,24 @@ def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, split: EvalS
     for start in range(0, len(split.utts), chunk):
         utts = split.utts[start : start + chunk]
         rows = slice(start, start + len(utts))
-        mixes = [mix_at_snr(utt.clean,
-                            noise_for(cfg.seed, offset + i, family, snr_index,
-                                      len(utt.clean), utt.clean.sample_rate),
-                            snr_db, family=family, source_id=utt.uid).noisy
-                 for i, utt in enumerate(utts, start)]
-        noisy_z = _stacked_z(mixes, stats)
-        spectrum = stft(noisy_z, model.stft)
-        feats = compute_features(model, [u.uid for u in utts], noisy_z, spectrum=spectrum)
+        mixes = contaminate_split(utts, family, snr_db, cfg.seed, offset + start, snr_index)
+        noisy_z = _stacked_z([m.noisy for m in mixes], stats)
+        spectrum = stft(noisy_z, bb.frame, bb.hop)
+        feats = compute_features(model, noisy_z, [int(u.label) for u in utts],
+                                 spectrum=spectrum)
         with no_tape():
             out = forward_features(model, feats)
             check_outputs("logits and enhanced spectra",
-                          [out.ser_logits.data, out.enhanced.frames.data],
+                          [out.ser_logits.data, out.enhanced.data],
                           lambda: forward_features(model, feats))
         y_pred += [int(predict_label(const(row))) for row in out.ser_logits.data]
 
-        enhanced = out.enhanced.frames.data.reshape(spectrum.shape)
-        x_noisy = np.stack([f.x_noisy for f in feats])
+        enhanced = out.enhanced.data.reshape(spectrum.shape)
         x_clean = split.x_clean[rows]
         scores["l1"].append(np.mean(np.abs(enhanced - x_clean).reshape(len(utts), -1), axis=1))
         scores["l1_noisy"].append(
-            np.mean(np.abs(x_noisy - x_clean).reshape(len(utts), -1), axis=1))
-        resynth = resynthesize(enhanced, spectrum, model.stft, noisy_z.shape[1])
+            np.mean(np.abs(feats.x_noisy - x_clean).reshape(len(utts), -1), axis=1))
+        resynth = resynthesize(enhanced, spectrum, bb.frame, bb.hop, noisy_z.shape[1])
         span = resynth.shape[1]
         clean_z = split.clean_z[rows, :span]
         scores["ssnr"].append(ssnr(clean_z, resynth, cfg.ssnr))
@@ -353,8 +350,6 @@ def write_metrics_csv(path: Path, reports: list[MetricsReport]) -> None:
 def run_eval(run_dir: str | Path) -> list[MetricsReport]:
     """Sweep every noise family over every evaluation SNR on the test split,
     scoring both tasks and summarizing the sweep's routing traces."""
-    from .training import NormStats
-
     start = time.monotonic()
     run_dir = Path(run_dir)
     cfg, model, meta = load_trained(run_dir)
@@ -442,7 +437,6 @@ GRADCHECK_MAX_ATTEMPTS = 25
 def _gradcheck_batch(cfg: ExperimentConfig, model: JointModel, attempt: int):
     """Two fresh utterances mixed and normalized for the audit."""
     from .datagen import make_clean, make_noise
-    from .training import NormStats
 
     rng = component_rng(cfg.seed, "gradcheck", attempt)
     waves = []
@@ -453,12 +447,10 @@ def _gradcheck_batch(cfg: ExperimentConfig, model: JointModel, attempt: int):
                            cfg.data.sample_rate, rng)
         mixed = mix_at_snr(clean, noise, cfg.data.train_snr_db)
         waves.append((mixed.noisy, clean, label))
-    pooled = np.concatenate([w.samples for w, _, _ in waves])
-    stats = NormStats(mean=float(pooled.mean()), std=float(pooled.std()))
-    return compute_features(model, [f"audit-{i}" for i in range(len(waves))],
-                            _stacked_z([noisy for noisy, _, _ in waves], stats),
-                            _stacked_z([clean for _, clean, _ in waves], stats),
-                            [int(label) for _, _, label in waves])
+    stats = norm_stats([noisy for noisy, _, _ in waves])
+    return compute_features(model, _stacked_z([noisy for noisy, _, _ in waves], stats),
+                            [int(label) for _, _, label in waves],
+                            _stacked_z([clean for _, clean, _ in waves], stats))
 
 
 def _margins(model: JointModel, feats, cfg: ExperimentConfig) -> tuple[float, float]:
@@ -584,8 +576,6 @@ def _cell_config(base: ExperimentConfig, cell: dict) -> tuple[ExperimentConfig, 
 
 def _run_ablation_cell(args: tuple[dict, dict]) -> dict:
     """Train one cell and score it on the dev split at the training condition."""
-    from .training import NormStats
-
     base_dict, cell = args
     base = config_from_dict(base_dict)
     cfg, applies = _cell_config(base, cell)

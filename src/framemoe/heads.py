@@ -44,60 +44,21 @@ class EmotionLabel(IntEnum):
     NEUTRAL = 3
 
 
-@dataclass
-class StftConfig:
-    window: int
-    hop: int
-    fft_size: int
-
-    def __post_init__(self) -> None:
-        if self.window < 2 or self.hop < 1 or self.hop > self.window:
-            raise ValueError(f"bad stft framing: window={self.window} hop={self.hop}")
-        if self.fft_size < self.window:
-            raise ValueError(f"fft_size {self.fft_size} smaller than window {self.window}")
-
-    @property
-    def n_bins(self) -> int:
-        return self.fft_size // 2 + 1
-
-
-@dataclass
-class SpectralFeature:
-    """Non-negative log1p magnitude frames, shape (T, n_bins)."""
-
-    frames: Tensor
-    config: StftConfig
-
-    def __post_init__(self) -> None:
-        if self.frames.ndim != 2 or self.frames.shape[1] != self.config.n_bins:
-            raise ValueError(
-                f"spectral frames of shape {self.frames.shape} do not match "
-                f"{self.config.n_bins} bins"
-            )
-        if np.any(self.frames.data < 0.0):
-            raise ValueError("log1p spectral magnitudes must be non-negative")
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-
-def stft(samples: np.ndarray, config: StftConfig) -> np.ndarray:
+def stft(samples: np.ndarray, frame: int, hop: int) -> np.ndarray:
     """Complex spectra of rectangular frames of (..., N) signals, shape
-    (..., T, n_bins)."""
-    frames = frame_signal(samples, config.window, config.hop)
-    return np.fft.rfft(frames, n=config.fft_size, axis=-1)
+    (..., T, frame//2 + 1)."""
+    return np.fft.rfft(frame_signal(samples, frame, hop), axis=-1)
 
 
-def log1p_spectrum(samples: np.ndarray, config: StftConfig) -> np.ndarray:
-    """log(1 + |STFT|) of (..., N) signals, shape (..., T, n_bins)."""
-    return np.log1p(np.abs(stft(samples, config)))
+def log1p_spectrum(samples: np.ndarray, frame: int, hop: int) -> np.ndarray:
+    """log(1 + |STFT|) of (..., N) signals, shape (..., T, frame//2 + 1)."""
+    return np.log1p(np.abs(stft(samples, frame, hop)))
 
 
 def resynthesize(log1p_mags: np.ndarray, phase_reference: np.ndarray,
-                 config: StftConfig, n_samples: int) -> np.ndarray:
+                 frame: int, hop: int, n_samples: int) -> np.ndarray:
     """Overlap-add waveforms from (..., T, n_bins) log1p magnitudes and
-    borrowed phase, shape (..., min(n_samples, (T-1)*hop + window)).
+    borrowed phase, shape (..., min(n_samples, (T-1)*hop + frame)).
 
     The phase of each reference bin is reused as-is; bins with zero reference
     magnitude fall back to zero phase. Overlapping rectangular frames are
@@ -111,16 +72,16 @@ def resynthesize(log1p_mags: np.ndarray, phase_reference: np.ndarray,
     mags = np.expm1(log1p_mags)
     ref_abs = np.abs(phase_reference)
     unit = np.where(ref_abs > 0.0, phase_reference / np.where(ref_abs > 0.0, ref_abs, 1.0), 1.0)
-    frames = np.fft.irfft(mags * unit, n=config.fft_size, axis=-1)[..., : config.window]
+    frames = np.fft.irfft(mags * unit, n=frame, axis=-1)
     t = frames.shape[-2]
-    length = min(n_samples, (t - 1) * config.hop + config.window)
+    length = min(n_samples, (t - 1) * hop + frame)
     out = np.zeros(frames.shape[:-2] + (length,))
     cover = np.zeros(length)
     for i in range(t):
-        start = i * config.hop
+        start = i * hop
         if start >= length:
             break
-        stop = min(start + config.window, length)
+        stop = min(start + frame, length)
         out[..., start:stop] += frames[..., i, : stop - start]
         cover[start:stop] += 1.0
     return out / np.maximum(cover, 1.0)
@@ -197,16 +158,16 @@ def ser_classify(head: SerHead, seq: TaskSequence) -> Tensor:
     return affine(hidden, head.cls_w2, head.cls_b2)
 
 
-def se_decode(head: SeHead, seq: TaskSequence, noisy: SpectralFeature) -> SpectralFeature:
-    """Decode the clean log1p spectrum from mixed frames and the noisy spectrum."""
-    if seq.z.shape[0] != noisy.n_frames:
+def se_decode(head: SeHead, seq: TaskSequence, noisy: Tensor) -> Tensor:
+    """Decode the clean log1p spectrum from mixed frames and the noisy
+    spectrum frames, one row each, shape (rows, n_bins)."""
+    if seq.z.shape[0] != noisy.shape[0]:
         raise ValueError(
-            f"sequence has {seq.z.shape[0]} frames but noisy spectrum has {noisy.n_frames}"
+            f"sequence has {seq.z.shape[0]} frames but noisy spectrum has {noisy.shape[0]}"
         )
-    x = concat([seq.z, noisy.frames], axis=1)
+    x = concat([seq.z, noisy], axis=1)
     hidden = relu(affine(x, head.w1, head.b1))
-    out = relu(affine(hidden, head.w2, head.b2))
-    return SpectralFeature(frames=out, config=noisy.config)
+    return relu(affine(hidden, head.w2, head.b2))
 
 
 def predict_label(logits: Tensor) -> EmotionLabel:

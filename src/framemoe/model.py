@@ -1,13 +1,15 @@
 """Assembly of the full pipeline: backbone, shared expert pool, per-task
-gates, and both heads, plus the per-utterance feature plumbing that training
-and evaluation share.
+gates, and both heads, plus the feature plumbing that training and
+evaluation share.
 
-With the backbone frozen, the concatenated layer features of an utterance
-never change, so they are computed once, in one tape-free pass over a whole
-split, and re-entered into each step's graph as constants. The unfrozen
-variant caches the backbone's spectral input and rebuilds the layers in-graph
-every step. A batch of utterances, all of one length, runs as a single graph
-over their stacked frames.
+One framing serves everything: the experts route the backbone's frames and
+the denoising head decodes the spectrum of those same frames, so the noisy
+log1p spectrum is both the stack's input and the head's. With the backbone
+frozen, the concatenated layer features of an utterance never change, so
+they are computed once, in one tape-free pass over a whole split, and
+re-entered into each step's graph as constants. The unfrozen variant
+rebuilds the layers in-graph every step. A batch of utterances, all of one
+length, runs as a single graph over their stacked frames.
 """
 
 from __future__ import annotations
@@ -23,15 +25,12 @@ from .backbone import (
     concat_layers,
     init_backbone,
     run_layers,
-    spectral_input,
     synth_layer_stack,
 )
 from .config import ExperimentConfig, component_rng
 from .heads import (
     SeHead,
     SerHead,
-    SpectralFeature,
-    StftConfig,
     init_se_head,
     init_ser_head,
     log1p_spectrum,
@@ -59,16 +58,14 @@ class JointModel:
     gates: dict[str, GatingNetwork]
     ser_head: SerHead
     se_head: SeHead
-    stft: StftConfig
     top_k: int
 
 
 def build_model(cfg: ExperimentConfig) -> JointModel:
     """Construct every component from the config's seed split."""
     b = cfg.backbone
-    backbone_seed = b.seed if b.seed is not None else None
-    if backbone_seed is not None:
-        backbone_rng = np.random.default_rng(backbone_seed)
+    if b.seed is not None:
+        backbone_rng = np.random.default_rng(b.seed)
     else:
         backbone_rng = component_rng(cfg.seed, "backbone")
     backbone = init_backbone(backbone_rng, n_layers=b.n_layers, width=b.width,
@@ -82,14 +79,11 @@ def build_model(cfg: ExperimentConfig) -> JointModel:
         TASK_SER: init_gate(rng, TASK_SER, width, cfg.moe.n_experts),
         TASK_SE: init_gate(rng, TASK_SE, width, cfg.moe.n_experts),
     }
-    stft = StftConfig(window=cfg.heads.stft.window, hop=cfg.heads.stft.hop,
-                      fft_size=cfg.heads.stft.fft_size)
     ser_head = init_ser_head(rng, width=b.width, hidden=cfg.heads.ser_hidden)
-    se_head = init_se_head(rng, width=b.width, n_bins=stft.n_bins,
+    se_head = init_se_head(rng, width=b.width, n_bins=b.frame // 2 + 1,
                            hidden=cfg.heads.se_hidden)
     return JointModel(backbone=backbone, pool=pool, gates=gates,
-                      ser_head=ser_head, se_head=se_head, stft=stft,
-                      top_k=cfg.moe.top_k)
+                      ser_head=ser_head, se_head=se_head, top_k=cfg.moe.top_k)
 
 
 def named_parameters(model: JointModel) -> dict[str, Tensor]:
@@ -132,53 +126,60 @@ def backbone_parameters(model: JointModel) -> list[Tensor]:
 
 
 @dataclass
-class UtteranceFeatures:
-    """Cached per-utterance inputs, all in the normalized domain."""
+class Features:
+    """Cached inputs of B equal-length utterances, stacked along axis 0, all
+    in the normalized domain: labels (B,), noisy and clean log1p spectra
+    (B, T, n_bins), and for a frozen backbone its layer concatenation
+    (B, T, (L+1)*width)."""
 
-    uid: str
-    label: int | None
+    labels: np.ndarray
     x_noisy: np.ndarray
     x_clean: np.ndarray | None
-    concat_rep: np.ndarray | None  # frozen backbone: the layer concatenation
-    spectra: np.ndarray | None  # unfrozen backbone: the stack's input
+    rep: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, rows) -> Features:
+        """The utterances picked by a slice or an index array."""
+        if isinstance(rows, (int, np.integer)):
+            raise TypeError("index features with a slice or an index array")
+        return Features(labels=self.labels[rows], x_noisy=self.x_noisy[rows],
+                        x_clean=None if self.x_clean is None else self.x_clean[rows],
+                        rep=None if self.rep is None else self.rep[rows])
 
 
-def compute_features(model: JointModel, uids: list[str], noisy: np.ndarray,
-                     clean: np.ndarray | None = None, labels=None,
-                     spectrum: np.ndarray | None = None) -> list[UtteranceFeatures]:
+def _frames(arrays: np.ndarray) -> np.ndarray:
+    """(B, T, C) per-utterance arrays as (B*T, C) stacked frames."""
+    return arrays.reshape(-1, arrays.shape[2])
+
+
+def compute_features(model: JointModel, noisy: np.ndarray, labels,
+                     clean: np.ndarray | None = None,
+                     spectrum: np.ndarray | None = None) -> Features:
     """Features of B equal-length utterances from stacked (B, N) waveforms.
 
-    The noisy mixes are framed and transformed once, at the STFT framing
-    (`spectrum`, their complex STFT, may be passed in when the caller has it
-    already). The backbone shares the framing, so it reuses those log1p
-    magnitudes whenever fft_size == frame. A frozen stack runs once over all
-    B utterances and its layer concatenation is cached as numbers, checked
-    finite once here since later passes take it as a constant.
+    The noisy mixes are framed and transformed once (`spectrum`, their
+    complex STFT, may be passed in when the caller has it already); their
+    log1p magnitudes feed both the backbone and the denoising head. A frozen
+    stack runs once over all B utterances and its layer concatenation is
+    cached as numbers, checked finite once here since later passes take it as
+    a constant.
     """
+    bb = model.backbone
     if spectrum is None:
-        spectrum = stft(noisy, model.stft)
+        spectrum = stft(noisy, bb.frame, bb.hop)
     x_noisy = np.log1p(np.abs(spectrum))
-    x_clean = None if clean is None else log1p_spectrum(clean, model.stft)
-    n_utts, n_frames, _ = x_noisy.shape
-    bb, st = model.backbone, model.stft
-    shared = (st.window, st.hop, st.fft_size) == (bb.frame, bb.hop, bb.frame)
-    spectra = x_noisy if shared else spectral_input(noisy, bb)
-    if spectra.shape[1] != n_frames:
-        raise ValueError(f"backbone frames ({spectra.shape[1]}) misaligned with "
-                         f"spectral frames ({n_frames})")
+    x_clean = None if clean is None else log1p_spectrum(clean, bb.frame, bb.hop)
     rep = None
     if bb.frozen:
-        stacked = spectra.reshape(n_utts * n_frames, -1)
+        stacked = _frames(x_noisy)
         rep = synth_layer_stack(stacked, bb)
         check_outputs("frozen layer concatenation", [rep],
                       lambda: synth_layer_stack(stacked, bb))
-        rep = rep.reshape(n_utts, n_frames, -1)
-    labels = [None] * n_utts if labels is None else labels
-    return [UtteranceFeatures(uid=uids[b], label=labels[b], x_noisy=x_noisy[b],
-                              x_clean=None if x_clean is None else x_clean[b],
-                              concat_rep=None if rep is None else rep[b],
-                              spectra=None if bb.frozen else spectra[b])
-            for b in range(n_utts)]
+        rep = rep.reshape(*x_noisy.shape[:2], -1)
+    return Features(labels=np.asarray(labels, dtype=np.int64), x_noisy=x_noisy,
+                    x_clean=x_clean, rep=rep)
 
 
 @dataclass
@@ -187,35 +188,30 @@ class ModelOutputs:
     T = ser_seq.segment, and row b of ser_logits is its class scores."""
 
     ser_logits: Tensor
-    enhanced: SpectralFeature
+    enhanced: Tensor
     ser_seq: TaskSequence
     se_seq: TaskSequence
     ser_decision: RoutingDecision
     se_decision: RoutingDecision
 
 
-def representation(model: JointModel, batch: list[UtteranceFeatures]) -> ConcatRepresentation:
+def representation(model: JointModel, feats: Features) -> ConcatRepresentation:
     """The stacked backbone frames of a batch of equal-length utterances."""
-    counts = sorted({f.x_noisy.shape[0] for f in batch})
-    if len(counts) != 1:
-        raise ValueError(f"a batch needs one frame count per utterance, got {counts}")
-    if model.backbone.frozen:
-        return ConcatRepresentation(frames=const(np.vstack([f.concat_rep for f in batch])),
-                                    n_layers=model.backbone.n_layers,
-                                    width=model.backbone.width, segment=counts[0])
-    layers = run_layers(np.vstack([f.spectra for f in batch]), model.backbone)
-    return concat_layers(layers, segment=counts[0])
+    segment = feats.x_noisy.shape[1]
+    bb = model.backbone
+    if bb.frozen:
+        return ConcatRepresentation(frames=const(_frames(feats.rep)), n_layers=bb.n_layers,
+                                    width=bb.width, segment=segment)
+    return concat_layers(run_layers(_frames(feats.x_noisy), bb), segment=segment)
 
 
-def forward_features(model: JointModel, batch: list[UtteranceFeatures]) -> ModelOutputs:
+def forward_features(model: JointModel, feats: Features) -> ModelOutputs:
     """A batch of utterances through routing and both heads, as one graph."""
-    rep = representation(model, batch)
+    rep = representation(model, feats)
     ser_seq, ser_dec = moe_forward(model.pool, model.gates[TASK_SER], rep, model.top_k)
     se_seq, se_dec = moe_forward(model.pool, model.gates[TASK_SE], rep, model.top_k)
     logits = ser_classify(model.ser_head, ser_seq)
-    noisy_feat = SpectralFeature(frames=const(np.vstack([f.x_noisy for f in batch])),
-                                 config=model.stft)
-    enhanced = se_decode(model.se_head, se_seq, noisy_feat)
+    enhanced = se_decode(model.se_head, se_seq, const(_frames(feats.x_noisy)))
     return ModelOutputs(ser_logits=logits, enhanced=enhanced,
                         ser_seq=ser_seq, se_seq=se_seq,
                         ser_decision=ser_dec, se_decision=se_dec)

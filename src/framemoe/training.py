@@ -254,11 +254,10 @@ def batch_joint_loss(model, batch_feats, class_weights, moe_cfg, train_cfg):
     zero = const(np.zeros(()))
     wce = zero
     if train_cfg.ser_loss_enabled:
-        wce = weighted_cross_entropy(out.ser_logits, [f.label for f in batch_feats],
-                                     class_weights)
+        wce = weighted_cross_entropy(out.ser_logits, batch_feats.labels, class_weights)
     l1 = zero
     if train_cfg.se_loss_enabled:
-        l1 = l1_loss(out.enhanced.frames, const(np.vstack([f.x_clean for f in batch_feats])))
+        l1 = l1_loss(out.enhanced, const(batch_feats.x_clean.reshape(out.enhanced.shape)))
 
     balance = None
     if moe_cfg.balancing_loss_enabled:
@@ -278,7 +277,7 @@ def batch_joint_loss(model, batch_feats, class_weights, moe_cfg, train_cfg):
     return total, parts, {"ser": out.ser_decision, "se": out.se_decision}
 
 
-def cache_task_sequences(model, feats_list, batch_size: int) -> dict[str, np.ndarray]:
+def cache_task_sequences(model, feats, batch_size: int) -> dict[str, np.ndarray]:
     """Mixed per-task sequences with the current (frozen) experts and gates.
 
     Used by phase 1: with the backbone, experts, and gates all fixed, each
@@ -291,8 +290,8 @@ def cache_task_sequences(model, feats_list, batch_size: int) -> dict[str, np.nda
 
     parts: dict[str, list[np.ndarray]] = {"ser": [], "se": []}
     with no_tape():
-        for start in range(0, len(feats_list), batch_size):
-            batch = feats_list[start : start + batch_size]
+        for start in range(0, len(feats), batch_size):
+            batch = feats[start : start + batch_size]
             out = forward_features(model, batch)
             check_outputs("phase-1 task sequences", [out.ser_seq.z.data, out.se_seq.z.data],
                           lambda: forward_features(model, batch))
@@ -322,7 +321,7 @@ def train_phase1(model, train_feats, class_weights, cfg, rng) -> PhaseResult:
     denoising head the L1 spectral loss. Returns the loss curves and a
     snapshot of all parameters after training.
     """
-    from .heads import SpectralFeature, se_decode, ser_classify
+    from .heads import se_decode, ser_classify
     from .model import named_parameters, se_parameters, ser_parameters
     from .moe import TASK_SE, TASK_SER, TaskSequence
 
@@ -330,9 +329,7 @@ def train_phase1(model, train_feats, class_weights, cfg, rng) -> PhaseResult:
         raise ValueError("phase 1 needs a non-empty training set")
     cached = cache_task_sequences(model, train_feats, cfg.phase2_batch)
     n_utts, seg, _ = cached["ser"].shape
-    labels = np.array([f.label for f in train_feats])
-    x_noisy = np.stack([f.x_noisy for f in train_feats])
-    x_clean = np.stack([f.x_clean for f in train_feats])
+    labels, x_noisy, x_clean = train_feats.labels, train_feats.x_noisy, train_feats.x_clean
 
     def stacked(arrays: np.ndarray, batch: np.ndarray) -> np.ndarray:
         return arrays[batch].reshape(len(batch) * seg, -1)
@@ -344,9 +341,8 @@ def train_phase1(model, train_feats, class_weights, cfg, rng) -> PhaseResult:
 
     def se_loss(batch: np.ndarray) -> Tensor:
         seq = TaskSequence(task=TASK_SE, z=const(stacked(cached["se"], batch)), segment=seg)
-        noisy = SpectralFeature(frames=const(stacked(x_noisy, batch)), config=model.stft)
-        enhanced = se_decode(model.se_head, seq, noisy)
-        return l1_loss(enhanced.frames, const(stacked(x_clean, batch)))
+        enhanced = se_decode(model.se_head, seq, const(stacked(x_noisy, batch)))
+        return l1_loss(enhanced, const(stacked(x_clean, batch)))
 
     curve = LossCurve()
     opt = AdamW([{"params": ser_parameters(model), "lr": cfg.phase1_ser_lr}],
@@ -381,10 +377,10 @@ def train_phase1(model, train_feats, class_weights, cfg, rng) -> PhaseResult:
     return PhaseResult(curve=curve, checkpoint=snapshot_params(named_parameters(model)))
 
 
-def evaluate_joint_loss(model, feats_list, class_weights, moe_cfg, train_cfg) -> float:
+def evaluate_joint_loss(model, feats, class_weights, moe_cfg, train_cfg) -> float:
     """Forward-only joint loss over a whole split, as one pooled batch."""
     with no_tape():
-        _, parts, _ = batch_joint_loss(model, feats_list, class_weights, moe_cfg, train_cfg)
+        _, parts, _ = batch_joint_loss(model, feats, class_weights, moe_cfg, train_cfg)
     return parts["total"]
 
 
@@ -425,7 +421,7 @@ def train_phase2(model, train_feats, dev_feats, phase1_checkpoint,
             opt.zero_grad()
             try:
                 total, parts, _ = batch_joint_loss(
-                    model, [train_feats[i] for i in batch], class_weights, moe_cfg, cfg)
+                    model, train_feats[batch], class_weights, moe_cfg, cfg)
                 backprop(total)
                 last_norms = opt.grad_norms()
                 opt.step()

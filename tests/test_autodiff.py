@@ -371,6 +371,18 @@ def test_finite_difference_check_catches_wrong_gradient():
     assert report.max_rel_err > 1e-4
 
 
+def test_finite_difference_check_fails_a_nan_gradient():
+    # clamp_min's backward passes sqrt's inf slope times a zero mask: NaN.
+    w = param("w", np.array([-1.0]))
+    graph = Graph(build=lambda: sum_all(sqrt(clamp_min(w, 0.0))), params={"w": w})
+    with np.errstate(divide="ignore", invalid="ignore"):
+        report = finite_difference_check(graph)
+    assert np.isnan(w.grad).all()
+    (check,) = report.checks
+    assert not check.passed and np.isnan(check.max_rel_err)
+    assert not report.passed and np.isnan(report.max_rel_err)
+
+
 def test_frozen_parameters_are_skipped_not_checked():
     rng = np.random.default_rng(10)
     params = {"w": param("w", rand(rng, 2, 2)),

@@ -11,9 +11,9 @@ from framemoe.backbone import (
     frame_signal,
     init_backbone,
     run_layers,
-    spectral_input,
     synth_layer_stack,
 )
+from framemoe.heads import log1p_spectrum
 
 
 def test_waveform_validation():
@@ -97,7 +97,7 @@ def test_layer_stack_shapes_and_first_layer_oracle():
     rng = np.random.default_rng(3)
     bb = init_backbone(rng, n_layers=2, width=6, frame=32, hop=16)
     wave = Waveform(samples=rng.standard_normal(160), sample_rate=8000)
-    stack = run_layers(spectral_input(wave.samples, bb), bb)
+    stack = run_layers(log1p_spectrum(wave.samples, bb.frame, bb.hop), bb)
     t = frame_count(160, 32, 16)
     assert len(stack) == 3
     for layer in stack:
@@ -117,7 +117,7 @@ def test_backbone_is_deterministic_per_seed():
 
     def layers(seed):
         bb = init_backbone(np.random.default_rng(seed), 2, 4, 32, 16)
-        return run_layers(spectral_input(samples, bb), bb)
+        return run_layers(log1p_spectrum(samples, bb.frame, bb.hop), bb)
 
     a, b, c = layers(7), layers(7), layers(8)
     for la, lb in zip(a, b):
@@ -129,7 +129,7 @@ def test_concat_layers_width_and_order():
     rng = np.random.default_rng(4)
     bb = init_backbone(rng, n_layers=3, width=5, frame=32, hop=16)
     wave = Waveform(samples=rng.standard_normal(96), sample_rate=8000)
-    stack = run_layers(spectral_input(wave.samples, bb), bb)
+    stack = run_layers(log1p_spectrum(wave.samples, bb.frame, bb.hop), bb)
     rep = concat_layers(stack)
     assert rep.frames.shape == (stack[0].shape[0], 4 * 5)
     assert rep.n_layers == 3 and rep.width == 5
@@ -141,7 +141,7 @@ def test_concat_layers_width_and_order():
 def test_synth_layer_stack_is_the_layer_concatenation_without_a_tape():
     rng = np.random.default_rng(5)
     bb = init_backbone(rng, n_layers=2, width=4, frame=32, hop=16, frozen=False)
-    spectra = spectral_input(rng.standard_normal((2, 96)), bb).reshape(-1, 17)
+    spectra = log1p_spectrum(rng.standard_normal((2, 96)), bb.frame, bb.hop).reshape(-1, 17)
     rep = synth_layer_stack(spectra, bb)
     assert isinstance(rep, np.ndarray) and rep.shape == (spectra.shape[0], 3 * 4)
     np.testing.assert_array_equal(rep, concat_layers(run_layers(spectra, bb)).frames.data)

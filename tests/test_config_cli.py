@@ -282,6 +282,14 @@ def test_ssnr_frames_longer_than_the_scored_span_are_a_config_error(tmp_path, ca
     assert not (tmp_path / "run").exists()
 
 
+def test_stft_framing_other_than_the_backbone_framing_is_a_config_error(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(tmp_path / "run"))
+    assert main(["train", "--config", cfg_path, "--set", "heads.stft.fft_size=128"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "heads.stft" in err and "fft_size=128" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_config_error_is_exit_code_1(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, tiny_cfg_dict(tmp_path / "run"))
     assert main(["gen", "--config", cfg_path, "--set", "moe.n_experts=0"]) == 1

@@ -193,7 +193,7 @@ def test_identity_denoiser_scores_exactly_like_unprocessed_noisy(tmp_path):
     cfg = tiny_cfg(tmp_path / "run")
     # The pass-through construction needs the decoder hidden width to equal
     # the bin count.
-    n_bins = cfg.heads.stft.fft_size // 2 + 1
+    n_bins = cfg.backbone.frame // 2 + 1
     cfg.heads.se_hidden = n_bins
     validate(cfg)
     run_train(cfg)
@@ -343,6 +343,25 @@ def test_load_trained_rejects_a_checkpoint_of_another_config(tmp_path):
         run_eval(run)
     prepare_run_dir(cfg)
     load_trained(run)
+
+
+def test_eval_of_a_run_whose_stft_is_not_the_backbone_framing_is_exit_code_1(tmp_path, capsys):
+    # A run trained when heads.stft.fft_size could exceed backbone.frame
+    # holds a checkpoint whose digest matches its resolved config; that
+    # config no longer validates.
+    cfg = tiny_cfg(tmp_path / "run")
+    run_train(cfg)
+    run = Path(cfg.output_dir)
+    cfg.heads.stft.fft_size = 64
+    prepare_run_dir(cfg)
+    ckpt = run / "checkpoint_final.json"
+    params, meta = load_checkpoint(ckpt)
+    meta["config_digest"] = config_digest(cfg)
+    save_checkpoint(ckpt, params, extra=meta)
+    assert main(["eval", "--run", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "heads.stft" in err
+    assert not (run / "metrics.csv").exists()
 
 
 def test_eval_reads_the_corpus_of_the_run_it_is_given(tmp_path, monkeypatch):

@@ -6,8 +6,6 @@ from framemoe.backbone import Waveform, frame_signal
 from framemoe.heads import (
     EmotionLabel,
     SeHead,
-    SpectralFeature,
-    StftConfig,
     attentive_stats_pool,
     init_se_head,
     init_ser_head,
@@ -44,51 +42,30 @@ def make_seq(rng, t, width, task=TASK_SER):
     return TaskSequence(task=task, z=const(rng.standard_normal((t, width))))
 
 
-def test_stft_config_validation():
-    cfg = StftConfig(window=64, hop=32, fft_size=64)
-    assert cfg.n_bins == 33
-    with pytest.raises(ValueError):
-        StftConfig(window=1, hop=1, fft_size=4)
-    with pytest.raises(ValueError):
-        StftConfig(window=8, hop=9, fft_size=8)
-    with pytest.raises(ValueError):
-        StftConfig(window=8, hop=4, fft_size=4)
-
-
 def test_stft_matches_naive_dft():
     rng = np.random.default_rng(0)
     wave = make_wave(rng, n=96)
-    cfg = StftConfig(window=32, hop=16, fft_size=32)
-    spec = stft(wave.samples, cfg)
-    frames = frame_signal(wave.samples, cfg.window, cfg.hop)
-    assert spec.shape == (frames.shape[0], cfg.n_bins)
+    frame, hop = 32, 16
+    n_bins = frame // 2 + 1
+    spec = stft(wave.samples, frame, hop)
+    frames = frame_signal(wave.samples, frame, hop)
+    assert spec.shape == (frames.shape[0], n_bins)
     # Naive DFT sum per bin.
-    j = np.arange(cfg.fft_size)
+    j = np.arange(frame)
     for t in range(frames.shape[0]):
-        padded = np.zeros(cfg.fft_size)
-        padded[: cfg.window] = frames[t]
-        for k in range(cfg.n_bins):
-            expected = np.sum(padded * np.exp(-2j * np.pi * j * k / cfg.fft_size))
+        for k in range(n_bins):
+            expected = np.sum(frames[t] * np.exp(-2j * np.pi * j * k / frame))
             assert abs(spec[t, k] - expected) < 1e-9
 
 
 def test_log1p_spectrum_matches_oracle():
     rng = np.random.default_rng(1)
     wave = make_wave(rng, n=200)
-    cfg = StftConfig(window=64, hop=32, fft_size=64)
-    feat = log1p_spectrum(wave.samples, cfg)
-    expected = np.log1p(np.abs(stft(wave.samples, cfg)))
+    feat = log1p_spectrum(wave.samples, 64, 32)
+    expected = np.log1p(np.abs(stft(wave.samples, 64, 32)))
     np.testing.assert_array_equal(feat, expected)
-    assert feat.shape == (frame_signal(wave.samples, cfg.window, cfg.hop).shape[0], cfg.n_bins)
+    assert feat.shape == (frame_signal(wave.samples, 64, 32).shape[0], 33)
     assert np.all(feat >= 0.0)
-
-
-def test_spectral_feature_validation():
-    cfg = StftConfig(window=8, hop=4, fft_size=8)
-    with pytest.raises(ValueError):
-        SpectralFeature(frames=const(np.zeros((3, 4))), config=cfg)
-    with pytest.raises(ValueError):
-        SpectralFeature(frames=const(np.full((3, 5), -0.1)), config=cfg)
 
 
 @pytest.mark.parametrize("hop", [64, 32])
@@ -98,36 +75,33 @@ def test_resynthesize_round_trips_rectangular_stft(hop):
     # any hop, overlapped or not.
     rng = np.random.default_rng(2)
     wave = make_wave(rng, n=320)
-    cfg = StftConfig(window=64, hop=hop, fft_size=64)
-    spec = stft(wave.samples, cfg)
+    spec = stft(wave.samples, 64, hop)
     mags = np.log1p(np.abs(spec))
-    out = resynthesize(mags, spec, cfg, n_samples=wave.samples.size)
+    out = resynthesize(mags, spec, 64, hop, n_samples=wave.samples.size)
     t = spec.shape[0]
-    span = (t - 1) * cfg.hop + cfg.window
+    span = (t - 1) * hop + 64
     np.testing.assert_allclose(out, wave.samples[:span], atol=1e-9)
 
 
 def test_resynthesize_crops_to_requested_length():
     rng = np.random.default_rng(3)
     wave = make_wave(rng, n=256)
-    cfg = StftConfig(window=64, hop=32, fft_size=64)
-    spec = stft(wave.samples, cfg)
+    spec = stft(wave.samples, 64, 32)
     mags = np.log1p(np.abs(spec))
-    assert resynthesize(mags, spec, cfg, n_samples=100).shape == (100,)
+    assert resynthesize(mags, spec, 64, 32, n_samples=100).shape == (100,)
     # A request longer than the frame span is capped at the span.
-    span = (spec.shape[0] - 1) * cfg.hop + cfg.window
-    assert resynthesize(mags, spec, cfg, n_samples=10_000).shape == (span,)
+    span = (spec.shape[0] - 1) * 32 + 64
+    assert resynthesize(mags, spec, 64, 32, n_samples=10_000).shape == (span,)
 
 
 @pytest.mark.parametrize("window,hop", [(16, 4), (16, 8), (16, 6), (16, 16)])
 def test_batched_resynthesize_matches_plain_overlap_add(window, hop):
     rng = np.random.default_rng(7)
-    cfg = StftConfig(window=window, hop=hop, fft_size=window)
     signals = rng.standard_normal((3, 100))
-    spec = stft(signals, cfg)
+    spec = stft(signals, window, hop)
     mags = rng.uniform(0.0, 2.0, spec.shape)
     n_samples = 90
-    out = resynthesize(mags, spec, cfg, n_samples=n_samples)
+    out = resynthesize(mags, spec, window, hop, n_samples=n_samples)
     t = spec.shape[1]
     length = min(n_samples, (t - 1) * hop + window)
     assert out.shape == (3, length)
@@ -142,19 +116,18 @@ def test_batched_resynthesize_matches_plain_overlap_add(window, hop):
                     acc[i * hop + j] += frames[i, j]
                     cover[i * hop + j] += 1.0
         np.testing.assert_array_equal(out[b], acc / np.maximum(cover, 1.0))
-        np.testing.assert_array_equal(out[b], resynthesize(mags[b], spec[b], cfg, n_samples))
+        np.testing.assert_array_equal(out[b],
+                                      resynthesize(mags[b], spec[b], window, hop, n_samples))
 
 
 def test_resynthesize_shape_mismatch_raises():
-    cfg = StftConfig(window=8, hop=4, fft_size=8)
     with pytest.raises(ValueError):
-        resynthesize(np.zeros((3, 5)), np.zeros((4, 5), dtype=complex), cfg, 32)
+        resynthesize(np.zeros((3, 5)), np.zeros((4, 5), dtype=complex), 8, 4, 32)
 
 
 def test_resynthesize_zero_reference_uses_unit_phase():
-    cfg = StftConfig(window=8, hop=8, fft_size=8)
     mags = np.log1p(np.abs(np.array([[2.0, 1.0, 0.5, 0.0, 1.5]])))
-    out = resynthesize(mags, np.zeros((1, 5), dtype=complex), cfg, n_samples=8)
+    out = resynthesize(mags, np.zeros((1, 5), dtype=complex), 8, 8, n_samples=8)
     expected = np.fft.irfft(np.expm1(mags), n=8, axis=1)[0]
     np.testing.assert_allclose(out, expected, atol=1e-12)
     assert np.all(np.isfinite(out))
@@ -162,34 +135,28 @@ def test_resynthesize_zero_reference_uses_unit_phase():
 
 def test_identity_se_head_is_exact_pass_through():
     rng = np.random.default_rng(4)
-    cfg = StftConfig(window=16, hop=8, fft_size=16)
-    noisy = SpectralFeature(frames=const(rng.uniform(0.0, 3.0, (6, cfg.n_bins))),
-                            config=cfg)
+    noisy = const(rng.uniform(0.0, 3.0, (6, 9)))
     seq = make_seq(rng, 6, 10, task=TASK_SE)
-    head = identity_se_head(width=10, n_bins=cfg.n_bins)
+    head = identity_se_head(width=10, n_bins=9)
     out = se_decode(head, seq, noisy)
-    np.testing.assert_array_equal(out.frames.data, noisy.frames.data)
+    np.testing.assert_array_equal(out.data, noisy.data)
 
 
 def test_se_decode_shape_and_nonnegativity():
     rng = np.random.default_rng(5)
-    cfg = StftConfig(window=16, hop=8, fft_size=16)
-    noisy = SpectralFeature(frames=const(rng.uniform(0.0, 2.0, (5, cfg.n_bins))),
-                            config=cfg)
+    noisy = const(rng.uniform(0.0, 2.0, (5, 9)))
     seq = make_seq(rng, 5, 7, task=TASK_SE)
-    head = init_se_head(rng, width=7, n_bins=cfg.n_bins, hidden=12)
+    head = init_se_head(rng, width=7, n_bins=9, hidden=12)
     out = se_decode(head, seq, noisy)
-    assert out.frames.shape == (5, cfg.n_bins)
-    assert out.config is cfg
-    assert np.all(out.frames.data >= 0.0)
+    assert out.shape == (5, 9)
+    assert np.all(out.data >= 0.0)
 
 
 def test_se_decode_frame_count_mismatch_raises():
     rng = np.random.default_rng(6)
-    cfg = StftConfig(window=16, hop=8, fft_size=16)
-    noisy = SpectralFeature(frames=const(np.zeros((4, cfg.n_bins))), config=cfg)
+    noisy = const(np.zeros((4, 9)))
     seq = make_seq(rng, 5, 7, task=TASK_SE)
-    head = init_se_head(rng, width=7, n_bins=cfg.n_bins)
+    head = init_se_head(rng, width=7, n_bins=9)
     with pytest.raises(ValueError):
         se_decode(head, seq, noisy)
 

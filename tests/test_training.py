@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from framemoe.autodiff import NumericalError, backprop, const, param
-from framemoe.backbone import Waveform, concat_layers, frame_signal, run_layers, spectral_input
+from framemoe.backbone import Waveform, concat_layers, frame_signal, run_layers
 from framemoe.config import (
     BackboneConfig,
     ExperimentConfig,
@@ -14,6 +14,7 @@ from framemoe.config import (
     TrainConfig,
     validate,
 )
+from framemoe.heads import log1p_spectrum
 from framemoe.model import (
     build_model,
     compute_features,
@@ -66,8 +67,8 @@ def tiny_feats(model, rng, n=4, length=160):
     for _ in range(n):
         clean.append(rng.standard_normal(length))
         noisy.append(clean[-1] + 0.3 * rng.standard_normal(length))
-    return compute_features(model, [f"u{i}" for i in range(n)], np.stack(noisy),
-                            np.stack(clean), [i % 4 for i in range(n)])
+    return compute_features(model, np.stack(noisy), [i % 4 for i in range(n)],
+                            np.stack(clean))
 
 
 def test_norm_stats_matches_pooled_oracle():
@@ -320,7 +321,7 @@ def test_batch_joint_loss_parts_and_decisions():
     assert abs(parts["total"] - (parts["wce"] + parts["l1"] + parts["balance"])) < 1e-12
     assert parts["balance"] > 0.0
     # One decision per task, pooled over the frames of the whole batch.
-    rows = sum(f.x_noisy.shape[0] for f in feats)
+    rows = feats.x_noisy.shape[0] * feats.x_noisy.shape[1]
     for task in ("ser", "se"):
         decision = decisions[task]
         assert decision.task == task
@@ -351,7 +352,7 @@ def test_cache_task_sequences_matches_forward():
     rng = np.random.default_rng(9)
     feats = tiny_feats(model, rng, n=3)
     cached = cache_task_sequences(model, feats, 2)
-    t = feats[0].x_noisy.shape[0]
+    t = feats.x_noisy.shape[1]
     assert cached["ser"].shape == cached["se"].shape == (3, t, cfg.backbone.width)
     for chunk in (slice(0, 2), slice(2, 3)):
         out = forward_features(model, feats[chunk])
@@ -505,7 +506,7 @@ def test_batched_forward_matches_one_utterance_at_a_time(unfrozen):
     model = build_model(cfg)
     rng = np.random.default_rng(15)
     feats = tiny_feats(model, rng, n=5)
-    t = feats[0].x_noisy.shape[0]
+    t = feats.x_noisy.shape[1]
     # Gates centred on the batch's mean frame, so that some expert serves
     # only part of the batch and the gathered path runs.
     mean_frame = representation(model, feats).frames.data.mean(axis=0)
@@ -517,13 +518,13 @@ def test_batched_forward_matches_one_utterance_at_a_time(unfrozen):
     for decision in (batched.ser_decision, batched.se_decision):
         used = decision.retained.data.reshape(5, t, -1).any(axis=1)
         assert not np.all(used.all(axis=0) == used.any(axis=0))
-    for b, f in enumerate(feats):
-        single = forward_features(model, [f])
+    for b in range(len(feats)):
+        single = forward_features(model, feats[b : b + 1])
         rows = slice(b * t, (b + 1) * t)
         np.testing.assert_allclose(batched.ser_logits.data[b], single.ser_logits.data[0],
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(batched.enhanced.frames.data[rows],
-                                   single.enhanced.frames.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batched.enhanced.data[rows],
+                                   single.enhanced.data, rtol=0, atol=1e-12)
         for task in ("ser_decision", "se_decision"):
             got, want = getattr(batched, task), getattr(single, task)
             np.testing.assert_allclose(got.retained.data[rows], want.retained.data,
@@ -531,47 +532,48 @@ def test_batched_forward_matches_one_utterance_at_a_time(unfrozen):
             np.testing.assert_array_equal(got.indices[rows], want.indices)
 
 
-@pytest.mark.parametrize("unfrozen,fft_size", [(False, 32), (True, 32), (False, 64),
-                                               (True, 64)])
-def test_stacked_features_equal_per_utterance_features(unfrozen, fft_size):
+@pytest.mark.parametrize("unfrozen,frame", [(False, 32), (True, 32), (False, 64), (True, 64)])
+def test_stacked_features_equal_per_utterance_features(unfrozen, frame):
     cfg = tiny_cfg(unfrozen=unfrozen)
-    cfg.heads.stft.fft_size = fft_size
+    cfg.backbone.frame, cfg.backbone.hop = frame, frame // 2
+    cfg.heads.stft = StftBlock(window=frame, hop=frame // 2, fft_size=frame)
     validate(cfg)
     model = build_model(cfg)
     rng = np.random.default_rng(17)
     clean = rng.standard_normal((5, 160))
     noisy = clean + 0.3 * rng.standard_normal((5, 160))
-    uids, labels = [f"u{i}" for i in range(5)], [3, 1, 0, 2, 1]
-    stacked = compute_features(model, uids, noisy, clean, labels)
-    assert [f.uid for f in stacked] == uids and [f.label for f in stacked] == labels
+    labels = [3, 1, 0, 2, 1]
+    stacked = compute_features(model, noisy, labels, clean)
+    assert len(stacked) == 5 and stacked.labels.tolist() == labels
+    assert (stacked.rep is None) == unfrozen
     bb = model.backbone
-    unused = "concat_rep" if unfrozen else "spectra"
-    for b, feats in enumerate(stacked):
-        (single,) = compute_features(model, [uids[b]], noisy[b : b + 1], clean[b : b + 1],
-                                     [labels[b]])
-        for name in ("x_noisy", "x_clean", "concat_rep", "spectra"):
-            got, want = getattr(feats, name), getattr(single, name)
-            if name == unused:
-                assert got is None and want is None
+    for b in range(5):
+        single = compute_features(model, noisy[b : b + 1], labels[b : b + 1], clean[b : b + 1])
+        for name in ("labels", "x_noisy", "x_clean", "rep"):
+            got, want = getattr(stacked[b : b + 1], name), getattr(single, name)
+            if got is None:
+                assert want is None
             else:
                 np.testing.assert_array_equal(got, want, err_msg=name)
-        # Independent transforms: the noisy STFT at the heads' fft size, and
-        # the backbone's own input at its frame size.
-        frames = frame_signal(noisy[b], 32, 16)
+        # Independent transforms: the noisy STFT, and the frozen stack on the
+        # log1p spectrum at the backbone framing.
+        frames = frame_signal(noisy[b], frame, frame // 2)
         np.testing.assert_array_equal(
-            feats.x_noisy, np.log1p(np.abs(np.fft.rfft(frames, n=fft_size, axis=1))))
-        backbone_in = spectral_input(noisy[b], bb)
-        if unfrozen:
-            np.testing.assert_array_equal(feats.spectra, backbone_in)
-        else:
+            stacked.x_noisy[b], np.log1p(np.abs(np.fft.rfft(frames, n=frame, axis=1))))
+        if not unfrozen:
+            backbone_in = log1p_spectrum(noisy[b], bb.frame, bb.hop)
             np.testing.assert_array_equal(
-                feats.concat_rep, concat_layers(run_layers(backbone_in, bb)).frames.data)
+                stacked.rep[b], concat_layers(run_layers(backbone_in, bb)).frames.data)
 
 
-def test_batched_forward_rejects_mixed_frame_counts():
+def test_features_index_by_slice_or_index_array():
     cfg = tiny_cfg()
     model = build_model(cfg)
-    rng = np.random.default_rng(16)
-    feats = tiny_feats(model, rng, n=2) + tiny_feats(model, rng, n=1, length=192)
-    with pytest.raises(ValueError, match="frame count"):
-        forward_features(model, feats)
+    feats = tiny_feats(model, np.random.default_rng(16), n=4)
+    picked = feats[np.array([2, 0])]
+    assert len(picked) == 2 and picked.labels.tolist() == [2, 0]
+    for name in ("x_noisy", "x_clean", "rep"):
+        np.testing.assert_array_equal(getattr(picked, name), getattr(feats, name)[[2, 0]])
+    assert len(feats[1:3]) == 2
+    with pytest.raises(TypeError, match="slice or an index array"):
+        feats[0]
