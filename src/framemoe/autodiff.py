@@ -504,19 +504,21 @@ def backprop(output: Tensor) -> None:
 class Graph:
     """A scalar computation over named parameter leaves.
 
-    build() assembles the output from the tensors in `params`; frozen
-    parameters are leaves with requires_grad False. nondiff_guard(), when
-    given, lists the reasons the current point is not differentiable.
+    build(changed) assembles the output from the tensors in `params`; frozen
+    parameters are leaves with requires_grad False. build(None) computes it
+    all at a new base point; build(name), with only `name` moved off it, may
+    reuse base values that `name` does not feed, bit for bit. nondiff_guard(),
+    when given, lists the reasons the current point is not differentiable.
     """
 
-    build: Callable[[], Tensor]
+    build: Callable[[str | None], Tensor]
     params: dict[str, Tensor]
     nondiff_guard: Callable[[], list[str]] | None = None
 
 
-def forward(graph: Graph) -> Tensor:
-    """Evaluate the graph at the current parameter values."""
-    return graph.build()
+def forward(graph: Graph, changed: str | None = None) -> Tensor:
+    """Evaluate the graph at the current parameter values (`changed` as in Graph)."""
+    return graph.build(changed)
 
 
 @dataclass
@@ -558,17 +560,18 @@ def finite_difference_check(graph: Graph, step: float = 1e-5,
                             tolerance: float = 1e-4) -> GradCheckReport:
     """Compare analytic gradients against central differences entry by entry.
 
-    Relative error uses a unit floor: |a - n| / max(|a|, |n|, 1). If the
-    graph's nondiff_guard flags the base point (a routing tie, say), the
-    checks are excluded and the flags are reported instead.
+    The base point is one forward(graph), each probe of parameter `name` one
+    forward(graph, name). Relative error uses a unit floor: |a - n| / max(|a|,
+    |n|, 1). If the graph's nondiff_guard flags the base point (a routing
+    tie, say), the checks are excluded and the flags are reported instead.
     """
     if graph.nondiff_guard is not None:
         flags = graph.nondiff_guard()
         if flags:
             return GradCheckReport(checks=[], flags=list(flags), step=step, tolerance=tolerance)
 
-    def output() -> Tensor:
-        out = forward(graph)
+    def output(changed: str | None = None) -> Tensor:
+        out = forward(graph, changed)
         check_outputs("audited output", [out.data], lambda: forward(graph))
         return out
 
@@ -590,12 +593,12 @@ def finite_difference_check(graph: Graph, step: float = 1e-5,
         errs = np.zeros(flat.size)
         for i in range(flat.size):
             keep = flat[i]
-            # Probes need values only.
+            # Probes need values only, and only what `name` feeds.
             with no_tape():
                 flat[i] = keep + step
-                hi = float(output().data)
+                hi = float(output(name).data)
                 flat[i] = keep - step
-                lo = float(output().data)
+                lo = float(output(name).data)
             flat[i] = keep
             numeric = (hi - lo) / (2.0 * step)
             errs[i] = _rel_err(float(analytic[name].reshape(-1)[i]), numeric)

@@ -64,10 +64,6 @@ class ConcatRepresentation:
                 f"{self.frames.shape[0]} frames do not split into utterances of {self.segment}"
             )
 
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
 
 def frame_count(n_samples: int, frame: int, hop: int) -> int:
     if n_samples < frame:

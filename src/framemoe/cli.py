@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .autodiff import NumericalError
 from .config import ConfigError, apply_overrides, load_config, validate
+from .experiment import GradcheckInconclusive
 from .training import TrainingAborted
 
 
@@ -174,6 +175,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except GradcheckInconclusive as exc:
+        print(f"gradient audit failed: {exc}", file=sys.stderr)
         return 2
 
 

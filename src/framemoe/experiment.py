@@ -77,6 +77,7 @@ from .training import (
     NormStats,
     batch_joint_loss,
     class_weights_from_counts,
+    joint_loss_stages,
     load_checkpoint,
     norm_stats,
     restore_params,
@@ -453,14 +454,37 @@ def _gradcheck_batch(cfg: ExperimentConfig, model: JointModel, attempt: int):
                             _stacked_z([clean for _, clean, _ in waves], stats))
 
 
-def _margins(model: JointModel, feats, cfg: ExperimentConfig) -> tuple[float, float]:
-    """(min gate tie margin, min kink distance) at the current point."""
-    with record_kinks() as kinks, no_tape():
-        _, _, decisions = batch_joint_loss(model, feats, np.ones(4), cfg.moe,
-                                           cfg.training)
-    gate_margin = min(d.tie_margin for d in decisions.values())
-    kink_margin = min(kinks) if kinks else float("inf")
-    return gate_margin, kink_margin
+class GradcheckInconclusive(RuntimeError):
+    """No audit batch cleared the margins: nothing was audited, never a pass."""
+
+
+def _audit_graph(cfg: ExperimentConfig) -> tuple[Graph, int, float, float]:
+    """The joint loss of the first audit batch whose margins clear both bars,
+    with its attempt number and margins. The Graph's build(None) records the
+    loss's stages; build(name) recomputes only those that `name` feeds."""
+    model = build_model(cfg)
+    for attempt in range(GRADCHECK_MAX_ATTEMPTS):
+        feats = _gradcheck_batch(cfg, model, attempt)
+        with record_kinks() as kinks, no_tape():
+            _, _, decisions = batch_joint_loss(model, feats, np.ones(4), cfg.moe, cfg.training)
+        gate_margin = min(d.tie_margin for d in decisions.values())
+        kink_margin = min(kinks) if kinks else float("inf")
+        if gate_margin > GRADCHECK_GATE_MARGIN and kink_margin > GRADCHECK_KINK_MARGIN:
+            break
+    else:
+        raise GradcheckInconclusive(f"no audit batch in {GRADCHECK_MAX_ATTEMPTS} attempts cleared "
+                                    f"gate tie margin > {GRADCHECK_GATE_MARGIN:.0e} and kink "
+                                    f"margin > {GRADCHECK_KINK_MARGIN:.0e}")
+    recorded = {}
+
+    def build(changed: str | None):
+        stages = joint_loss_stages(model, feats, np.ones(4), cfg.moe, cfg.training,
+                                   None if changed is None else recorded["base"], changed)
+        if changed is None:
+            recorded["base"] = stages
+        return stages.total
+
+    return Graph(build=build, params=named_parameters(model)), attempt, gate_margin, kink_margin
 
 
 def gradcheck_model(cfg: ExperimentConfig, step: float = 1e-5,
@@ -469,39 +493,14 @@ def gradcheck_model(cfg: ExperimentConfig, step: float = 1e-5,
 
     Base points whose routing sits at a gate tie (or whose relu inputs sit on
     the kink) are not differentiable there, so such draws are rejected and a
-    fresh batch is drawn, deterministically, until the margins clear.
+    fresh batch is drawn, deterministically, until the margins clear; when
+    none does, GradcheckInconclusive is raised.
     """
-    model = build_model(cfg)
-    chosen = None
-    for attempt in range(GRADCHECK_MAX_ATTEMPTS):
-        feats = _gradcheck_batch(cfg, model, attempt)
-        gate_margin, kink_margin = _margins(model, feats, cfg)
-        if gate_margin > GRADCHECK_GATE_MARGIN and kink_margin > GRADCHECK_KINK_MARGIN:
-            chosen = (attempt, feats, gate_margin, kink_margin)
-            break
-    if chosen is None:
-        raise RuntimeError("no audit batch cleared the non-differentiability margins")
-    attempt, feats, gate_margin, kink_margin = chosen
-
-    weights = np.ones(4)
-
-    def guard():
-        g, k = _margins(model, feats, cfg)
-        flags = []
-        if g <= GRADCHECK_GATE_MARGIN:
-            flags.append(f"gate tie margin {g:.2e} at or below {GRADCHECK_GATE_MARGIN:.0e}")
-        if k <= GRADCHECK_KINK_MARGIN:
-            flags.append(f"kink margin {k:.2e} at or below {GRADCHECK_KINK_MARGIN:.0e}")
-        return flags
-
-    graph = Graph(
-        build=lambda: batch_joint_loss(model, feats, weights, cfg.moe, cfg.training)[0],
-        params=named_parameters(model),
-        nondiff_guard=guard,
-    )
+    graph, attempt, gate_margin, kink_margin = _audit_graph(cfg)
     report = finite_difference_check(graph, step=step, tolerance=tolerance)
+    # NaN errors first (a NaN key leaves a sort out of order), then the largest.
     worst = sorted((c for c in report.checks if not c.skipped),
-                   key=lambda c: -c.max_rel_err)[:5]
+                   key=lambda c: (not math.isnan(c.max_rel_err), -c.max_rel_err))[:5]
     return {
         "passed": report.passed and not report.excluded,
         "excluded": report.excluded,

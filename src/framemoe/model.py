@@ -47,6 +47,7 @@ from .moe import (
     TaskSequence,
     init_expert_pool,
     init_gate,
+    mix,
     moe_forward,
 )
 
@@ -193,6 +194,7 @@ class ModelOutputs:
     se_seq: TaskSequence
     ser_decision: RoutingDecision
     se_decision: RoutingDecision
+    rep: ConcatRepresentation
 
 
 def representation(model: JointModel, feats: Features) -> ConcatRepresentation:
@@ -205,13 +207,32 @@ def representation(model: JointModel, feats: Features) -> ConcatRepresentation:
     return concat_layers(run_layers(_frames(feats.x_noisy), bb), segment=segment)
 
 
-def forward_features(model: JointModel, feats: Features) -> ModelOutputs:
-    """A batch of utterances through routing and both heads, as one graph."""
-    rep = representation(model, feats)
-    ser_seq, ser_dec = moe_forward(model.pool, model.gates[TASK_SER], rep, model.top_k)
-    se_seq, se_dec = moe_forward(model.pool, model.gates[TASK_SE], rep, model.top_k)
-    logits = ser_classify(model.ser_head, ser_seq)
-    enhanced = se_decode(model.se_head, se_seq, const(_frames(feats.x_noisy)))
+def forward_features(model: JointModel, feats: Features, base: ModelOutputs | None = None,
+                     changed: str | None = None) -> ModelOutputs:
+    """A batch of utterances through routing and both heads, as one graph.
+
+    Given `base`, the outputs where only parameter `changed` had another
+    value, a stage is base's own unless it reads `changed` or a recomputed
+    stage: backbone.* feeds everything, gate.<task>.* that task's routing,
+    expertN.* term N of both mixtures, ser.* and se.* their head."""
+    if changed is None or changed.startswith("backbone."):
+        base = None
+    rep = representation(model, feats) if base is None else base.rep
+    routed = []
+    for task in (TASK_SER, TASK_SE):
+        if base is None or changed.startswith(f"gate.{task}."):
+            routed.append(moe_forward(model.pool, model.gates[task], rep, model.top_k))
+            continue
+        seq, decision = getattr(base, f"{task}_seq"), getattr(base, f"{task}_decision")
+        if changed.startswith("expert"):
+            seq = mix(model.pool, decision, rep, seq, int(changed.split(".")[0][len("expert"):]))
+        routed.append((seq, decision))
+    (ser_seq, ser_dec), (se_seq, se_dec) = routed
+    logits = (base.ser_logits if base is not None and ser_seq is base.ser_seq
+              and not changed.startswith("ser.") else ser_classify(model.ser_head, ser_seq))
+    enhanced = (base.enhanced if base is not None and se_seq is base.se_seq
+                and not changed.startswith("se.")
+                else se_decode(model.se_head, se_seq, const(_frames(feats.x_noisy))))
     return ModelOutputs(ser_logits=logits, enhanced=enhanced,
                         ser_seq=ser_seq, se_seq=se_seq,
-                        ser_decision=ser_dec, se_decision=se_dec)
+                        ser_decision=ser_dec, se_decision=se_dec, rep=rep)

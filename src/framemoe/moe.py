@@ -108,11 +108,13 @@ class RoutingDecision:
 @dataclass
 class TaskSequence:
     """The task-specific mixed representation, shape (B*T, D): B utterances
-    of `segment` = T frames each, stacked; segment defaults to all rows."""
+    of `segment` = T frames each, stacked; segment defaults to all rows. A
+    mixture keeps its per-expert terms (None where no frame routes)."""
 
     task: str
     z: Tensor
     segment: int | None = None
+    terms: list[Tensor | None] | None = None
 
     def __post_init__(self) -> None:
         if self.segment is None:
@@ -177,44 +179,52 @@ def _topk_rows(gates: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float
     return mask, indices, margin
 
 
-def moe_forward(pool: ExpertPool, gate: GatingNetwork, rep: ConcatRepresentation,
-                top_k: int) -> tuple[TaskSequence, RoutingDecision]:
-    """Route every frame through its top-k experts and mix the outputs.
+def mix(pool: ExpertPool, decision: RoutingDecision, rep: ConcatRepresentation,
+        base: TaskSequence | None = None, expert: int | None = None) -> TaskSequence:
+    """The retained-weight mixture z = 0 + term_0 + term_1 + ... in expert order.
 
     Expert n runs only on the utterances (blocks of rep.segment rows) that
     route at least one frame to it, and its retained-weighted output is
     scattered back to their rows; every other row of that term is exactly
     zero. A lone utterance is never gathered, so its result is bit-equal to
     the dense sum over all experts: adding a zero-weighted term never
-    changes an IEEE accumulation.
+    changes an IEEE accumulation. Given `base`, a mixture of the same routing
+    and frames, only expert `expert`'s term is recomputed, bit for bit.
     """
-    frames = rep.frames
-    gates = gate_scores(gate, frames)
+    frames, retained = rep.frames, decision.retained
+    t, seg = frames.shape[0], rep.segment
+    used = (decision.indices.reshape(t // seg, -1, 1) == np.arange(pool.n_experts)).any(axis=1)
+    terms = [None] * pool.n_experts if base is None else list(base.terms)
+    for n in range(pool.n_experts) if base is None else (expert,):
+        utts = np.flatnonzero(used[:, n])
+        if utts.size == 0:
+            continue
+        if utts.size == used.shape[0]:
+            terms[n] = mul(col(retained, n), expert_forward(pool, n, frames))
+            continue
+        rows = (utts[:, None] * seg + np.arange(seg)).reshape(-1)
+        out = mul(take_rows(col(retained, n), rows),
+                  expert_forward(pool, n, take_rows(frames, rows)))
+        terms[n] = scatter_rows(out, rows, t)
+    z: Tensor = const(np.zeros((t, pool.out_width)))
+    for term in terms:
+        if term is not None:
+            z = add(z, term)
+    return TaskSequence(task=decision.task, z=z, segment=seg, terms=terms)
+
+
+def moe_forward(pool: ExpertPool, gate: GatingNetwork, rep: ConcatRepresentation,
+                top_k: int) -> tuple[TaskSequence, RoutingDecision]:
+    """Route every frame through its top-k experts and mix the outputs."""
+    gates = gate_scores(gate, rep.frames)
     if gates.shape[1] != pool.n_experts:
         raise ValueError(
             f"gate produces {gates.shape[1]} scores but pool has {pool.n_experts} experts"
         )
     mask, indices, margin = _topk_rows(gates.data, top_k)
-    retained = mul(gates, const(mask))
-
-    t, seg = frames.shape[0], rep.segment
-    used = mask.reshape(t // seg, seg, pool.n_experts).any(axis=1)
-    z: Tensor = const(np.zeros((t, pool.out_width)))
-    for n in range(pool.n_experts):
-        utts = np.flatnonzero(used[:, n])
-        if utts.size == 0:
-            continue
-        if utts.size == used.shape[0]:
-            z = add(z, mul(col(retained, n), expert_forward(pool, n, frames)))
-            continue
-        rows = (utts[:, None] * seg + np.arange(seg)).reshape(-1)
-        out = mul(take_rows(col(retained, n), rows),
-                  expert_forward(pool, n, take_rows(frames, rows)))
-        z = add(z, scatter_rows(out, rows, t))
-
-    decision = RoutingDecision(task=gate.task, gates=gates, retained=retained,
+    decision = RoutingDecision(task=gate.task, gates=gates, retained=mul(gates, const(mask)),
                                indices=indices, top_k=top_k, tie_margin=margin)
-    return TaskSequence(task=gate.task, z=z, segment=seg), decision
+    return mix(pool, decision, rep), decision
 
 
 def balancing_loss(decision: RoutingDecision, alpha: float = 0.01) -> Tensor:

@@ -35,6 +35,8 @@ from .autodiff import (
 from .backbone import Waveform
 from .files import write_atomic
 from .heads import N_CLASSES
+from .model import ModelOutputs, forward_features
+from .moe import balancing_loss
 
 
 class TrainingAborted(RuntimeError):
@@ -236,6 +238,43 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarr
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
+@dataclass
+class LossStages:
+    """One batch's joint loss and the stage values it was built from."""
+
+    out: ModelOutputs
+    wce: Tensor
+    l1: Tensor
+    balance: Tensor | None
+    total: Tensor
+
+
+def joint_loss_stages(model, feats, class_weights, moe_cfg, train_cfg,
+                      base: LossStages | None = None, changed: str | None = None) -> LossStages:
+    """The joint objective over a batch, stage by stage (see batch_joint_loss).
+    Given `base`, the stages where only parameter `changed` had another value,
+    a loss whose inputs forward_features hands back as base's own is base's."""
+    out = forward_features(model, feats, None if base is None else base.out, changed)
+
+    def kept(*names: str) -> bool:
+        return base is not None and all(getattr(out, n) is getattr(base.out, n) for n in names)
+
+    wce = l1 = const(np.zeros(()))
+    if train_cfg.ser_loss_enabled:
+        wce = (base.wce if kept("ser_logits")
+               else weighted_cross_entropy(out.ser_logits, feats.labels, class_weights))
+    if train_cfg.se_loss_enabled:
+        l1 = (base.l1 if kept("enhanced")
+              else l1_loss(out.enhanced, const(feats.x_clean.reshape(out.enhanced.shape))))
+    balance = None
+    if moe_cfg.balancing_loss_enabled:
+        balance = (base.balance if kept("ser_decision", "se_decision")
+                   else mul(add(balancing_loss(out.ser_decision, moe_cfg.balancing_alpha),
+                                balancing_loss(out.se_decision, moe_cfg.balancing_alpha)), 0.5))
+    return LossStages(out=out, wce=wce, l1=l1, balance=balance,
+                      total=joint_loss(wce, l1, balance))
+
+
 def batch_joint_loss(model, batch_feats, class_weights, moe_cfg, train_cfg):
     """Joint objective over a batch of utterances, built as one graph.
 
@@ -247,34 +286,14 @@ def batch_joint_loss(model, batch_feats, class_weights, moe_cfg, train_cfg):
     count, so the L1 mean over the stacked frames equals the mean of the
     per-utterance L1 means.
     """
-    from .model import forward_features
-    from .moe import balancing_loss
-
-    out = forward_features(model, batch_feats)
-    zero = const(np.zeros(()))
-    wce = zero
-    if train_cfg.ser_loss_enabled:
-        wce = weighted_cross_entropy(out.ser_logits, batch_feats.labels, class_weights)
-    l1 = zero
-    if train_cfg.se_loss_enabled:
-        l1 = l1_loss(out.enhanced, const(batch_feats.x_clean.reshape(out.enhanced.shape)))
-
-    balance = None
-    if moe_cfg.balancing_loss_enabled:
-        per_task = [balancing_loss(out.ser_decision, moe_cfg.balancing_alpha),
-                    balancing_loss(out.se_decision, moe_cfg.balancing_alpha)]
-        balance = mul(add(per_task[0], per_task[1]), 0.5)
-
-    total = joint_loss(wce, l1, balance)
+    stages = joint_loss_stages(model, batch_feats, class_weights, moe_cfg, train_cfg)
+    total = stages.total
     check_outputs("joint loss", [total.data], lambda: batch_joint_loss(
         model, batch_feats, class_weights, moe_cfg, train_cfg))
-    parts = {
-        "wce": float(wce.data),
-        "l1": float(l1.data),
-        "balance": float(balance.data) if balance is not None else 0.0,
-        "total": float(total.data),
-    }
-    return total, parts, {"ser": out.ser_decision, "se": out.se_decision}
+    parts = {"wce": float(stages.wce.data), "l1": float(stages.l1.data),
+             "balance": 0.0 if stages.balance is None else float(stages.balance.data),
+             "total": float(total.data)}
+    return total, parts, {"ser": stages.out.ser_decision, "se": stages.out.se_decision}
 
 
 def cache_task_sequences(model, feats, batch_size: int) -> dict[str, np.ndarray]:
@@ -286,8 +305,6 @@ def cache_task_sequences(model, feats, batch_size: int) -> dict[str, np.ndarray]
     Returns one (utterances, T, D) array per task, computed forward-only in
     batches of `batch_size`.
     """
-    from .model import forward_features
-
     parts: dict[str, list[np.ndarray]] = {"ser": [], "se": []}
     with no_tape():
         for start in range(0, len(feats), batch_size):

@@ -317,7 +317,7 @@ def test_graph_forward_backward_and_frozen():
     }
     x = const(rand(rng, 4, 3))
 
-    def build():
+    def build(changed):
         h = relu(matmul(x, params["w"]))
         return sum_all(matmul(h, params["frozen_w"]))
 
@@ -336,7 +336,7 @@ def test_finite_difference_check_passes_on_smooth_graph():
     params = {"w": param("w", rand(rng, 3, 3)), "b": param("b", rand(rng, 3))}
     x = const(rand(rng, 5, 3))
 
-    def build():
+    def build(changed):
         return mean_all(mul(softmax_rows(affine(x, params["w"], params["b"])),
                             log1p(mul(x, x))))
 
@@ -351,7 +351,7 @@ def test_finite_difference_check_passes_on_smooth_graph():
 def test_finite_difference_check_names_the_op_of_a_nonfinite_probe():
     # The lower probe takes sqrt of a negative entry.
     w = param("w", np.array([1.0, 1e-6]))
-    graph = Graph(build=lambda: sum_all(sqrt(w)), params={"w": w})
+    graph = Graph(build=lambda changed: sum_all(sqrt(w)), params={"w": w})
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="sqrt"):
         finite_difference_check(graph, step=1e-5)
 
@@ -365,7 +365,7 @@ def test_finite_difference_check_catches_wrong_gradient():
 
         return Tensor(t.data * t.data, _parents=(t,), _backward=backward_fn)
 
-    graph = Graph(build=lambda: bad_square(w), params={"w": w})
+    graph = Graph(build=lambda changed: bad_square(w), params={"w": w})
     report = finite_difference_check(graph)
     assert not report.passed
     assert report.max_rel_err > 1e-4
@@ -374,7 +374,7 @@ def test_finite_difference_check_catches_wrong_gradient():
 def test_finite_difference_check_fails_a_nan_gradient():
     # clamp_min's backward passes sqrt's inf slope times a zero mask: NaN.
     w = param("w", np.array([-1.0]))
-    graph = Graph(build=lambda: sum_all(sqrt(clamp_min(w, 0.0))), params={"w": w})
+    graph = Graph(build=lambda changed: sum_all(sqrt(clamp_min(w, 0.0))), params={"w": w})
     with np.errstate(divide="ignore", invalid="ignore"):
         report = finite_difference_check(graph)
     assert np.isnan(w.grad).all()
@@ -387,7 +387,7 @@ def test_frozen_parameters_are_skipped_not_checked():
     rng = np.random.default_rng(10)
     params = {"w": param("w", rand(rng, 2, 2)),
               "locked": param("locked", rand(rng, 2, 2), frozen=True)}
-    graph = Graph(build=lambda: sum_all(matmul(params["w"], params["locked"])),
+    graph = Graph(build=lambda changed: sum_all(matmul(params["w"], params["locked"])),
                   params=params)
     report = finite_difference_check(graph)
     by_name = {c.name: c for c in report.checks}
@@ -400,7 +400,7 @@ def test_frozen_parameters_are_skipped_not_checked():
 def test_nondiff_guard_excludes_the_check():
     w = param("w", np.array([1.0, 1.0]))
     graph = Graph(
-        build=lambda: sum_all(w),
+        build=lambda changed: sum_all(w),
         params={"w": w},
         nondiff_guard=lambda: ["tie between entries 0 and 1"],
     )

@@ -352,6 +352,17 @@ def test_cli_gradcheck_writes_report_and_exit_codes(tmp_path, capsys):
     assert "gradient audit failed" in capsys.readouterr().err
 
 
+def test_cli_gradcheck_without_a_clearing_batch_is_exit_code_2(tmp_path, capsys):
+    # Nine experts with top-2 routing: no audit batch clears the gate margin.
+    out_path = tmp_path / "audit.json"
+    assert main(["gradcheck", "--set", "moe.n_experts=9", "--set", "moe.top_k=2",
+                 "--set", f"output_dir={tmp_path / 'run'}", "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("gradient audit failed")
+    assert "25 attempts" in err[0] and "1e-03" in err[0] and "1e-06" in err[0]
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["gradcheck", "--step", "0"],
     ["gradcheck", "--step", "nan"],

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from framemoe.config import (
     load_config,
     validate,
 )
-from framemoe import experiment
+from framemoe import autodiff, experiment
 from framemoe.analytics import AnalyticsReport
 from framemoe.cli import main
 from framemoe.experiment import (
@@ -40,7 +42,8 @@ from framemoe.experiment import (
     update_report,
 )
 from framemoe.datagen import generate_corpus, read_corpus
-from framemoe.autodiff import NumericalError
+from framemoe.autodiff import GradCheckReport, NumericalError, ParamCheck, forward, no_tape
+from framemoe.model import build_model, named_parameters
 from framemoe.training import (
     NormStats,
     class_weights_from_counts,
@@ -430,3 +433,78 @@ def test_ablation_grid_enumerates_every_cell(tmp_path):
         validate(cfg)
         dirs.add(cfg.output_dir)
     assert len(dirs) == 20
+
+
+# ---------------------------------------------------------------------------
+# gradient audit
+
+
+def _audit_cfg(unfrozen: bool, **moe):
+    base = ExperimentConfig()
+    base.moe = replace(base.moe, **moe)
+    cfg = experiment.gradcheck_config(base)
+    cfg.backbone.unfrozen = unfrozen
+    return cfg
+
+
+@pytest.mark.parametrize("moe", [{}, {"balancing_loss_enabled": True},
+                                 {"n_experts": 5, "top_k": 2}],
+                         ids=["default", "balancing", "n5-top2"])
+@pytest.mark.parametrize("unfrozen", [False, True], ids=["frozen", "unfrozen"])
+def test_every_audit_probe_equals_a_full_forward_bit_for_bit(unfrozen, moe):
+    cfg = _audit_cfg(unfrozen, **moe)
+    graph, *_ = experiment._audit_graph(cfg)
+    step = 1e-5
+    probed = set()
+    with no_tape():
+        forward(graph)
+        for name, p in graph.params.items():
+            if not p.requires_grad:
+                continue
+            flat = p.data.reshape(-1)
+            for i in sorted({0, flat.size - 1}):
+                keep = flat[i]
+                for shift in (step, -step):
+                    flat[i] = keep + shift
+                    staged = float(forward(graph, name).data)
+                    # A full forward makes the probed point the base point,
+                    # so the base point is recorded again after it.
+                    full = float(forward(graph).data)
+                    flat[i] = keep
+                    forward(graph)
+                    assert staged == full, (name, i, shift)
+            probed.add(name.split(".")[0])
+    assert probed == ({"backbone"} if unfrozen else set()) | {
+        *(f"expert{n}" for n in range(cfg.moe.n_experts)), "gate", "ser", "se"}
+
+
+def test_audit_runs_one_forward_per_base_point_and_probe(monkeypatch):
+    calls = []
+    real = autodiff.forward
+
+    def counted(graph, changed=None):
+        calls.append(changed)
+        return real(graph, changed)
+
+    monkeypatch.setattr(autodiff, "forward", counted)
+    result = experiment.run_gradcheck(None)
+    assert result["passed"]
+    expected = 0
+    for unfrozen in (False, True):
+        params = named_parameters(build_model(_audit_cfg(unfrozen)))
+        expected += 1 + 2 * sum(p.data.size for p in params.values() if p.requires_grad)
+    assert len(calls) == expected
+    assert calls.count(None) == 2
+
+
+def test_audit_worst_list_puts_nan_first_then_the_largest_errors(monkeypatch):
+    errs = [3e-4, float("nan"), 2e-3, 5e-4, 8e-4, 1e-5, 7e-4, 2e-5]
+    checks = [ParamCheck(name=f"p{i}", n_entries=1, max_rel_err=e, passed=e < 1e-4)
+              for i, e in enumerate(errs)]
+    monkeypatch.setattr(experiment, "finite_difference_check",
+                        lambda graph, step, tolerance: GradCheckReport(
+                            checks=checks, flags=[], step=step, tolerance=tolerance))
+    worst = experiment.gradcheck_model(experiment.gradcheck_config())["worst"]
+    assert [w["name"] for w in worst] == ["p1", "p2", "p4", "p6", "p3"]
+    assert math.isnan(worst[0]["max_rel_err"])
+    assert [w["max_rel_err"] for w in worst[1:]] == [2e-3, 8e-4, 7e-4, 5e-4]
