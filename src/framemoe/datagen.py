@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import Waveform
-from .config import DataConfig, component_rng, component_seed
+from .config import ConfigError, DataConfig, component_rng, component_seed
 from .files import write_atomic
 from .heads import EmotionLabel
 
@@ -75,13 +75,6 @@ def held_out_families(train_family: str) -> tuple[str, ...]:
 
 
 @dataclass
-class Utterance:
-    uid: str
-    clean: Waveform
-    label: EmotionLabel
-
-
-@dataclass
 class NoisyUtterance:
     source_id: str
     noisy: Waveform
@@ -90,15 +83,24 @@ class NoisyUtterance:
 
 
 @dataclass
-class Corpus:
-    train: list[Utterance]
-    dev: list[Utterance]
-    test: list[Utterance]
+class Split:
+    """One corpus split as stacked arrays, row i being utterance `uid(i)`: class
+    labels (B,), clean signals (B, N) and, for train and dev, their mixes (B, N)."""
 
-    def split(self, name: str) -> list[Utterance]:
-        if name not in ("train", "dev", "test"):
-            raise ValueError(f"unknown split '{name}'")
-        return getattr(self, name)
+    name: str
+    labels: np.ndarray
+    clean: np.ndarray
+    noisy: np.ndarray | None = None
+
+    def uid(self, i: int) -> str:
+        return f"{self.name}-{i:05d}"
+
+
+@dataclass
+class Corpus:
+    train: Split
+    dev: Split
+    test: Split
 
 
 def make_clean(label: EmotionLabel, length: int, sample_rate: int,
@@ -204,22 +206,22 @@ def split_counts(proportions, size: int) -> list[int]:
 
 
 def generate_corpus(data_cfg: DataConfig, seed: int) -> Corpus:
-    """Draw the three splits with deterministic class counts per split."""
+    """Draw the three splits with deterministic class counts per split, and
+    mix train and dev at the training condition."""
     rng = component_rng(seed, "corpus")
     splits = {}
     for split_name, size in (("train", data_cfg.train_size),
                              ("dev", data_cfg.dev_size),
                              ("test", data_cfg.test_size)):
         counts = split_counts(data_cfg.class_proportions, size)
-        labels = [EmotionLabel(c) for c, n in enumerate(counts) for _ in range(n)]
-        order = rng.permutation(len(labels))
-        utterances = []
-        for i, pos in enumerate(order):
-            label = labels[pos]
-            clean = make_clean(label, data_cfg.utterance_len, data_cfg.sample_rate, rng)
-            utterances.append(Utterance(uid=f"{split_name}-{i:05d}", clean=clean,
-                                        label=label))
-        splits[split_name] = utterances
+        labels = np.repeat(np.arange(len(counts)), counts)[rng.permutation(size)]
+        clean = np.stack([make_clean(EmotionLabel(label), data_cfg.utterance_len,
+                                     data_cfg.sample_rate, rng).samples
+                          for label in labels])
+        noisy = None if split_name == "test" else contaminate_split(
+            clean, data_cfg.train_noise_family, data_cfg.train_snr_db, seed,
+            SPLIT_NOISE_OFFSETS[split_name], data_cfg.sample_rate)
+        splits[split_name] = Split(split_name, labels, clean, noisy)
     return Corpus(**splits)
 
 
@@ -232,16 +234,16 @@ def noise_for(seed: int, utt_index: int, family: str, snr_index: int,
     return make_noise(family, length, sample_rate, rng)
 
 
-def contaminate_split(utterances: list[Utterance], family: str, snr_db: float,
-                      seed: int, split_offset: int, snr_index: int = 0) -> list[NoisyUtterance]:
-    """Mix every utterance with a fresh noise draw at one SNR."""
-    out = []
-    for i, utt in enumerate(utterances):
-        noise = noise_for(seed, split_offset + i, family, snr_index,
-                          len(utt.clean), utt.clean.sample_rate)
-        out.append(mix_at_snr(utt.clean, noise, snr_db, family=family,
-                              source_id=utt.uid))
-    return out
+def contaminate_split(clean: np.ndarray, family: str, snr_db: float, seed: int,
+                      split_offset: int, sample_rate: int,
+                      snr_index: int = 0) -> np.ndarray:
+    """Mix every row of a (B, N) clean array with its own noise draw at one
+    SNR; returns the (B, N) mixes."""
+    return np.stack([
+        mix_at_snr(Waveform(samples=row, sample_rate=sample_rate),
+                   noise_for(seed, split_offset + i, family, snr_index, row.size, sample_rate),
+                   snr_db).noisy.samples
+        for i, row in enumerate(clean)])
 
 
 # Split offsets keep noise draws unique across splits without coupling them
@@ -274,42 +276,26 @@ def write_corpus(corpus: Corpus, out_dir: str | Path, data_cfg: DataConfig,
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / DIGEST_NAME).unlink(missing_ok=True)
     records = []
-    chunks: list[np.ndarray] = []
+    chunks = []
     offset = 0
-
-    def push(samples: np.ndarray) -> tuple[int, int]:
-        nonlocal offset
-        arr = samples.astype("<f4")
-        chunks.append(arr)
-        start = offset
-        offset += arr.size
-        return start, arr.size
-
-    for split_name in ("train", "dev", "test"):
-        utterances = corpus.split(split_name)
-        noisy_map = {}
-        if split_name in ("train", "dev"):
-            noisy = contaminate_split(utterances, data_cfg.train_noise_family,
-                                      data_cfg.train_snr_db, seed,
-                                      SPLIT_NOISE_OFFSETS[split_name])
-            noisy_map = {n.source_id: n for n in noisy}
-        for utt in utterances:
-            start, length = push(utt.clean.samples)
+    for split in (corpus.train, corpus.dev, corpus.test):
+        signals = [split.clean] if split.noisy is None else [split.clean, split.noisy]
+        # Row i's clean signal and its mix are stored one after the other.
+        chunks.append(np.stack(signals, axis=1).astype("<f4").reshape(-1))
+        length = split.clean.shape[1]
+        for i, label in enumerate(split.labels):
+            uid = split.uid(i)
             records.append({
-                "id": utt.uid, "split": split_name, "kind": "clean",
-                "label": int(utt.label), "family": None, "snr_db": None,
-                "offset": start, "length": length,
-                "sample_rate": utt.clean.sample_rate, "source_id": None,
+                "id": uid, "split": split.name, "kind": "clean", "label": int(label),
+                "family": None, "snr_db": None, "offset": offset, "length": length,
+                "sample_rate": data_cfg.sample_rate, "source_id": None,
             })
-            if utt.uid in noisy_map:
-                n = noisy_map[utt.uid]
-                start, length = push(n.noisy.samples)
-                records.append({
-                    "id": f"{utt.uid}-noisy", "split": split_name, "kind": "noisy",
-                    "label": int(utt.label), "family": n.family,
-                    "snr_db": n.snr_db, "offset": start, "length": length,
-                    "sample_rate": n.noisy.sample_rate, "source_id": utt.uid,
-                })
+            if split.noisy is not None:
+                records.append({**records[-1], "id": f"{uid}-noisy", "kind": "noisy",
+                                "family": data_cfg.train_noise_family,
+                                "snr_db": float(data_cfg.train_snr_db),
+                                "offset": offset + length, "source_id": uid})
+            offset += length * len(signals)
 
     np.concatenate(chunks).tofile(out_dir / SIGNALS_NAME)
     with open(out_dir / MANIFEST_NAME, "w") as fh:
@@ -319,23 +305,47 @@ def write_corpus(corpus: Corpus, out_dir: str | Path, data_cfg: DataConfig,
     return out_dir
 
 
-def read_corpus(corpus_dir: str | Path) -> tuple[Corpus, dict[str, NoisyUtterance]]:
-    """Load a written corpus; returns it plus stored noisy mixes by source id."""
+def read_corpus(corpus_dir: str | Path) -> Corpus:
+    """Load a written corpus. Every record must hold finite samples of one length
+    and sample rate, and every train and dev utterance a stored mix."""
     corpus_dir = Path(corpus_dir)
-    signals = np.fromfile(corpus_dir / SIGNALS_NAME, dtype="<f4").astype(np.float64)
-    splits: dict[str, list[Utterance]] = {"train": [], "dev": [], "test": []}
-    noisy: dict[str, NoisyUtterance] = {}
+    signals = np.fromfile(corpus_dir / SIGNALS_NAME, dtype="<f4")
     with open(corpus_dir / MANIFEST_NAME) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            samples = signals[rec["offset"] : rec["offset"] + rec["length"]]
-            wave = Waveform(samples=samples, sample_rate=rec["sample_rate"])
-            if rec["kind"] == "clean":
-                splits[rec["split"]].append(
-                    Utterance(uid=rec["id"], clean=wave,
-                              label=EmotionLabel(rec["label"])))
-            else:
-                noisy[rec["source_id"]] = NoisyUtterance(
-                    source_id=rec["source_id"], noisy=wave,
-                    family=rec["family"], snr_db=rec["snr_db"])
-    return Corpus(**splits), noisy
+        records = [json.loads(line) for line in fh]
+
+    def refuse(what: str, problem: str) -> ConfigError:
+        return ConfigError(f"{corpus_dir}: {what} {problem}; delete this corpus or run gen again")
+
+    shape = (records[0]["length"], records[0]["sample_rate"]) if records else None
+    clean = {"train": [], "dev": [], "test": []}
+    mixes = {}
+    for rec in records:
+        if (rec["length"], rec["sample_rate"]) != shape:
+            raise refuse(f"record '{rec['id']}'", f"has length {rec['length']} at "
+                         f"{rec['sample_rate']} Hz, unlike the first record")
+        if rec["offset"] + rec["length"] > signals.size:
+            raise refuse(f"record '{rec['id']}'", f"runs past the end of {SIGNALS_NAME}")
+        if rec["kind"] == "clean":
+            clean[rec["split"]].append(rec)
+        else:
+            mixes[rec["source_id"]] = rec
+
+    def stack(recs: list[dict]) -> np.ndarray:
+        out = np.stack([signals[r["offset"] : r["offset"] + r["length"]]
+                        for r in recs]).astype(np.float64)
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+        if bad.size:
+            raise refuse(f"record '{recs[bad[0]]['id']}'", "holds non-finite samples")
+        return out
+
+    splits = {}
+    for name, recs in clean.items():
+        if not recs:
+            raise refuse(f"the {name} split", "is empty")
+        noisy = None
+        if name != "test":
+            if missing := [rec["id"] for rec in recs if rec["id"] not in mixes]:
+                raise refuse(f"record '{missing[0]}'", "has no stored mix")
+            noisy = stack([mixes[rec["id"]] for rec in recs])
+        splits[name] = Split(name, np.array([rec["label"] for rec in recs]), stack(recs), noisy)
+    return Corpus(**splits)

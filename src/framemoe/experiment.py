@@ -28,7 +28,6 @@ from .autodiff import (
     Graph,
     NumericalError,
     check_outputs,
-    const,
     finite_difference_check,
     no_tape,
     record_kinks,
@@ -50,14 +49,15 @@ from .config import (
 )
 from .datagen import (
     DIGEST_NAME,
-    MANIFEST_NAME,
     SPLIT_NOISE_OFFSETS,
     Corpus,
-    NoisyUtterance,
+    Split,
     contaminate_split,
     corpus_digest,
     generate_corpus,
     held_out_families,
+    make_clean,
+    make_noise,
     mix_at_snr,
     read_corpus,
     split_counts,
@@ -114,7 +114,13 @@ def update_report(run_dir: Path, **fields) -> Path:
     return write_report(run_dir, **{**old, **fields})
 
 
-def ensure_corpus(cfg: ExperimentConfig) -> tuple[Corpus, dict[str, NoisyUtterance], Path]:
+def _holds_corpus_of(corpus_dir: Path, cfg: ExperimentConfig) -> bool:
+    """Whether corpus_dir holds a finished corpus of the config's data and seed."""
+    digest = corpus_dir / DIGEST_NAME
+    return digest.exists() and digest.read_text() == corpus_digest(cfg.data, cfg.seed)
+
+
+def ensure_corpus(cfg: ExperimentConfig) -> Corpus:
     """Read the run's corpus, generating and writing it first unless the one
     there was drawn from this config's data section and seed.
 
@@ -122,10 +128,9 @@ def ensure_corpus(cfg: ExperimentConfig) -> tuple[Corpus, dict[str, NoisyUtteran
     pre-generated corpus and an auto-generated one behave identically.
     """
     corpus_dir = Path(cfg.output_dir) / "corpus"
-    digest = corpus_dir / DIGEST_NAME
-    if not digest.exists() or digest.read_text() != corpus_digest(cfg.data, cfg.seed):
+    if not _holds_corpus_of(corpus_dir, cfg):
         write_corpus(generate_corpus(cfg.data, cfg.seed), corpus_dir, cfg.data, cfg.seed)
-    return (*read_corpus(corpus_dir), corpus_dir)
+    return read_corpus(corpus_dir)
 
 
 def _check_train_classes(data: DataConfig) -> None:
@@ -139,25 +144,8 @@ def _check_train_classes(data: DataConfig) -> None:
 
 def run_gen(cfg: ExperimentConfig) -> Path:
     validate(cfg)
-    corpus_dir = Path(cfg.output_dir) / "corpus"
-    corpus = generate_corpus(cfg.data, cfg.seed)
-    write_corpus(corpus, corpus_dir, cfg.data, cfg.seed)
-    return corpus_dir
-
-
-def _stacked_z(waveforms, stats) -> np.ndarray:
-    """Equal-length waveforms, z-normalized and stacked into (B, N)."""
-    return np.stack([z_normalize(w, stats).samples for w in waveforms])
-
-
-def _features_for_split(model: JointModel, utterances, noisy_map, stats):
-    for utt in utterances:
-        if utt.uid not in noisy_map:
-            raise ValueError(f"no stored noisy mix for utterance '{utt.uid}'")
-    return compute_features(model,
-                            _stacked_z([noisy_map[u.uid].noisy for u in utterances], stats),
-                            [int(u.label) for u in utterances],
-                            _stacked_z([u.clean for u in utterances], stats))
+    return write_corpus(generate_corpus(cfg.data, cfg.seed), Path(cfg.output_dir) / "corpus",
+                        cfg.data, cfg.seed)
 
 
 def file_digest(path: str | Path) -> str:
@@ -174,14 +162,15 @@ def run_train(cfg: ExperimentConfig) -> dict:
     _check_train_classes(cfg.data)
     start = time.monotonic()
     run_dir = prepare_run_dir(cfg)
-    corpus, noisy_map, _ = ensure_corpus(cfg)
+    corpus = ensure_corpus(cfg)
 
-    stats = norm_stats([noisy_map[u.uid].noisy for u in corpus.train])
+    stats = norm_stats(corpus.train.noisy)
     model = build_model(cfg)
-    train_feats = _features_for_split(model, corpus.train, noisy_map, stats)
-    dev_feats = _features_for_split(model, corpus.dev, noisy_map, stats)
+    train_feats, dev_feats = (compute_features(model, z_normalize(split.noisy, stats),
+                                               split.labels, z_normalize(split.clean, stats))
+                              for split in (corpus.train, corpus.dev))
 
-    counts = np.bincount([int(u.label) for u in corpus.train], minlength=4)
+    counts = np.bincount(corpus.train.labels, minlength=4)
     weights = class_weights_from_counts(counts)
 
     rng = component_rng(cfg.seed, "shuffle")
@@ -254,18 +243,18 @@ def load_trained(run_dir: str | Path) -> tuple[ExperimentConfig, JointModel, dic
 @dataclass
 class EvalSplit:
     """The clean side of an evaluated split, the same in every sweep cell:
-    its utterances, their z-normalized waveforms (B, N) and their log1p
+    the corpus split, its z-normalized clean signals (B, N) and their log1p
     spectra (B, T, n_bins)."""
 
-    utts: list
+    source: Split
     clean_z: np.ndarray
     x_clean: np.ndarray
 
 
-def eval_split(model: JointModel, utts, stats) -> EvalSplit:
-    clean_z = _stacked_z([u.clean for u in utts], stats)
+def eval_split(model: JointModel, split: Split, stats: NormStats) -> EvalSplit:
+    clean_z = z_normalize(split.clean, stats)
     bb = model.backbone
-    return EvalSplit(utts=utts, clean_z=clean_z,
+    return EvalSplit(source=split, clean_z=clean_z,
                      x_clean=log1p_spectrum(clean_z, bb.frame, bb.hop))
 
 
@@ -291,30 +280,31 @@ def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, split: EvalS
     """
     offset = SPLIT_NOISE_OFFSETS["test"]
     bb = model.backbone
+    source = split.source
     chunk = cfg.training.phase2_batch
     y_pred, traces = [], []
     scores: dict[str, list[np.ndarray]] = {"ssnr": [], "l1": [], "ssnr_noisy": [],
                                            "l1_noisy": []}
-    for start in range(0, len(split.utts), chunk):
-        utts = split.utts[start : start + chunk]
-        rows = slice(start, start + len(utts))
-        mixes = contaminate_split(utts, family, snr_db, cfg.seed, offset + start, snr_index)
-        noisy_z = _stacked_z([m.noisy for m in mixes], stats)
+    for start in range(0, len(source.labels), chunk):
+        rows = slice(start, start + chunk)
+        labels = source.labels[rows]
+        mixes = contaminate_split(source.clean[rows], family, snr_db, cfg.seed,
+                                  offset + start, cfg.data.sample_rate, snr_index)
+        noisy_z = z_normalize(mixes, stats)
         spectrum = stft(noisy_z, bb.frame, bb.hop)
-        feats = compute_features(model, noisy_z, [int(u.label) for u in utts],
-                                 spectrum=spectrum)
+        feats = compute_features(model, noisy_z, labels, spectrum=spectrum)
         with no_tape():
             out = forward_features(model, feats)
             check_outputs("logits and enhanced spectra",
                           [out.ser_logits.data, out.enhanced.data],
                           lambda: forward_features(model, feats))
-        y_pred += [int(predict_label(const(row))) for row in out.ser_logits.data]
+        y_pred += predict_label(out.ser_logits.data)
 
         enhanced = out.enhanced.data.reshape(spectrum.shape)
         x_clean = split.x_clean[rows]
-        scores["l1"].append(np.mean(np.abs(enhanced - x_clean).reshape(len(utts), -1), axis=1))
+        scores["l1"].append(np.mean(np.abs(enhanced - x_clean).reshape(len(labels), -1), axis=1))
         scores["l1_noisy"].append(
-            np.mean(np.abs(feats.x_noisy - x_clean).reshape(len(utts), -1), axis=1))
+            np.mean(np.abs(feats.x_noisy - x_clean).reshape(len(labels), -1), axis=1))
         resynth = resynthesize(enhanced, spectrum, bb.frame, bb.hop, noisy_z.shape[1])
         span = resynth.shape[1]
         clean_z = split.clean_z[rows, :span]
@@ -324,20 +314,20 @@ def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, split: EvalS
         seg = out.ser_seq.segment
         ser_top1 = out.ser_decision.indices[:, 0].reshape(-1, seg)
         se_top1 = out.se_decision.indices[:, 0].reshape(-1, seg)
-        traces += [RoutingTrace(uid=utt.uid, family=family, snr_db=float(snr_db),
-                                label=int(utt.label), ser_top1=ser_top1[b],
-                                se_top1=se_top1[b])
-                   for b, utt in enumerate(utts)]
+        traces += [RoutingTrace(uid=source.uid(start + b), family=family,
+                                snr_db=float(snr_db), label=int(label),
+                                ser_top1=ser_top1[b], se_top1=se_top1[b])
+                   for b, label in enumerate(labels)]
 
     means = {name: _mean_in_order(np.concatenate(parts)) for name, parts in scores.items()}
-    y_true = [int(utt.label) for utt in split.utts]
+    y_true = source.labels
     macro, micro = f1_scores(y_true, y_pred)
     label_counts = np.bincount(y_true, minlength=4)
     report = MetricsReport(
         family=family, snr_db=float(snr_db), f1_macro=macro, f1_micro=micro,
         ssnr_db=means["ssnr"], l1=means["l1"],
         ssnr_noisy_db=means["ssnr_noisy"], l1_noisy=means["l1_noisy"],
-        n_utterances=len(split.utts),
+        n_utterances=len(source.labels),
         per_class_counts={EmotionLabel(c).name.lower(): int(label_counts[c])
                           for c in range(4)},
     )
@@ -356,9 +346,10 @@ def run_eval(run_dir: str | Path) -> list[MetricsReport]:
     cfg, model, meta = load_trained(run_dir)
     scored = file_digest(run_dir / CHECKPOINT_FINAL)
     corpus_dir = run_dir / "corpus"
-    if not (corpus_dir / MANIFEST_NAME).exists():
-        raise ConfigError(f"{run_dir} has no corpus; train there first")
-    corpus, _ = read_corpus(corpus_dir)
+    if not _holds_corpus_of(corpus_dir, cfg):
+        raise ConfigError(f"{corpus_dir} holds no corpus drawn from the data section "
+                          f"and seed in {run_dir / RESOLVED_CONFIG_NAME}; retrain there")
+    corpus = read_corpus(corpus_dir)
     stats = NormStats(**meta["norm_stats"])
     test = eval_split(model, corpus.test, stats)
     reports: list[MetricsReport] = []
@@ -437,21 +428,20 @@ GRADCHECK_MAX_ATTEMPTS = 25
 
 def _gradcheck_batch(cfg: ExperimentConfig, model: JointModel, attempt: int):
     """Two fresh utterances mixed and normalized for the audit."""
-    from .datagen import make_clean, make_noise
-
     rng = component_rng(cfg.seed, "gradcheck", attempt)
-    waves = []
-    for i in range(2):
-        label = EmotionLabel(int(rng.integers(0, 4)))
-        clean = make_clean(label, cfg.data.utterance_len, cfg.data.sample_rate, rng)
+    labels, clean, noisy = [], [], []
+    for _ in range(2):
+        labels.append(int(rng.integers(0, 4)))
+        wave = make_clean(EmotionLabel(labels[-1]), cfg.data.utterance_len,
+                          cfg.data.sample_rate, rng)
         noise = make_noise(cfg.data.train_noise_family, cfg.data.utterance_len,
                            cfg.data.sample_rate, rng)
-        mixed = mix_at_snr(clean, noise, cfg.data.train_snr_db)
-        waves.append((mixed.noisy, clean, label))
-    stats = norm_stats([noisy for noisy, _, _ in waves])
-    return compute_features(model, _stacked_z([noisy for noisy, _, _ in waves], stats),
-                            [int(label) for _, _, label in waves],
-                            _stacked_z([clean for _, clean, _ in waves], stats))
+        clean.append(wave.samples)
+        noisy.append(mix_at_snr(wave, noise, cfg.data.train_snr_db).noisy.samples)
+    noisy, clean = np.stack(noisy), np.stack(clean)
+    stats = norm_stats(noisy)
+    return compute_features(model, z_normalize(noisy, stats), labels,
+                            z_normalize(clean, stats))
 
 
 class GradcheckInconclusive(RuntimeError):
@@ -581,7 +571,7 @@ def _run_ablation_cell(args: tuple[dict, dict]) -> dict:
     validate(cfg)
     summary = run_train(cfg)
     _, model, meta = load_trained(cfg.output_dir)
-    corpus, _, _ = ensure_corpus(cfg)
+    corpus = ensure_corpus(cfg)
     stats = NormStats(**meta["norm_stats"])
     snr_index = 0
     report, _ = eval_condition(model, cfg, stats, eval_split(model, corpus.dev, stats),
@@ -611,7 +601,8 @@ def run_ablate(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     _check_train_classes(cfg.data)
     run_dir = prepare_run_dir(cfg)
     # One shared corpus: every cell reads the same container.
-    _, _, corpus_dir = ensure_corpus(cfg)
+    ensure_corpus(cfg)
+    corpus_dir = Path(cfg.output_dir) / "corpus"
 
     base_dict = config_to_dict(cfg)
     cells = _ablation_cells()

@@ -170,6 +170,6 @@ def se_decode(head: SeHead, seq: TaskSequence, noisy: Tensor) -> Tensor:
     return relu(affine(hidden, head.w2, head.b2))
 
 
-def predict_label(logits: Tensor) -> EmotionLabel:
-    """Argmax over the four logits; ties resolve to the lowest class index."""
-    return EmotionLabel(int(np.argmax(logits.data.reshape(-1))))
+def predict_label(logits: np.ndarray) -> list[EmotionLabel]:
+    """Argmax over each row of (B, 4) logits; ties go to the lowest class index."""
+    return [EmotionLabel(int(i)) for i in np.argmax(logits, axis=1)]

@@ -32,7 +32,6 @@ from .autodiff import (
     sub,
     sum_all,
 )
-from .backbone import Waveform
 from .files import write_atomic
 from .heads import N_CLASSES
 from .model import ModelOutputs, forward_features
@@ -59,17 +58,15 @@ class NormStats:
             raise ValueError(f"bad normalization stats: mean={self.mean} std={self.std}")
 
 
-def norm_stats(waveforms: list[Waveform]) -> NormStats:
-    """Pooled mean and population std over every sample of every waveform."""
-    if not waveforms:
+def norm_stats(samples: np.ndarray) -> NormStats:
+    """Mean and population std over every sample of a stacked (B, N) array."""
+    if samples.size == 0:
         raise ValueError("cannot estimate normalization stats from an empty set")
-    pooled = np.concatenate([w.samples for w in waveforms])
-    return NormStats(mean=float(pooled.mean()), std=float(pooled.std()))
+    return NormStats(mean=float(samples.mean()), std=float(samples.std()))
 
 
-def z_normalize(waveform: Waveform, stats: NormStats) -> Waveform:
-    return Waveform(samples=(waveform.samples - stats.mean) / stats.std,
-                    sample_rate=waveform.sample_rate)
+def z_normalize(samples: np.ndarray, stats: NormStats) -> np.ndarray:
+    return (samples - stats.mean) / stats.std
 
 
 def class_weights_from_counts(counts) -> np.ndarray:

@@ -228,10 +228,10 @@ def test_06_toy_training_learns_both_tasks_within_budget(toy_runs):
     totals = [row["total"] for row in run.summary["losses"]]
     assert totals[-1] <= 0.5 * totals[0]
 
-    corpus, _, _ = ensure_corpus(run.cfg)
-    train_labels = [int(u.label) for u in corpus.train]
+    corpus = ensure_corpus(run.cfg)
+    train_labels = corpus.train.labels.tolist()
     majority = Counter(train_labels).most_common(1)[0][0]
-    test_labels = [int(u.label) for u in corpus.test]
+    test_labels = corpus.test.labels.tolist()
     baseline_macro, _ = f1_scores(test_labels, [majority] * len(test_labels))
 
     rows = {(r.family, r.snr_db): r for r in run.reports}

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,96 @@ def test_cli_eval_before_train_is_exit_code_1(tmp_path, capsys):
     empty.mkdir()
     assert main(["eval", "--run", str(empty)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_eval_refuses_a_corpus_the_run_was_not_trained_on(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(tmp_path / "run"))
+    run = tmp_path / "run"
+    assert main(["train", "--config", cfg_path]) == 0
+    assert main(["gen", "--config", cfg_path, "--set", "seed=3",
+                 "--set", "data.test_size=12"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.endswith("retrain there\n")
+    assert len(err.splitlines()) == 1
+    assert not (run / "metrics.csv").exists()
+
+    # The run's own corpus written again scores; one whose writing did not
+    # finish (it has no digest) is refused like a foreign one.
+    assert main(["gen", "--config", cfg_path]) == 0
+    assert main(["eval", "--run", str(run)]) == 0
+    (run / "corpus" / "source_digest.txt").unlink()
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run)]) == 1
+    assert capsys.readouterr().err.endswith("retrain there\n")
+
+
+def _edit_manifest(corpus, edit):
+    path = corpus / "manifest.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in edit(records)))
+
+
+def _set_field(rid, key, value):
+    def edit(records):
+        for rec in records:
+            if rec["id"] == rid:
+                rec[key] = value
+        return records
+    return lambda corpus: _edit_manifest(corpus, edit)
+
+
+def _drop_record(rid):
+    return lambda corpus: _edit_manifest(
+        corpus, lambda records: [rec for rec in records if rec["id"] != rid])
+
+
+def _nan_in(rid):
+    def damage(corpus):
+        lines = (corpus / "manifest.jsonl").read_text().splitlines()
+        rec = next(r for r in map(json.loads, lines) if r["id"] == rid)
+        signals = np.fromfile(corpus / "signals.f32", dtype="<f4")
+        signals[rec["offset"] + 5] = np.nan
+        signals.tofile(corpus / "signals.f32")
+    return damage
+
+
+def _cut_signals(n_samples):
+    def damage(corpus):
+        path = corpus / "signals.f32"
+        path.write_bytes(path.read_bytes()[: -4 * n_samples])
+    return damage
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    cfg_path = write_cfg(root, tiny_cfg_dict(root / "run"))
+    assert main(["train", "--config", cfg_path]) == 0
+    return root / "run"
+
+
+@pytest.mark.parametrize("damage,record,problem", [
+    (_drop_record("train-00003-noisy"), "'train-00003'", "has no stored mix"),
+    (_nan_in("dev-00001-noisy"), "'dev-00001-noisy'", "non-finite"),
+    (_cut_signals(100), "'test-00003'", "runs past the end of signals.f32"),
+    (_set_field("dev-00002", "length", 150), "'dev-00002'", "has length 150"),
+    (_set_field("test-00001", "sample_rate", 16000), "'test-00001'", "at 16000 Hz"),
+], ids=["missing-mix", "non-finite", "truncated", "length", "sample-rate"])
+def test_cli_refuses_a_damaged_corpus_naming_the_record(trained_run, tmp_path, capsys,
+                                                        damage, record, problem):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    damage(run / "corpus")
+    capsys.readouterr()
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(run))
+    for argv in (["eval", "--run", str(run)], ["train", "--config", cfg_path]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("config error") and record in err and problem in err, err
+    assert not (run / "metrics.csv").exists()
 
 
 def test_cli_train_eval_analyze_pipeline(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from framemoe.datagen import (
     CLASS_FAMILIES,
     FAMILY_NAMES,
     NOISE_FAMILIES,
-    Corpus,
+    SPLIT_NOISE_OFFSETS,
     contaminate_split,
     generate_corpus,
     held_out_families,
@@ -140,17 +142,17 @@ def test_noise_for_deterministic_per_cell():
 
 
 def test_contaminate_split_mixes_every_utterance():
-    from framemoe.datagen import Utterance
-
     rng = np.random.default_rng(4)
-    utts = [Utterance(uid=f"u{i}",
-                      clean=make_clean(EmotionLabel.SADNESS, 256, 8000, rng),
-                      label=EmotionLabel.SADNESS)
-            for i in range(3)]
-    noisy = contaminate_split(utts, "impulsive", 5.0, seed=0, split_offset=100)
-    assert [n.source_id for n in noisy] == ["u0", "u1", "u2"]
-    assert all(n.family == "impulsive" and n.snr_db == 5.0 for n in noisy)
-    residuals = [n.noisy.samples - u.clean.samples for n, u in zip(noisy, utts)]
+    clean = np.stack([make_clean(EmotionLabel.SADNESS, 256, 8000, rng).samples
+                      for _ in range(3)])
+    noisy = contaminate_split(clean, "impulsive", 5.0, seed=0, split_offset=100,
+                              sample_rate=8000)
+    assert noisy.shape == clean.shape
+    for i, row in enumerate(clean):
+        noise = noise_for(0, 100 + i, "impulsive", 0, 256, 8000)
+        expected = mix_at_snr(Waveform(samples=row, sample_rate=8000), noise, 5.0)
+        np.testing.assert_array_equal(noisy[i], expected.noisy.samples)
+    residuals = noisy - clean
     assert not np.array_equal(residuals[0], residuals[1])
 
 
@@ -164,67 +166,63 @@ def test_held_out_families():
 def test_generate_corpus_counts_and_determinism():
     cfg = small_data_cfg()
     corpus = generate_corpus(cfg, seed=0)
-    assert len(corpus.train) == 12
-    assert len(corpus.dev) == 6
-    assert len(corpus.test) == 6
-    for split_name, size in (("train", 12), ("dev", 6), ("test", 6)):
-        split = corpus.split(split_name)
+    for split, size in ((corpus.train, 12), (corpus.dev, 6), (corpus.test, 6)):
         expected = split_counts(cfg.class_proportions, size)
-        got = np.bincount([int(u.label) for u in split], minlength=4).tolist()
-        assert got == expected
-        assert [u.uid for u in split] == [f"{split_name}-{i:05d}" for i in range(size)]
-        assert all(len(u.clean) == 256 for u in split)
+        assert np.bincount(split.labels, minlength=4).tolist() == expected
+        assert split.clean.shape == (size, 256)
+        assert [split.uid(i) for i in range(size)] == [f"{split.name}-{i:05d}"
+                                                       for i in range(size)]
+    assert corpus.train.noisy.shape == (12, 256)
+    assert corpus.dev.noisy.shape == (6, 256)
+    assert corpus.test.noisy is None
 
     again = generate_corpus(cfg, seed=0)
-    np.testing.assert_array_equal(corpus.train[0].clean.samples,
-                                  again.train[0].clean.samples)
-    assert [u.label for u in corpus.train] == [u.label for u in again.train]
+    np.testing.assert_array_equal(corpus.train.clean, again.train.clean)
+    np.testing.assert_array_equal(corpus.train.noisy, again.train.noisy)
+    np.testing.assert_array_equal(corpus.train.labels, again.train.labels)
     other = generate_corpus(cfg, seed=1)
-    assert not np.array_equal(corpus.train[0].clean.samples,
-                              other.train[0].clean.samples)
-
-
-def test_corpus_split_accessor_rejects_unknown():
-    corpus = Corpus(train=[], dev=[], test=[])
-    with pytest.raises(ValueError):
-        corpus.split("validation")
+    assert not np.array_equal(corpus.train.clean[0], other.train.clean[0])
 
 
 def test_write_read_corpus_roundtrip(tmp_path):
     cfg = small_data_cfg()
     corpus = generate_corpus(cfg, seed=3)
     write_corpus(corpus, tmp_path, cfg, seed=3)
-    assert (tmp_path / "manifest.jsonl").exists()
     assert (tmp_path / "signals.f32").exists()
-    loaded, noisy = read_corpus(tmp_path)
-    for split_name in ("train", "dev", "test"):
-        orig = corpus.split(split_name)
-        got = loaded.split(split_name)
-        assert [u.uid for u in got] == [u.uid for u in orig]
-        assert [u.label for u in got] == [u.label for u in orig]
-        for a, b in zip(got, orig):
-            # Storage is float32; the read-back value is that rounding exactly.
-            np.testing.assert_array_equal(
-                a.clean.samples, b.clean.samples.astype("<f4").astype(np.float64))
+    loaded = read_corpus(tmp_path)
+    for orig, got in ((corpus.train, loaded.train), (corpus.dev, loaded.dev),
+                      (corpus.test, loaded.test)):
+        assert got.name == orig.name
+        np.testing.assert_array_equal(got.labels, orig.labels)
+        # Storage is float32; the read-back value is that rounding exactly.
+        np.testing.assert_array_equal(got.clean, orig.clean.astype("<f4").astype(np.float64))
+        if orig.noisy is None:
+            assert got.noisy is None
+        else:
+            np.testing.assert_array_equal(got.noisy,
+                                          orig.noisy.astype("<f4").astype(np.float64))
     # Train and dev noisy mixes are stored; the test split is mixed on demand.
-    expected_noisy = {u.uid for u in corpus.train} | {u.uid for u in corpus.dev}
-    assert set(noisy) == expected_noisy
-    for n in noisy.values():
-        assert n.family == cfg.train_noise_family
-        assert n.snr_db == cfg.train_snr_db
+    records = [json.loads(line) for line in (tmp_path / "manifest.jsonl").open()]
+    noisy = [r for r in records if r["kind"] == "noisy"]
+    assert [r["source_id"] for r in noisy] == [f"{split}-{i:05d}"
+                                              for split, size in (("train", 12), ("dev", 6))
+                                              for i in range(size)]
+    for r in noisy:
+        assert r["family"] == cfg.train_noise_family
+        assert r["snr_db"] == cfg.train_snr_db
 
 
 def test_stored_noisy_matches_fresh_contamination(tmp_path):
     cfg = small_data_cfg(train_size=4, dev_size=2, test_size=2)
     corpus = generate_corpus(cfg, seed=5)
     write_corpus(corpus, tmp_path, cfg, seed=5)
-    _, noisy = read_corpus(tmp_path)
-    fresh = contaminate_split(corpus.train, cfg.train_noise_family,
-                              cfg.train_snr_db, seed=5, split_offset=0)
-    for n in fresh:
-        stored = noisy[n.source_id]
-        np.testing.assert_array_equal(
-            stored.noisy.samples, n.noisy.samples.astype("<f4").astype(np.float64))
+    stored = read_corpus(tmp_path)
+    for split, name in ((stored.train, "train"), (stored.dev, "dev")):
+        fresh = contaminate_split(getattr(corpus, name).clean, cfg.train_noise_family,
+                                  cfg.train_snr_db, seed=5,
+                                  split_offset=SPLIT_NOISE_OFFSETS[name],
+                                  sample_rate=cfg.sample_rate)
+        np.testing.assert_array_equal(split.noisy, fresh.astype("<f4").astype(np.float64))
 
 
 def test_classes_separable_by_nearest_spectral_centroid():

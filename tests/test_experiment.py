@@ -94,14 +94,16 @@ def test_update_report_merges_fields(tmp_path):
     assert report["beta"] == {"x": 2}
 
 
-def test_ensure_corpus_generates_once_then_rereads(tmp_path):
+def test_ensure_corpus_generates_once_then_rereads(tmp_path, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(experiment, "generate_corpus",
+                        lambda *args: drawn.append(args) or generate_corpus(*args))
     cfg = tiny_cfg(tmp_path / "run")
-    corpus, noisy, corpus_dir = ensure_corpus(cfg)
-    assert (corpus_dir / "manifest.jsonl").exists()
-    first = corpus.train[0].clean.samples.copy()
-    again, noisy2, _ = ensure_corpus(cfg)
-    np.testing.assert_array_equal(again.train[0].clean.samples, first)
-    assert set(noisy) == set(noisy2)
+    corpus = ensure_corpus(cfg)
+    again = ensure_corpus(cfg)
+    assert len(drawn) == 1
+    np.testing.assert_array_equal(again.train.clean, corpus.train.clean)
+    np.testing.assert_array_equal(again.train.noisy, corpus.train.noisy)
 
 
 def test_retrain_with_another_data_config_regenerates_the_corpus(tmp_path):
@@ -111,25 +113,24 @@ def test_retrain_with_another_data_config_regenerates_the_corpus(tmp_path):
     second = tiny_cfg(tmp_path / "run", seed=7)
     second.data.train_size = 48
     run_train(second)
-    corpus, _ = read_corpus(tmp_path / "run" / "corpus")
-    assert len(corpus.train) == 48
-    counts = np.bincount([int(u.label) for u in corpus.train], minlength=4)
+    corpus = read_corpus(tmp_path / "run" / "corpus")
+    assert corpus.train.clean.shape[0] == 48
+    counts = np.bincount(corpus.train.labels, minlength=4)
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     assert report["class_weights"] == list(class_weights_from_counts(counts))
     fresh = generate_corpus(second.data, 7)
-    for stored, drawn in zip(corpus.train, fresh.train):
-        np.testing.assert_allclose(stored.clean.samples, drawn.clean.samples, atol=1e-6)
+    np.testing.assert_allclose(corpus.train.clean, fresh.train.clean, atol=1e-6)
 
 
 def test_run_gen_matches_on_demand_generation(tmp_path):
     cfg_a = tiny_cfg(tmp_path / "a")
     run_gen(cfg_a)
-    corpus_a, _, _ = ensure_corpus(cfg_a)
+    corpus_a = ensure_corpus(cfg_a)
     cfg_b = tiny_cfg(tmp_path / "b")
-    corpus_b, _, _ = ensure_corpus(cfg_b)
-    for ua, ub in zip(corpus_a.train, corpus_b.train):
-        np.testing.assert_array_equal(ua.clean.samples, ub.clean.samples)
-        assert ua.label == ub.label
+    corpus_b = ensure_corpus(cfg_b)
+    np.testing.assert_array_equal(corpus_a.train.clean, corpus_b.train.clean)
+    np.testing.assert_array_equal(corpus_a.train.noisy, corpus_b.train.noisy)
+    np.testing.assert_array_equal(corpus_a.train.labels, corpus_b.train.labels)
 
 
 def test_run_train_artifacts_and_summary(tmp_path):
@@ -326,7 +327,7 @@ def test_eval_condition_checks_the_logits_and_enhanced_spectra(tmp_path):
     cfg = tiny_cfg(tmp_path / "run")
     run_train(cfg)
     _, model, meta = load_trained(cfg.output_dir)
-    corpus, _, _ = ensure_corpus(cfg)
+    corpus = ensure_corpus(cfg)
     stats = NormStats(**meta["norm_stats"])
     split = eval_split(model, corpus.test, stats)
     model.se_head.w2.data[0, 0] = np.inf

@@ -1,11 +1,13 @@
-"""The framemoe names and configs the benchmark harness under framebench/
-depends on.
+"""The framemoe names, configs and corpus format the benchmark harness under
+framebench/ depends on.
 
 framebench/tracing.py wraps layer functions by (module, name),
-framebench/checks.py imports framemoe names directly, and framebench/run.py
-runs each workload as config overrides. A cleanup that renames or removes
-one of those names, or a validation rule that rejects a workload's config,
-would break the benchmark run; these tests name the break instead.
+framebench/checks.py imports framemoe names directly, framebench/run.py
+runs each workload as config overrides, and framebench/reference.py reads
+the written corpus with its own reader. A cleanup that renames or removes
+one of those names, a validation rule that rejects a workload's config, or
+a change to the container format would break the benchmark run; these
+tests name the break instead.
 """
 
 import ast
@@ -13,7 +15,15 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from framemoe.config import ExperimentConfig, apply_overrides, validate
+import numpy as np
+
+from framemoe.config import DataConfig, ExperimentConfig, apply_overrides, validate
+from framemoe.datagen import (
+    SPLIT_NOISE_OFFSETS,
+    contaminate_split,
+    generate_corpus,
+    write_corpus,
+)
 from framemoe.experiment import gradcheck_config
 
 BENCH = Path(__file__).resolve().parents[1] / "framebench"
@@ -54,3 +64,28 @@ def test_every_workload_config_and_its_audit_config_validate():
         cfg = apply_overrides(ExperimentConfig(), workload["overrides"])
         validate(cfg)
         validate(gradcheck_config(cfg))
+
+
+def test_the_benchmark_reader_reads_the_written_corpus(tmp_path):
+    data = DataConfig(train_size=12, dev_size=6, test_size=6, utterance_len=256)
+    corpus = generate_corpus(data, seed=3)
+    write_corpus(corpus, tmp_path, data, seed=3)
+    splits, noisy = load_bench_module("reference").read_corpus(tmp_path)
+
+    def stored(samples):
+        return samples.astype("<f4").astype(np.float64)
+
+    for name in ("train", "dev", "test"):
+        split = getattr(corpus, name)
+        utts = splits[name]
+        assert [u["uid"] for u in utts] == [f"{name}-{i:05d}" for i in range(len(split.labels))]
+        assert [u["label"] for u in utts] == split.labels.tolist()
+        np.testing.assert_array_equal(np.stack([u["samples"] for u in utts]),
+                                      stored(split.clean))
+        if name == "test":
+            assert not any(u["uid"] in noisy for u in utts)
+            continue
+        mixes = contaminate_split(split.clean, data.train_noise_family, data.train_snr_db,
+                                  3, SPLIT_NOISE_OFFSETS[name], data.sample_rate)
+        np.testing.assert_array_equal(np.stack([noisy[u["uid"]] for u in utts]),
+                                      stored(mixes))
