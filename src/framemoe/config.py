@@ -177,8 +177,12 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     """Read a YAML config file; a missing path yields the toy defaults."""
     if path is None:
         return ExperimentConfig()
-    text = Path(path).read_text()
-    raw = yaml.safe_load(text)
+    try:
+        raw = yaml.safe_load(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config file {path} is not valid YAML") from exc
     if raw is None:
         raw = {}
     return config_from_dict(raw)
@@ -200,7 +204,10 @@ def apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentCo
         leaf = parts[-1]
         if leaf not in node:
             raise ConfigError(f"override '{item}': no config key '{leaf}'")
-        node[leaf] = yaml.safe_load(value)
+        try:
+            node[leaf] = yaml.safe_load(value)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"override '{item}': value is not valid YAML") from exc
     return config_from_dict(raw)
 
 

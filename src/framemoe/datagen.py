@@ -215,13 +215,13 @@ def generate_corpus(data_cfg: DataConfig, seed: int) -> Corpus:
                              ("test", data_cfg.test_size)):
         counts = split_counts(data_cfg.class_proportions, size)
         labels = np.repeat(np.arange(len(counts)), counts)[rng.permutation(size)]
-        clean = np.stack([make_clean(EmotionLabel(label), data_cfg.utterance_len,
-                                     data_cfg.sample_rate, rng).samples
-                          for label in labels])
-        noisy = None if split_name == "test" else contaminate_split(
-            clean, data_cfg.train_noise_family, data_cfg.train_snr_db, seed,
-            SPLIT_NOISE_OFFSETS[split_name], data_cfg.sample_rate)
-        splits[split_name] = Split(split_name, labels, clean, noisy)
+        split = Split(split_name, labels, np.stack([
+            make_clean(EmotionLabel(label), data_cfg.utterance_len, data_cfg.sample_rate,
+                       rng).samples for label in labels]))
+        if split_name != "test":
+            split.noisy = contaminate_split(split, data_cfg.train_noise_family,
+                                            data_cfg.train_snr_db, seed, data_cfg.sample_rate)
+        splits[split_name] = split
     return Corpus(**splits)
 
 
@@ -234,16 +234,16 @@ def noise_for(seed: int, utt_index: int, family: str, snr_index: int,
     return make_noise(family, length, sample_rate, rng)
 
 
-def contaminate_split(clean: np.ndarray, family: str, snr_db: float, seed: int,
-                      split_offset: int, sample_rate: int,
-                      snr_index: int = 0) -> np.ndarray:
-    """Mix every row of a (B, N) clean array with its own noise draw at one
-    SNR; returns the (B, N) mixes."""
+def contaminate_split(split: Split, family: str, snr_db: float, seed: int,
+                      sample_rate: int, snr_index: int = 0) -> np.ndarray:
+    """Mix clean row i of a split at one SNR with the noise draw of utterance index
+    `SPLIT_NOISE_OFFSETS[split.name] + i`; returns the (B, N) mixes."""
+    offset = SPLIT_NOISE_OFFSETS[split.name]
     return np.stack([
         mix_at_snr(Waveform(samples=row, sample_rate=sample_rate),
-                   noise_for(seed, split_offset + i, family, snr_index, row.size, sample_rate),
+                   noise_for(seed, offset + i, family, snr_index, row.size, sample_rate),
                    snr_db).noisy.samples
-        for i, row in enumerate(clean)])
+        for i, row in enumerate(split.clean)])
 
 
 # Split offsets keep noise draws unique across splits without coupling them
@@ -253,6 +253,8 @@ SPLIT_NOISE_OFFSETS = {"train": 0, "dev": 1_000_000, "test": 2_000_000}
 MANIFEST_NAME = "manifest.jsonl"
 SIGNALS_NAME = "signals.f32"
 DIGEST_NAME = "source_digest.txt"
+# The manifest keys that read_corpus reads.
+MANIFEST_KEYS = ("id", "split", "kind", "label", "offset", "length", "sample_rate", "source_id")
 
 
 def corpus_digest(data_cfg: DataConfig, seed: int) -> str:
@@ -267,10 +269,10 @@ def write_corpus(corpus: Corpus, out_dir: str | Path, data_cfg: DataConfig,
 
     Each clean utterance gets a record; train and dev utterances additionally
     get their training-condition noisy mix. Offsets and lengths are in
-    samples. Test-split noisy variants are mixed on demand at evaluation time
-    from the same seed, so they are not stored. The corpus_digest of the
-    config and seed goes to its own file, written last: a container whose
-    writing did not finish has none.
+    samples. Test-split mixes are drawn at evaluation time from the same seed,
+    one whole-split mix per sweep cell, so they are not stored. The
+    corpus_digest of the config and seed goes to its own file, written last: a
+    container whose writing did not finish has none.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -310,11 +312,27 @@ def read_corpus(corpus_dir: str | Path) -> Corpus:
     and sample rate, and every train and dev utterance a stored mix."""
     corpus_dir = Path(corpus_dir)
     signals = np.fromfile(corpus_dir / SIGNALS_NAME, dtype="<f4")
-    with open(corpus_dir / MANIFEST_NAME) as fh:
-        records = [json.loads(line) for line in fh]
 
     def refuse(what: str, problem: str) -> ConfigError:
         return ConfigError(f"{corpus_dir}: {what} {problem}; delete this corpus or run gen again")
+
+    records = []
+    with open(corpus_dir / MANIFEST_NAME) as fh:
+        for number, line in enumerate(fh, start=1):
+            where = f"{MANIFEST_NAME} line {number}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError:
+                rec = None
+            if not isinstance(rec, dict):
+                raise refuse(where, "is not a JSON object")
+            if missing := [key for key in MANIFEST_KEYS if key not in rec]:
+                raise refuse(where, f"has no '{missing[0]}'")
+            if rec["split"] not in SPLIT_NOISE_OFFSETS:
+                raise refuse(where, f"names an unknown split {rec['split']!r}")
+            if rec["kind"] not in ("clean", "noisy"):
+                raise refuse(where, f"has an unknown kind {rec['kind']!r}")
+            records.append(rec)
 
     shape = (records[0]["length"], records[0]["sample_rate"]) if records else None
     clean = {"train": [], "dev": [], "test": []}

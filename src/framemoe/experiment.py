@@ -49,7 +49,6 @@ from .config import (
 )
 from .datagen import (
     DIGEST_NAME,
-    SPLIT_NOISE_OFFSETS,
     Corpus,
     Split,
     contaminate_split,
@@ -108,10 +107,28 @@ def write_report(run_dir: Path, **fields) -> Path:
                                    sort_keys=True, indent=2))
 
 
-def update_report(run_dir: Path, **fields) -> Path:
+def read_report(run_dir: Path) -> dict:
+    """The run's report.json as a dict, {} when there is none; a damaged one is
+    refused."""
     path = Path(run_dir) / REPORT_NAME
-    old = json.loads(path.read_text()) if path.exists() else {}
-    return write_report(run_dir, **{**old, **fields})
+    if not path.exists():
+        return {}
+
+    def refuse(problem: str) -> ConfigError:
+        return ConfigError(f"{path} is not a readable report ({problem}); "
+                           "retrain there, then run eval there again")
+
+    try:
+        report = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise refuse(str(exc)) from exc
+    if not isinstance(report, dict):
+        raise refuse("not a JSON object")
+    return report
+
+
+def update_report(run_dir: Path, **fields) -> Path:
+    return write_report(run_dir, **{**read_report(run_dir), **fields})
 
 
 def _holds_corpus_of(corpus_dir: Path, cfg: ExperimentConfig) -> bool:
@@ -222,12 +239,20 @@ def load_trained(run_dir: str | Path) -> tuple[ExperimentConfig, JointModel, dic
         raise ConfigError(f"{run_dir} has no {RESOLVED_CONFIG_NAME}; train there first")
     import yaml
 
-    cfg = config_from_dict(yaml.safe_load(cfg_path.read_text()))
+    try:
+        raw = yaml.safe_load(cfg_path.read_text())
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{cfg_path} is not readable YAML; retrain there") from exc
+    cfg = config_from_dict(raw)
     validate(cfg)
     ckpt_path = run_dir / CHECKPOINT_FINAL
     if not ckpt_path.exists():
         raise ConfigError(f"{run_dir} has no {CHECKPOINT_FINAL}; train there first")
-    params, meta = load_checkpoint(ckpt_path)
+    try:
+        params, meta = load_checkpoint(ckpt_path)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{ckpt_path} is not a readable checkpoint ({exc}); "
+                          "retrain there") from exc
     for name, arr in params.items():
         if not np.all(np.isfinite(arr)):
             raise NumericalError(f"{ckpt_path}: non-finite values in parameter '{name}'")
@@ -268,17 +293,16 @@ def _mean_in_order(scores: np.ndarray) -> float:
 
 
 def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, split: EvalSplit,
-                   family: str, snr_db: float, snr_index: int
+                   mixes: np.ndarray, family: str, snr_db: float
                    ) -> tuple[MetricsReport, list[RoutingTrace]]:
-    """Metrics and per-utterance routing traces for one (family, SNR) cell
-    over a split.
+    """Metrics and per-utterance routing traces for a split's (B, N) `mixes`,
+    made with `family` noise at `snr_db`.
 
     Denoising is scored in the normalized domain: L1 on log1p spectra and
     segmental SNR on the estimate resynthesized with the noisy phase. The
     cell runs in chunks of `training.phase2_batch` utterances, each scored
     as arrays.
     """
-    offset = SPLIT_NOISE_OFFSETS["test"]
     bb = model.backbone
     source = split.source
     chunk = cfg.training.phase2_batch
@@ -288,9 +312,7 @@ def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, split: EvalS
     for start in range(0, len(source.labels), chunk):
         rows = slice(start, start + chunk)
         labels = source.labels[rows]
-        mixes = contaminate_split(source.clean[rows], family, snr_db, cfg.seed,
-                                  offset + start, cfg.data.sample_rate, snr_index)
-        noisy_z = z_normalize(mixes, stats)
+        noisy_z = z_normalize(mixes[rows], stats)
         spectrum = stft(noisy_z, bb.frame, bb.hop)
         feats = compute_features(model, noisy_z, labels, spectrum=spectrum)
         with no_tape():
@@ -344,6 +366,7 @@ def run_eval(run_dir: str | Path) -> list[MetricsReport]:
     start = time.monotonic()
     run_dir = Path(run_dir)
     cfg, model, meta = load_trained(run_dir)
+    read_report(run_dir)  # a damaged report is refused before the sweep writes anything
     scored = file_digest(run_dir / CHECKPOINT_FINAL)
     corpus_dir = run_dir / "corpus"
     if not _holds_corpus_of(corpus_dir, cfg):
@@ -356,8 +379,9 @@ def run_eval(run_dir: str | Path) -> list[MetricsReport]:
     traces: list[RoutingTrace] = []
     for family in (cfg.data.train_noise_family, *held_out_families(cfg.data.train_noise_family)):
         for snr_index, snr_db in enumerate(cfg.data.eval_snrs_db):
-            report, cond_traces = eval_condition(
-                model, cfg, stats, test, family, snr_db, snr_index)
+            mixes = contaminate_split(corpus.test, family, snr_db, cfg.seed,
+                                      cfg.data.sample_rate, snr_index)
+            report, cond_traces = eval_condition(model, cfg, stats, test, mixes, family, snr_db)
             reports.append(report)
             traces.extend(cond_traces)
     analytics = analytics_report(traces, cfg.moe.n_experts)
@@ -374,7 +398,7 @@ def run_analyze(run_dir: str | Path) -> AnalyticsReport:
     provided they were scored with the run's current checkpoint."""
     run_dir = Path(run_dir)
     path = run_dir / REPORT_NAME
-    report = json.loads(path.read_text()) if path.exists() else {}
+    report = read_report(run_dir)
     if report.get("analytics") is None:
         raise ConfigError(f"{run_dir} has no routing analytics; run eval there first")
     ckpt_path = run_dir / CHECKPOINT_FINAL
@@ -564,7 +588,7 @@ def _cell_config(base: ExperimentConfig, cell: dict) -> tuple[ExperimentConfig, 
 
 
 def _run_ablation_cell(args: tuple[dict, dict]) -> dict:
-    """Train one cell and score it on the dev split at the training condition."""
+    """Train one cell and score it on the dev split's stored training-condition mixes."""
     base_dict, cell = args
     base = config_from_dict(base_dict)
     cfg, applies = _cell_config(base, cell)
@@ -573,10 +597,9 @@ def _run_ablation_cell(args: tuple[dict, dict]) -> dict:
     _, model, meta = load_trained(cfg.output_dir)
     corpus = ensure_corpus(cfg)
     stats = NormStats(**meta["norm_stats"])
-    snr_index = 0
     report, _ = eval_condition(model, cfg, stats, eval_split(model, corpus.dev, stats),
-                               cfg.data.train_noise_family, cfg.data.train_snr_db,
-                               snr_index)
+                               corpus.dev.noisy, cfg.data.train_noise_family,
+                               cfg.data.train_snr_db)
     totals = [row["total"] for row in summary["losses"]]
     return {
         "routing": cell["routing"],

@@ -350,6 +350,25 @@ def _drop_record(rid):
         corpus, lambda records: [rec for rec in records if rec["id"] != rid])
 
 
+def _edit_line(number, edit):
+    """Replace manifest line `number` (1-based) by edit(line), which may be
+    several lines."""
+    def damage(corpus):
+        path = corpus / "manifest.jsonl"
+        lines = path.read_text().splitlines()
+        lines[number - 1] = edit(lines[number - 1])
+        path.write_text("\n".join(lines) + "\n")
+    return damage
+
+
+def _edit_record(edit):
+    def on_line(line):
+        rec = json.loads(line)
+        edit(rec)
+        return json.dumps(rec)
+    return on_line
+
+
 def _nan_in(rid):
     def damage(corpus):
         lines = (corpus / "manifest.jsonl").read_text().splitlines()
@@ -381,7 +400,16 @@ def trained_run(tmp_path_factory):
     (_cut_signals(100), "'test-00003'", "runs past the end of signals.f32"),
     (_set_field("dev-00002", "length", 150), "'dev-00002'", "has length 150"),
     (_set_field("test-00001", "sample_rate", 16000), "'test-00001'", "at 16000 Hz"),
-], ids=["missing-mix", "non-finite", "truncated", "length", "sample-rate"])
+    (_edit_line(5, lambda line: line[:40]), "manifest.jsonl line 5 ", "not a JSON object"),
+    (_edit_line(3, lambda line: "\n" + line), "manifest.jsonl line 3 ", "not a JSON object"),
+    (_edit_line(7, _edit_record(lambda rec: rec.pop("label"))), "manifest.jsonl line 7 ",
+     "has no 'label'"),
+    (_edit_line(18, _edit_record(lambda rec: rec.update(split="eval"))),
+     "manifest.jsonl line 18 ", "unknown split 'eval'"),
+    (_edit_line(26, _edit_record(lambda rec: rec.update(kind="mixed"))),
+     "manifest.jsonl line 26 ", "unknown kind 'mixed'"),
+], ids=["missing-mix", "non-finite", "truncated", "length", "sample-rate", "cut-line",
+        "blank-line", "missing-key", "unknown-split", "unknown-kind"])
 def test_cli_refuses_a_damaged_corpus_naming_the_record(trained_run, tmp_path, capsys,
                                                         damage, record, problem):
     run = tmp_path / "run"
@@ -395,6 +423,54 @@ def test_cli_refuses_a_damaged_corpus_naming_the_record(trained_run, tmp_path, c
         assert len(err.splitlines()) == 1, err
         assert err.startswith("config error") and record in err and problem in err, err
     assert not (run / "metrics.csv").exists()
+
+
+def _assert_one_config_error(argv, capsys, *parts):
+    capsys.readouterr()
+    assert main(argv) == 1, argv
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("config error"), err
+    for part in parts:
+        assert part in err, err
+
+
+@pytest.mark.parametrize("case", ["missing-file", "file-not-yaml", "override-not-yaml"])
+def test_cli_unreadable_config_input_is_one_config_error(tmp_path, capsys, case):
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("seed: [1\n")
+    run = tmp_path / "run"
+    args, named = {
+        "missing-file": (["--config", str(tmp_path / "nonexistent.yaml")], "nonexistent.yaml"),
+        "file-not-yaml": (["--config", str(broken)], str(broken)),
+        "override-not-yaml": (["--set", f"output_dir={run}", "--set", "seed=[1"], "'seed=[1'"),
+    }[case]
+    _assert_one_config_error(["train", *args], capsys, named)
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("name,text", [
+    ("checkpoint_final.json", '{"format": "framemoe-checkpo'),
+    ("checkpoint_final.json", '{"format": "other"}'),
+    ("resolved_config.yaml", "a: [\n"),
+], ids=["truncated-checkpoint", "foreign-checkpoint", "resolved-config-not-yaml"])
+def test_cli_eval_refuses_a_damaged_run_file(trained_run, tmp_path, capsys, name, text):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    (run / name).write_text(text)
+    _assert_one_config_error(["eval", "--run", str(run)], capsys, name, "retrain there")
+    assert not (run / "metrics.csv").exists()
+
+
+def test_cli_eval_and_analyze_refuse_a_damaged_report(trained_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    (run / "report.json").write_text("{")
+    _assert_one_config_error(["eval", "--run", str(run)], capsys,
+                             "report.json", "run eval there again")
+    assert not (run / "metrics.csv").exists()
+    _assert_one_config_error(["analyze", "--run", str(run)], capsys,
+                             "report.json", "run eval there again")
 
 
 def test_cli_train_eval_analyze_pipeline(tmp_path, capsys):

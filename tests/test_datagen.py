@@ -10,6 +10,7 @@ from framemoe.datagen import (
     FAMILY_NAMES,
     NOISE_FAMILIES,
     SPLIT_NOISE_OFFSETS,
+    Split,
     contaminate_split,
     generate_corpus,
     held_out_families,
@@ -145,15 +146,21 @@ def test_contaminate_split_mixes_every_utterance():
     rng = np.random.default_rng(4)
     clean = np.stack([make_clean(EmotionLabel.SADNESS, 256, 8000, rng).samples
                       for _ in range(3)])
-    noisy = contaminate_split(clean, "impulsive", 5.0, seed=0, split_offset=100,
-                              sample_rate=8000)
-    assert noisy.shape == clean.shape
-    for i, row in enumerate(clean):
-        noise = noise_for(0, 100 + i, "impulsive", 0, 256, 8000)
-        expected = mix_at_snr(Waveform(samples=row, sample_rate=8000), noise, 5.0)
-        np.testing.assert_array_equal(noisy[i], expected.noisy.samples)
-    residuals = noisy - clean
-    assert not np.array_equal(residuals[0], residuals[1])
+    labels = np.full(3, int(EmotionLabel.SADNESS))
+    mixed = {}
+    # Row i of a split draws its noise at the split's own offset plus i.
+    for name in ("dev", "test"):
+        noisy = contaminate_split(Split(name, labels, clean), "impulsive", 5.0, seed=0,
+                                  sample_rate=8000, snr_index=1)
+        assert noisy.shape == clean.shape
+        for i, row in enumerate(clean):
+            noise = noise_for(0, SPLIT_NOISE_OFFSETS[name] + i, "impulsive", 1, 256, 8000)
+            expected = mix_at_snr(Waveform(samples=row, sample_rate=8000), noise, 5.0)
+            np.testing.assert_array_equal(noisy[i], expected.noisy.samples)
+        residuals = noisy - clean
+        assert not np.array_equal(residuals[0], residuals[1])
+        mixed[name] = noisy
+    assert not np.array_equal(mixed["dev"], mixed["test"])
 
 
 def test_held_out_families():
@@ -218,10 +225,8 @@ def test_stored_noisy_matches_fresh_contamination(tmp_path):
     write_corpus(corpus, tmp_path, cfg, seed=5)
     stored = read_corpus(tmp_path)
     for split, name in ((stored.train, "train"), (stored.dev, "dev")):
-        fresh = contaminate_split(getattr(corpus, name).clean, cfg.train_noise_family,
-                                  cfg.train_snr_db, seed=5,
-                                  split_offset=SPLIT_NOISE_OFFSETS[name],
-                                  sample_rate=cfg.sample_rate)
+        fresh = contaminate_split(getattr(corpus, name), cfg.train_noise_family,
+                                  cfg.train_snr_db, seed=5, sample_rate=cfg.sample_rate)
         np.testing.assert_array_equal(split.noisy, fresh.astype("<f4").astype(np.float64))
 
 

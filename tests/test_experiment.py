@@ -30,6 +30,7 @@ from framemoe.experiment import (
     ABLATION_ROUTINGS,
     _ablation_cells,
     _cell_config,
+    _run_ablation_cell,
     ensure_corpus,
     eval_condition,
     eval_split,
@@ -41,7 +42,7 @@ from framemoe.experiment import (
     run_analyze,
     update_report,
 )
-from framemoe.datagen import generate_corpus, read_corpus
+from framemoe.datagen import contaminate_split, generate_corpus, read_corpus
 from framemoe.autodiff import GradCheckReport, NumericalError, ParamCheck, forward, no_tape
 from framemoe.model import build_model, named_parameters
 from framemoe.training import (
@@ -237,7 +238,7 @@ def test_eval_sweeps_once_and_analyze_only_reads_the_report(tmp_path, monkeypatc
     real = experiment.eval_condition
 
     def counted(*args, **kwargs):
-        calls.append(args[4:6])
+        calls.append(args[5:7])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "eval_condition", counted)
@@ -330,9 +331,10 @@ def test_eval_condition_checks_the_logits_and_enhanced_spectra(tmp_path):
     corpus = ensure_corpus(cfg)
     stats = NormStats(**meta["norm_stats"])
     split = eval_split(model, corpus.test, stats)
+    mixes = contaminate_split(corpus.test, "babble", 5.0, cfg.seed, cfg.data.sample_rate)
     model.se_head.w2.data[0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="matmul"):
-        eval_condition(model, cfg, stats, split, "babble", 5.0, 0)
+        eval_condition(model, cfg, stats, split, mixes, "babble", 5.0)
 
 
 def test_load_trained_rejects_a_checkpoint_of_another_config(tmp_path):
@@ -434,6 +436,21 @@ def test_ablation_grid_enumerates_every_cell(tmp_path):
         validate(cfg)
         dirs.add(cfg.output_dir)
     assert len(dirs) == 20
+
+
+def test_an_ablation_cell_scores_the_stored_dev_mixes(tmp_path):
+    base = tiny_cfg(tmp_path / "grid")
+    cell = {"routing": "sparse", "n_experts": 3, "balancing": True}
+    cfg, _ = _cell_config(base, cell)
+    row = _run_ablation_cell((config_to_dict(base), cell))
+    _, model, meta = load_trained(cfg.output_dir)
+    corpus = ensure_corpus(cfg)
+    stats = NormStats(**meta["norm_stats"])
+    report, _ = eval_condition(model, cfg, stats, eval_split(model, corpus.dev, stats),
+                               corpus.dev.noisy, cfg.data.train_noise_family,
+                               cfg.data.train_snr_db)
+    assert (row["f1_macro"], row["ssnr_db"], row["l1"]) == (
+        report.f1_macro, report.ssnr_db, report.l1)
 
 
 # ---------------------------------------------------------------------------

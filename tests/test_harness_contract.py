@@ -18,12 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from framemoe.config import DataConfig, ExperimentConfig, apply_overrides, validate
-from framemoe.datagen import (
-    SPLIT_NOISE_OFFSETS,
-    contaminate_split,
-    generate_corpus,
-    write_corpus,
-)
+from framemoe.datagen import contaminate_split, generate_corpus, write_corpus
 from framemoe.experiment import gradcheck_config
 
 BENCH = Path(__file__).resolve().parents[1] / "framebench"
@@ -85,7 +80,7 @@ def test_the_benchmark_reader_reads_the_written_corpus(tmp_path):
         if name == "test":
             assert not any(u["uid"] in noisy for u in utts)
             continue
-        mixes = contaminate_split(split.clean, data.train_noise_family, data.train_snr_db,
-                                  3, SPLIT_NOISE_OFFSETS[name], data.sample_rate)
+        mixes = contaminate_split(split, data.train_noise_family, data.train_snr_db,
+                                  3, data.sample_rate)
         np.testing.assert_array_equal(np.stack([noisy[u["uid"]] for u in utts]),
                                       stored(mixes))
