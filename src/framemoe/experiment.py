@@ -107,16 +107,16 @@ def write_report(run_dir: Path, **fields) -> Path:
                                    sort_keys=True, indent=2))
 
 
-def read_report(run_dir: Path) -> dict:
+def read_report(run_dir: Path,
+                advice: str = "retrain there, then run eval there again") -> dict:
     """The run's report.json as a dict, {} when there is none; a damaged one is
-    refused."""
+    refused with `advice`."""
     path = Path(run_dir) / REPORT_NAME
     if not path.exists():
         return {}
 
     def refuse(problem: str) -> ConfigError:
-        return ConfigError(f"{path} is not a readable report ({problem}); "
-                           "retrain there, then run eval there again")
+        return ConfigError(f"{path} is not a readable report ({problem}); {advice}")
 
     try:
         report = json.loads(path.read_text())
@@ -623,6 +623,8 @@ def run_ablate(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
         raise ConfigError(f"ablate jobs must be >= 1, got {jobs}")
     _check_train_classes(cfg.data)
     run_dir = prepare_run_dir(cfg)
+    # The grid's table is merged into report.json; refuse a damaged one before any cell trains.
+    read_report(run_dir, advice="remove it or use a fresh output_dir")
     # One shared corpus: every cell reads the same container.
     ensure_corpus(cfg)
     corpus_dir = Path(cfg.output_dir) / "corpus"

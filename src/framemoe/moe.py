@@ -9,9 +9,9 @@ treated as a constant during backprop: gradients flow through the retained
 softmax values only.
 
 A batch of equal-length utterances is routed as one stacked matrix. Each
-expert runs on the whole utterances that route at least one frame to it,
-gathered, never on single rows: a BLAS product on a subset of rows need not
-reproduce the bits of the full product.
+expert runs only on the frames routed to it, gathered, and never on a single
+row: a one-row BLAS product need not reproduce the bits of the same row in
+the full product, so a lone routed frame is gathered with a neighbour.
 """
 
 from __future__ import annotations
@@ -183,26 +183,30 @@ def mix(pool: ExpertPool, decision: RoutingDecision, rep: ConcatRepresentation,
         base: TaskSequence | None = None, expert: int | None = None) -> TaskSequence:
     """The retained-weight mixture z = 0 + term_0 + term_1 + ... in expert order.
 
-    Expert n runs only on the utterances (blocks of rep.segment rows) that
-    route at least one frame to it, and its retained-weighted output is
-    scattered back to their rows; every other row of that term is exactly
-    zero. A lone utterance is never gathered, so its result is bit-equal to
+    Expert n runs only on the frames that route to it, gathered, and its
+    retained-weighted output is scattered back to their rows; every other
+    row of that term is exactly zero. A lone routed frame is gathered with a
+    neighbour (the next row, or the previous one on the last row), whose
+    retained weight is zero, so its term is +-0. An expert that takes every
+    frame runs on all of them without a gather. The result is bit-equal to
     the dense sum over all experts: adding a zero-weighted term never
     changes an IEEE accumulation. Given `base`, a mixture of the same routing
     and frames, only expert `expert`'s term is recomputed, bit for bit.
     """
     frames, retained = rep.frames, decision.retained
-    t, seg = frames.shape[0], rep.segment
-    used = (decision.indices.reshape(t // seg, -1, 1) == np.arange(pool.n_experts)).any(axis=1)
+    t = frames.shape[0]
+    routed = (decision.indices[:, :, None] == np.arange(pool.n_experts)).any(axis=1)
     terms = [None] * pool.n_experts if base is None else list(base.terms)
     for n in range(pool.n_experts) if base is None else (expert,):
-        utts = np.flatnonzero(used[:, n])
-        if utts.size == 0:
+        rows = np.flatnonzero(routed[:, n])
+        if rows.size == 0:
             continue
-        if utts.size == used.shape[0]:
+        if rows.size == t:
             terms[n] = mul(col(retained, n), expert_forward(pool, n, frames))
             continue
-        rows = (utts[:, None] * seg + np.arange(seg)).reshape(-1)
+        if rows.size == 1:
+            r = rows[0]
+            rows = np.array([r, r + 1] if r + 1 < t else [r - 1, r])
         out = mul(take_rows(col(retained, n), rows),
                   expert_forward(pool, n, take_rows(frames, rows)))
         terms[n] = scatter_rows(out, rows, t)
@@ -210,7 +214,7 @@ def mix(pool: ExpertPool, decision: RoutingDecision, rep: ConcatRepresentation,
     for term in terms:
         if term is not None:
             z = add(z, term)
-    return TaskSequence(task=decision.task, z=z, segment=seg, terms=terms)
+    return TaskSequence(task=decision.task, z=z, segment=rep.segment, terms=terms)
 
 
 def moe_forward(pool: ExpertPool, gate: GatingNetwork, rep: ConcatRepresentation,

@@ -36,6 +36,7 @@ from framemoe.experiment import (
     eval_split,
     load_trained,
     prepare_run_dir,
+    run_ablate,
     run_eval,
     run_gen,
     run_train,
@@ -451,6 +452,15 @@ def test_an_ablation_cell_scores_the_stored_dev_mixes(tmp_path):
                                cfg.data.train_snr_db)
     assert (row["f1_macro"], row["ssnr_db"], row["l1"]) == (
         report.f1_macro, report.ssnr_db, report.l1)
+
+
+def test_ablate_refuses_a_damaged_grid_report_before_any_cell_trains(tmp_path):
+    cfg = tiny_cfg(tmp_path / "grid")
+    prepare_run_dir(cfg)
+    (tmp_path / "grid" / "report.json").write_text("{")
+    with pytest.raises(ConfigError, match=r"report\.json.*remove it or use a fresh output_dir"):
+        run_ablate(cfg)
+    assert list((tmp_path / "grid").glob("ablate/**/checkpoint_final.json")) == []
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
+from framemoe.autodiff import const
+from framemoe.backbone import ConcatRepresentation
 from framemoe.config import DataConfig, ExperimentConfig, apply_overrides, validate
 from framemoe.datagen import contaminate_split, generate_corpus, write_corpus
 from framemoe.experiment import gradcheck_config
+from framemoe import moe
 
 BENCH = Path(__file__).resolve().parents[1] / "framebench"
 
@@ -84,3 +87,33 @@ def test_the_benchmark_reader_reads_the_written_corpus(tmp_path):
                                   3, data.sample_rate)
         np.testing.assert_array_equal(np.stack([noisy[u["uid"]] for u in utts]),
                                       stored(mixes))
+
+
+def test_the_benchmark_counts_each_routed_frame_as_one_expert_row():
+    # tracing.py counts moe.expert_rows from expert_forward's frames argument
+    # and moe.routed_rows from moe_forward's; with no lone routed frame to pad,
+    # the two must agree, or the benchmark's dispatch metrics read wrong.
+    tracing = load_bench_module("tracing")
+    for module in tracing.LAYERS:
+        importlib.import_module(f"framemoe.{module}")
+    rng = np.random.default_rng(0)
+    pool = moe.init_expert_pool(rng, 3, 8, 6, 4)
+    gate = moe.init_gate(rng, moe.TASK_SER, 8, 3)
+    gate.w.data[...] = 0.0
+    gate.w.data[:3] = np.eye(3)
+    # Each frame's first three features pick its top-2 experts.
+    first = np.array([0, 0, 1, 1, 2, 2, 0, 1, 2, 0])
+    second = np.array([1, 2, 2, 0, 0, 1, 2, 2, 1, 1])
+    frames = rng.standard_normal((10, 8))
+    frames[:, :3] = 50.0 * np.eye(3)[first] + 25.0 * np.eye(3)[second]
+    rep = ConcatRepresentation(frames=const(frames), n_layers=1, width=4, segment=5)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # Through the module and with top_k positional, as model.py calls it.
+        _, decision = moe.moe_forward(pool, gate, rep, 2)
+    finally:
+        tracer.uninstall()
+    np.testing.assert_array_equal(decision.indices, np.stack([first, second], axis=1))
+    assert tracer.calls["moe.expert_forward"] == 3
+    assert tracer.counts["moe.expert_rows"] == tracer.counts["moe.routed_rows"] == 20

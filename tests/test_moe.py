@@ -17,6 +17,7 @@ from framemoe.moe import (
     gate_scores,
     init_expert_pool,
     init_gate,
+    mix,
     moe_forward,
 )
 
@@ -448,17 +449,27 @@ def test_shared_pool_distinct_gates_share_expert_outputs():
     np.testing.assert_array_equal(ser_seq.z.data, se_seq.z.data)
 
 
-def test_moe_forward_runs_each_expert_on_whole_routed_utterances(monkeypatch):
-    # Three utterances of four frames; the first feature, +50 or -50 per
-    # utterance, routes every frame of utterance u to expert u % 2.
+@pytest.mark.parametrize("experts", [
+    [0] * 4 + [1] * 4 + [0] * 4,
+    [0] * 6 + [1] * 6,
+    [1] + [0] * 11,
+    [0] * 11 + [2],
+    [2] * 12,
+], ids=["whole-utterances", "split-utterance", "lone-first-row", "lone-last-row",
+        "every-row"])
+def test_mix_feeds_each_expert_exactly_its_routed_frames(monkeypatch, experts):
+    # Three utterances of four frames, hand-routed frame by frame: under an
+    # identity gate, a 50 in feature n routes the frame to expert n. An
+    # expert sees its routed frames, a lone frame with one neighbour, and
+    # every frame ungathered.
     from framemoe import moe
 
     rng = np.random.default_rng(23)
     pool, gate = make_pool_gate(rng, 3, 8)
-    frames = rng.standard_normal((12, 8))
-    frames[:, 0] = np.repeat([1.0, -1.0, 1.0], 4) * 50.0
     gate.w.data[...] = 0.0
-    gate.w.data[0] = [1.0, -1.0, -0.5]
+    gate.w.data[:3] = np.eye(3)
+    frames = rng.standard_normal((12, 8))
+    frames[:, :3] = 50.0 * np.eye(3)[experts]
     rep = ConcatRepresentation(frames=const(frames), n_layers=1, width=4, segment=4)
     seen = []
     real = moe.expert_forward
@@ -469,14 +480,55 @@ def test_moe_forward_runs_each_expert_on_whole_routed_utterances(monkeypatch):
 
     monkeypatch.setattr(moe, "expert_forward", counted)
     seq, decision = moe_forward(pool, gate, rep, top_k=1)
-    assert seen == [(0, 8), (1, 4)]
+    np.testing.assert_array_equal(decision.indices[:, 0], experts)
+    counts = np.bincount(experts, minlength=3)
+    assert seen == [(n, max(c, 2)) for n, c in enumerate(counts) if c]
     assert seq.segment == 4
-    np.testing.assert_array_equal(decision.indices[:, 0], np.repeat([0, 1, 0], 4))
-    for u in range(3):
-        rows = slice(4 * u, 4 * u + 4)
-        one = ConcatRepresentation(frames=const(frames[rows]), n_layers=1, width=4)
-        single, _ = moe_forward(pool, gate, one, top_k=1)
-        np.testing.assert_allclose(seq.z.data[rows], single.z.data, rtol=0, atol=1e-12)
+    z = np.zeros((12, 4))
+    for n in range(3):
+        z = z + decision.retained.data[:, n : n + 1] * expert_oracle(pool, n, frames)
+    assert seq.z.data.tobytes() == z.tobytes()
+
+
+# Expert geometries (rows T, in, hidden, out) the code runs: test_03's
+# largest draw, the toy phase-2 batch, the `long` phase-2 batch, and the
+# gradient audit's two-utterance batch.
+SHIPPED_GEOMETRIES = {
+    "test_03": (8, 10, 7, 5),
+    "toy": (992, 80, 64, 16),
+    "long": (4080, 80, 128, 16),
+    "audit": (18, 18, 12, 6),
+}
+
+
+@pytest.mark.parametrize("geometry", SHIPPED_GEOMETRIES.values(), ids=SHIPPED_GEOMETRIES)
+def test_padded_gathers_match_the_full_product_at_shipped_shapes(geometry):
+    # mix relies on an expert run on gathered rows reproducing those rows of
+    # the full product bit for bit; BLAS does not promise it, so a BLAS that
+    # breaks it fails here rather than drifting the mixture silently.
+    t, in_width, hidden, out_width = geometry
+    rng = np.random.default_rng(t)
+    pool = init_expert_pool(rng, 2, in_width, hidden, out_width)
+    x = rng.standard_normal((t, in_width))
+    rep = ConcatRepresentation(frames=const(x), n_layers=1, width=in_width // 2)
+    full = [expert_forward(pool, n, const(x)).data for n in range(2)]
+    for size in sorted({2, 3, t // 2, t - 1}):
+        for trial in range(3):
+            rows = np.sort(rng.choice(t, size=size, replace=False))
+            gathered = expert_forward(pool, 0, const(x[rows])).data
+            assert gathered.tobytes() == full[0][rows].tobytes(), (size, trial)
+
+            experts = np.ones(t, dtype=np.int64)
+            experts[rows] = 0
+            gates = rng.dirichlet(np.ones(2), size=t)
+            retained = gates * (np.arange(2) == experts[:, None])
+            decision = RoutingDecision(task=TASK_SER, gates=const(gates),
+                                       retained=const(retained), indices=experts[:, None],
+                                       top_k=1, tie_margin=0.0)
+            z = np.zeros((t, out_width))
+            for n in range(2):
+                z = z + retained[:, n : n + 1] * full[n]
+            assert mix(pool, decision, rep).z.data.tobytes() == z.tobytes(), (size, trial)
 
 
 def test_representation_segment_must_divide_frames():
