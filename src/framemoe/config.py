@@ -280,7 +280,7 @@ def validate(cfg: ExperimentConfig) -> None:
     if len(d.class_proportions) != 4 or any(p <= 0 for p in d.class_proportions):
         problems.append(f"data.class_proportions needs 4 positive entries, got {d.class_proportions}")
     from .backbone import frame_count
-    from .datagen import FAMILY_NAMES
+    from .datagen import FAMILY_NAMES, MAX_ABS_SNR_DB
 
     if d.train_noise_family not in FAMILY_NAMES:
         problems.append(
@@ -290,6 +290,11 @@ def validate(cfg: ExperimentConfig) -> None:
         problems.append("data.eval_snrs_db must not be empty")
     elif len(set(d.eval_snrs_db)) != len(d.eval_snrs_db):
         problems.append(f"data.eval_snrs_db lists an SNR twice: {d.eval_snrs_db}")
+    snrs = [("data.train_snr_db", d.train_snr_db),
+            *((f"data.eval_snrs_db[{i}]", v) for i, v in enumerate(d.eval_snrs_db))]
+    if far := [f"{name}={v}" for name, v in snrs if not -MAX_ABS_SNR_DB <= v <= MAX_ABS_SNR_DB]:
+        problems.append(f"SNRs must lie within [-{MAX_ABS_SNR_DB:g}, {MAX_ABS_SNR_DB:g}] dB, "
+                        f"got {', '.join(far)}")
 
     if s.frame < 2 or s.hop < 1 or s.hop > s.frame:
         problems.append(f"ssnr framing invalid: frame={s.frame} hop={s.hop}")

@@ -6,6 +6,11 @@ class-specific frequency band, so the label is recoverable from the spectrum.
 Noise families occupy pairwise disjoint frequency bands: a slow-fluctuating
 low-band wash, a steady mid-band hiss, and sparse high-band bursts. One family
 contaminates the training split; the other two are held out for evaluation.
+
+Synthesis works on whole splits as (B, N) arrays: `clean_rows` draws a
+split's tones, `noise_rows` its noise and `contaminate_split` mixes it.
+`make_clean`, `make_noise` and `mix_at_snr` are their one-row calls, taking
+the same draws, so a signal made one at a time equals its row bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +30,9 @@ from .files import write_atomic
 from .heads import EmotionLabel
 
 SNR_TOLERANCE_DB = 1e-6
+# Mixing scales noise power by 10 ** (snr_db / 10); within +-300 dB that gain
+# and the power ratios around it stay far inside the float64 range.
+MAX_ABS_SNR_DB = 300.0
 
 
 @dataclass(frozen=True)
@@ -103,19 +112,55 @@ class Corpus:
     test: Split
 
 
+def clean_rows(labels: np.ndarray, length: int, rng: np.random.Generator) -> np.ndarray:
+    """The (B, length) clean signals of class labels (B,): row i is an
+    amplitude-modulated harmonic tone from the recipe of class labels[i].
+
+    Row i takes 3 + harmonics uniforms from `rng`, after those of the rows
+    before it: the f0 jitter, one phase per harmonic, the envelope phase and
+    the amplitude. All of them come from one draw; the tones are then built
+    as arrays, one `np.sin` per harmonic over the rows that have it.
+    """
+    fams = [CLASS_FAMILIES[EmotionLabel(label)] for label in labels]
+    f0, jitter, mod_rate, mod_depth = np.array(
+        [(fam.f0, fam.f0_jitter, fam.mod_rate, fam.mod_depth) for fam in fams],
+        dtype=np.float64).reshape(-1, 4).T
+    harmonics = np.array([fam.harmonics for fam in fams], dtype=np.int64)
+    width = harmonics + 3
+    start = np.cumsum(width) - width
+    u = rng.random(int(width.sum()))
+    # rng.uniform(low, high) is low + (high - low) * rng.random(), so the
+    # scalings below reproduce one uniform call per parameter.
+    f0 = f0 + (-jitter + 2.0 * jitter * u[start])
+    t = np.arange(length, dtype=np.float64)
+    tone = np.zeros((len(fams), length))
+    for h in range(1, int(harmonics.max(initial=0)) + 1):
+        rows = np.flatnonzero(harmonics >= h)
+        wave = np.multiply.outer(2.0 * np.pi * f0[rows] * h, t)
+        wave += (2 * np.pi * u[start[rows] + h])[:, None]
+        np.sin(wave, out=wave)
+        wave *= 1.0 / h
+        if rows.size == len(fams):
+            tone += wave
+        else:
+            tone[rows] += wave
+        del wave
+    env = np.multiply.outer(2.0 * np.pi * mod_rate, t)
+    env += (2 * np.pi * u[start + harmonics + 1])[:, None]
+    np.sin(env, out=env)
+    env *= mod_depth[:, None]
+    env += 1.0
+    env *= (0.4 + 0.2 * u[start + harmonics + 2])[:, None]
+    env *= tone
+    return env
+
+
 def make_clean(label: EmotionLabel, length: int, sample_rate: int,
                rng: np.random.Generator) -> Waveform:
-    """One amplitude-modulated harmonic tone from the class recipe."""
-    fam = CLASS_FAMILIES[label]
-    f0 = fam.f0 + rng.uniform(-fam.f0_jitter, fam.f0_jitter)
-    t = np.arange(length)
-    tone = np.zeros(length)
-    for h in range(1, fam.harmonics + 1):
-        tone += (1.0 / h) * np.sin(2.0 * np.pi * f0 * h * t + rng.uniform(0, 2 * np.pi))
-    env = 1.0 + fam.mod_depth * np.sin(2.0 * np.pi * fam.mod_rate * t
-                                       + rng.uniform(0, 2 * np.pi))
-    amp = 0.4 + 0.2 * rng.uniform()
-    return Waveform(samples=amp * env * tone, sample_rate=sample_rate)
+    """One amplitude-modulated harmonic tone from the class recipe: one row of
+    `clean_rows`, taking the same draws from `rng`."""
+    return Waveform(samples=clean_rows(np.array([int(label)]), length, rng)[0],
+                    sample_rate=sample_rate)
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,32 +181,85 @@ def _band_mask(length: int, band: tuple[float, float], edge: float = 0.01) -> np
     return mask
 
 
-def make_noise(family: str, length: int, sample_rate: int,
-               rng: np.random.Generator) -> Waveform:
-    """Band-limited noise with the family's temporal character, unit RMS."""
+def noise_rows(family: str, length: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """(B, length) band-limited noise with the family's temporal character,
+    each row at unit RMS; row i draws from rngs[i] only.
+
+    Each row takes its white noise and then the draws of its character from
+    its own Generator; the rows are then filtered, shaped and scaled as one
+    array. Bursts are added in ascending position order, so each sample sums
+    the decays that reach it in the same order as one burst at a time.
+    """
     if family not in NOISE_FAMILIES:
         raise ValueError(f"unknown noise family '{family}'")
     fam = NOISE_FAMILIES[family]
-    white = rng.standard_normal(length)
-    shaped = np.fft.irfft(np.fft.rfft(white) * _band_mask(length, fam.band), n=length)
+    white = np.empty((len(rngs), length))
+    draws = []
+    for row, rng in zip(white, rngs):
+        rng.standard_normal(out=row)
+        if fam.character == "wash":
+            draws.append((rng.uniform(0.001, 0.004), rng.uniform(0, 2 * np.pi)))
+        elif fam.character == "bursts":
+            density = rng.uniform(0.005, 0.02)
+            draws.append(rng.random(length) < density)
+    spectrum = np.fft.rfft(white)
+    del white
+    spectrum *= _band_mask(length, fam.band)
+    shaped = np.fft.irfft(spectrum, n=length)
+    del spectrum
     if fam.character == "wash":
-        rate = rng.uniform(0.001, 0.004)
-        env = 0.6 + 0.4 * np.sin(2 * np.pi * rate * np.arange(length)
-                                 + rng.uniform(0, 2 * np.pi))
-        shaped = shaped * env
+        rate, phase = np.array(draws).T
+        env = np.multiply.outer(2 * np.pi * rate, np.arange(length))
+        env += phase[:, None]
+        np.sin(env, out=env)
+        env *= 0.4
+        env += 0.6
+        shaped *= env
+        del env
     elif fam.character == "bursts":
-        gate = np.full(length, 0.05)
-        density = rng.uniform(0.005, 0.02)
-        positions = np.flatnonzero(rng.random(length) < density)
+        rows, positions = np.nonzero(np.stack(draws))
         decay = np.exp(-np.arange(64) / 8.0)
-        for pos in positions:
-            stop = min(pos + decay.size, length)
-            gate[pos:stop] += decay[: stop - pos]
-        shaped = shaped * gate
-    rms = float(np.sqrt(np.mean(shaped ** 2)))
-    if rms == 0.0:
-        raise ValueError(f"degenerate noise draw for family '{family}'")
-    return Waveform(samples=shaped / rms, sample_rate=sample_rate)
+        at = positions[:, None] + np.arange(decay.size)
+        inside = at < length
+        gate = np.full(shaped.shape, 0.05)
+        np.add.at(gate.reshape(-1), (rows[:, None] * length + at)[inside],
+                  np.broadcast_to(decay, at.shape)[inside])
+        shaped *= gate
+        del gate
+    rms = np.sqrt(np.mean(shaped ** 2, axis=1))
+    if (flat := np.flatnonzero(rms == 0.0)).size:
+        raise ValueError(f"degenerate noise draw for family '{family}' in row {flat[0]}")
+    shaped /= rms[:, None]
+    return shaped
+
+
+def make_noise(family: str, length: int, sample_rate: int,
+               rng: np.random.Generator) -> Waveform:
+    """Band-limited noise with the family's temporal character, unit RMS: one
+    row of `noise_rows`, taking the same draws from `rng`."""
+    return Waveform(samples=noise_rows(family, length, [rng])[0], sample_rate=sample_rate)
+
+
+def _mix_rows(clean: np.ndarray, noise: np.ndarray, snr_db: float,
+              name: Callable[[int], str]) -> np.ndarray:
+    """Row i of (B, N) clean plus row i of (B, N) noise scaled to hit `snr_db`
+    exactly; a failing row is named by `name(i)`. The inputs are not changed."""
+    p_clean = np.mean(clean ** 2, axis=1)
+    if (bad := np.flatnonzero(p_clean == 0.0)).size:
+        raise ValueError(f"{name(bad[0])}: clean signal has zero power")
+    p_noise = np.mean(noise ** 2, axis=1)
+    if (bad := np.flatnonzero(p_noise == 0.0)).size:
+        raise ValueError(f"{name(bad[0])}: noise signal has zero power over the mixed span")
+    scale = np.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
+    mixed = noise * scale[:, None]
+    achieved = 10.0 * np.log10(p_clean / np.mean(mixed ** 2, axis=1))
+    if (bad := np.flatnonzero(np.abs(achieved - snr_db) > SNR_TOLERANCE_DB)).size:
+        raise ValueError(f"{name(bad[0])}: achieved SNR {achieved[bad[0]]} dB misses "
+                         f"target {snr_db} dB")
+    mixed += clean
+    if (bad := np.flatnonzero(~np.isfinite(mixed).all(axis=1))).size:
+        raise ValueError(f"{name(bad[0])}: mix holds non-finite samples")
+    return mixed
 
 
 def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float,
@@ -169,22 +267,13 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float,
     """Additive mix hitting the requested SNR exactly.
 
     The noise is cropped to the clean length from its start; it must be at
-    least as long. Zero-power operands are rejected.
+    least as long. Zero-power operands are rejected. The one-row form of
+    `contaminate_split`'s mixing.
     """
     if len(noise) < len(clean):
         raise ValueError(f"noise ({len(noise)}) shorter than clean ({len(clean)})")
-    cropped = noise.samples[: len(clean)]
-    p_clean = float(np.mean(clean.samples ** 2))
-    p_noise = float(np.mean(cropped ** 2))
-    if p_clean == 0.0:
-        raise ValueError("clean signal has zero power")
-    if p_noise == 0.0:
-        raise ValueError("noise signal has zero power over the mixed span")
-    scale = np.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
-    mixed = clean.samples + scale * cropped
-    achieved = 10.0 * np.log10(p_clean / float(np.mean((scale * cropped) ** 2)))
-    if abs(achieved - snr_db) > SNR_TOLERANCE_DB:
-        raise ValueError(f"achieved SNR {achieved} dB misses target {snr_db} dB")
+    mixed = _mix_rows(clean.samples[None], noise.samples[None, : len(clean)], snr_db,
+                      lambda i: source_id or "mix")[0]
     return NoisyUtterance(source_id=source_id,
                           noisy=Waveform(samples=mixed, sample_rate=clean.sample_rate),
                           family=family, snr_db=float(snr_db))
@@ -215,35 +304,41 @@ def generate_corpus(data_cfg: DataConfig, seed: int) -> Corpus:
                              ("test", data_cfg.test_size)):
         counts = split_counts(data_cfg.class_proportions, size)
         labels = np.repeat(np.arange(len(counts)), counts)[rng.permutation(size)]
-        split = Split(split_name, labels, np.stack([
-            make_clean(EmotionLabel(label), data_cfg.utterance_len, data_cfg.sample_rate,
-                       rng).samples for label in labels]))
+        split = Split(split_name, labels, clean_rows(labels, data_cfg.utterance_len, rng))
         if split_name != "test":
             split.noisy = contaminate_split(split, data_cfg.train_noise_family,
-                                            data_cfg.train_snr_db, seed, data_cfg.sample_rate)
+                                            data_cfg.train_snr_db, seed)
         splits[split_name] = split
     return Corpus(**splits)
+
+
+def _noise_rng(seed: int, utt_index: int, family: str, snr_index: int) -> np.random.Generator:
+    """The Generator of one (utterance, family, SNR) cell's noise draw."""
+    return np.random.default_rng(component_seed(seed, "noise", utt_index,
+                                                FAMILY_NAMES.index(family), snr_index))
 
 
 def noise_for(seed: int, utt_index: int, family: str, snr_index: int,
               length: int, sample_rate: int) -> Waveform:
     """The deterministic noise draw for one (utterance, family, SNR) cell."""
-    fam_index = FAMILY_NAMES.index(family)
-    rng = np.random.default_rng(
-        component_seed(seed, "noise", utt_index, fam_index, snr_index))
-    return make_noise(family, length, sample_rate, rng)
+    return make_noise(family, length, sample_rate,
+                      _noise_rng(seed, utt_index, family, snr_index))
 
 
 def contaminate_split(split: Split, family: str, snr_db: float, seed: int,
-                      sample_rate: int, snr_index: int = 0) -> np.ndarray:
+                      snr_index: int = 0) -> np.ndarray:
     """Mix clean row i of a split at one SNR with the noise draw of utterance index
-    `SPLIT_NOISE_OFFSETS[split.name] + i`; returns the (B, N) mixes."""
+    `SPLIT_NOISE_OFFSETS[split.name] + i`; returns the (B, N) mixes.
+
+    Row i equals `mix_at_snr` of that row and its `noise_for` draw, bit for
+    bit; the split is synthesized and mixed as (B, N) arrays. A failing row
+    is named by its uid.
+    """
     offset = SPLIT_NOISE_OFFSETS[split.name]
-    return np.stack([
-        mix_at_snr(Waveform(samples=row, sample_rate=sample_rate),
-                   noise_for(seed, offset + i, family, snr_index, row.size, sample_rate),
-                   snr_db).noisy.samples
-        for i, row in enumerate(split.clean)])
+    noise = noise_rows(family, split.clean.shape[1],
+                       [_noise_rng(seed, offset + i, family, snr_index)
+                        for i in range(len(split.clean))])
+    return _mix_rows(split.clean, noise, snr_db, split.uid)
 
 
 # Split offsets keep noise draws unique across splits without coupling them

@@ -379,8 +379,7 @@ def run_eval(run_dir: str | Path) -> list[MetricsReport]:
     traces: list[RoutingTrace] = []
     for family in (cfg.data.train_noise_family, *held_out_families(cfg.data.train_noise_family)):
         for snr_index, snr_db in enumerate(cfg.data.eval_snrs_db):
-            mixes = contaminate_split(corpus.test, family, snr_db, cfg.seed,
-                                      cfg.data.sample_rate, snr_index)
+            mixes = contaminate_split(corpus.test, family, snr_db, cfg.seed, snr_index)
             report, cond_traces = eval_condition(model, cfg, stats, test, mixes, family, snr_db)
             reports.append(report)
             traces.extend(cond_traces)

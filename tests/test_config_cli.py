@@ -153,6 +153,24 @@ def test_validate_rejects_duplicate_eval_snrs(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("item,field", [
+    ("data.train_snr_db=4000", "data.train_snr_db=4000"),
+    ("data.train_snr_db=-4000", "data.train_snr_db=-4000"),
+    ("data.eval_snrs_db=[0,5000]", "data.eval_snrs_db[1]=5000"),
+])
+def test_snrs_beyond_300_db_are_one_config_error(tmp_path, capsys, item, field):
+    # Mixing would overflow or divide by zero there; gen refuses before any
+    # corpus is drawn, and eval never sees such an SNR.
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(tmp_path / "run"))
+    assert main(["gen", "--config", cfg_path, "--set", item]) == 1
+    err = capsys.readouterr().err
+    assert f"SNRs must lie within [-300, 300] dB, got {field}\n" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+    validate(apply_overrides(ExperimentConfig(), ["data.train_snr_db=-300",
+                                                  "data.eval_snrs_db=[-300,300]"]))
+
+
 def test_config_digest_stable_and_sensitive():
     a = ExperimentConfig()
     b = ExperimentConfig()

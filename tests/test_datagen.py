@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from framemoe.backbone import Waveform
-from framemoe.config import DataConfig
+from framemoe.config import DataConfig, component_rng, component_seed
 from framemoe.datagen import (
     CLASS_FAMILIES,
     FAMILY_NAMES,
     NOISE_FAMILIES,
     SPLIT_NOISE_OFFSETS,
     Split,
+    _band_mask,
+    clean_rows,
     contaminate_split,
     generate_corpus,
     held_out_families,
@@ -18,6 +20,7 @@ from framemoe.datagen import (
     make_noise,
     mix_at_snr,
     noise_for,
+    noise_rows,
     read_corpus,
     split_counts,
     write_corpus,
@@ -30,6 +33,114 @@ def small_data_cfg(**kwargs):
                     sample_rate=8000)
     defaults.update(kwargs)
     return DataConfig(**defaults)
+
+
+# Per-row reference synthesis: one utterance at a time, bursts one by one.
+# The array synthesizer must reproduce these bit for bit, taking the same
+# draws from each Generator.
+def oracle_clean(label, length, rng):
+    fam = CLASS_FAMILIES[EmotionLabel(label)]
+    f0 = fam.f0 + rng.uniform(-fam.f0_jitter, fam.f0_jitter)
+    t = np.arange(length)
+    tone = np.zeros(length)
+    for h in range(1, fam.harmonics + 1):
+        tone += (1.0 / h) * np.sin(2.0 * np.pi * f0 * h * t + rng.uniform(0, 2 * np.pi))
+    env = 1.0 + fam.mod_depth * np.sin(2.0 * np.pi * fam.mod_rate * t
+                                       + rng.uniform(0, 2 * np.pi))
+    amp = 0.4 + 0.2 * rng.uniform()
+    return amp * env * tone
+
+
+def oracle_noise(family, length, rng):
+    fam = NOISE_FAMILIES[family]
+    white = rng.standard_normal(length)
+    shaped = np.fft.irfft(np.fft.rfft(white) * _band_mask(length, fam.band), n=length)
+    if fam.character == "wash":
+        rate = rng.uniform(0.001, 0.004)
+        env = 0.6 + 0.4 * np.sin(2 * np.pi * rate * np.arange(length)
+                                 + rng.uniform(0, 2 * np.pi))
+        shaped = shaped * env
+    elif fam.character == "bursts":
+        gate = np.full(length, 0.05)
+        density = rng.uniform(0.005, 0.02)
+        positions = np.flatnonzero(rng.random(length) < density)
+        decay = np.exp(-np.arange(64) / 8.0)
+        for pos in positions:
+            stop = min(pos + decay.size, length)
+            gate[pos:stop] += decay[: stop - pos]
+        shaped = shaped * gate
+    rms = float(np.sqrt(np.mean(shaped ** 2)))
+    return shaped / rms
+
+
+def oracle_mix(clean, noise, snr_db):
+    p_clean = float(np.mean(clean ** 2))
+    p_noise = float(np.mean(noise ** 2))
+    scale = np.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
+    return clean + scale * noise
+
+
+def oracle_contaminate(name, clean, family, snr_db, seed, snr_index=0):
+    rows = []
+    for i, row in enumerate(clean):
+        rng = np.random.default_rng(component_seed(
+            seed, "noise", SPLIT_NOISE_OFFSETS[name] + i, FAMILY_NAMES.index(family),
+            snr_index))
+        rows.append(oracle_mix(row, oracle_noise(family, row.size, rng), snr_db))
+    return np.stack(rows)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+LENGTHS = [1024, 8192, 1001]
+LABELS = np.array([0, 1, 2, 3, 3, 2, 1, 0, 2])
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+def test_clean_rows_match_the_per_row_oracle_and_leave_the_same_stream(length):
+    got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+    got = clean_rows(LABELS, length, got_rng)
+    want = np.stack([oracle_clean(label, length, want_rng) for label in LABELS])
+    assert_same_bits(got, want)
+    assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_noise_rows_match_the_per_row_oracle_and_leave_the_same_streams(family, length):
+    got_rngs = [np.random.default_rng(100 + i) for i in range(5)]
+    want_rngs = [np.random.default_rng(100 + i) for i in range(5)]
+    got = noise_rows(family, length, got_rngs)
+    assert_same_bits(got, np.stack([oracle_noise(family, length, rng) for rng in want_rngs]))
+    assert [rng.random() for rng in got_rngs] == [rng.random() for rng in want_rngs]
+
+
+def test_overlapping_bursts_and_a_burst_cut_by_the_end_match_the_oracle():
+    length, seed = 1024, 1
+    # Replay the row's draws to show it holds both cases.
+    replay = np.random.default_rng(seed)
+    replay.standard_normal(length)
+    density = replay.uniform(0.005, 0.02)
+    positions = np.flatnonzero(replay.random(length) < density)
+    assert np.diff(positions).min() < 64
+    assert positions.max() >= length - 63
+    got = noise_rows("impulsive", length, [np.random.default_rng(seed)])
+    assert_same_bits(got[0], oracle_noise("impulsive", length, np.random.default_rng(seed)))
+
+
+def test_interleaved_one_row_calls_match_the_oracle_on_one_generator():
+    # The audit batch alternates make_clean and make_noise on one Generator.
+    got_rng, want_rng = np.random.default_rng(21), np.random.default_rng(21)
+    for i in range(8):
+        label, family = EmotionLabel(i % 4), FAMILY_NAMES[i % 3]
+        assert_same_bits(make_clean(label, 1001, 8000, got_rng).samples,
+                         oracle_clean(label, 1001, want_rng))
+        assert_same_bits(make_noise(family, 1001, 8000, got_rng).samples,
+                         oracle_noise(family, 1001, want_rng))
+    assert got_rng.random() == want_rng.random()
 
 
 def test_split_counts_hand_cases():
@@ -143,24 +254,39 @@ def test_noise_for_deterministic_per_cell():
 
 
 def test_contaminate_split_mixes_every_utterance():
-    rng = np.random.default_rng(4)
-    clean = np.stack([make_clean(EmotionLabel.SADNESS, 256, 8000, rng).samples
-                      for _ in range(3)])
-    labels = np.full(3, int(EmotionLabel.SADNESS))
-    mixed = {}
-    # Row i of a split draws its noise at the split's own offset plus i.
-    for name in ("dev", "test"):
-        noisy = contaminate_split(Split(name, labels, clean), "impulsive", 5.0, seed=0,
-                                  sample_rate=8000, snr_index=1)
-        assert noisy.shape == clean.shape
-        for i, row in enumerate(clean):
-            noise = noise_for(0, SPLIT_NOISE_OFFSETS[name] + i, "impulsive", 1, 256, 8000)
-            expected = mix_at_snr(Waveform(samples=row, sample_rate=8000), noise, 5.0)
-            np.testing.assert_array_equal(noisy[i], expected.noisy.samples)
-        residuals = noisy - clean
-        assert not np.array_equal(residuals[0], residuals[1])
-        mixed[name] = noisy
-    assert not np.array_equal(mixed["dev"], mixed["test"])
+    for family in FAMILY_NAMES:
+        for length in LENGTHS:
+            clean = clean_rows(LABELS[:3], length, np.random.default_rng(4))
+            mixed = {}
+            # Row i of a split draws its noise at the split's own offset plus i.
+            for name in ("dev", "test"):
+                noisy = contaminate_split(Split(name, LABELS[:3], clean), family, 5.0,
+                                          seed=0, snr_index=1)
+                assert_same_bits(noisy, oracle_contaminate(name, clean, family, 5.0, 0,
+                                                           snr_index=1))
+                residuals = noisy - clean
+                assert not np.array_equal(residuals[0], residuals[1])
+                mixed[name] = noisy
+            assert not np.array_equal(mixed["dev"], mixed["test"])
+
+
+def test_contaminate_split_names_the_row_that_fails():
+    clean = clean_rows(LABELS[:4], 256, np.random.default_rng(5))
+    clean[2] = 0.0
+    with pytest.raises(ValueError, match="^dev-00002: clean signal has zero power$"):
+        contaminate_split(Split("dev", LABELS[:4], clean), "babble", 5.0, seed=0)
+
+
+@pytest.mark.parametrize("snr_db", [-300.0, 300.0])
+def test_contaminate_split_mixes_at_the_snr_limits(snr_db):
+    clean = clean_rows(LABELS[:3], 256, np.random.default_rng(6))
+    noisy = contaminate_split(Split("test", LABELS[:3], clean), "ambient", snr_db, seed=0)
+    assert np.isfinite(noisy).all()
+    achieved = 10.0 * np.log10(np.mean(clean ** 2, axis=1)
+                               / np.mean((noisy - clean) ** 2, axis=1))
+    # At +300 dB the added noise is lost in the rounding of the clean samples.
+    if snr_db < 0:
+        np.testing.assert_allclose(achieved, snr_db, atol=1e-6)
 
 
 def test_held_out_families():
@@ -189,6 +315,25 @@ def test_generate_corpus_counts_and_determinism():
     np.testing.assert_array_equal(corpus.train.labels, again.train.labels)
     other = generate_corpus(cfg, seed=1)
     assert not np.array_equal(corpus.train.clean[0], other.train.clean[0])
+
+
+@pytest.mark.parametrize("length", [256, 1001])
+def test_generate_corpus_matches_the_per_row_oracle(length):
+    cfg = small_data_cfg(utterance_len=length, train_noise_family="impulsive")
+    corpus = generate_corpus(cfg, seed=3)
+    rng = component_rng(3, "corpus")
+    for name, size in (("train", 12), ("dev", 6), ("test", 6)):
+        counts = split_counts(cfg.class_proportions, size)
+        labels = np.repeat(np.arange(len(counts)), counts)[rng.permutation(size)]
+        clean = np.stack([oracle_clean(label, length, rng) for label in labels])
+        split = getattr(corpus, name)
+        np.testing.assert_array_equal(split.labels, labels)
+        assert_same_bits(split.clean, clean)
+        if name == "test":
+            assert split.noisy is None
+        else:
+            assert_same_bits(split.noisy, oracle_contaminate(
+                name, clean, cfg.train_noise_family, cfg.train_snr_db, 3))
 
 
 def test_write_read_corpus_roundtrip(tmp_path):
@@ -226,7 +371,7 @@ def test_stored_noisy_matches_fresh_contamination(tmp_path):
     stored = read_corpus(tmp_path)
     for split, name in ((stored.train, "train"), (stored.dev, "dev")):
         fresh = contaminate_split(getattr(corpus, name), cfg.train_noise_family,
-                                  cfg.train_snr_db, seed=5, sample_rate=cfg.sample_rate)
+                                  cfg.train_snr_db, seed=5)
         np.testing.assert_array_equal(split.noisy, fresh.astype("<f4").astype(np.float64))
 
 

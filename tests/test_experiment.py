@@ -332,7 +332,7 @@ def test_eval_condition_checks_the_logits_and_enhanced_spectra(tmp_path):
     corpus = ensure_corpus(cfg)
     stats = NormStats(**meta["norm_stats"])
     split = eval_split(model, corpus.test, stats)
-    mixes = contaminate_split(corpus.test, "babble", 5.0, cfg.seed, cfg.data.sample_rate)
+    mixes = contaminate_split(corpus.test, "babble", 5.0, cfg.seed)
     model.se_head.w2.data[0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="matmul"):
         eval_condition(model, cfg, stats, split, mixes, "babble", 5.0)

@@ -20,7 +20,18 @@ import numpy as np
 from framemoe.autodiff import const
 from framemoe.backbone import ConcatRepresentation
 from framemoe.config import DataConfig, ExperimentConfig, apply_overrides, validate
-from framemoe.datagen import contaminate_split, generate_corpus, write_corpus
+from framemoe.backbone import Waveform
+from framemoe.datagen import (
+    FAMILY_NAMES,
+    SPLIT_NOISE_OFFSETS,
+    Split,
+    clean_rows,
+    contaminate_split,
+    generate_corpus,
+    mix_at_snr,
+    noise_for,
+    write_corpus,
+)
 from framemoe.experiment import gradcheck_config
 from framemoe import moe
 
@@ -83,10 +94,29 @@ def test_the_benchmark_reader_reads_the_written_corpus(tmp_path):
         if name == "test":
             assert not any(u["uid"] in noisy for u in utts)
             continue
-        mixes = contaminate_split(split, data.train_noise_family, data.train_snr_db,
-                                  3, data.sample_rate)
+        mixes = contaminate_split(split, data.train_noise_family, data.train_snr_db, 3)
         np.testing.assert_array_equal(np.stack([noisy[u["uid"]] for u in utts]),
                                       stored(mixes))
+
+
+def test_the_checks_rebuild_the_test_mixes_that_eval_scores():
+    # checks.reference_sweep rebuilds each test mix one row at a time with
+    # noise_for and mix_at_snr; run_eval scores contaminate_split's rows. A
+    # divergence would show only as a metrics mismatch after a whole round.
+    seed, labels = 43, np.array([3, 0, 2])
+    for workload in load_bench_module("run").WORKLOADS.values():
+        data = apply_overrides(ExperimentConfig(), workload["overrides"]).data
+        length = data.utterance_len
+        split = Split("test", labels, clean_rows(labels, length, np.random.default_rng(seed)))
+        for family in FAMILY_NAMES:
+            for snr_index, snr_db in enumerate(data.eval_snrs_db):
+                rows = [mix_at_snr(Waveform(samples=clean, sample_rate=data.sample_rate),
+                                   noise_for(seed, SPLIT_NOISE_OFFSETS["test"] + i, family,
+                                             snr_index, length, data.sample_rate),
+                                   snr_db, family=family, source_id=split.uid(i)).noisy.samples
+                        for i, clean in enumerate(split.clean)]
+                got = contaminate_split(split, family, snr_db, seed, snr_index)
+                assert got.tobytes() == np.stack(rows).tobytes(), (length, family, snr_db)
 
 
 def test_the_benchmark_counts_each_routed_frame_as_one_expert_row():
