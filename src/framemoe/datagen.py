@@ -27,7 +27,7 @@ import numpy as np
 from .backbone import Waveform
 from .config import ConfigError, DataConfig, component_rng, component_seed
 from .files import write_atomic
-from .heads import EmotionLabel
+from .heads import N_CLASSES, EmotionLabel
 
 SNR_TOLERANCE_DB = 1e-6
 # Mixing scales noise power by 10 ** (snr_db / 10); within +-300 dB that gain
@@ -406,11 +406,17 @@ def read_corpus(corpus_dir: str | Path) -> Corpus:
     """Load a written corpus. Every record must hold finite samples of one length
     and sample rate, and every train and dev utterance a stored mix."""
     corpus_dir = Path(corpus_dir)
-    signals = np.fromfile(corpus_dir / SIGNALS_NAME, dtype="<f4")
 
     def refuse(what: str, problem: str) -> ConfigError:
         return ConfigError(f"{corpus_dir}: {what} {problem}; delete this corpus or run gen again")
 
+    def is_int(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    for name in (SIGNALS_NAME, MANIFEST_NAME):
+        if not (corpus_dir / name).is_file():
+            raise refuse(name, "is missing")
+    signals = np.fromfile(corpus_dir / SIGNALS_NAME, dtype="<f4")
     records = []
     with open(corpus_dir / MANIFEST_NAME) as fh:
         for number, line in enumerate(fh, start=1):
@@ -427,6 +433,12 @@ def read_corpus(corpus_dir: str | Path) -> Corpus:
                 raise refuse(where, f"names an unknown split {rec['split']!r}")
             if rec["kind"] not in ("clean", "noisy"):
                 raise refuse(where, f"has an unknown kind {rec['kind']!r}")
+            record = f"record {rec['id']!r}"
+            for key, least in (("offset", 0), ("length", 1)):
+                if not is_int(rec[key]) or rec[key] < least:
+                    raise refuse(record, f"has {key} {rec[key]!r}, not an int >= {least}")
+            if not is_int(rec["label"]) or not 0 <= rec["label"] < N_CLASSES:
+                raise refuse(record, f"has label {rec['label']!r}, not an int in 0-{N_CLASSES - 1}")
             records.append(rec)
 
     shape = (records[0]["length"], records[0]["sample_rate"]) if records else None

@@ -20,7 +20,6 @@ import numpy as np
 from .analytics import (
     ANALYTICS_FILES,
     AnalyticsReport,
-    RoutingTrace,
     analytics_report,
     write_analytics,
 )
@@ -294,9 +293,9 @@ def _mean_in_order(scores: np.ndarray) -> float:
 
 def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, split: EvalSplit,
                    mixes: np.ndarray, family: str, snr_db: float
-                   ) -> tuple[MetricsReport, list[RoutingTrace]]:
-    """Metrics and per-utterance routing traces for a split's (B, N) `mixes`,
-    made with `family` noise at `snr_db`.
+                   ) -> tuple[MetricsReport, tuple[np.ndarray, np.ndarray]]:
+    """Metrics and the (B, T) top-1 experts of the emotion and denoising
+    tasks for a split's (B, N) `mixes`, made with `family` noise at `snr_db`.
 
     Denoising is scored in the normalized domain: L1 on log1p spectra and
     segmental SNR on the estimate resynthesized with the noisy phase. The
@@ -306,7 +305,7 @@ def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, split: EvalS
     bb = model.backbone
     source = split.source
     chunk = cfg.training.phase2_batch
-    y_pred, traces = [], []
+    y_pred, ser_top1, se_top1 = [], [], []
     scores: dict[str, list[np.ndarray]] = {"ssnr": [], "l1": [], "ssnr_noisy": [],
                                            "l1_noisy": []}
     for start in range(0, len(source.labels), chunk):
@@ -334,12 +333,8 @@ def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, split: EvalS
         scores["ssnr_noisy"].append(ssnr(clean_z, noisy_z[:, :span], cfg.ssnr))
 
         seg = out.ser_seq.segment
-        ser_top1 = out.ser_decision.indices[:, 0].reshape(-1, seg)
-        se_top1 = out.se_decision.indices[:, 0].reshape(-1, seg)
-        traces += [RoutingTrace(uid=source.uid(start + b), family=family,
-                                snr_db=float(snr_db), label=int(label),
-                                ser_top1=ser_top1[b], se_top1=se_top1[b])
-                   for b, label in enumerate(labels)]
+        ser_top1.append(out.ser_decision.indices[:, 0].reshape(-1, seg))
+        se_top1.append(out.se_decision.indices[:, 0].reshape(-1, seg))
 
     means = {name: _mean_in_order(np.concatenate(parts)) for name, parts in scores.items()}
     y_true = source.labels
@@ -353,7 +348,7 @@ def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, split: EvalS
         per_class_counts={EmotionLabel(c).name.lower(): int(label_counts[c])
                           for c in range(4)},
     )
-    return report, traces
+    return report, (np.concatenate(ser_top1), np.concatenate(se_top1))
 
 
 def write_metrics_csv(path: Path, reports: list[MetricsReport]) -> None:
@@ -362,7 +357,7 @@ def write_metrics_csv(path: Path, reports: list[MetricsReport]) -> None:
 
 def run_eval(run_dir: str | Path) -> list[MetricsReport]:
     """Sweep every noise family over every evaluation SNR on the test split,
-    scoring both tasks and summarizing the sweep's routing traces."""
+    scoring both tasks and summarizing the sweep's top-1 experts."""
     start = time.monotonic()
     run_dir = Path(run_dir)
     cfg, model, meta = load_trained(run_dir)
@@ -376,14 +371,18 @@ def run_eval(run_dir: str | Path) -> list[MetricsReport]:
     stats = NormStats(**meta["norm_stats"])
     test = eval_split(model, corpus.test, stats)
     reports: list[MetricsReport] = []
-    traces: list[RoutingTrace] = []
+    ser_top1, se_top1 = [], []
     for family in (cfg.data.train_noise_family, *held_out_families(cfg.data.train_noise_family)):
         for snr_index, snr_db in enumerate(cfg.data.eval_snrs_db):
             mixes = contaminate_split(corpus.test, family, snr_db, cfg.seed, snr_index)
-            report, cond_traces = eval_condition(model, cfg, stats, test, mixes, family, snr_db)
+            report, (ser, se) = eval_condition(model, cfg, stats, test, mixes, family, snr_db)
             reports.append(report)
-            traces.extend(cond_traces)
-    analytics = analytics_report(traces, cfg.moe.n_experts)
+            ser_top1.append(ser)
+            se_top1.append(se)
+    n_test = len(corpus.test.labels)
+    analytics = analytics_report(np.concatenate(ser_top1), np.concatenate(se_top1),
+                                 np.repeat([r.snr_db for r in reports], n_test),
+                                 np.tile(corpus.test.labels, len(reports)), cfg.moe.n_experts)
     write_metrics_csv(run_dir / METRICS_NAME, reports)
     write_analytics(analytics, run_dir)
     update_report(run_dir, metrics=[r.as_row() for r in reports],

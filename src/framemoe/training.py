@@ -34,8 +34,8 @@ from .autodiff import (
 )
 from .files import write_atomic
 from .heads import N_CLASSES
-from .model import ModelOutputs, forward_features
-from .moe import balancing_loss
+from .model import ModelOutputs, forward_features, representation
+from .moe import TASK_SE, TASK_SER, TaskSequence, balancing_loss, moe_forward
 
 
 class TrainingAborted(RuntimeError):
@@ -302,14 +302,19 @@ def cache_task_sequences(model, feats, batch_size: int) -> dict[str, np.ndarray]
     Returns one (utterances, T, D) array per task, computed forward-only in
     batches of `batch_size`.
     """
-    parts: dict[str, list[np.ndarray]] = {"ser": [], "se": []}
+    def sequences(batch):
+        rep = representation(model, batch)
+        return [moe_forward(model.pool, model.gates[task], rep, model.top_k)[0]
+                for task in (TASK_SER, TASK_SE)]
+
+    parts: dict[str, list[np.ndarray]] = {TASK_SER: [], TASK_SE: []}
     with no_tape():
         for start in range(0, len(feats), batch_size):
             batch = feats[start : start + batch_size]
-            out = forward_features(model, batch)
-            check_outputs("phase-1 task sequences", [out.ser_seq.z.data, out.se_seq.z.data],
-                          lambda: forward_features(model, batch))
-            for seq in (out.ser_seq, out.se_seq):
+            seqs = sequences(batch)
+            check_outputs("phase-1 task sequences", [seq.z.data for seq in seqs],
+                          lambda: sequences(batch))
+            for seq in seqs:
                 parts[seq.task].append(seq.z.data.reshape(-1, seq.segment, seq.z.shape[1]))
     return {task: np.concatenate(arrays) for task, arrays in parts.items()}
 
@@ -337,7 +342,6 @@ def train_phase1(model, train_feats, class_weights, cfg, rng) -> PhaseResult:
     """
     from .heads import se_decode, ser_classify
     from .model import named_parameters, se_parameters, ser_parameters
-    from .moe import TASK_SE, TASK_SER, TaskSequence
 
     if not train_feats:
         raise ValueError("phase 1 needs a non-empty training set")
@@ -358,35 +362,27 @@ def train_phase1(model, train_feats, class_weights, cfg, rng) -> PhaseResult:
         enhanced = se_decode(model.se_head, seq, const(stacked(x_noisy, batch)))
         return l1_loss(enhanced, const(stacked(x_clean, batch)))
 
+    # One pass per head, classification first: (parameters, lr, epochs,
+    # batch size, loss, curve column, what the loss is called).
+    heads = [(ser_parameters(model), cfg.phase1_ser_lr, cfg.phase1_ser_epochs,
+              cfg.phase1_ser_batch, ser_loss, "wce", "classification"),
+             (se_parameters(model), cfg.phase1_se_lr, cfg.phase1_se_epochs,
+              cfg.phase1_se_batch, se_loss, "l1", "denoising")]
     curve = LossCurve()
-    opt = AdamW([{"params": ser_parameters(model), "lr": cfg.phase1_ser_lr}],
-                weight_decay=cfg.weight_decay)
-    for epoch in range(cfg.phase1_ser_epochs):
-        losses = []
-        for batch in _batches(n_utts, cfg.phase1_ser_batch, rng):
-            opt.zero_grad()
-            loss = ser_loss(batch)
-            check_outputs("phase-1 classification loss", [loss.data], lambda: ser_loss(batch))
-            backprop(loss)
-            opt.step()
-            losses.append(float(loss.data))
-        curve.append(epoch, wce=float(np.mean(losses)), l1=0.0, balance=0.0,
-                     total=float(np.mean(losses)))
-
-    opt = AdamW([{"params": se_parameters(model), "lr": cfg.phase1_se_lr}],
-                weight_decay=cfg.weight_decay)
-    base = len(curve.rows)
-    for epoch in range(cfg.phase1_se_epochs):
-        losses = []
-        for batch in _batches(n_utts, cfg.phase1_se_batch, rng):
-            opt.zero_grad()
-            loss = se_loss(batch)
-            check_outputs("phase-1 denoising loss", [loss.data], lambda: se_loss(batch))
-            backprop(loss)
-            opt.step()
-            losses.append(float(loss.data))
-        curve.append(base + epoch, wce=0.0, l1=float(np.mean(losses)), balance=0.0,
-                     total=float(np.mean(losses)))
+    for params, lr, epochs, batch_size, loss_of, column, what in heads:
+        opt = AdamW([{"params": params, "lr": lr}], weight_decay=cfg.weight_decay)
+        for _ in range(epochs):
+            losses = []
+            for batch in _batches(n_utts, batch_size, rng):
+                opt.zero_grad()
+                loss = loss_of(batch)
+                check_outputs(f"phase-1 {what} loss", [loss.data], lambda: loss_of(batch))
+                backprop(loss)
+                opt.step()
+                losses.append(float(loss.data))
+            mean = float(np.mean(losses))
+            curve.append(len(curve.rows), **{"wce": 0.0, "l1": 0.0, column: mean},
+                         balance=0.0, total=mean)
 
     return PhaseResult(curve=curve, checkpoint=snapshot_params(named_parameters(model)))
 

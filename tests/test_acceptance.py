@@ -20,17 +20,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from framemoe.analytics import (
-    RoutingTrace,
-    agreement,
-    analytics_report,
-    expert_usage,
-    switch_rate,
-)
+from framemoe.analytics import analytics_report
 from framemoe.autodiff import const, softmax_rows
 from framemoe.backbone import ConcatRepresentation
 from framemoe.config import ExperimentConfig, validate
-from framemoe.datagen import FAMILY_NAMES, Waveform, held_out_families, mix_at_snr
+from framemoe.datagen import Waveform, held_out_families, mix_at_snr
 from framemoe.experiment import (
     ensure_corpus,
     run_ablate,
@@ -334,19 +328,13 @@ def test_08_metric_implementations_match_brute_force_oracles():
         assert mixed.snr_db == target
 
 
-def random_traces(rng, count, n_experts):
-    traces = []
-    for i in range(count):
-        t = int(rng.integers(2, 30))
-        traces.append(RoutingTrace(
-            uid=f"trace-{i:04d}",
-            family=str(rng.choice(FAMILY_NAMES)),
-            snr_db=float(rng.choice([-5.0, 0.0, 5.0, 10.0])),
-            label=EmotionLabel(int(rng.integers(0, 4))),
-            ser_top1=rng.integers(0, n_experts, t),
-            se_top1=rng.integers(0, n_experts, t),
-        ))
-    return traces
+def random_rows(rng, count, frames, n_experts):
+    """`count` rows of `frames` top-1 experts per task, with one SNR and one
+    label per row."""
+    return (rng.integers(0, n_experts, (count, frames)),
+            rng.integers(0, n_experts, (count, frames)),
+            rng.choice([-5.0, 0.0, 5.0, 10.0], size=count),
+            rng.integers(0, 4, size=count))
 
 
 def test_09_analytics_match_tally_oracles_and_report_structure():
@@ -354,42 +342,49 @@ def test_09_analytics_match_tally_oracles_and_report_structure():
     checked = 0
     for batch in range(100):
         n_experts = int(rng.integers(2, 6))
-        traces = random_traces(rng, 10, n_experts)
-        checked += len(traces)
-        for tr in traces:
-            for top1 in (tr.ser_top1, tr.se_top1):
+        ser, se, snr_db, labels = random_rows(rng, 10, int(rng.integers(2, 30)), n_experts)
+        checked += len(ser)
+        for i in range(len(ser)):
+            row = analytics_report(ser[i:i + 1], se[i:i + 1], snr_db[i:i + 1],
+                                   labels[i:i + 1], n_experts).switch_agreement[0]
+            for col, top1 in (("ser_switch", ser[i]), ("se_switch", se[i])):
                 switches = sum(1 for a, b in zip(top1[:-1], top1[1:]) if a != b)
-                assert switch_rate(top1) == switches / (top1.size - 1)
-            same = sum(1 for a, b in zip(tr.ser_top1, tr.se_top1) if a == b)
-            assert agreement(tr.ser_top1, tr.se_top1) == same / tr.ser_top1.size
-        for task in ("ser", "se"):
-            pooled = np.concatenate(
-                [tr.ser_top1 if task == "ser" else tr.se_top1 for tr in traces])
-            counts = [int(np.sum(pooled == e)) for e in range(n_experts)]
-            oracle = np.array(counts, dtype=np.float64) / pooled.size
-            assert np.array_equal(expert_usage(traces, n_experts, task), oracle)
+                assert row[col] == switches / (top1.size - 1)
+            same = sum(1 for a, b in zip(ser[i], se[i]) if a == b)
+            assert row["agreement"] == same / ser[i].size
+        report = analytics_report(ser, se, snr_db, labels, n_experts)
+        for table, key, values in (
+                (report.usage_by_snr, "snr_db", snr_db),
+                (report.usage_by_label, "label",
+                 [EmotionLabel(int(v)).name.lower() for v in labels])):
+            for row in table:
+                members = [i for i in range(len(ser)) if values[i] == row[key]]
+                pooled = [e for i in members for e in (ser if row["task"] == "ser" else se)[i]]
+                counts = [sum(1 for e in pooled if e == n) for n in range(n_experts)]
+                oracle = np.array(counts, dtype=np.float64) / len(pooled)
+                assert np.array_equal([row[f"expert_{n}"] for n in range(n_experts)], oracle)
     assert checked == 1000
 
     # Summary tables carry one switch/switch/agreement triple per condition,
     # grouped by SNR and by label, pooled frame-weighted.
-    traces = random_traces(rng, 40, 3)
-    report = analytics_report(traces, n_experts=3)
+    ser, se, snr_db, labels = random_rows(rng, 40, int(rng.integers(2, 30)), 3)
+    report = analytics_report(ser, se, snr_db, labels, n_experts=3)
     assert all(set(row) == {"group_by", "condition", "se_switch", "ser_switch",
                             "agreement"} for row in report.switch_agreement)
-    for group_by, key in (("snr_db", lambda tr: tr.snr_db),
-                          ("label", lambda tr: tr.label.name.lower())):
+    for group_by, key in (("snr_db", lambda i: snr_db[i]),
+                          ("label", lambda i: EmotionLabel(int(labels[i])).name.lower())):
         rows = {r["condition"]: r for r in report.switch_agreement
                 if r["group_by"] == group_by}
-        assert set(rows) == {key(tr) for tr in traces}
+        assert set(rows) == {key(i) for i in range(len(ser))}
         for condition, row in rows.items():
-            members = [tr for tr in traces if key(tr) == condition]
-            for col, arrays in (("ser_switch", [tr.ser_top1 for tr in members]),
-                                ("se_switch", [tr.se_top1 for tr in members])):
+            members = [i for i in range(len(ser)) if key(i) == condition]
+            for col, arrays in (("ser_switch", [ser[i] for i in members]),
+                                ("se_switch", [se[i] for i in members])):
                 flips = sum(int(np.sum(a[1:] != a[:-1])) for a in arrays)
                 bounds = sum(a.size - 1 for a in arrays)
                 assert row[col] == flips / bounds
-            same = sum(int(np.sum(tr.ser_top1 == tr.se_top1)) for tr in members)
-            total = sum(tr.ser_top1.size for tr in members)
+            same = sum(int(np.sum(ser[i] == se[i])) for i in members)
+            total = sum(ser[i].size for i in members)
             assert row["agreement"] == same / total
 
 

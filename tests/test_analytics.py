@@ -3,109 +3,108 @@ import csv
 import numpy as np
 import pytest
 
-from framemoe.analytics import (
-    AVERAGING_NOTE,
-    RoutingTrace,
-    agreement,
-    analytics_report,
-    expert_usage,
-    switch_rate,
-    write_analytics,
-)
+from framemoe.analytics import AVERAGING_NOTE, analytics_report, write_analytics
+from framemoe.heads import EmotionLabel
 
 
-def make_trace(rng, uid="u0", family="babble", snr_db=0.0, label=0, t=10, n=3):
-    return RoutingTrace(uid=uid, family=family, snr_db=snr_db, label=label,
-                        ser_top1=rng.integers(0, n, size=t),
-                        se_top1=rng.integers(0, n, size=t))
+def one_row(ser, se, n_experts=3, snr_db=0.0, label=0):
+    """The report of a single (1, T) row."""
+    return analytics_report(np.array([ser]), np.array([se]), np.array([snr_db]),
+                            np.array([label]), n_experts)
+
+
+def random_rows(rng, u, t, n):
+    return (rng.integers(0, n, size=(u, t)), rng.integers(0, n, size=(u, t)),
+            rng.choice([-5.0, 0.0, 5.0], size=u), rng.integers(0, 4, size=u))
 
 
 def test_switch_rate_hand_cases():
-    assert switch_rate(np.array([0, 0, 0, 0])) == 0.0
-    assert switch_rate(np.array([0, 1, 0, 1])) == 1.0
-    assert switch_rate(np.array([0, 0, 1, 1])) == 1.0 / 3.0
-    assert switch_rate(np.array([2, 2])) == 0.0
+    for ser, want in (([0, 0, 0, 0], 0.0), ([0, 1, 0, 1], 1.0), ([0, 0, 1, 1], 1.0 / 3.0),
+                      ([2, 2], 0.0)):
+        row = one_row(ser, ser).switch_agreement[0]
+        assert row["ser_switch"] == want and row["se_switch"] == want
 
 
 def test_switch_rate_validation():
-    with pytest.raises(ValueError):
-        switch_rate(np.array([1]))
-    with pytest.raises(ValueError):
-        switch_rate(np.zeros((2, 2)))
+    # One frame has no boundary; a 1-d trace has no rows.
+    with pytest.raises(ValueError, match="T >= 2"):
+        one_row([1], [1])
+    with pytest.raises(ValueError, match="T >= 2"):
+        analytics_report(np.array([0, 1]), np.array([0, 1]), np.zeros(2), np.zeros(2), 2)
 
 
 def test_agreement_hand_cases():
-    assert agreement(np.array([0, 1, 2]), np.array([0, 1, 2])) == 1.0
-    assert agreement(np.array([0, 1]), np.array([1, 0])) == 0.0
-    assert agreement(np.array([0, 1, 2, 0]), np.array([0, 2, 2, 1])) == 0.5
+    for ser, se, want in (([0, 1, 2], [0, 1, 2], 1.0), ([0, 1], [1, 0], 0.0),
+                          ([0, 1, 2, 0], [0, 2, 2, 1], 0.5)):
+        assert one_row(ser, se).switch_agreement[0]["agreement"] == want
 
 
 def test_agreement_validation():
-    with pytest.raises(ValueError):
-        agreement(np.array([0, 1]), np.array([0]))
-    with pytest.raises(ValueError):
-        agreement(np.array([]), np.array([]))
+    with pytest.raises(ValueError, match="one \\(U, T\\) shape"):
+        analytics_report(np.zeros((2, 3), int), np.zeros((2, 4), int), np.zeros(2),
+                         np.zeros(2), 2)
+    with pytest.raises(ValueError, match="U >= 1"):
+        analytics_report(np.zeros((0, 3), int), np.zeros((0, 3), int), np.zeros(0),
+                         np.zeros(0), 2)
 
 
 def test_expert_usage_pools_across_traces():
-    traces = [
-        RoutingTrace(uid="a", family="babble", snr_db=0.0, label=0,
-                     ser_top1=[0, 0, 1], se_top1=[2, 2, 2]),
-        RoutingTrace(uid="b", family="babble", snr_db=0.0, label=1,
-                     ser_top1=[1, 2], se_top1=[0, 0]),
-    ]
-    np.testing.assert_allclose(expert_usage(traces, 3, "ser"),
-                               np.array([2, 2, 1]) / 5.0)
-    np.testing.assert_allclose(expert_usage(traces, 3, "se"),
-                               np.array([2, 0, 3]) / 5.0)
+    report = analytics_report(np.array([[0, 0, 1], [1, 2, 2]]), np.array([[2, 2, 2], [0, 0, 1]]),
+                              np.array([0.0, 0.0]), np.array([0, 1]), n_experts=3)
+    usage = {row["task"]: [row[f"expert_{n}"] for n in range(3)] for row in report.usage_by_snr}
+    assert usage == {"ser": [2 / 6, 2 / 6, 2 / 6], "se": [2 / 6, 1 / 6, 3 / 6]}
+    by_label = [(row["label"], row["task"], [row[f"expert_{n}"] for n in range(3)])
+                for row in report.usage_by_label]
+    assert by_label == [("anger", "se", [0.0, 0.0, 1.0]), ("anger", "ser", [2 / 3, 1 / 3, 0.0]),
+                        ("sadness", "se", [2 / 3, 1 / 3, 0.0]),
+                        ("sadness", "ser", [0.0, 1 / 3, 2 / 3])]
+
+
+def test_each_ratio_is_one_ratio_of_integer_totals():
+    # Three rows of 4 frames in one group: 3 boundaries and 4 frames per row.
+    ser = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [1, 1, 2, 2]])
+    se = np.array([[0, 0, 0, 1], [1, 1, 1, 1], [1, 2, 2, 2]])
+    report = analytics_report(ser, se, np.full(3, 5.0), np.full(3, 2), n_experts=3)
+    for row in report.switch_agreement:
+        # (0 + 3 + 1) ser switches, (1 + 0 + 1) se switches over 3 * 3 boundaries;
+        # (3 + 2 + 3) agreeing frames of 3 * 4.
+        assert row["ser_switch"] == 4 / 9 and row["se_switch"] == 2 / 9
+        assert row["agreement"] == 8 / 12
+    assert [r["condition"] for r in report.switch_agreement] == [5.0, "happiness"]
+
+
+def ragged(*rows):
+    out = np.empty(len(rows), dtype=object)
+    out[:] = [np.array(row) for row in rows]
+    return out
+
+
+@pytest.mark.parametrize("ser,se,snr_db,labels", [
+    (ragged([0, 1], [1, 0, 1]), ragged([0, 1], [1, 0, 1]), np.zeros(2), np.zeros(2)),
+    ([[0, 1], [1, 0, 1]], [[0, 1], [1, 0, 1]], [0.0, 0.0], [0, 0]),
+    (np.zeros((2, 3), int), np.zeros((3, 2), int), np.zeros(2), np.zeros(2)),
+    (np.zeros((2, 3), int), np.zeros((2, 3), int), np.zeros(3), np.zeros(2)),
+    (np.zeros((2, 3), int), np.zeros((2, 3), int), np.zeros(2), np.zeros(1)),
+    (np.zeros((2, 3), int), np.zeros((2, 3), int), np.zeros((2, 1)), np.zeros(2)),
+    (np.zeros((2, 3, 1), int), np.zeros((2, 3, 1), int), np.zeros(2), np.zeros(2)),
+], ids=["ragged", "ragged-lists", "shapes-differ", "snr-length", "label-length", "snr-2d", "3d"])
+def test_mismatched_or_ragged_input_is_refused(ser, se, snr_db, labels):
     with pytest.raises(ValueError):
-        expert_usage(traces, 3, "other")
-    with pytest.raises(ValueError):
-        expert_usage([], 3, "ser")
-
-
-def test_pooled_switch_is_frame_weighted_not_trace_mean():
-    # One long steady trace and one short alternating trace: the pooled rate
-    # weights by boundaries, so it differs from averaging the two rates.
-    steady = RoutingTrace(uid="a", family="babble", snr_db=0.0, label=0,
-                          ser_top1=np.zeros(11, dtype=int),
-                          se_top1=np.zeros(11, dtype=int))
-    alternating = RoutingTrace(uid="b", family="babble", snr_db=0.0, label=0,
-                               ser_top1=np.array([0, 1, 0]),
-                               se_top1=np.array([0, 1, 0]))
-    report = analytics_report([steady, alternating], n_experts=2)
-    row = report.switch_agreement[0]
-    # 0 + 2 switches over 10 + 2 boundaries.
-    assert row["ser_switch"] == 2 / 12
-    assert row["se_switch"] == 2 / 12
-    naive = (0.0 + 1.0) / 2
-    assert row["ser_switch"] != naive
-
-
-def test_pooled_agreement_is_frame_weighted():
-    a = RoutingTrace(uid="a", family="babble", snr_db=0.0, label=0,
-                     ser_top1=[0, 0, 0, 0], se_top1=[0, 0, 0, 1])
-    b = RoutingTrace(uid="b", family="babble", snr_db=0.0, label=1,
-                     ser_top1=[1, 1], se_top1=[0, 1])
-    report = analytics_report([a, b], n_experts=2)
-    row = report.switch_agreement[0]
-    assert row["agreement"] == 4 / 6
+        analytics_report(ser, se, snr_db, labels, n_experts=2)
 
 
 def test_analytics_report_grouping_and_ordering():
     rng = np.random.default_rng(0)
-    traces = [
-        make_trace(rng, uid="a", snr_db=5.0, label=2),
-        make_trace(rng, uid="b", snr_db=-5.0, label=0),
-        make_trace(rng, uid="c", snr_db=5.0, label=0),
-    ]
-    report = analytics_report(traces, n_experts=3)
+    ser, se, _, _ = random_rows(rng, 3, 10, 3)
+    report = analytics_report(ser, se, np.array([5.0, -5.0, 5.0]), np.array([2, 0, 0]), 3)
     snr_rows = [r for r in report.switch_agreement if r["group_by"] == "snr_db"]
     label_rows = [r for r in report.switch_agreement if r["group_by"] == "label"]
     assert [r["condition"] for r in snr_rows] == [-5.0, 5.0]
+    assert all(type(r["condition"]) is float for r in snr_rows)
     assert [r["condition"] for r in label_rows] == ["anger", "happiness"]
     # Usage tables carry one row per (group, task) with expert_ columns.
     assert [r["snr_db"] for r in report.usage_by_snr] == [-5.0, -5.0, 5.0, 5.0]
+    assert all(type(r["snr_db"]) is float for r in report.usage_by_snr)
     assert [r["task"] for r in report.usage_by_snr] == ["se", "ser", "se", "ser"]
     for row in report.usage_by_snr:
         hist = [row[f"expert_{n}"] for n in range(3)]
@@ -118,46 +117,27 @@ def test_analytics_report_matches_bruteforce_on_random_traces():
     rng = np.random.default_rng(1)
     for trial in range(50):
         n_experts = int(rng.integers(2, 5))
-        traces = []
-        for i in range(int(rng.integers(2, 8))):
-            t = int(rng.integers(2, 12))
-            traces.append(RoutingTrace(
-                uid=f"u{i}", family="babble",
-                snr_db=float(rng.choice([-5.0, 5.0])),
-                label=int(rng.integers(0, 4)),
-                ser_top1=rng.integers(0, n_experts, size=t),
-                se_top1=rng.integers(0, n_experts, size=t)))
-        report = analytics_report(traces, n_experts)
+        u, t = int(rng.integers(1, 8)), int(rng.integers(2, 12))
+        ser, se, snr_db, labels = random_rows(rng, u, t, n_experts)
+        report = analytics_report(ser, se, snr_db, labels, n_experts)
         for row in report.switch_agreement:
             if row["group_by"] == "snr_db":
-                group = [t for t in traces if t.snr_db == row["condition"]]
+                group = [i for i in range(u) if snr_db[i] == row["condition"]]
             else:
-                from framemoe.heads import EmotionLabel
-
-                group = [t for t in traces
-                         if t.label == EmotionLabel[row["condition"].upper()]]
-            switches = sum(int(np.sum(t.ser_top1[1:] != t.ser_top1[:-1]))
-                           for t in group)
-            bounds = sum(t.ser_top1.size - 1 for t in group)
-            assert row["ser_switch"] == switches / bounds
-            agree = sum(int(np.sum(t.ser_top1 == t.se_top1)) for t in group)
-            frames = sum(t.ser_top1.size for t in group)
-            assert row["agreement"] == agree / frames
-
-
-def test_routing_trace_validation():
-    with pytest.raises(ValueError):
-        RoutingTrace(uid="x", family="babble", snr_db=0.0, label=0,
-                     ser_top1=[0, 1], se_top1=[0, 1, 2])
-    with pytest.raises(ValueError):
-        analytics_report([], n_experts=3)
+                group = [i for i in range(u)
+                         if labels[i] == EmotionLabel[row["condition"].upper()]]
+            for col, top1 in (("ser_switch", ser), ("se_switch", se)):
+                switches = sum(1 for i in group for a, b in zip(top1[i][:-1], top1[i][1:])
+                               if a != b)
+                assert row[col] == switches / (len(group) * (t - 1))
+            agree = sum(1 for i in group for a, b in zip(ser[i], se[i]) if a == b)
+            assert row["agreement"] == agree / (len(group) * t)
 
 
 def test_write_analytics_csv_schema(tmp_path):
     rng = np.random.default_rng(2)
-    traces = [make_trace(rng, uid=f"u{i}", snr_db=snr, label=i % 2)
-              for i, snr in enumerate([0.0, 0.0, 5.0])]
-    report = analytics_report(traces, n_experts=3)
+    ser, se, _, _ = random_rows(rng, 3, 10, 3)
+    report = analytics_report(ser, se, np.array([0.0, 0.0, 5.0]), np.array([0, 1, 0]), 3)
     written = write_analytics(report, tmp_path)
     names = [p.name for p in written]
     assert names == ["switch_agreement.csv", "usage_by_snr.csv",

@@ -397,6 +397,10 @@ def _nan_in(rid):
     return damage
 
 
+def _remove_file(name):
+    return lambda corpus: (corpus / name).unlink()
+
+
 def _cut_signals(n_samples):
     def damage(corpus):
         path = corpus / "signals.f32"
@@ -426,8 +430,18 @@ def trained_run(tmp_path_factory):
      "manifest.jsonl line 18 ", "unknown split 'eval'"),
     (_edit_line(26, _edit_record(lambda rec: rec.update(kind="mixed"))),
      "manifest.jsonl line 26 ", "unknown kind 'mixed'"),
+    (_remove_file("signals.f32"), "signals.f32", "is missing"),
+    (_remove_file("manifest.jsonl"), "manifest.jsonl", "is missing"),
+    (_set_field("dev-00002", "offset", "12"), "'dev-00002'", "has offset '12', not an int >= 0"),
+    (_set_field("train-00001-noisy", "offset", -256), "'train-00001-noisy'",
+     "has offset -256, not an int >= 0"),
+    (_set_field("test-00002", "label", 7), "'test-00002'", "has label 7, not an int in 0-3"),
+    (_set_field("test-00000", "length", 0), "'test-00000'", "has length 0, not an int >= 1"),
+    (_set_field("dev-00001", "label", True), "'dev-00001'", "has label True, not an int in 0-3"),
 ], ids=["missing-mix", "non-finite", "truncated", "length", "sample-rate", "cut-line",
-        "blank-line", "missing-key", "unknown-split", "unknown-kind"])
+        "blank-line", "missing-key", "unknown-split", "unknown-kind", "missing-signals",
+        "missing-manifest", "string-offset", "negative-offset", "label-out-of-range",
+        "zero-length", "bool-label"])
 def test_cli_refuses_a_damaged_corpus_naming_the_record(trained_run, tmp_path, capsys,
                                                         damage, record, problem):
     run = tmp_path / "run"

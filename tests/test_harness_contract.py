@@ -4,7 +4,8 @@ framebench/ depends on.
 framebench/tracing.py wraps layer functions by (module, name),
 framebench/checks.py imports framemoe names directly, framebench/run.py
 runs each workload as config overrides, and framebench/reference.py reads
-the written corpus with its own reader. A cleanup that renames or removes
+the written corpus with its own reader and tallies the routing tables the
+analytics CSVs are checked against. A cleanup that renames or removes
 one of those names, a validation rule that rejects a workload's config, or
 a change to the container format would break the benchmark run; these
 tests name the break instead.
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from framemoe.analytics import analytics_report
 from framemoe.autodiff import const
 from framemoe.backbone import ConcatRepresentation
 from framemoe.config import DataConfig, ExperimentConfig, apply_overrides, validate
@@ -147,3 +149,26 @@ def test_the_benchmark_counts_each_routed_frame_as_one_expert_row():
     np.testing.assert_array_equal(decision.indices, np.stack([first, second], axis=1))
     assert tracer.calls["moe.expert_forward"] == 3
     assert tracer.counts["moe.expert_rows"] == tracer.counts["moe.routed_rows"] == 20
+
+
+def test_the_analytics_tables_equal_the_reference_tallies():
+    # checks.check_analyze compares the written CSVs with reference.routing_tables,
+    # which tallies per-trace dicts with its own loops; a divergence would show
+    # only as a failed check after a whole round.
+    reference = load_bench_module("reference")
+    rng = np.random.default_rng(15)
+    snrs = ExperimentConfig().data.eval_snrs_db
+    for _ in range(300):
+        n_experts = int(rng.integers(1, 10))
+        u, t = int(rng.integers(1, 40)), int(rng.integers(2, 300))
+        ser = rng.integers(0, n_experts, (u, t))
+        se = rng.integers(0, n_experts, (u, t))
+        snr_db = rng.choice(snrs, size=u)
+        labels = rng.integers(0, 4, size=u)
+        report = analytics_report(ser, se, snr_db, labels, n_experts)
+        traces = [{"snr_db": float(snr_db[i]), "label": int(labels[i]), "ser": ser[i],
+                   "se": se[i]} for i in range(u)]
+        want = reference.routing_tables(traces, n_experts)
+        assert report.switch_agreement == want["switch_agreement.csv"]
+        assert report.usage_by_snr == want["usage_by_snr.csv"]
+        assert report.usage_by_label == want["usage_by_label.csv"]
