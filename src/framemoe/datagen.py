@@ -429,7 +429,11 @@ def read_corpus(corpus_dir: str | Path) -> Corpus:
                 raise refuse(where, "is not a JSON object")
             if missing := [key for key in MANIFEST_KEYS if key not in rec]:
                 raise refuse(where, f"has no '{missing[0]}'")
-            if rec["split"] not in SPLIT_NOISE_OFFSETS:
+            if not isinstance(rec["id"], str):
+                raise refuse(where, f"has id {rec['id']!r}, not a string")
+            if not isinstance(rec["source_id"], (str, type(None))):
+                raise refuse(where, f"has source_id {rec['source_id']!r}, not a string or null")
+            if not isinstance(rec["split"], str) or rec["split"] not in SPLIT_NOISE_OFFSETS:
                 raise refuse(where, f"names an unknown split {rec['split']!r}")
             if rec["kind"] not in ("clean", "noisy"):
                 raise refuse(where, f"has an unknown kind {rec['kind']!r}")

@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -169,6 +171,16 @@ def file_digest(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def run_environment() -> dict:
+    """What a run ran on, recorded in report.json and never checked."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "cpu_count": os.cpu_count()}
+
+
 LOSS_FIELDS = ["epoch", "wce", "l1", "balance", "total"]
 
 
@@ -201,8 +213,8 @@ def run_train(cfg: ExperimentConfig) -> dict:
                     extra={"norm_stats": asdict(stats),
                            "config_digest": config_digest(cfg)})
 
-    write_csv(run_dir / "losses.csv", phase2.curve.rows, LOSS_FIELDS)
-    write_csv(run_dir / "losses_phase1.csv", phase1.curve.rows, LOSS_FIELDS)
+    write_csv(run_dir / "losses.csv", phase2.curve, LOSS_FIELDS)
+    write_csv(run_dir / "losses_phase1.csv", phase1.curve, LOSS_FIELDS)
 
     wall = time.monotonic() - start
     # A new checkpoint starts a new report, and the evaluation files of an
@@ -214,18 +226,19 @@ def run_train(cfg: ExperimentConfig) -> dict:
         config_digest=config_digest(cfg),
         checkpoint_digest=file_digest(run_dir / CHECKPOINT_FINAL),
         seed=cfg.seed,
-        losses=phase2.curve.rows,
-        losses_phase1=phase1.curve.rows,
+        losses=phase2.curve,
+        losses_phase1=phase1.curve,
         dev_totals=phase2.dev_totals,
         best_epoch=phase2.best_epoch,
         ssnr=asdict(cfg.ssnr),
         class_weights=[float(w) for w in weights],
         wall_time_s_train=wall,
+        environment_train=run_environment(),
     )
     return {
         "run_dir": str(run_dir),
         "best_epoch": phase2.best_epoch,
-        "losses": phase2.curve.rows,
+        "losses": phase2.curve,
         "wall_time_s": wall,
     }
 
@@ -387,7 +400,8 @@ def run_eval(run_dir: str | Path) -> list[MetricsReport]:
     write_analytics(analytics, run_dir)
     update_report(run_dir, metrics=[r.as_row() for r in reports],
                   analytics=asdict(analytics), scored_checkpoint_digest=scored,
-                  wall_time_s_eval=time.monotonic() - start)
+                  wall_time_s_eval=time.monotonic() - start,
+                  environment_eval=run_environment())
     return reports
 
 

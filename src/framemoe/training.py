@@ -11,7 +11,7 @@ against the joint objective.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .moe import TASK_SE, TASK_SER, TaskSequence, balancing_loss, moe_forward
 
 
 class TrainingAborted(RuntimeError):
-    """Raised when a phase-2 step meets a non-finite value; carries diagnostics."""
+    """Raised when a training step meets a non-finite value; carries diagnostics."""
 
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
@@ -126,6 +126,9 @@ class AdamW:
         self.weight_decay = weight_decay
         self.t = 0
         self._state: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # Per-group gradient norms of the last step that reached backprop
+        # (set by train_epoch, reported when training aborts).
+        self.last_grad_norms: list[float] = []
 
     def zero_grad(self) -> None:
         for g in self.groups:
@@ -216,20 +219,6 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     return params, meta
 
 
-@dataclass
-class LossCurve:
-    """Per-epoch means of the loss components."""
-
-    rows: list[dict] = field(default_factory=list)
-
-    def append(self, epoch: int, wce: float, l1: float, balance: float, total: float) -> None:
-        self.rows.append({"epoch": epoch, "wce": wce, "l1": l1,
-                          "balance": balance, "total": total})
-
-    def totals(self) -> list[float]:
-        return [r["total"] for r in self.rows]
-
-
 def _batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
     order = rng.permutation(n)
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
@@ -293,6 +282,36 @@ def batch_joint_loss(model, batch_feats, class_weights, moe_cfg, train_cfg):
     return total, parts, {"ser": stages.out.ser_decision, "se": stages.out.se_decision}
 
 
+def train_epoch(opt: AdamW, batches: list[np.ndarray], loss_of, phase: int,
+                epoch: int) -> dict:
+    """One epoch of `opt` over `batches`; returns the epoch's curve row.
+
+    `loss_of(batch)` builds a step's loss and checks it, returning the loss
+    tensor and its float parts (wce, l1, balance, total). Each part of the
+    row is a running sum in batch order divided by the batch count. A
+    non-finite value anywhere in a step aborts with the optimizer's last
+    gradient norms, which carry across epochs.
+    """
+    sums = {"wce": 0.0, "l1": 0.0, "balance": 0.0, "total": 0.0}
+    for index, batch in enumerate(batches):
+        opt.zero_grad()
+        try:
+            loss, parts = loss_of(batch)
+            backprop(loss)
+            opt.last_grad_norms = opt.grad_norms()
+            opt.step()
+        except NumericalError as exc:
+            raise TrainingAborted(
+                f"non-finite values in phase {phase} at epoch {epoch}: {exc}",
+                diagnostics={"phase": phase, "epoch": epoch, "batch": index,
+                             "last_grad_norms": opt.last_grad_norms,
+                             "error": str(exc)},
+            ) from exc
+        for key in sums:
+            sums[key] += parts[key]
+    return {"epoch": epoch, **{key: total / len(batches) for key, total in sums.items()}}
+
+
 def cache_task_sequences(model, feats, batch_size: int) -> dict[str, np.ndarray]:
     """Mixed per-task sequences with the current (frozen) experts and gates.
 
@@ -321,13 +340,13 @@ def cache_task_sequences(model, feats, batch_size: int) -> dict[str, np.ndarray]
 
 @dataclass
 class PhaseResult:
-    curve: LossCurve
+    curve: list[dict]
     checkpoint: dict[str, np.ndarray]
 
 
 @dataclass
 class Phase2Result:
-    curve: LossCurve
+    curve: list[dict]
     dev_totals: list[float]
     best_epoch: int
     checkpoint: dict[str, np.ndarray]
@@ -362,27 +381,26 @@ def train_phase1(model, train_feats, class_weights, cfg, rng) -> PhaseResult:
         enhanced = se_decode(model.se_head, seq, const(stacked(x_noisy, batch)))
         return l1_loss(enhanced, const(stacked(x_clean, batch)))
 
-    # One pass per head, classification first: (parameters, lr, epochs,
-    # batch size, loss, curve column, what the loss is called).
+    def checked(loss_of, column: str, what: str):
+        """A head's step loss, checked, with its value as `column` and total."""
+        def step_loss(batch: np.ndarray):
+            loss = loss_of(batch)
+            check_outputs(f"phase-1 {what} loss", [loss.data], lambda: loss_of(batch))
+            value = float(loss.data)
+            return loss, {"wce": 0.0, "l1": 0.0, "balance": 0.0, column: value, "total": value}
+        return step_loss
+
+    # One pass per head, classification first.
     heads = [(ser_parameters(model), cfg.phase1_ser_lr, cfg.phase1_ser_epochs,
-              cfg.phase1_ser_batch, ser_loss, "wce", "classification"),
+              cfg.phase1_ser_batch, checked(ser_loss, "wce", "classification")),
              (se_parameters(model), cfg.phase1_se_lr, cfg.phase1_se_epochs,
-              cfg.phase1_se_batch, se_loss, "l1", "denoising")]
-    curve = LossCurve()
-    for params, lr, epochs, batch_size, loss_of, column, what in heads:
+              cfg.phase1_se_batch, checked(se_loss, "l1", "denoising"))]
+    curve: list[dict] = []
+    for params, lr, epochs, batch_size, step_loss in heads:
         opt = AdamW([{"params": params, "lr": lr}], weight_decay=cfg.weight_decay)
         for _ in range(epochs):
-            losses = []
-            for batch in _batches(n_utts, batch_size, rng):
-                opt.zero_grad()
-                loss = loss_of(batch)
-                check_outputs(f"phase-1 {what} loss", [loss.data], lambda: loss_of(batch))
-                backprop(loss)
-                opt.step()
-                losses.append(float(loss.data))
-            mean = float(np.mean(losses))
-            curve.append(len(curve.rows), **{"wce": 0.0, "l1": 0.0, column: mean},
-                         balance=0.0, total=mean)
+            curve.append(train_epoch(opt, _batches(n_utts, batch_size, rng), step_loss,
+                                     1, len(curve)))
 
     return PhaseResult(curve=curve, checkpoint=snapshot_params(named_parameters(model)))
 
@@ -417,38 +435,22 @@ def train_phase2(model, train_feats, dev_feats, phase1_checkpoint,
         groups.append({"params": bb, "lr": cfg.lr_backbone})
     opt = AdamW(groups, weight_decay=cfg.weight_decay)
 
-    curve = LossCurve()
+    def step_loss(batch: np.ndarray):
+        total, parts, _ = batch_joint_loss(model, train_feats[batch], class_weights, moe_cfg, cfg)
+        return total, parts
+
+    curve: list[dict] = []
     dev_totals: list[float] = []
     best = snapshot_params(params)
     best_loss = float("inf")
     best_epoch = -1
-    last_norms: list[float] = []
 
     for epoch in range(cfg.phase2_epochs):
-        sums = {"wce": 0.0, "l1": 0.0, "balance": 0.0, "total": 0.0}
-        n_batches = 0
-        for batch in _batches(len(train_feats), cfg.phase2_batch, rng):
-            opt.zero_grad()
-            try:
-                total, parts, _ = batch_joint_loss(
-                    model, train_feats[batch], class_weights, moe_cfg, cfg)
-                backprop(total)
-                last_norms = opt.grad_norms()
-                opt.step()
-            except NumericalError as exc:
-                raise TrainingAborted(
-                    f"non-finite values in phase 2 at epoch {epoch}: {exc}",
-                    diagnostics={"epoch": epoch, "batch": n_batches,
-                                 "last_grad_norms": last_norms,
-                                 "error": str(exc)},
-                ) from exc
-            for key in sums:
-                sums[key] += parts[key]
-            n_batches += 1
-        curve.append(epoch, **{k: sums[k] / n_batches for k in sums})
+        curve.append(train_epoch(opt, _batches(len(train_feats), cfg.phase2_batch, rng),
+                                 step_loss, 2, epoch))
 
         dev_total = evaluate_joint_loss(model, dev_feats, class_weights, moe_cfg, cfg) \
-            if dev_feats else curve.rows[-1]["total"]
+            if dev_feats else curve[-1]["total"]
         dev_totals.append(dev_total)
         if dev_total < best_loss:
             best_loss = dev_total

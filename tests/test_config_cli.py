@@ -438,10 +438,16 @@ def trained_run(tmp_path_factory):
     (_set_field("test-00002", "label", 7), "'test-00002'", "has label 7, not an int in 0-3"),
     (_set_field("test-00000", "length", 0), "'test-00000'", "has length 0, not an int >= 1"),
     (_set_field("dev-00001", "label", True), "'dev-00001'", "has label True, not an int in 0-3"),
+    (_edit_line(9, _edit_record(lambda rec: rec.update(split=["train"]))),
+     "manifest.jsonl line 9 ", "unknown split ['train']"),
+    (_edit_line(12, _edit_record(lambda rec: rec.update(id={"train": 5}))),
+     "manifest.jsonl line 12 ", "has id {'train': 5}, not a string"),
+    (_edit_line(20, _edit_record(lambda rec: rec.update(source_id=["dev-00001"]))),
+     "manifest.jsonl line 20 ", "has source_id ['dev-00001'], not a string or null"),
 ], ids=["missing-mix", "non-finite", "truncated", "length", "sample-rate", "cut-line",
         "blank-line", "missing-key", "unknown-split", "unknown-kind", "missing-signals",
         "missing-manifest", "string-offset", "negative-offset", "label-out-of-range",
-        "zero-length", "bool-label"])
+        "zero-length", "bool-label", "list-split", "object-id", "list-source-id"])
 def test_cli_refuses_a_damaged_corpus_naming_the_record(trained_run, tmp_path, capsys,
                                                         damage, record, problem):
     run = tmp_path / "run"
@@ -455,6 +461,23 @@ def test_cli_refuses_a_damaged_corpus_naming_the_record(trained_run, tmp_path, c
         assert len(err.splitlines()) == 1, err
         assert err.startswith("config error") and record in err and problem in err, err
     assert not (run / "metrics.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_cli_phase1_abort_names_the_phase_and_writes_no_checkpoint(tmp_path, capsys):
+    run = tmp_path / "run"
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(run))
+    capsys.readouterr()
+    argv = ["train", "--config", cfg_path, "--set", "training.phase1_ser_lr=1.0e+300"]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2, lines
+    assert lines[0].startswith("training aborted: non-finite values in phase 1 at epoch 0:"), lines
+    diag = json.loads(lines[1])
+    assert set(diag) == {"phase", "epoch", "batch", "last_grad_norms", "error"}
+    assert (diag["phase"], diag["epoch"]) == (1, 0)
+    assert not list(run.glob("checkpoint_*"))
 
 
 def _assert_one_config_error(argv, capsys, *parts):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import platform
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -260,6 +262,24 @@ def test_eval_sweeps_once_and_analyze_only_reads_the_report(tmp_path, monkeypatc
             if r["group_by"] == "snr_db"] == cfg.data.eval_snrs_db
 
 
+def test_train_and_eval_record_their_environment_in_the_report(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    cfg = tiny_cfg(tmp_path / "run")
+    report_path = Path(cfg.output_dir) / "report.json"
+    run_train(cfg)
+    assert "environment_eval" not in json.loads(report_path.read_text())
+    run_eval(cfg.output_dir)
+    report = json.loads(report_path.read_text())
+    for field in ("environment_train", "environment_eval"):
+        env = report[field]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert (env["OMP_NUM_THREADS"], env["OPENBLAS_NUM_THREADS"]) == ("1", None)
+        assert env["cpu_count"] == os.cpu_count()
+
+
 def test_retrain_starts_a_fresh_report(tmp_path, capsys):
     cfg = tiny_cfg(tmp_path / "run")
     run_train(cfg)
@@ -268,7 +288,7 @@ def test_retrain_starts_a_fresh_report(tmp_path, capsys):
     run = Path(cfg.output_dir)
     report = json.loads((run / "report.json").read_text())
     assert report["seed"] == 1
-    for field in ("metrics", "analytics", "wall_time_s_eval"):
+    for field in ("metrics", "analytics", "wall_time_s_eval", "environment_eval"):
         assert field not in report, field
     # Every report write goes through a temp file that is renamed away.
     assert not list(run.glob("*.tmp"))

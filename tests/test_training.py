@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from framemoe import training
 from framemoe.autodiff import NumericalError, backprop, const, param
 from framemoe.backbone import concat_layers, frame_signal, run_layers
 from framemoe.config import (
@@ -24,7 +25,6 @@ from framemoe.model import (
 )
 from framemoe.training import (
     AdamW,
-    LossCurve,
     TrainingAborted,
     _batches,
     batch_joint_loss,
@@ -292,14 +292,6 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
         load_checkpoint(bad)
 
 
-def test_loss_curve_totals():
-    curve = LossCurve()
-    curve.append(0, wce=1.0, l1=0.5, balance=0.0, total=1.5)
-    curve.append(1, wce=0.5, l1=0.25, balance=0.0, total=0.75)
-    assert curve.totals() == [1.5, 0.75]
-    assert curve.rows[0]["epoch"] == 0
-
-
 def test_batches_cover_every_index_once():
     rng = np.random.default_rng(6)
     batches = _batches(10, 4, rng)
@@ -380,9 +372,9 @@ def test_train_phase1_updates_only_the_heads():
     assert any(not np.array_equal(after[n].data, before[n])
                for n in before if n.startswith("se."))
     n_rows = cfg.training.phase1_ser_epochs + cfg.training.phase1_se_epochs
-    assert len(result.curve.rows) == n_rows
-    assert [r["epoch"] for r in result.curve.rows] == list(range(n_rows))
-    assert all(np.isfinite(r["total"]) for r in result.curve.rows)
+    assert len(result.curve) == n_rows
+    assert [r["epoch"] for r in result.curve] == list(range(n_rows))
+    assert all(np.isfinite(r["total"]) for r in result.curve)
     # The snapshot matches the post-training parameters.
     for name, arr in result.checkpoint.items():
         np.testing.assert_array_equal(arr, after[name].data)
@@ -397,8 +389,8 @@ def test_train_phase1_reduces_both_head_losses():
     feats = tiny_feats(model, rng, n=6)
     result = train_phase1(model, feats, np.ones(4), cfg.training,
                           np.random.default_rng(1))
-    ser_rows = result.curve.rows[: cfg.training.phase1_ser_epochs]
-    se_rows = result.curve.rows[cfg.training.phase1_ser_epochs:]
+    ser_rows = result.curve[: cfg.training.phase1_ser_epochs]
+    se_rows = result.curve[cfg.training.phase1_ser_epochs:]
     assert ser_rows[-1]["wce"] < ser_rows[0]["wce"]
     assert se_rows[-1]["l1"] < se_rows[0]["l1"]
 
@@ -418,7 +410,7 @@ def test_train_phase2_returns_best_dev_parameters():
     after = named_parameters(model)
     for name, arr in result.checkpoint.items():
         np.testing.assert_array_equal(after[name].data, arr, err_msg=name)
-    assert len(result.curve.rows) == cfg.training.phase2_epochs
+    assert len(result.curve) == cfg.training.phase2_epochs
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -480,8 +472,55 @@ def test_train_phase1_checks_each_head_loss():
     model = build_model(cfg)
     feats = tiny_feats(model, np.random.default_rng(15))
     model.ser_head.cls_b2.data[0] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="add"):
+    with np.errstate(invalid="ignore"), pytest.raises(TrainingAborted, match="add") as exc_info:
         train_phase1(model, feats, np.ones(4), cfg.training, np.random.default_rng(1))
+    diag = exc_info.value.diagnostics
+    assert (diag["phase"], diag["epoch"], diag["batch"]) == (1, 0, 0)
+    assert "add" in diag["error"]
+
+
+@pytest.mark.parametrize("phase,loss_name", [(1, "weighted_cross_entropy"),
+                                             (2, "batch_joint_loss")])
+def test_an_abort_at_an_epoch_start_reports_the_previous_steps_grad_norms(
+        monkeypatch, phase, loss_name):
+    # The loss fails on the first batch of epoch 1; the norms reported are
+    # those of the last step of epoch 0, not a fresh epoch's empty list. Phase
+    # 2 gets no dev split, so every loss call is a training step.
+    cfg = tiny_cfg()
+    model = build_model(cfg)
+    feats = tiny_feats(model, np.random.default_rng(16))
+    batches_per_epoch = len(_batches(len(feats), cfg.training.phase2_batch,
+                                     np.random.default_rng(0)))
+    assert cfg.training.phase1_ser_batch == cfg.training.phase2_batch
+    calls = []
+    loss_of = getattr(training, loss_name)
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > batches_per_epoch:
+            raise NumericalError("injected failure")
+        return loss_of(*args, **kwargs)
+
+    stepped = []
+    step = AdamW.step
+
+    def recording_step(opt):
+        stepped.append(opt.grad_norms())
+        step(opt)
+
+    monkeypatch.setattr(training, loss_name, failing)
+    monkeypatch.setattr(AdamW, "step", recording_step)
+    with pytest.raises(TrainingAborted, match=f"phase {phase} at epoch 1") as exc_info:
+        if phase == 1:
+            train_phase1(model, feats, np.ones(4), cfg.training, np.random.default_rng(5))
+        else:
+            train_phase2(model, feats, feats[:0], snapshot_params(named_parameters(model)),
+                         np.ones(4), cfg.training, cfg.moe, np.random.default_rng(5))
+    diag = exc_info.value.diagnostics
+    assert (diag["phase"], diag["epoch"], diag["batch"]) == (phase, 1, 0)
+    assert len(stepped) == batches_per_epoch
+    assert diag["last_grad_norms"] == stepped[-1] != []
+    assert diag["error"] == "injected failure"
 
 
 def test_evaluate_joint_loss_is_forward_only():
