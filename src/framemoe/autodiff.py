@@ -5,8 +5,14 @@ operand needs a gradient, a closure that routes the output gradient back to
 its parents. Nodes computed only from constants, and every node made inside
 `no_tape()`, keep neither: they are constants themselves, so forward-only
 passes hold no graph. Calling backprop() on a scalar node walks the tape in
-reverse topological order. The op set is exactly what the routing pipeline
-needs; there is no broadcasting beyond what the ops below use themselves.
+reverse topological order and consumes it: each interior node lets go of
+its parents and its closure as soon as its gradient has been passed on, so
+a step's graph is freed before the next one is built. A graph can therefore
+be backpropagated once (as in PyTorch without retain_graph); a second
+backprop of the same output raises AutodiffError. A consumed node keeps its
+value and, with no parents, is a constant when reused as an operand. The op
+set is exactly what the routing pipeline needs; there is no broadcasting
+beyond what the ops below use themselves.
 
 Nodes do not check their values. A pass checks what it hands out with
 check_outputs(), which on a non-finite value re-runs the pass under
@@ -483,21 +489,32 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _consumed(out: Tensor) -> None:
+    """The backward slot of a node whose graph backprop() has already walked."""
+    raise AutodiffError("backprop: graph already consumed; a graph can be backpropagated once")
+
+
 def backprop(output: Tensor) -> None:
     """Accumulate d(output)/d(leaf) into .grad over the tape of `output`.
 
-    Interior nodes drop their gradient once it has been passed on, so only
-    the leaves hold gradients afterwards.
+    The walk consumes the tape: each interior node drops its gradient, its
+    parents and its backward closure once its gradient has been passed on,
+    so only the leaves hold gradients afterwards and nothing but the
+    caller's references keeps the graph alive. A second backprop of the
+    same output raises AutodiffError.
     """
     if output.data.shape != ():
         raise AutodiffError(f"backprop: output must be scalar, got shape {output.shape}")
     order = _topo_order(output)
     output.grad = np.ones(())
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node)
         if node._parents:
             node.grad = None
+            node._parents = ()
+            node._backward = _consumed
 
 
 @dataclass

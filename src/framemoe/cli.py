@@ -65,14 +65,20 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    from .experiment import run_eval
+    from .experiment import environment_drift, read_report, run_eval
 
-    reports = run_eval(_run_dir(args))
+    run_dir = _run_dir(args)
+    reports = run_eval(run_dir)
     for r in reports:
         print(f"{r.family:>10s} {r.snr_db:+6.1f} dB  "
               f"f1_macro={r.f1_macro:.3f} f1_micro={r.f1_micro:.3f}  "
               f"ssnr={r.ssnr_db:+.2f} dB (noisy {r.ssnr_noisy_db:+.2f})  "
               f"l1={r.l1:.4f} (noisy {r.l1_noisy:.4f})")
+    drift = environment_drift(read_report(Path(run_dir)))
+    if drift:
+        # Noted, never refused: the scores stand, but may differ in their last bits.
+        print(f"note: eval ran in another numeric environment than train "
+              f"(differs in {', '.join(drift)})", file=sys.stderr)
     return 0
 
 

@@ -181,6 +181,16 @@ def run_environment() -> dict:
             "cpu_count": os.cpu_count()}
 
 
+def environment_drift(report: dict) -> list[str]:
+    """The keys whose values differ between a report's environment_train and
+    environment_eval, sorted; [] unless both were recorded."""
+    train, evaluated = report.get("environment_train"), report.get("environment_eval")
+    if not isinstance(train, dict) or not isinstance(evaluated, dict):
+        return []
+    return sorted(key for key in train.keys() | evaluated.keys()
+                  if train.get(key) != evaluated.get(key))
+
+
 LOSS_FIELDS = ["epoch", "wce", "l1", "balance", "total"]
 
 
@@ -190,6 +200,11 @@ def run_train(cfg: ExperimentConfig) -> dict:
     _check_train_classes(cfg.data)
     start = time.monotonic()
     run_dir = prepare_run_dir(cfg)
+    # An earlier run's outputs no longer describe this config: remove them
+    # before training, so a run that aborts leaves none of them behind.
+    for name in (CHECKPOINT_PHASE1, CHECKPOINT_FINAL, "losses.csv", "losses_phase1.csv",
+                 METRICS_NAME, *ANALYTICS_FILES, REPORT_NAME):
+        (run_dir / name).unlink(missing_ok=True)
     corpus = ensure_corpus(cfg)
 
     stats = norm_stats(corpus.train.noisy)
@@ -217,10 +232,6 @@ def run_train(cfg: ExperimentConfig) -> dict:
     write_csv(run_dir / "losses_phase1.csv", phase1.curve, LOSS_FIELDS)
 
     wall = time.monotonic() - start
-    # A new checkpoint starts a new report, and the evaluation files of an
-    # earlier training run no longer describe this one.
-    for name in (METRICS_NAME, *ANALYTICS_FILES):
-        (run_dir / name).unlink(missing_ok=True)
     write_report(
         run_dir,
         config_digest=config_digest(cfg),

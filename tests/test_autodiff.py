@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -481,3 +483,70 @@ def test_backprop_keeps_leaf_grads_and_drops_interior_ones():
     np.testing.assert_allclose(w.grad, x.data.T @ (2.0 * h), atol=1e-12)
     assert hidden.grad is None and out.grad is None
     assert x.grad is None
+
+
+def _released_graph(rng):
+    """A matmul -> relu -> mul -> sum_all graph: its root, a weak reference to
+    the matmul node's value (Tensor has no weakref slot, and only the node
+    holds that array), its leaves and its constant multiplier."""
+    w = param("w", rand(rng, 3, 2))
+    x = param("x", rand(rng, 4, 3))
+    g = rand(rng, 4, 2)
+    hidden = matmul(x, w)
+    root = sum_all(mul(relu(hidden), const(g)))
+    return root, weakref.ref(hidden.data), w, x, g
+
+
+def test_backprop_releases_the_tape_it_walks():
+    rng = np.random.default_rng(24)
+    root, hidden, w, x, g = _released_graph(rng)
+    assert hidden() is not None
+    backprop(root)
+    # Freed by reference counting alone: no gc.collect().
+    assert hidden() is None
+    assert root._parents == () and root.grad is None
+    upstream = (x.data @ w.data > 0.0) * g
+    np.testing.assert_allclose(w.grad, x.data.T @ upstream, atol=1e-12)
+    np.testing.assert_allclose(x.grad, upstream @ w.data.T, atol=1e-12)
+
+
+def test_second_backprop_of_a_consumed_graph_raises():
+    root, _, w, x, _ = _released_graph(np.random.default_rng(25))
+    backprop(root)
+    w_grad, x_grad = w.grad.copy(), x.grad.copy()
+    with pytest.raises(AutodiffError, match="already consumed"):
+        backprop(root)
+    np.testing.assert_array_equal(w.grad, w_grad)
+    np.testing.assert_array_equal(x.grad, x_grad)
+
+
+def test_consumed_node_reused_as_an_operand_is_a_constant():
+    w = param("w", np.array([[2.0]]))
+    v = param("v", np.array([[3.0]]))
+    hidden = mul(w, w)
+    backprop(sum_all(hidden))
+    w.zero_grad()
+    backprop(sum_all(mul(hidden, v)))
+    assert w.grad is None
+    np.testing.assert_array_equal(v.grad, [[4.0]])
+
+
+def test_finite_difference_check_consumes_its_base_graph_and_reuses_its_stages():
+    rng = np.random.default_rng(26)
+    params = {"w": param("w", rand(rng, 3, 3)), "v": param("v", rand(rng, 3, 2))}
+    x = const(rand(rng, 5, 3))
+    base = {}
+
+    def build(changed, reuse):
+        # A probe of v may take the base point's hidden stage, as the audit does.
+        hidden = (base["hidden"] if reuse and changed == "v"
+                  else softmax_rows(matmul(x, params["w"])))
+        out = mean_all(log1p(mul(matmul(hidden, params["v"]), matmul(hidden, params["v"]))))
+        if changed is None:
+            base.update(hidden=hidden, root=out)
+        return out
+
+    fresh = finite_difference_check(Graph(build=lambda c: build(c, False), params=params))
+    reused = finite_difference_check(Graph(build=lambda c: build(c, True), params=params))
+    assert reused.passed and reused.checks == fresh.checks
+    assert base["root"]._parents == () and base["hidden"]._parents == ()

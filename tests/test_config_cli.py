@@ -480,6 +480,44 @@ def test_cli_phase1_abort_names_the_phase_and_writes_no_checkpoint(tmp_path, cap
     assert not list(run.glob("checkpoint_*"))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_cli_aborted_train_leaves_no_earlier_outputs(trained_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    assert main(["eval", "--run", str(run)]) == 0
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(run))
+    capsys.readouterr()
+    argv = ["train", "--config", cfg_path, "--set", "training.lr_heads_gates_experts=1.0e+300"]
+    assert main(argv) == 2
+    assert "in phase 2" in capsys.readouterr().err
+    for name in ("checkpoint_final.json", "losses.csv", "losses_phase1.csv", "metrics.csv",
+                 "switch_agreement.csv", "usage_by_snr.csv", "usage_by_label.csv",
+                 "report.json"):
+        assert not (run / name).exists(), name
+    _assert_one_config_error(["analyze", "--run", str(run)], capsys, "run eval there first")
+    _assert_one_config_error(["eval", "--run", str(run)], capsys, "train there first")
+
+
+def test_cli_eval_notes_an_environment_other_than_trains(trained_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run)]) == 0
+    assert capsys.readouterr().err == ""
+    path = run / "report.json"
+    report = json.loads(path.read_text())
+    report["environment_train"]["OPENBLAS_NUM_THREADS"] = "edited"
+    report["environment_train"]["numpy"] = "0.0"
+    path.write_text(json.dumps(report))
+    assert main(["eval", "--run", str(run)]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 6
+    lines = captured.err.splitlines()
+    assert lines == ["note: eval ran in another numeric environment than train "
+                     "(differs in OPENBLAS_NUM_THREADS, numpy)"], lines
+
+
 def _assert_one_config_error(argv, capsys, *parts):
     capsys.readouterr()
     assert main(argv) == 1, argv
