@@ -14,6 +14,16 @@ value and, with no parents, is a constant when reused as an operand. The op
 set is exactly what the routing pipeline needs; there is no broadcasting
 beyond what the ops below use themselves.
 
+Three fused nodes keep only what their backward reads. affine(x, w, b) holds
+x @ w + b and its three operands, not the x @ w product. relu_affine(x, w,
+b) holds relu(x @ w + b) and its operands, not the pre-activation: its
+backward takes the relu mask from its own output. sum_rows_into builds a
+mixture from (tensor, rows) parts and holds the sum and the parts, not a
+scattered (n_rows, cols) copy of each part or a running sum per part.
+A gradient a backward has just computed (a product, a quotient, a gather)
+becomes its operand's .grad as it is; only a gradient that may alias
+another array is copied.
+
 Nodes do not check their values. A pass checks what it hands out with
 check_outputs(), which on a non-finite value re-runs the pass under
 check_nodes() so the error names the first op that made one.
@@ -40,7 +50,7 @@ class NumericalError(AutodiffError):
     """NaN or Inf in a checked value; message names the op or parameter."""
 
 
-# Optional kink recorder: while active, relu/abs/clamp_min append the distance
+# Optional kink recorder: while active, relu_affine/abs/clamp_min append the distance
 # of their inputs to the nearest non-differentiable point. Finite-difference
 # harnesses use this to reject base points too close to a kink.
 _KINK_TRACE: list[float] | None = None
@@ -112,6 +122,12 @@ def check_outputs(what: str, arrays: Sequence[np.ndarray], rerun: Callable[[], o
     raise NumericalError(f"{what}: non-finite values")
 
 
+def _check_finite(op: str, data: np.ndarray, name: str | None = None) -> None:
+    if not np.all(np.isfinite(data)):
+        where = f" '{name}'" if name else ""
+        raise NumericalError(f"{op}: non-finite values in tensor{where}")
+
+
 class Tensor:
     """A float64 array plus the bookkeeping needed for reverse mode."""
 
@@ -120,9 +136,8 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str | None = None,
                  _parents: tuple = (), _backward=None, _op: str = "leaf"):
         self.data = np.asarray(data, dtype=np.float64)
-        if _CHECK_NODES and not np.all(np.isfinite(self.data)):
-            where = f" '{name}'" if name else ""
-            raise NumericalError(f"{_op}: non-finite values in tensor{where}")
+        if _CHECK_NODES:
+            _check_finite(_op, self.data, name)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name
@@ -166,12 +181,15 @@ def _tracks(t: Tensor) -> bool:
     return t.requires_grad or bool(t._parents)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add g to t.grad. A `fresh` g, an array the caller has just computed
+    and hands to no one else, becomes t.grad as it is; any other g is copied,
+    since it may be a view of another node's gradient or read-only. A 0-d
+    result is a numpy scalar, not an array, and is copied too."""
     if not _tracks(t):
         return
     if t.grad is None:
-        # A copy: g may be a view of another node's gradient or read-only.
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = g if fresh and isinstance(g, np.ndarray) else np.array(g, dtype=np.float64)
     else:
         t.grad += g
 
@@ -210,7 +228,7 @@ def neg(a) -> Tensor:
     a = _lift(a)
 
     def backward(out: Tensor) -> None:
-        _accum(a, -out.grad)
+        _accum(a, -out.grad, fresh=True)
 
     return _node("neg", -a.data, (a,), backward)
 
@@ -228,9 +246,9 @@ def mul(a, b) -> Tensor:
 
     def backward(out: Tensor) -> None:
         if _tracks(a):
-            _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
+            _accum(a, _unbroadcast(out.grad * b.data, a.data.shape), fresh=True)
         if _tracks(b):
-            _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
+            _accum(b, _unbroadcast(out.grad * a.data, b.data.shape), fresh=True)
 
     return _node("mul", data, (a, b), backward)
 
@@ -244,27 +262,67 @@ def matmul(a, b) -> Tensor:
 
     def backward(out: Tensor) -> None:
         if _tracks(a):
-            _accum(a, out.grad @ b.data.T)
+            _accum(a, out.grad @ b.data.T, fresh=True)
         if _tracks(b):
-            _accum(b, a.data.T @ out.grad)
+            _accum(b, a.data.T @ out.grad, fresh=True)
 
     return _node("matmul", a.data @ b.data, (a, b), backward)
 
 
+def _affine_data(op: str, x: Tensor, w: Tensor, b: Tensor) -> np.ndarray:
+    """x @ w, then b added in place: the IEEE ops of add(matmul(x, w), b)."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"{op}: cannot multiply {x.shape} @ {w.shape}")
+    data = x.data @ w.data
+    try:
+        data += b.data
+    except ValueError as exc:
+        raise ShapeError(f"{op}: bias {b.shape} does not broadcast over {data.shape}") from exc
+    return data
+
+
+def _affine_backward(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
+    """Hand the gradient g of x @ w + b on to its three operands."""
+    if _tracks(x):
+        _accum(x, g @ w.data.T, fresh=True)
+    if _tracks(w):
+        _accum(w, x.data.T @ g, fresh=True)
+    if _tracks(b):
+        # A bias of g's own shape gets g itself back, which must be copied.
+        _accum(b, _unbroadcast(g, b.data.shape), fresh=b.data.shape != g.shape)
+
+
 def affine(x, w, b) -> Tensor:
-    """x @ w + b with b broadcast over rows."""
-    return add(matmul(x, w), b)
-
-
-def relu(a) -> Tensor:
-    a = _lift(a)
-    _note_kink(a.data)
-    mask = a.data > 0.0
+    """x @ w + b with b broadcast over rows, as one node."""
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    data = _affine_data("affine", x, w, b)
 
     def backward(out: Tensor) -> None:
-        _accum(a, out.grad * mask)
+        _affine_backward(x, w, b, out.grad)
 
-    return _node("relu", np.maximum(a.data, 0.0), (a,), backward)
+    return _node("affine", data, (x, w, b), backward)
+
+
+def relu_affine(x, w, b) -> Tensor:
+    """relu(x @ w + b) as one node that keeps only its output.
+
+    The kink recorder sees the pre-activation. The relu passes the gradient
+    where the output is > 0, which holds exactly where the pre-activation
+    is > 0 (NaN included, since the relu keeps a NaN). Under check_nodes()
+    the pre-activation is checked too, so a non-finite value the relu would
+    clip is still named here.
+    """
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    data = _affine_data("relu_affine", x, w, b)
+    _note_kink(data)
+    if _CHECK_NODES:
+        _check_finite("relu_affine", data)
+    np.maximum(data, 0.0, out=data)
+
+    def backward(out: Tensor) -> None:
+        _affine_backward(x, w, b, out.grad * (out.data > 0.0))
+
+    return _node("relu_affine", data, (x, w, b), backward)
 
 
 def abs_(a) -> Tensor:
@@ -274,7 +332,7 @@ def abs_(a) -> Tensor:
     sign = np.sign(a.data)
 
     def backward(out: Tensor) -> None:
-        _accum(a, out.grad * sign)
+        _accum(a, out.grad * sign, fresh=True)
 
     return _node("abs", np.abs(a.data), (a,), backward)
 
@@ -286,7 +344,7 @@ def clamp_min(a, floor: float) -> Tensor:
     mask = a.data > floor
 
     def backward(out: Tensor) -> None:
-        _accum(a, out.grad * mask)
+        _accum(a, out.grad * mask, fresh=True)
 
     return _node("clamp_min", np.maximum(a.data, floor), (a,), backward)
 
@@ -296,7 +354,7 @@ def sqrt(a) -> Tensor:
     data = np.sqrt(a.data)
 
     def backward(out: Tensor) -> None:
-        _accum(a, out.grad * 0.5 / data)
+        _accum(a, out.grad * 0.5 / data, fresh=True)
 
     return _node("sqrt", data, (a,), backward)
 
@@ -305,7 +363,7 @@ def log1p(a) -> Tensor:
     a = _lift(a)
 
     def backward(out: Tensor) -> None:
-        _accum(a, out.grad / (1.0 + a.data))
+        _accum(a, out.grad / (1.0 + a.data), fresh=True)
 
     return _node("log1p", np.log1p(a.data), (a,), backward)
 
@@ -321,7 +379,7 @@ def softmax_rows(a) -> Tensor:
 
     def backward(out: Tensor) -> None:
         gy = out.grad
-        _accum(a, y * (gy - (gy * y).sum(axis=1, keepdims=True)))
+        _accum(a, y * (gy - (gy * y).sum(axis=1, keepdims=True)), fresh=True)
 
     return _node("softmax_rows", y, (a,), backward)
 
@@ -336,7 +394,7 @@ def log_softmax_rows(a) -> Tensor:
 
     def backward(out: Tensor) -> None:
         gy = out.grad
-        _accum(a, gy - np.exp(y) * gy.sum(axis=1, keepdims=True))
+        _accum(a, gy - np.exp(y) * gy.sum(axis=1, keepdims=True), fresh=True)
 
     return _node("log_softmax_rows", y, (a,), backward)
 
@@ -370,7 +428,7 @@ def col(a, j: int) -> Tensor:
     def backward(out: Tensor) -> None:
         g = np.zeros_like(a.data)
         g[:, j : j + 1] = out.grad
-        _accum(a, g)
+        _accum(a, g, fresh=True)
 
     return _node("col", a.data[:, j : j + 1].copy(), (a,), backward)
 
@@ -434,7 +492,7 @@ def sum_segments(a, segment: int) -> Tensor:
     rows, cols = a.shape
 
     def backward(out: Tensor) -> None:
-        _accum(a, np.repeat(out.grad, segment, axis=0))
+        _accum(a, np.repeat(out.grad, segment, axis=0), fresh=True)
 
     return _node("sum_segments",
                  a.data.reshape(rows // segment, segment, cols).sum(axis=1), (a,), backward)
@@ -449,24 +507,39 @@ def take_rows(a, rows: np.ndarray) -> Tensor:
     def backward(out: Tensor) -> None:
         g = np.zeros_like(a.data)
         g[rows] = out.grad
-        _accum(a, g)
+        _accum(a, g, fresh=True)
 
     return _node("take_rows", a.data[rows], (a,), backward)
 
 
-def scatter_rows(a, rows: np.ndarray, n_rows: int) -> Tensor:
-    """An (n_rows, cols) tensor holding a's rows at the given distinct indices
-    and zeros elsewhere; the inverse of take_rows."""
-    a = _lift(a)
-    if a.ndim != 2 or a.shape[0] != len(rows):
-        raise ShapeError(f"scatter_rows: {len(rows)} indices for operand {a.shape}")
-    data = np.zeros((n_rows, a.shape[1]))
-    data[rows] = a.data
+def sum_rows_into(parts: Sequence[tuple], n_rows: int, cols: int) -> Tensor:
+    """An (n_rows, cols) sum that starts from zeros and adds each (tensor,
+    rows) part at its distinct rows, in order; rows None means every row.
+
+    It equals zeros plus each part scattered to (n_rows, cols), added in the
+    same order, bit for bit: the sum starts at +0 and a round-to-nearest sum
+    that starts at +0 is never -0, so the +0 rows a scatter would add change
+    nothing.
+    """
+    parts = [(_lift(t), rows) for t, rows in parts]
+    data = np.zeros((n_rows, cols))
+    for t, rows in parts:
+        if t.shape != (n_rows if rows is None else len(rows), cols):
+            where = "every row" if rows is None else f"{len(rows)} rows"
+            raise ShapeError(f"sum_rows_into: part {t.shape} for {where} of ({n_rows}, {cols})")
+        if rows is None:
+            data += t.data
+        else:
+            data[rows] += t.data
 
     def backward(out: Tensor) -> None:
-        _accum(a, out.grad[rows])
+        for t, rows in parts:
+            if rows is None:
+                _accum(t, out.grad)
+            else:
+                _accum(t, out.grad[rows], fresh=True)
 
-    return _node("scatter_rows", data, (a,), backward)
+    return _node("sum_rows_into", data, tuple(t for t, _ in parts), backward)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, affine, concat, const, matmul, no_tape, param, relu
+from .autodiff import Tensor, concat, const, matmul, no_tape, param, relu_affine
 
 
 @dataclass
@@ -129,7 +129,7 @@ def run_layers(spectra: np.ndarray, params: BackboneParams) -> list[Tensor]:
     h = matmul(const(spectra), params.projection)
     layers = [h]
     for w, b in params.affines:
-        h = relu(affine(h, w, b))
+        h = relu_affine(h, w, b)
         layers.append(h)
     return layers
 

@@ -94,9 +94,20 @@ REPORT_NAME = "report.json"
 METRICS_NAME = "metrics.csv"
 
 
+def make_dir(path: str | Path) -> Path:
+    """Create a directory and its parents. A path that is, or runs through, a
+    regular file is a ConfigError naming it, so callers refuse it before any
+    work is done."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"{path} cannot be a directory: it or a parent of it is a file") from exc
+    return path
+
+
 def prepare_run_dir(cfg: ExperimentConfig) -> Path:
-    run_dir = Path(cfg.output_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir = make_dir(cfg.output_dir)
     write_atomic(run_dir / RESOLVED_CONFIG_NAME, resolved_yaml(cfg))
     return run_dir
 
@@ -162,8 +173,8 @@ def _check_train_classes(data: DataConfig) -> None:
 
 def run_gen(cfg: ExperimentConfig) -> Path:
     validate(cfg)
-    return write_corpus(generate_corpus(cfg.data, cfg.seed), Path(cfg.output_dir) / "corpus",
-                        cfg.data, cfg.seed)
+    corpus_dir = make_dir(Path(cfg.output_dir) / "corpus")
+    return write_corpus(generate_corpus(cfg.data, cfg.seed), corpus_dir, cfg.data, cfg.seed)
 
 
 def file_digest(path: str | Path) -> str:
@@ -559,6 +570,8 @@ def run_gradcheck(base: ExperimentConfig | None = None, step: float = 1e-5,
     for name, value in (("step", step), ("tolerance", tolerance)):
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"gradcheck {name} must be finite and > 0, got {value}")
+    if out_path is not None:
+        make_dir(Path(out_path).parent)
     start = time.monotonic()
     results = {}
     for variant in ("frozen", "unfrozen"):
@@ -570,7 +583,6 @@ def run_gradcheck(base: ExperimentConfig | None = None, step: float = 1e-5,
     results["tolerance"] = tolerance
     results["passed"] = all(results[v]["passed"] for v in ("frozen", "unfrozen"))
     if out_path is not None:
-        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         write_atomic(out_path, json.dumps(results, sort_keys=True, indent=2))
     return results
 

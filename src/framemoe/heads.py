@@ -23,7 +23,7 @@ from .autodiff import (
     concat,
     mul,
     param,
-    relu,
+    relu_affine,
     reshape,
     softmax_rows,
     sqrt,
@@ -154,7 +154,7 @@ def attentive_stats_pool(head: SerHead, seq: TaskSequence) -> Tensor:
 def ser_classify(head: SerHead, seq: TaskSequence) -> Tensor:
     """Class logits from the pooled sequence, one row per utterance, (B, 4)."""
     pooled = attentive_stats_pool(head, seq)
-    hidden = relu(affine(pooled, head.cls_w1, head.cls_b1))
+    hidden = relu_affine(pooled, head.cls_w1, head.cls_b1)
     return affine(hidden, head.cls_w2, head.cls_b2)
 
 
@@ -166,8 +166,8 @@ def se_decode(head: SeHead, seq: TaskSequence, noisy: Tensor) -> Tensor:
             f"sequence has {seq.z.shape[0]} frames but noisy spectrum has {noisy.shape[0]}"
         )
     x = concat([seq.z, noisy], axis=1)
-    hidden = relu(affine(x, head.w1, head.b1))
-    return relu(affine(hidden, head.w2, head.b2))
+    hidden = relu_affine(x, head.w1, head.b1)
+    return relu_affine(hidden, head.w2, head.b2)
 
 
 def predict_label(logits: np.ndarray) -> list[EmotionLabel]:

@@ -22,17 +22,16 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
-    add,
     affine,
     col,
     const,
     mean_rows,
     mul,
     param,
-    relu,
-    scatter_rows,
+    relu_affine,
     softmax_rows,
     sum_all,
+    sum_rows_into,
     take_rows,
 )
 from .backbone import ConcatRepresentation
@@ -109,12 +108,13 @@ class RoutingDecision:
 class TaskSequence:
     """The task-specific mixed representation, shape (B*T, D): B utterances
     of `segment` = T frames each, stacked; segment defaults to all rows. A
-    mixture keeps its per-expert terms (None where no frame routes)."""
+    mixture keeps its per-expert terms as (tensor, rows) pairs, rows None for
+    every row (the term None where no frame routes)."""
 
     task: str
     z: Tensor
     segment: int | None = None
-    terms: list[Tensor | None] | None = None
+    terms: list[tuple[Tensor, np.ndarray | None] | None] | None = None
 
     def __post_init__(self) -> None:
         if self.segment is None:
@@ -154,7 +154,7 @@ def expert_forward(pool: ExpertPool, n: int, frames) -> Tensor:
     if not 0 <= n < pool.n_experts:
         raise ValueError(f"expert index {n} out of range for pool of {pool.n_experts}")
     e = pool.experts[n]
-    return affine(relu(affine(frames, e.w1, e.b1)), e.w2, e.b2)
+    return affine(relu_affine(frames, e.w1, e.b1), e.w2, e.b2)
 
 
 def gate_scores(gate: GatingNetwork, frames) -> Tensor:
@@ -184,14 +184,15 @@ def mix(pool: ExpertPool, decision: RoutingDecision, rep: ConcatRepresentation,
     """The retained-weight mixture z = 0 + term_0 + term_1 + ... in expert order.
 
     Expert n runs only on the frames that route to it, gathered, and its
-    retained-weighted output is scattered back to their rows; every other
-    row of that term is exactly zero. A lone routed frame is gathered with a
-    neighbour (the next row, or the previous one on the last row), whose
-    retained weight is zero, so its term is +-0. An expert that takes every
-    frame runs on all of them without a gather. The result is bit-equal to
-    the dense sum over all experts: adding a zero-weighted term never
-    changes an IEEE accumulation. Given `base`, a mixture of the same routing
-    and frames, only expert `expert`'s term is recomputed, bit for bit.
+    retained-weighted output is added back at their rows; every other row
+    of that term is exactly zero and is not added. A lone routed frame is
+    gathered with a neighbour (the next row, or the previous one on the last
+    row), whose retained weight is zero, so its term is +-0. An expert that
+    takes every frame runs on all of them without a gather. The result is
+    bit-equal to the dense sum over all experts: adding a zero-weighted term
+    never changes an IEEE accumulation. Given `base`, a mixture of the same
+    routing and frames, only expert `expert`'s term is recomputed and the
+    terms are summed again in the same order, bit for bit.
     """
     frames, retained = rep.frames, decision.retained
     t = frames.shape[0]
@@ -202,18 +203,14 @@ def mix(pool: ExpertPool, decision: RoutingDecision, rep: ConcatRepresentation,
         if rows.size == 0:
             continue
         if rows.size == t:
-            terms[n] = mul(col(retained, n), expert_forward(pool, n, frames))
+            terms[n] = (mul(col(retained, n), expert_forward(pool, n, frames)), None)
             continue
         if rows.size == 1:
             r = rows[0]
             rows = np.array([r, r + 1] if r + 1 < t else [r - 1, r])
-        out = mul(take_rows(col(retained, n), rows),
-                  expert_forward(pool, n, take_rows(frames, rows)))
-        terms[n] = scatter_rows(out, rows, t)
-    z: Tensor = const(np.zeros((t, pool.out_width)))
-    for term in terms:
-        if term is not None:
-            z = add(z, term)
+        terms[n] = (mul(take_rows(col(retained, n), rows),
+                        expert_forward(pool, n, take_rows(frames, rows))), rows)
+    z = sum_rows_into([term for term in terms if term is not None], t, pool.out_width)
     return TaskSequence(task=decision.task, z=z, segment=rep.segment, terms=terms)
 
 

@@ -12,6 +12,10 @@ from framemoe.autodiff import (
     NumericalError,
     ShapeError,
     Tensor,
+    _accum,
+    _lift,
+    _node,
+    _note_kink,
     abs_,
     add,
     affine,
@@ -34,13 +38,13 @@ from framemoe.autodiff import (
     no_tape,
     param,
     record_kinks,
-    relu,
+    relu_affine,
     reshape,
-    scatter_rows,
     softmax_rows,
     sqrt,
     sub,
     sum_all,
+    sum_rows_into,
     sum_segments,
     take_rows,
 )
@@ -51,6 +55,70 @@ finite_floats = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False,
 
 def rand(rng, *shape):
     return rng.standard_normal(shape)
+
+
+# Oracles: the compositions the fused library ops replaced, kept as they were.
+
+def relu(a) -> Tensor:
+    a = _lift(a)
+    _note_kink(a.data)
+    mask = a.data > 0.0
+
+    def backward(out: Tensor) -> None:
+        _accum(a, out.grad * mask)
+
+    return _node("relu", np.maximum(a.data, 0.0), (a,), backward)
+
+
+def scatter_rows(a, rows: np.ndarray, n_rows: int) -> Tensor:
+    """An (n_rows, cols) tensor holding a's rows at the given distinct indices
+    and zeros elsewhere; the inverse of take_rows."""
+    a = _lift(a)
+    if a.ndim != 2 or a.shape[0] != len(rows):
+        raise ShapeError(f"scatter_rows: {len(rows)} indices for operand {a.shape}")
+    data = np.zeros((n_rows, a.shape[1]))
+    data[rows] = a.data
+
+    def backward(out: Tensor) -> None:
+        _accum(a, out.grad[rows])
+
+    return _node("scatter_rows", data, (a,), backward)
+
+
+def affine_oracle(x, w, b) -> Tensor:
+    return add(matmul(x, w), b)
+
+
+def relu_affine_oracle(x, w, b) -> Tensor:
+    return relu(add(matmul(x, w), b))
+
+
+def sum_rows_oracle(parts, n_rows: int, cols: int) -> Tensor:
+    """Zeros plus each (tensor, rows) part scattered to (n_rows, cols), in order."""
+    z = const(np.zeros((n_rows, cols)))
+    for t, rows in parts:
+        z = add(z, t if rows is None else scatter_rows(t, rows, n_rows))
+    return z
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and values, NaN where NaN, and the same sign on every zero;
+    or both None, as the gradient of a leaf the output does not reach."""
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def grads_of(build, leaves, upstream):
+    """The value of build(), and each leaf's gradient of sum(value * upstream)."""
+    for leaf in leaves:
+        leaf.zero_grad()
+    out = build()
+    value = out.data.copy()
+    backprop(sum_all(mul(out, const(upstream))))
+    return value, [leaf.grad for leaf in leaves]
 
 
 def numeric_grad(loss_fn, leaf: Tensor, step: float = 1e-6) -> np.ndarray:
@@ -189,6 +257,8 @@ def test_structural_op_gradients():
     rows = np.array([3, 0])
     check_grad(lambda: sum_all(mul(take_rows(x, rows), y)), x)
     check_grad(lambda: sum_all(mul(scatter_rows(y, rows, 4), const(w.data.T))), y)
+    check_grad(lambda: sum_all(mul(sum_rows_into([(y, rows), (x, None)], 4, 3),
+                                   const(w.data.T))), y)
 
 
 def test_col_takes_the_right_column():
@@ -253,6 +323,15 @@ def test_shape_errors_name_the_op():
         concat([], axis=0)
     with pytest.raises(ShapeError, match="add"):
         add(const(np.ones((2, 3))), const(np.ones((4, 5))))
+    with pytest.raises(ShapeError, match="relu_affine"):
+        relu_affine(const(np.ones((2, 3))), const(np.ones((2, 3))), const(np.ones(3)))
+    with pytest.raises(ShapeError, match="affine"):
+        affine(const(np.ones((2, 3))), const(np.ones((3, 4))), const(np.ones(5)))
+    part = const(np.ones((1, 2)))
+    with pytest.raises(ShapeError, match="sum_rows_into"):
+        sum_rows_into([(part, np.array([0, 1]))], 3, 2)
+    with pytest.raises(ShapeError, match="sum_rows_into"):
+        sum_rows_into([(part, None)], 3, 2)
 
 
 def _consume(build):
@@ -550,3 +629,125 @@ def test_finite_difference_check_consumes_its_base_graph_and_reuses_its_stages()
     reused = finite_difference_check(Graph(build=lambda c: build(c, True), params=params))
     assert reused.passed and reused.checks == fresh.checks
     assert base["root"]._parents == () and base["hidden"]._parents == ()
+
+
+def _special_values(rng, shape):
+    """Random values with +0, -0, NaN, +Inf and -Inf planted at random entries."""
+    x = rng.standard_normal(shape)
+    flat = x.reshape(-1)
+    for value in (0.0, -0.0, np.nan, np.inf, -np.inf):
+        flat[rng.integers(flat.size)] = value
+    return x
+
+
+@pytest.mark.parametrize("fused,oracle", [(affine, affine_oracle),
+                                          (relu_affine, relu_affine_oracle)],
+                         ids=["affine", "relu_affine"])
+def test_fused_affine_ops_match_their_compositions_bit_for_bit(fused, oracle):
+    rng = np.random.default_rng(30)
+    shapes = [(1, 1, 1), (2, 3, 4), (7, 5, 3)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 40, size=3)) for _ in range(8)]
+    # The expert layers at the shipped shapes (rows, in, hidden): toy, `long`, audit.
+    shapes += [(992, 80, 64), (4080, 80, 128), (18, 18, 12)]
+    for rows, inner, cols in shapes:
+        for special in (False, True):
+            draw = _special_values if special else (lambda r, shape: r.standard_normal(shape))
+            x = param("x", draw(rng, (rows, inner)))
+            w = param("w", draw(rng, (inner, cols)))
+            b = param("b", draw(rng, (cols,)))
+            if not special:
+                # Exact zeros reach the relu's kink from both sides.
+                x.data[0, :] = 0.0
+                b.data[0] = -0.0
+            upstream = draw(rng, (rows, cols))
+            with np.errstate(all="ignore"):
+                got = grads_of(lambda: fused(x, w, b), (x, w, b), upstream)
+                want = grads_of(lambda: oracle(x, w, b), (x, w, b), upstream)
+            assert same_bits(got[0], want[0]), (rows, inner, cols, special)
+            for name, g, h in zip("xwb", got[1], want[1]):
+                assert same_bits(g, h), (name, rows, inner, cols, special)
+
+
+def test_sum_rows_into_matches_scatter_and_add_chain_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        n_rows, cols = int(rng.integers(2, 30)), int(rng.integers(1, 6))
+        special = trial % 2 == 1
+        draw = _special_values if special else (lambda r, shape: r.standard_normal(shape))
+        parts = []
+        for _ in range(int(rng.integers(1, 5))):
+            if rng.random() < 0.25:
+                rows = None
+            else:
+                size = int(rng.integers(1, n_rows + 1))
+                rows = np.sort(rng.choice(n_rows, size=size, replace=False))
+            count = n_rows if rows is None else len(rows)
+            parts.append((param("p", draw(rng, (count, cols))), rows))
+        leaves = [t for t, _ in parts]
+        upstream = draw(rng, (n_rows, cols))
+        with np.errstate(all="ignore"):
+            got = grads_of(lambda: sum_rows_into(parts, n_rows, cols), leaves, upstream)
+            want = grads_of(lambda: sum_rows_oracle(parts, n_rows, cols), leaves, upstream)
+        assert same_bits(got[0], want[0]), trial
+        for g, h in zip(got[1], want[1]):
+            assert same_bits(g, h), trial
+
+
+def test_relu_affine_records_the_kink_of_its_composition():
+    rng = np.random.default_rng(32)
+    x, w, b = rand(rng, 6, 4), rand(rng, 4, 5), rand(rng, 5)
+    with record_kinks() as fused, no_tape():
+        relu_affine(const(x), const(w), const(b))
+    with record_kinks() as oracle:
+        relu_affine_oracle(const(x), const(w), const(b))
+    assert fused == oracle and len(fused) == 1
+
+
+def test_check_nodes_names_the_fused_affine_ops():
+    w, b = param("w", np.eye(2)), param("b", np.zeros(2))
+    with np.errstate(invalid="ignore"):
+        for values in ([[np.inf, 1.0]], [[np.nan, 1.0]]):
+            x = param("x", np.array(values))
+            with check_nodes(), pytest.raises(NumericalError, match="^affine:"):
+                affine(x, w, b)
+            with check_nodes(), pytest.raises(NumericalError, match="^relu_affine:"):
+                relu_affine(x, w, b)
+        # A -inf pre-activation that the relu clips to 0 is still named.
+        x, w, b = param("x", np.array([[-np.inf]])), param("w", [[1.0]]), param("b", [0.0])
+        assert relu_affine(x, w, b).data == 0.0
+        with check_nodes(), pytest.raises(NumericalError, match="^relu_affine:"):
+            relu_affine(x, w, b)
+
+
+def test_gradient_hand_off_never_aliases():
+    rng = np.random.default_rng(34)
+    g = rand(rng, 3, 4)
+
+    def loss(out):
+        return sum_all(mul(out, const(g)))
+
+    z = param("z", rand(rng, 3, 4))
+    backprop(loss(mul(z, z)))
+    np.testing.assert_array_equal(z.grad, 2.0 * (g * z.data))
+
+    x = param("x", rand(rng, 3, 4))
+    backprop(loss(add(x, x)))
+    np.testing.assert_array_equal(x.grad, g + g)
+
+    x = param("x", rand(rng, 3, 2))
+    w1, b1 = param("w1", rand(rng, 2, 4)), param("b1", rand(rng, 4))
+    w2, b2 = param("w2", rand(rng, 2, 4)), param("b2", rand(rng, 4))
+    g2 = rand(rng, 3, 4)
+    backprop(add(loss(affine(x, w1, b1)), sum_all(mul(affine(x, w2, b2), const(g2)))))
+    np.testing.assert_array_equal(x.grad, g @ w1.data.T + g2 @ w2.data.T)
+    np.testing.assert_array_equal(w1.grad, x.data.T @ g)
+    np.testing.assert_array_equal(w2.grad, x.data.T @ g2)
+    np.testing.assert_array_equal(b1.grad, g.sum(axis=0))
+    np.testing.assert_array_equal(b2.grad, g2.sum(axis=0))
+
+    x = param("x", rand(rng, 3, 2))
+    g6 = rand(rng, 6, 2)
+    backprop(sum_all(mul(concat([x, x], axis=0), const(g6))))
+    np.testing.assert_array_equal(x.grad, g6[:3] + g6[3:])
+    for a, b in ((z, x), (w1, w2), (b1, b2), (w1, b1)):
+        assert not np.shares_memory(a.grad, b.grad)

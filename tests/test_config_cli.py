@@ -623,6 +623,31 @@ def test_cli_gradcheck_without_a_clearing_batch_is_exit_code_2(tmp_path, capsys)
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command,out", [
+    ("gen", None), ("train", None), ("ablate", None),
+    ("gradcheck", None), ("gradcheck", "r.json"),
+], ids=["gen", "train", "ablate", "gradcheck", "gradcheck-out"])
+def test_cli_output_path_below_a_file_is_exit_code_1(tmp_path, capsys, monkeypatch,
+                                                     command, out):
+    # Refused before any corpus is drawn or any audit runs, naming the path.
+    from framemoe import experiment
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(experiment, "generate_corpus", no_work)
+    monkeypatch.setattr(experiment, "gradcheck_model", no_work)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    run = tmp_path / "run" if out else blocker / "run"
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(run))
+    extra = ["--out", str(blocker / out)] if out else []
+    assert main([command, "--config", cfg_path, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and str(blocker) in err
+    assert blocker.read_text() == "a file\n"
+
+
 @pytest.mark.parametrize("args", [
     ["gradcheck", "--step", "0"],
     ["gradcheck", "--step", "nan"],

@@ -354,7 +354,7 @@ def test_eval_condition_checks_the_logits_and_enhanced_spectra(tmp_path):
     split = eval_split(model, corpus.test, stats)
     mixes = contaminate_split(corpus.test, "babble", 5.0, cfg.seed)
     model.se_head.w2.data[0, 0] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="matmul"):
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="relu_affine"):
         eval_condition(model, cfg, stats, split, mixes, "babble", 5.0)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from framemoe.autodiff import backprop, const, sum_all
+from framemoe.autodiff import backprop, col, const, mul, param, sum_all, take_rows
 from framemoe.backbone import ConcatRepresentation
 from framemoe.moe import (
     TASK_SE,
@@ -20,6 +20,7 @@ from framemoe.moe import (
     mix,
     moe_forward,
 )
+from test_autodiff import affine_oracle, grads_of, relu, same_bits, sum_rows_oracle
 
 
 def topk_mask(scores: np.ndarray, k: int) -> np.ndarray:
@@ -536,3 +537,103 @@ def test_representation_segment_must_divide_frames():
     with pytest.raises(ValueError, match="do not split"):
         ConcatRepresentation(frames=const(rng.standard_normal((10, 8))), n_layers=1,
                              width=4, segment=4)
+
+
+def expert_graph_oracle(pool, n, frames):
+    """One expert as the matmul, add and relu nodes it was composed of."""
+    e = pool.experts[n]
+    return affine_oracle(relu(affine_oracle(frames, e.w1, e.b1)), e.w2, e.b2)
+
+
+def mix_oracle(pool, decision, rep):
+    """The mixture as it was built: each routed term scattered to all rows and
+    added to zeros in expert order, on the composed expert ops."""
+    frames, retained = rep.frames, decision.retained
+    t = frames.shape[0]
+    routed = (decision.indices[:, :, None] == np.arange(pool.n_experts)).any(axis=1)
+    parts = []
+    for n in range(pool.n_experts):
+        rows = np.flatnonzero(routed[:, n])
+        if rows.size == 0:
+            continue
+        if rows.size == t:
+            parts.append((mul(col(retained, n), expert_graph_oracle(pool, n, frames)), None))
+            continue
+        if rows.size == 1:
+            r = rows[0]
+            rows = np.array([r, r + 1] if r + 1 < t else [r - 1, r])
+        parts.append((mul(take_rows(col(retained, n), rows),
+                          expert_graph_oracle(pool, n, take_rows(frames, rows))), rows))
+    return sum_rows_oracle(parts, t, pool.out_width)
+
+
+def assert_mix_matches_oracle(pool, make_decision, rep, leaves, rng):
+    upstream = rng.standard_normal((rep.frames.shape[0], pool.out_width))
+    got = grads_of(lambda: mix(pool, make_decision(), rep).z, leaves, upstream)
+    want = grads_of(lambda: mix_oracle(pool, make_decision(), rep), leaves, upstream)
+    assert same_bits(got[0], want[0])
+    for leaf, g, h in zip(leaves, got[1], want[1]):
+        assert same_bits(g, h), leaf.name
+
+
+def expert_leaves(pool):
+    return [getattr(e, k) for e in pool.experts for k in ("w1", "b1", "w2", "b2")]
+
+
+def test_mix_matches_the_scatter_and_add_chain_at_random_routings():
+    rng = np.random.default_rng(25)
+    for trial in range(30):
+        n = int(rng.integers(1, 6))
+        t = int(rng.integers(1, 12))
+        k = int(rng.integers(1, n + 1))
+        pool, gate = make_pool_gate(rng, n, 8)
+        frames = param("frames", rng.standard_normal((t, 8)))
+        frames.data[0, 0] = -0.0
+        rep = ConcatRepresentation(frames=frames, n_layers=1, width=4)
+        assert_mix_matches_oracle(pool, lambda: moe_forward(pool, gate, rep, k)[1], rep,
+                                  [frames, gate.w, gate.b, *expert_leaves(pool)], rng)
+
+
+@pytest.mark.parametrize("geometry", SHIPPED_GEOMETRIES.values(), ids=SHIPPED_GEOMETRIES)
+def test_mix_matches_the_scatter_and_add_chain_at_shipped_shapes(geometry):
+    # Top-2 over three experts: expert 2 takes every row, expert 0 one lone
+    # row (gathered with its zero-weight neighbour) and expert 1 the rest.
+    t, in_width, hidden, out_width = geometry
+    rng = np.random.default_rng(t + 1)
+    pool = init_expert_pool(rng, 3, in_width, hidden, out_width)
+    frames = param("frames", rng.standard_normal((t, in_width)))
+    rep = ConcatRepresentation(frames=frames, n_layers=1, width=in_width // 2)
+    second = np.ones(t, dtype=np.int64)
+    second[int(rng.integers(t))] = 0
+    indices = np.stack([np.full(t, 2), second], axis=1)
+    mask = np.zeros((t, 3))
+    np.put_along_axis(mask, indices, 1.0, axis=1)
+    gates = param("gates", rng.dirichlet(np.ones(3), size=t))
+
+    def decision():
+        return RoutingDecision(task=TASK_SER, gates=gates, retained=mul(gates, const(mask)),
+                               indices=indices, top_k=2, tie_margin=0.0)
+
+    assert_mix_matches_oracle(pool, decision, rep, [frames, gates, *expert_leaves(pool)], rng)
+
+
+def test_expert_graph_keeps_one_hidden_array():
+    # Of the expert's (rows, hidden) arrays, only the relu output stays on the
+    # tape: no product before the bias, no pre-activation, no relu mask.
+    rows, in_width, hidden, out_width = 9, 8, 6, 4
+    rng = np.random.default_rng(26)
+    pool = init_expert_pool(rng, 1, in_width, hidden, out_width)
+    out = expert_forward(pool, 0, param("frames", rng.standard_normal((rows, in_width))))
+    kept, stack, seen = [], [out], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        kept.append(node.data)
+        cells = (node._backward.__closure__ or ()) if node._backward else ()
+        kept += [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
+        stack.extend(node._parents)
+    hidden_arrays = [a for a in kept if a.shape == (rows, hidden)]
+    (relu_node,) = [p for p in out._parents if p.shape == (rows, hidden)]
+    assert len(hidden_arrays) == 1 and hidden_arrays[0] is relu_node.data

@@ -472,11 +472,11 @@ def test_train_phase1_checks_each_head_loss():
     model = build_model(cfg)
     feats = tiny_feats(model, np.random.default_rng(15))
     model.ser_head.cls_b2.data[0] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(TrainingAborted, match="add") as exc_info:
+    with np.errstate(invalid="ignore"), pytest.raises(TrainingAborted, match="affine") as exc_info:
         train_phase1(model, feats, np.ones(4), cfg.training, np.random.default_rng(1))
     diag = exc_info.value.diagnostics
     assert (diag["phase"], diag["epoch"], diag["batch"]) == (1, 0, 0)
-    assert "add" in diag["error"]
+    assert "affine" in diag["error"]
 
 
 @pytest.mark.parametrize("phase,loss_name", [(1, "weighted_cross_entropy"),
@@ -614,3 +614,20 @@ def test_features_index_by_slice_or_index_array():
     assert len(feats[1:3]) == 2
     with pytest.raises(TypeError, match="slice or an index array"):
         feats[0]
+
+
+def test_a_phase2_step_hands_each_parameter_its_own_gradient():
+    # Gradients a backward pass has just computed become .grad as they are;
+    # no two parameters may end up sharing one array.
+    cfg = tiny_cfg(unfrozen=True)
+    model = build_model(cfg)
+    feats = tiny_feats(model, np.random.default_rng(17))
+    loss, _, _ = batch_joint_loss(model, feats[:2], np.ones(4), cfg.moe, cfg.training)
+    backprop(loss)
+    grads = [(name, p.grad) for name, p in named_parameters(model).items()
+             if p.grad is not None]
+    assert len(grads) > 20
+    for i, (name, g) in enumerate(grads):
+        assert g.flags.writeable and g.shape == named_parameters(model)[name].shape
+        for other, h in grads[i + 1:]:
+            assert not np.shares_memory(g, h), (name, other)
