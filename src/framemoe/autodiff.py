@@ -320,7 +320,10 @@ def relu_affine(x, w, b) -> Tensor:
     np.maximum(data, 0.0, out=data)
 
     def backward(out: Tensor) -> None:
-        _affine_backward(x, w, b, out.grad * (out.data > 0.0))
+        # out.grad is this node's own (see _accum) and dropped after this call.
+        g = out.grad
+        np.multiply(g, out.data > 0.0, out=g)
+        _affine_backward(x, w, b, g)
 
     return _node("relu_affine", data, (x, w, b), backward)
 

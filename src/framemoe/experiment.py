@@ -67,6 +67,7 @@ from .files import write_atomic, write_csv
 from .heads import EmotionLabel, log1p_spectrum, predict_label, resynthesize, stft
 from .metrics import MetricsReport, f1_scores, ssnr
 from .model import (
+    Features,
     JointModel,
     build_model,
     compute_features,
@@ -205,6 +206,27 @@ def environment_drift(report: dict) -> list[str]:
 LOSS_FIELDS = ["epoch", "wce", "l1", "balance", "total"]
 
 
+def _split_features(model: JointModel, split: Split, stats: NormStats, chunk: int) -> Features:
+    """The features of a whole split, computed `chunk` utterances at a time
+    into arrays allocated once, shaped after the first chunk's, so only one
+    chunk's intermediates are live beside them."""
+    n = len(split.labels)
+    out = None
+    for start in range(0, n, chunk):
+        rows = slice(start, start + chunk)
+        part = compute_features(model, z_normalize(split.noisy[rows], stats), split.labels[rows],
+                                z_normalize(split.clean[rows], stats))
+        arrays = {name: getattr(part, name) for name in ("x_noisy", "x_clean", "rep")}
+        if out is None:
+            out = Features(labels=np.array(split.labels, dtype=np.int64),
+                           **{name: None if a is None else np.empty((n, *a.shape[1:]), a.dtype)
+                              for name, a in arrays.items()})
+        for name, a in arrays.items():
+            if a is not None:
+                getattr(out, name)[rows] = a
+    return out
+
+
 def run_train(cfg: ExperimentConfig) -> dict:
     """Generate or load the corpus, run both phases, write all artifacts."""
     validate(cfg)
@@ -219,12 +241,13 @@ def run_train(cfg: ExperimentConfig) -> dict:
     corpus = ensure_corpus(cfg)
 
     stats = norm_stats(corpus.train.noisy)
-    model = build_model(cfg)
-    train_feats, dev_feats = (compute_features(model, z_normalize(split.noisy, stats),
-                                               split.labels, z_normalize(split.clean, stats))
-                              for split in (corpus.train, corpus.dev))
-
     counts = np.bincount(corpus.train.labels, minlength=4)
+    model = build_model(cfg)
+    train_feats, dev_feats = (_split_features(model, split, stats, cfg.training.phase2_batch)
+                              for split in (corpus.train, corpus.dev))
+    # Training reads only the features: let the waveforms go before phase 1.
+    del corpus
+
     weights = class_weights_from_counts(counts)
 
     rng = component_rng(cfg.seed, "shuffle")
@@ -295,7 +318,11 @@ def load_trained(run_dir: str | Path) -> tuple[ExperimentConfig, JointModel, dic
             f"{ckpt_path} was trained with a different config than {cfg_path}; "
             "retrain there")
     model = build_model(cfg)
-    restore_params(named_parameters(model), params)
+    try:
+        restore_params(named_parameters(model), params)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{ckpt_path} does not fit the model of {cfg_path} "
+                          f"({exc.args[0]}); retrain there") from exc
     return cfg, model, meta
 
 

@@ -6,10 +6,11 @@ One framing serves everything: the experts route the backbone's frames and
 the denoising head decodes the spectrum of those same frames, so the noisy
 log1p spectrum is both the stack's input and the head's. With the backbone
 frozen, the concatenated layer features of an utterance never change, so
-they are computed once, in one tape-free pass over a whole split, and
-re-entered into each step's graph as constants. The unfrozen variant
-rebuilds the layers in-graph every step. A batch of utterances, all of one
-length, runs as a single graph over their stacked frames.
+they are computed once per split, in tape-free passes over chunks of its
+utterances written into arrays allocated once, and re-entered into each
+step's graph as constants. The unfrozen variant rebuilds the layers
+in-graph every step. A batch of utterances, all of one length, runs as a
+single graph over their stacked frames.
 """
 
 from __future__ import annotations

@@ -151,7 +151,7 @@ class AdamW:
             lr = g["lr"]
             for p in g["params"]:
                 grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-                m, v = self._state.get(id(p), (np.zeros_like(p.data), np.zeros_like(p.data)))
+                m, v = self._state.get(id(p)) or (np.zeros_like(p.data), np.zeros_like(p.data))
                 m = b1 * m + (1.0 - b1) * grad
                 v = b2 * v + (1.0 - b2) * grad * grad
                 self._state[id(p)] = (m, v)

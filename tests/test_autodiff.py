@@ -751,3 +751,22 @@ def test_gradient_hand_off_never_aliases():
     np.testing.assert_array_equal(x.grad, g6[:3] + g6[3:])
     for a, b in ((z, x), (w1, w2), (b1, b2), (w1, b1)):
         assert not np.shares_memory(a.grad, b.grad)
+
+    # One relu_affine output feeding two ops: its backward masks the
+    # gradient it owns in place, and writes no other array.
+    x, w = param("x", rand(rng, 3, 2)), param("w", rand(rng, 2, 4))
+    b, c = param("b", rand(rng, 4)), param("c", rand(rng, 3, 4))
+    h = relu_affine(x, w, b)
+    mask = h.data > 0.0
+    assert mask.any() and not mask.all()
+    inputs = [a.copy() for a in (g, g2, h.data, x.data, w.data, b.data, c.data)]
+    backprop(add(loss(add(h, c)), sum_all(mul(h, const(g2)))))
+    gh = (g + g2) * mask
+    np.testing.assert_array_equal(x.grad, gh @ w.data.T)
+    np.testing.assert_array_equal(w.grad, x.data.T @ gh)
+    np.testing.assert_array_equal(b.grad, gh.sum(axis=0))
+    np.testing.assert_array_equal(c.grad, g)
+    for before, after in zip(inputs, (g, g2, h.data, x.data, w.data, b.data, c.data)):
+        np.testing.assert_array_equal(after, before)
+    for u, v in ((x, w), (x, c), (w, c), (b, c)):
+        assert not np.shares_memory(u.grad, v.grad)

@@ -555,6 +555,29 @@ def test_cli_eval_refuses_a_damaged_run_file(trained_run, tmp_path, capsys, name
     assert not (run / "metrics.csv").exists()
 
 
+def _drop_param(params, name):
+    del params[name]
+
+
+def _flatten_param(params, name):
+    params[name]["shape"] = [1, len(params[name]["data"])]
+
+
+@pytest.mark.parametrize("damage", [_drop_param, _flatten_param],
+                         ids=["missing-tensor", "misshapen-tensor"])
+def test_cli_eval_refuses_a_checkpoint_tensor_that_does_not_fit(trained_run, tmp_path, capsys,
+                                                                  damage):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    path = run / "checkpoint_final.json"
+    payload = json.loads(path.read_text())
+    damage(payload["params"], "se.b2")
+    path.write_text(json.dumps(payload))
+    _assert_one_config_error(["eval", "--run", str(run)], capsys,
+                             "checkpoint_final.json", "se.b2", "retrain there")
+    assert not (run / "metrics.csv").exists()
+
+
 def test_cli_eval_and_analyze_refuse_a_damaged_report(trained_run, tmp_path, capsys):
     run = tmp_path / "run"
     shutil.copytree(trained_run, run)

@@ -4,6 +4,7 @@ import math
 import os
 import platform
 import shutil
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,12 +48,14 @@ from framemoe.experiment import (
 )
 from framemoe.datagen import contaminate_split, generate_corpus, read_corpus
 from framemoe.autodiff import GradCheckReport, NumericalError, ParamCheck, forward, no_tape
-from framemoe.model import build_model, named_parameters
+from framemoe.model import build_model, compute_features, named_parameters
 from framemoe.training import (
     NormStats,
     class_weights_from_counts,
     load_checkpoint,
+    norm_stats,
     save_checkpoint,
+    z_normalize,
 )
 
 from test_heads import identity_se_head
@@ -154,6 +157,85 @@ def test_run_train_artifacts_and_summary(tmp_path):
     losses_lines = (run / "losses.csv").read_text().strip().splitlines()
     assert losses_lines[0] == "epoch,wce,l1,balance,total"
     assert len(losses_lines) == 1 + cfg.training.phase2_epochs
+
+
+class _StopTraining(Exception):
+    pass
+
+
+def _features_equal(a, b):
+    for name in ("labels", "x_noisy", "x_clean", "rep"):
+        got, want = getattr(a, name), getattr(b, name)
+        if want is None:
+            assert got is None, name
+        else:
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("unfrozen", [False, True], ids=["frozen", "unfrozen"])
+def test_run_train_features_equal_one_whole_split_call(tmp_path, monkeypatch, unfrozen):
+    cfg = tiny_cfg(tmp_path / "run")
+    cfg.backbone.unfrozen = unfrozen
+    cfg.training.phase2_batch = 3  # 8 train utterances: chunks of 3, 3 and 2
+    handed = {}
+    train_phase1 = experiment.train_phase1
+
+    def phase1(model, feats, *args):
+        handed["train"] = feats
+        return train_phase1(model, feats, *args)
+
+    def phase2(model, train_feats, dev_feats, *args):
+        handed["dev"] = dev_feats
+        raise _StopTraining
+
+    monkeypatch.setattr(experiment, "train_phase1", phase1)
+    monkeypatch.setattr(experiment, "train_phase2", phase2)
+    with pytest.raises(_StopTraining):
+        run_train(cfg)
+    corpus = ensure_corpus(cfg)
+    stats = norm_stats(corpus.train.noisy)
+    model = build_model(cfg)
+    for name in ("train", "dev"):
+        split = getattr(corpus, name)
+        _features_equal(handed[name], compute_features(
+            model, z_normalize(split.noisy, stats), split.labels, z_normalize(split.clean, stats)))
+        assert (handed[name].rep is None) == unfrozen
+
+
+def test_run_train_computes_features_a_phase2_batch_at_a_time(tmp_path, monkeypatch):
+    cfg = tiny_cfg(tmp_path / "run")
+    sizes = []
+
+    def counted(model, noisy, labels, *args, **kwargs):
+        sizes.append(len(labels))
+        return compute_features(model, noisy, labels, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "compute_features", counted)
+    run_train(cfg)
+    assert sum(sizes) == cfg.data.train_size + cfg.data.dev_size
+    assert max(sizes) <= cfg.training.phase2_batch < cfg.data.train_size
+
+
+def test_run_train_lets_the_waveforms_go_before_phase1(tmp_path, monkeypatch):
+    cfg = tiny_cfg(tmp_path / "run")
+    refs = []
+
+    def tracked(cfg):
+        corpus = ensure_corpus(cfg)
+        refs.extend(weakref.ref(getattr(split, kind))
+                    for split in (corpus.train, corpus.dev, corpus.test)
+                    for kind in ("noisy", "clean") if getattr(split, kind) is not None)
+        return corpus
+
+    def phase1(*args):
+        assert len(refs) == 5 and all(ref() is None for ref in refs)
+        raise _StopTraining
+
+    monkeypatch.setattr(experiment, "ensure_corpus", tracked)
+    monkeypatch.setattr(experiment, "train_phase1", phase1)
+    with pytest.raises(_StopTraining):
+        run_train(cfg)
 
 
 def test_load_trained_restores_checkpoint(tmp_path):
