@@ -1,4 +1,8 @@
-"""Minimal reverse-mode automatic differentiation over dense float64 arrays.
+"""Minimal reverse-mode automatic differentiation over dense float arrays.
+
+Node values are float64, or the dtype set by working_dtype() while nodes
+are made inside it: a training step runs in float32 there. A gradient takes
+its node's dtype.
 
 Every operation allocates a new Tensor node holding its value and, when some
 operand needs a gradient, a closure that routes the output gradient back to
@@ -90,6 +94,25 @@ def no_tape() -> Iterator[None]:
         _TAPE = prev
 
 
+# The dtype of every new node's value. Under numpy 2's promotion rules one
+# float64 operand, a 0-d array included, turns a float32 result back into
+# float64, so every constant an op lifts is cast to it too.
+_DTYPE = np.float64
+
+
+@contextmanager
+def working_dtype(dtype) -> Iterator[None]:
+    """Nodes made inside, constants and parameters lifted into a graph
+    included, hold `dtype` values; leaves made before keep theirs."""
+    global _DTYPE
+    prev = _DTYPE
+    _DTYPE = dtype
+    try:
+        yield
+    finally:
+        _DTYPE = prev
+
+
 # While True, every new node checks its values and names its op on a
 # non-finite one.
 _CHECK_NODES = False
@@ -129,13 +152,14 @@ def _check_finite(op: str, data: np.ndarray, name: str | None = None) -> None:
 
 
 class Tensor:
-    """A float64 array plus the bookkeeping needed for reverse mode."""
+    """A float array of the working dtype (float64 unless working_dtype()
+    says otherwise) plus the bookkeeping needed for reverse mode."""
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None,
                  _parents: tuple = (), _backward=None, _op: str = "leaf"):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=_DTYPE)
         if _CHECK_NODES:
             _check_finite(_op, self.data, name)
         self.grad: np.ndarray | None = None
@@ -185,11 +209,12 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     """Add g to t.grad. A `fresh` g, an array the caller has just computed
     and hands to no one else, becomes t.grad as it is; any other g is copied,
     since it may be a view of another node's gradient or read-only. A 0-d
-    result is a numpy scalar, not an array, and is copied too."""
+    result is a numpy scalar, not an array, and is copied too. A copy takes
+    t's dtype."""
     if not _tracks(t):
         return
     if t.grad is None:
-        t.grad = g if fresh and isinstance(g, np.ndarray) else np.array(g, dtype=np.float64)
+        t.grad = g if fresh and isinstance(g, np.ndarray) else np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -525,7 +550,7 @@ def sum_rows_into(parts: Sequence[tuple], n_rows: int, cols: int) -> Tensor:
     nothing.
     """
     parts = [(_lift(t), rows) for t, rows in parts]
-    data = np.zeros((n_rows, cols))
+    data = np.zeros((n_rows, cols), dtype=_DTYPE)
     for t, rows in parts:
         if t.shape != (n_rows if rows is None else len(rows), cols):
             where = "every row" if rows is None else f"{len(rows)} rows"
@@ -582,7 +607,7 @@ def backprop(output: Tensor) -> None:
     if output.data.shape != ():
         raise AutodiffError(f"backprop: output must be scalar, got shape {output.shape}")
     order = _topo_order(output)
-    output.grad = np.ones(())
+    output.grad = np.ones((), dtype=output.data.dtype)
     while order:
         node = order.pop()
         if node._backward is not None and node.grad is not None:

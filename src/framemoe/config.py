@@ -225,6 +225,11 @@ def validate(cfg: ExperimentConfig) -> None:
     problems: list[str] = []
     b, m, h, t, d, s = cfg.backbone, cfg.moe, cfg.heads, cfg.training, cfg.data, cfg.ssnr
 
+    # Seeds enter numpy's SeedSequence, which takes no negative entropy.
+    if cfg.seed < 0:
+        problems.append(f"seed must be >= 0, got {cfg.seed}")
+    if b.seed is not None and b.seed < 0:
+        problems.append(f"backbone.seed must be >= 0, got {b.seed}")
     if b.n_layers < 1:
         problems.append(f"backbone.n_layers must be >= 1, got {b.n_layers}")
     if b.width < 1:

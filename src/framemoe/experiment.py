@@ -75,6 +75,7 @@ from .model import (
     named_parameters,
 )
 from .training import (
+    STEP_DTYPE,
     NormStats,
     batch_joint_loss,
     class_weights_from_counts,
@@ -206,10 +207,11 @@ def environment_drift(report: dict) -> list[str]:
 LOSS_FIELDS = ["epoch", "wce", "l1", "balance", "total"]
 
 
-def _split_features(model: JointModel, split: Split, stats: NormStats, chunk: int) -> Features:
-    """The features of a whole split, computed `chunk` utterances at a time
-    into arrays allocated once, shaped after the first chunk's, so only one
-    chunk's intermediates are live beside them."""
+def _split_features(model: JointModel, split: Split, stats: NormStats, chunk: int,
+                    dtype) -> Features:
+    """The features of a whole split as `dtype` arrays, computed `chunk`
+    utterances at a time into arrays allocated once, shaped after the first
+    chunk's, so only one chunk's intermediates are live beside them."""
     n = len(split.labels)
     out = None
     for start in range(0, n, chunk):
@@ -219,7 +221,7 @@ def _split_features(model: JointModel, split: Split, stats: NormStats, chunk: in
         arrays = {name: getattr(part, name) for name in ("x_noisy", "x_clean", "rep")}
         if out is None:
             out = Features(labels=np.array(split.labels, dtype=np.int64),
-                           **{name: None if a is None else np.empty((n, *a.shape[1:]), a.dtype)
+                           **{name: None if a is None else np.empty((n, *a.shape[1:]), dtype)
                               for name, a in arrays.items()})
         for name, a in arrays.items():
             if a is not None:
@@ -243,8 +245,12 @@ def run_train(cfg: ExperimentConfig) -> dict:
     stats = norm_stats(corpus.train.noisy)
     counts = np.bincount(corpus.train.labels, minlength=4)
     model = build_model(cfg)
-    train_feats, dev_feats = (_split_features(model, split, stats, cfg.training.phase2_batch)
-                              for split in (corpus.train, corpus.dev))
+    # The train features feed only float32 training steps. The dev pass stays
+    # float64, so its loss is that of the float64 weights a checkpoint holds.
+    train_feats, dev_feats = (_split_features(model, split, stats, cfg.training.phase2_batch,
+                                              dtype)
+                              for split, dtype in ((corpus.train, STEP_DTYPE),
+                                                   (corpus.dev, np.float64)))
     # Training reads only the features: let the waveforms go before phase 1.
     del corpus
 
@@ -279,6 +285,7 @@ def run_train(cfg: ExperimentConfig) -> dict:
         class_weights=[float(w) for w in weights],
         wall_time_s_train=wall,
         environment_train=run_environment(),
+        step_dtype=np.dtype(STEP_DTYPE).name,
     )
     return {
         "run_dir": str(run_dir),

@@ -6,13 +6,24 @@ weighted cross entropy. Phase 2 starts from the phase-1 head weights, keeps
 the expert pool and gates at their initialization, and trains heads, gates,
 experts (and optionally the backbone affine layers at a second learning rate)
 against the joint objective.
+
+Every training step of both phases runs its forward and backward pass in
+float32, on float32 copies of the parameters it reads and on float32 train
+features, as in mixed-precision training (Micikevicius et al., arXiv
+1710.03740). The float64 parameters stay the masters: the optimizer takes
+the step's gradients as float64 and updates the masters and its float64
+moments. Everything outside a step stays float64: the dev pass, the
+best-epoch snapshots and the checkpoints, so that a checkpoint's dev loss
+and everything evaluated from it can be recomputed in float64.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -31,6 +42,7 @@ from .autodiff import (
     no_tape,
     sub,
     sum_all,
+    working_dtype,
 )
 from .files import write_atomic
 from .heads import N_CLASSES
@@ -282,22 +294,50 @@ def batch_joint_loss(model, batch_feats, class_weights, moe_cfg, train_cfg):
     return total, parts, {"ser": stages.out.ser_decision, "se": stages.out.se_decision}
 
 
+# The dtype of a training step's arithmetic; parameters are float64 masters.
+STEP_DTYPE = np.float32
+
+
+@contextmanager
+def step_precision(params: list[Tensor]) -> Iterator[None]:
+    """Run a step's forward and backward pass in STEP_DTYPE: each parameter's
+    float64 master is swapped for a STEP_DTYPE copy and every node made
+    inside holds STEP_DTYPE values. On the way out, by an exception too, the
+    masters are back and every gradient is float64."""
+    masters = [p.data for p in params]
+    try:
+        for p in params:
+            p.data = p.data.astype(STEP_DTYPE)
+        with working_dtype(STEP_DTYPE):
+            yield
+    finally:
+        for p, master in zip(params, masters):
+            p.data = master
+            if p.grad is not None:
+                p.grad = p.grad.astype(np.float64)
+
+
 def train_epoch(opt: AdamW, batches: list[np.ndarray], loss_of, phase: int,
-                epoch: int) -> dict:
+                epoch: int, reads: list[Tensor] | None = None) -> dict:
     """One epoch of `opt` over `batches`; returns the epoch's curve row.
 
     `loss_of(batch)` builds a step's loss and checks it, returning the loss
-    tensor and its float parts (wce, l1, balance, total). Each part of the
-    row is a running sum in batch order divided by the batch count. A
-    non-finite value anywhere in a step aborts with the optimizer's last
-    gradient norms, which carry across epochs.
+    tensor and its float parts (wce, l1, balance, total). It runs under
+    step_precision() over `reads`, every parameter the step reads (the
+    optimizer's own by default). Each part of the row is a running sum in
+    batch order divided by the batch count. A non-finite value anywhere in a
+    step aborts with the optimizer's last gradient norms, which carry across
+    epochs.
     """
+    if reads is None:
+        reads = [p for g in opt.groups for p in g["params"]]
     sums = {"wce": 0.0, "l1": 0.0, "balance": 0.0, "total": 0.0}
     for index, batch in enumerate(batches):
         opt.zero_grad()
         try:
-            loss, parts = loss_of(batch)
-            backprop(loss)
+            with step_precision(reads):
+                loss, parts = loss_of(batch)
+                backprop(loss)
             opt.last_grad_norms = opt.grad_norms()
             opt.step()
         except NumericalError as exc:
@@ -446,8 +486,9 @@ def train_phase2(model, train_feats, dev_feats, phase1_checkpoint,
     best_epoch = -1
 
     for epoch in range(cfg.phase2_epochs):
+        # Every parameter: an unfrozen stack also reads the frozen projection.
         curve.append(train_epoch(opt, _batches(len(train_feats), cfg.phase2_batch, rng),
-                                 step_loss, 2, epoch))
+                                 step_loss, 2, epoch, reads=list(params.values())))
 
         dev_total = evaluate_joint_loss(model, dev_feats, class_weights, moe_cfg, cfg) \
             if dev_feats else curve[-1]["total"]

@@ -47,6 +47,7 @@ from framemoe.autodiff import (
     sum_rows_into,
     sum_segments,
     take_rows,
+    working_dtype,
 )
 
 finite_floats = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False,
@@ -770,3 +771,33 @@ def test_gradient_hand_off_never_aliases():
         np.testing.assert_array_equal(after, before)
     for u, v in ((x, w), (x, c), (w, c), (b, c)):
         assert not np.shares_memory(u.grad, v.grad)
+
+
+def test_working_dtype_sets_the_dtype_of_nodes_lifted_constants_and_gradients():
+    rng = np.random.default_rng(41)
+    master = rand(rng, 3, 2)
+    with working_dtype(np.float32):
+        w = param("w", master)
+        x = const(rand(rng, 4, 3))
+        # A 0-d float64 array and a float64 bias are cast as they are lifted.
+        mixed = sum_rows_into([(affine(x, w, np.zeros(2)), None),
+                               (relu_affine(take_rows(x, np.array([0, 2])), w, np.ones(2)),
+                                np.array([1, 3]))], 4, 2)
+        out = mean_all(mul(mixed, np.array(2.0)))
+        # The mixture adds in float32: 1 + 2**-24 rounds to 1 at each add,
+        # while a float64 sum rounded once would give 1 + 2**-23.
+        tiny = const([[2.0 ** -24]])
+        summed = sum_rows_into([(const([[1.0]]), None), (tiny, None), (tiny, None)], 1, 1)
+        scalar = param("s", np.array(3.0))
+        scaled = mul(scalar, 2.0)
+    assert {t.data.dtype for t in (w, x, mixed, out, summed)} == {np.dtype(np.float32)}
+    np.testing.assert_array_equal(w.data, master.astype(np.float32))
+    assert summed.data[0, 0] == 1.0
+    # A float32 graph keeps its dtype when backpropagated outside the block.
+    backprop(out)
+    backprop(scaled)
+    assert w.grad.dtype == scalar.grad.dtype == np.float32
+    assert const(1.0).data.dtype == np.float64
+    with pytest.raises(ShapeError), working_dtype(np.float32):
+        add(np.ones(2), np.ones(3))
+    assert add(np.ones(2), np.ones(2)).data.dtype == np.float64

@@ -171,6 +171,19 @@ def test_snrs_beyond_300_db_are_one_config_error(tmp_path, capsys, item, field):
                                                   "data.eval_snrs_db=[-300,300]"]))
 
 
+@pytest.mark.parametrize("item,field", [("seed=-1", "seed"), ("backbone.seed=-1", "backbone.seed")],
+                         ids=["seed", "backbone.seed"])
+def test_gen_refuses_a_negative_seed(tmp_path, capsys, item, field):
+    # numpy's SeedSequence takes no negative entropy; validate refuses the
+    # seed before any corpus is drawn.
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(tmp_path / "run"))
+    assert main(["gen", "--config", cfg_path, "--set", item]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"{field} must be >= 0, got -1\n" in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_digest_stable_and_sensitive():
     a = ExperimentConfig()
     b = ExperimentConfig()
@@ -516,6 +529,21 @@ def test_cli_eval_notes_an_environment_other_than_trains(trained_run, tmp_path, 
     lines = captured.err.splitlines()
     assert lines == ["note: eval ran in another numeric environment than train "
                      "(differs in OPENBLAS_NUM_THREADS, numpy)"], lines
+
+
+@pytest.mark.parametrize("item,field", [("seed=-1", "seed"), ("backbone.seed=-1", "backbone.seed")],
+                         ids=["seed", "backbone.seed"])
+def test_train_refuses_a_negative_seed_and_keeps_the_earlier_outputs(trained_run, tmp_path,
+                                                                      capsys, item, field):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(run))
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--set", item]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"{field} must be >= 0, got -1\n" in err, err
+    assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
 
 def _assert_one_config_error(argv, capsys, *parts):

@@ -48,7 +48,7 @@ from framemoe.experiment import (
 )
 from framemoe.datagen import contaminate_split, generate_corpus, read_corpus
 from framemoe.autodiff import GradCheckReport, NumericalError, ParamCheck, forward, no_tape
-from framemoe.model import build_model, compute_features, named_parameters
+from framemoe.model import Features, build_model, compute_features, named_parameters
 from framemoe.training import (
     NormStats,
     class_weights_from_counts,
@@ -196,10 +196,17 @@ def test_run_train_features_equal_one_whole_split_call(tmp_path, monkeypatch, un
     corpus = ensure_corpus(cfg)
     stats = norm_stats(corpus.train.noisy)
     model = build_model(cfg)
-    for name in ("train", "dev"):
+    # Train features feed only float32 steps, so they are the float64 call's
+    # values cast to float32; dev features are the float64 call's own.
+    for name, dtype in (("train", np.float32), ("dev", np.float64)):
         split = getattr(corpus, name)
-        _features_equal(handed[name], compute_features(
-            model, z_normalize(split.noisy, stats), split.labels, z_normalize(split.clean, stats)))
+        whole = compute_features(
+            model, z_normalize(split.noisy, stats), split.labels, z_normalize(split.clean, stats))
+        _features_equal(handed[name], Features(
+            labels=whole.labels,
+            **{key: None if a is None else a.astype(dtype)
+               for key, a in (("x_noisy", whole.x_noisy), ("x_clean", whole.x_clean),
+                              ("rep", whole.rep))}))
         assert (handed[name].rep is None) == unfrozen
 
 

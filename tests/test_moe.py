@@ -4,7 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from framemoe.autodiff import backprop, col, const, mul, param, sum_all, take_rows
+from framemoe.autodiff import (
+    backprop,
+    col,
+    const,
+    mul,
+    param,
+    sum_all,
+    take_rows,
+    working_dtype,
+)
 from framemoe.backbone import ConcatRepresentation
 from framemoe.moe import (
     TASK_SE,
@@ -387,6 +396,22 @@ def test_balancing_loss_matches_tally_oracle():
         assert got == expected
 
 
+def top1_mask(gates: np.ndarray) -> np.ndarray:
+    """topk_mask(row, 1) of every row at once: each row's largest gate kept,
+    ties to the lowest index, every other entry +0."""
+    best = np.argmax(gates, axis=1)[:, None]
+    return np.where(np.arange(gates.shape[1]) == best, gates, 0.0)
+
+
+def test_top1_mask_equals_the_topk_oracle_row_by_row():
+    rng = np.random.default_rng(27)
+    tied = np.array([[0.4, 0.4, 0.2], [0.3, 0.35, 0.35], [0.25, 0.25, 0.25],
+                     [-0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+    for gates in (tied, *(batch_pooled_decision(rng).gates.data for _ in range(5))):
+        want = np.stack([topk_mask(row, 1) for row in gates])
+        assert same_bits(top1_mask(gates), want)
+
+
 def batch_pooled_decision(rng):
     """A top-1 decision at the size the loss actually tallies: one affine
     gate applied to a whole batch of frames, with per-expert biases."""
@@ -399,7 +424,7 @@ def batch_pooled_decision(rng):
     logits = x @ w + b
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     gates = e / e.sum(axis=1, keepdims=True)
-    retained = np.stack([topk_mask(row, 1) for row in gates])
+    retained = top1_mask(gates)
     indices = np.argmax(retained, axis=1, keepdims=True)
     return RoutingDecision(task=TASK_SER, gates=const(gates),
                            retained=const(retained), indices=indices,
@@ -500,36 +525,44 @@ SHIPPED_GEOMETRIES = {
     "long": (4080, 80, 128, 16),
     "audit": (18, 18, 12, 6),
 }
+# Each geometry in float64, as evaluation and the audit run it, and in
+# float32, as a training step runs it.
+SHIPPED_CASES = [pytest.param(geometry, dtype,
+                              id=name + ("-float32" if dtype is np.float32 else ""))
+                 for name, geometry in SHIPPED_GEOMETRIES.items()
+                 for dtype in (np.float64, np.float32)]
 
 
-@pytest.mark.parametrize("geometry", SHIPPED_GEOMETRIES.values(), ids=SHIPPED_GEOMETRIES)
-def test_padded_gathers_match_the_full_product_at_shipped_shapes(geometry):
+@pytest.mark.parametrize("geometry,dtype", SHIPPED_CASES)
+def test_padded_gathers_match_the_full_product_at_shipped_shapes(geometry, dtype):
     # mix relies on an expert run on gathered rows reproducing those rows of
     # the full product bit for bit; BLAS does not promise it, so a BLAS that
     # breaks it fails here rather than drifting the mixture silently.
     t, in_width, hidden, out_width = geometry
     rng = np.random.default_rng(t)
-    pool = init_expert_pool(rng, 2, in_width, hidden, out_width)
-    x = rng.standard_normal((t, in_width))
-    rep = ConcatRepresentation(frames=const(x), n_layers=1, width=in_width // 2)
-    full = [expert_forward(pool, n, const(x)).data for n in range(2)]
-    for size in sorted({2, 3, t // 2, t - 1}):
-        for trial in range(3):
-            rows = np.sort(rng.choice(t, size=size, replace=False))
-            gathered = expert_forward(pool, 0, const(x[rows])).data
-            assert gathered.tobytes() == full[0][rows].tobytes(), (size, trial)
+    with working_dtype(dtype):
+        pool = init_expert_pool(rng, 2, in_width, hidden, out_width)
+        x = rng.standard_normal((t, in_width)).astype(dtype)
+        rep = ConcatRepresentation(frames=const(x), n_layers=1, width=in_width // 2)
+        full = [expert_forward(pool, n, const(x)).data for n in range(2)]
+        for size in sorted({2, 3, t // 2, t - 1}):
+            for trial in range(3):
+                rows = np.sort(rng.choice(t, size=size, replace=False))
+                gathered = expert_forward(pool, 0, const(x[rows])).data
+                assert gathered.dtype == dtype
+                assert gathered.tobytes() == full[0][rows].tobytes(), (size, trial)
 
-            experts = np.ones(t, dtype=np.int64)
-            experts[rows] = 0
-            gates = rng.dirichlet(np.ones(2), size=t)
-            retained = gates * (np.arange(2) == experts[:, None])
-            decision = RoutingDecision(task=TASK_SER, gates=const(gates),
-                                       retained=const(retained), indices=experts[:, None],
-                                       top_k=1, tie_margin=0.0)
-            z = np.zeros((t, out_width))
-            for n in range(2):
-                z = z + retained[:, n : n + 1] * full[n]
-            assert mix(pool, decision, rep).z.data.tobytes() == z.tobytes(), (size, trial)
+                experts = np.ones(t, dtype=np.int64)
+                experts[rows] = 0
+                gates = rng.dirichlet(np.ones(2), size=t).astype(dtype)
+                retained = gates * (np.arange(2) == experts[:, None])
+                decision = RoutingDecision(task=TASK_SER, gates=const(gates),
+                                           retained=const(retained), indices=experts[:, None],
+                                           top_k=1, tie_margin=0.0)
+                z = np.zeros((t, out_width), dtype)
+                for n in range(2):
+                    z = z + retained[:, n : n + 1] * full[n]
+                assert mix(pool, decision, rep).z.data.tobytes() == z.tobytes(), (size, trial)
 
 
 def test_representation_segment_must_divide_frames():
@@ -594,27 +627,30 @@ def test_mix_matches_the_scatter_and_add_chain_at_random_routings():
                                   [frames, gate.w, gate.b, *expert_leaves(pool)], rng)
 
 
-@pytest.mark.parametrize("geometry", SHIPPED_GEOMETRIES.values(), ids=SHIPPED_GEOMETRIES)
-def test_mix_matches_the_scatter_and_add_chain_at_shipped_shapes(geometry):
+@pytest.mark.parametrize("geometry,dtype", SHIPPED_CASES)
+def test_mix_matches_the_scatter_and_add_chain_at_shipped_shapes(geometry, dtype):
     # Top-2 over three experts: expert 2 takes every row, expert 0 one lone
     # row (gathered with its zero-weight neighbour) and expert 1 the rest.
     t, in_width, hidden, out_width = geometry
     rng = np.random.default_rng(t + 1)
-    pool = init_expert_pool(rng, 3, in_width, hidden, out_width)
-    frames = param("frames", rng.standard_normal((t, in_width)))
-    rep = ConcatRepresentation(frames=frames, n_layers=1, width=in_width // 2)
-    second = np.ones(t, dtype=np.int64)
-    second[int(rng.integers(t))] = 0
-    indices = np.stack([np.full(t, 2), second], axis=1)
-    mask = np.zeros((t, 3))
-    np.put_along_axis(mask, indices, 1.0, axis=1)
-    gates = param("gates", rng.dirichlet(np.ones(3), size=t))
+    with working_dtype(dtype):
+        pool = init_expert_pool(rng, 3, in_width, hidden, out_width)
+        frames = param("frames", rng.standard_normal((t, in_width)))
+        rep = ConcatRepresentation(frames=frames, n_layers=1, width=in_width // 2)
+        second = np.ones(t, dtype=np.int64)
+        second[int(rng.integers(t))] = 0
+        indices = np.stack([np.full(t, 2), second], axis=1)
+        mask = np.zeros((t, 3))
+        np.put_along_axis(mask, indices, 1.0, axis=1)
+        gates = param("gates", rng.dirichlet(np.ones(3), size=t))
 
-    def decision():
-        return RoutingDecision(task=TASK_SER, gates=gates, retained=mul(gates, const(mask)),
-                               indices=indices, top_k=2, tie_margin=0.0)
+        def decision():
+            return RoutingDecision(task=TASK_SER, gates=gates, retained=mul(gates, const(mask)),
+                                   indices=indices, top_k=2, tie_margin=0.0)
 
-    assert_mix_matches_oracle(pool, decision, rep, [frames, gates, *expert_leaves(pool)], rng)
+        assert frames.data.dtype == gates.data.dtype == dtype
+        assert_mix_matches_oracle(pool, decision, rep, [frames, gates, *expert_leaves(pool)],
+                                  rng)
 
 
 def test_expert_graph_keeps_one_hidden_array():

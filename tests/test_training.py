@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from framemoe import training
+from framemoe import autodiff, training
 from framemoe.autodiff import NumericalError, backprop, const, param
 from framemoe.backbone import concat_layers, frame_signal, run_layers
 from framemoe.config import (
@@ -17,6 +17,7 @@ from framemoe.config import (
 )
 from framemoe.heads import log1p_spectrum
 from framemoe.model import (
+    Features,
     build_model,
     compute_features,
     forward_features,
@@ -38,6 +39,7 @@ from framemoe.training import (
     restore_params,
     save_checkpoint,
     snapshot_params,
+    step_precision,
     train_phase1,
     train_phase2,
     weighted_cross_entropy,
@@ -69,6 +71,19 @@ def tiny_feats(model, rng, n=4, length=160):
         noisy.append(clean[-1] + 0.3 * rng.standard_normal(length))
     return compute_features(model, np.stack(noisy), [i % 4 for i in range(n)],
                             np.stack(clean))
+
+
+def float32_features(feats):
+    """Features as run_train hands them to training: float arrays in float32."""
+    return Features(labels=feats.labels,
+                    **{name: None if a is None else a.astype(np.float32)
+                       for name, a in (("x_noisy", feats.x_noisy), ("x_clean", feats.x_clean),
+                                       ("rep", feats.rep))})
+
+
+def float_dtypes(params) -> set:
+    return {p.data.dtype for p in params.values()} | {
+        p.grad.dtype for p in params.values() if p.grad is not None}
 
 
 def test_norm_stats_matches_pooled_oracle():
@@ -430,6 +445,8 @@ def test_train_phase2_aborts_on_nonfinite_loss():
     assert diag["epoch"] == 0
     assert diag["batch"] == 0
     assert "error" in diag
+    # The step aborted inside its float32 pass; the float64 masters are back.
+    assert float_dtypes(named_parameters(model)) == {np.dtype(np.float64)}
 
 
 def test_train_phase2_aborts_on_a_nonfinite_parameter_behind_a_relu():
@@ -477,6 +494,7 @@ def test_train_phase1_checks_each_head_loss():
     diag = exc_info.value.diagnostics
     assert (diag["phase"], diag["epoch"], diag["batch"]) == (1, 0, 0)
     assert "affine" in diag["error"]
+    assert float_dtypes(named_parameters(model)) == {np.dtype(np.float64)}
 
 
 @pytest.mark.parametrize("phase,loss_name", [(1, "weighted_cross_entropy"),
@@ -631,3 +649,101 @@ def test_a_phase2_step_hands_each_parameter_its_own_gradient():
         assert g.flags.writeable and g.shape == named_parameters(model)[name].shape
         for other, h in grads[i + 1:]:
             assert not np.shares_memory(g, h), (name, other)
+
+
+@pytest.mark.parametrize("unfrozen,se_loss", [(False, True), (True, True), (False, False)],
+                         ids=["frozen", "unfrozen", "frozen-no-se-loss"])
+def test_every_node_and_leaf_gradient_of_a_phase2_step_is_float32(monkeypatch, unfrozen,
+                                                                   se_loss):
+    # Under numpy 2's promotion rules one float64 operand, a 0-d array
+    # included, turns the rest of a graph back into float64. The configs
+    # reach each array a step reads that starts as float64: the frozen
+    # projection the unfrozen stack multiplies in-graph, the cross entropy's
+    # picked weights, the balancing loss's top-1 fractions, and the zero
+    # that stands for a disabled loss.
+    cfg = tiny_cfg(unfrozen=unfrozen)
+    cfg.training.se_loss_enabled = se_loss
+    cfg.training.phase2_epochs = 1
+    model = build_model(cfg)
+    feats = float32_features(tiny_feats(model, np.random.default_rng(18)))
+    cfg.training.phase2_batch = len(feats)
+    made, grads, values = [], {}, set()
+    init = autodiff.Tensor.__init__
+
+    def recording_init(self, data, *args, **kwargs):
+        init(self, data, *args, **kwargs)
+        made.append((kwargs.get("_op", "leaf"), self.data.dtype))
+
+    def recording_backprop(loss):
+        backprop(loss)
+        params = named_parameters(model)
+        grads.update({name: p.grad.dtype for name, p in params.items() if p.grad is not None})
+        values.update(p.data.dtype for p in params.values())
+
+    monkeypatch.setattr(autodiff.Tensor, "__init__", recording_init)
+    monkeypatch.setattr(training, "backprop", recording_backprop)
+    train_phase2(model, feats, feats[:0], snapshot_params(named_parameters(model)), np.ones(4),
+                 cfg.training, cfg.moe, np.random.default_rng(6))
+    ops = {op for op, _ in made}
+    assert {"leaf", "affine", "relu_affine", "sum_rows_into", "log_softmax_rows"} <= ops
+    assert ("matmul" in ops) == unfrozen
+    assert [(op, dtype) for op, dtype in made if dtype != np.float32] == []
+    assert len(grads) >= 18 and set(grads.values()) == {np.dtype(np.float32)}
+    assert values == {np.dtype(np.float32)}
+    assert ("backbone.layer1.w" in grads) == unfrozen
+    assert float_dtypes(named_parameters(model)) == {np.dtype(np.float64)}
+
+
+def test_train_phase2_keeps_float64_masters_dev_pass_snapshots_and_checkpoint(monkeypatch):
+    cfg = tiny_cfg(unfrozen=True)
+    model = build_model(cfg)
+    rng = np.random.default_rng(19)
+    feats = float32_features(tiny_feats(model, rng, n=6))
+    dev = tiny_feats(model, rng, n=2)
+    snapshots = []
+    snapshot = training.snapshot_params
+
+    def recording_snapshot(params):
+        snapshots.append(snapshot(params))
+        return snapshots[-1]
+
+    monkeypatch.setattr(training, "snapshot_params", recording_snapshot)
+    result = train_phase2(model, feats, dev, snapshot_params(named_parameters(model)),
+                          np.ones(4), cfg.training, cfg.moe, np.random.default_rng(7))
+    assert len(snapshots) >= 2
+    for snap in (*snapshots, result.checkpoint):
+        assert {a.dtype for a in snap.values()} == {np.dtype(np.float64)}
+    assert float_dtypes(named_parameters(model)) == {np.dtype(np.float64)}
+    # The best epoch's dev loss is the float64 loss of the returned
+    # parameters, to the bit.
+    assert result.dev_totals[result.best_epoch] == evaluate_joint_loss(
+        model, dev, np.ones(4), cfg.moe, cfg.training)
+
+
+def test_a_step_outside_step_precision_stays_float64_and_the_float32_step_agrees():
+    cfg = tiny_cfg(unfrozen=True)
+    model = build_model(cfg)
+    feats = tiny_feats(model, np.random.default_rng(20))[:2]
+    params = named_parameters(model)
+
+    def step():
+        for p in params.values():
+            p.zero_grad()
+        loss, _, _ = batch_joint_loss(model, feats, np.ones(4), cfg.moe, cfg.training)
+        backprop(loss)
+        return loss.data, {name: p.grad for name, p in params.items() if p.grad is not None}
+
+    with step_precision(list(params.values())):
+        loss32, grads32 = step()
+    loss64, grads64 = step()
+    assert loss32.dtype == np.float32 and loss64.dtype == np.float64
+    assert {g.dtype for g in grads32.values()} == {np.dtype(np.float32)}
+    assert float_dtypes(params) == {np.dtype(np.float64)}
+    assert grads32.keys() == grads64.keys() and len(grads64) > 20
+    # Float32 carries about 7 significant digits; a step's few dozen ops keep
+    # its loss and gradients within 1e-4 of the float64 step's scale.
+    assert abs(float(loss32) - float(loss64)) <= 1e-4 * abs(float(loss64))
+    for name, g in grads64.items():
+        np.testing.assert_allclose(grads32[name], g, rtol=0,
+                                   atol=1e-4 * max(1.0, float(np.max(np.abs(g)))),
+                                   err_msg=name)
