@@ -1,9 +1,9 @@
 """Command line entry point.
 
 Subcommands: gen, train, eval, analyze, ablate, gradcheck. Exit codes:
-0 on success, 1 for configuration problems, 2 for numerical failures
-(non-finite losses, gradients, parameters or outputs, a failed gradient
-audit).
+0 on success, 1 for configuration problems (a run too large for memory
+included), 2 for numerical failures (non-finite losses, gradients,
+parameters or outputs, a failed gradient audit).
 """
 
 from __future__ import annotations
@@ -185,6 +185,12 @@ def main(argv: list[str] | None = None) -> int:
     except GradcheckInconclusive as exc:
         print(f"gradient audit failed: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # A size the config allows but this machine cannot hold, e.g. a huge
+        # data.train_size: one line, as a configuration problem.
+        message = " ".join(str(exc).split()) or "an allocation failed"
+        print(f"out of memory: {message}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

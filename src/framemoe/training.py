@@ -15,6 +15,16 @@ the step's gradients as float64 and updates the masters and its float64
 moments. Everything outside a step stays float64: the dev pass, the
 best-epoch snapshots and the checkpoints, so that a checkpoint's dev loss
 and everything evaluated from it can be recomputed in float64.
+
+The optimizer holds each group's parameters flat: building an AdamW makes
+every parameter's `.data` a view into one contiguous float64 buffer per
+group, and the group's gradients, moments and float32 step copy are one
+buffer each, laid out alike. So the update, its finiteness checks, the
+gradient norms and a step's float32 copy are a few whole-buffer ops per
+group (the multi-tensor form of AdamW), with the same IEEE operations in
+the same order as a per-tensor loop, so the trained bits do not depend on
+the layout. Code that rebinds a parameter's `.data` after the optimizer was
+built detaches it; the next step refuses it by name.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -126,59 +136,150 @@ def joint_loss(wce: Tensor, l1: Tensor, balance: Tensor | None = None) -> Tensor
     return total
 
 
+# The dtype of a training step's arithmetic; parameters are float64 masters.
+STEP_DTYPE = np.float32
+
+
+class ParamGroup:
+    """One optimizer group laid out flat: each parameter's `.data` is a view
+    into one contiguous float64 buffer, `values`, and its gradient, its two
+    moments and its STEP_DTYPE step copy sit at the same offsets of one
+    buffer each, so that the work over every tensor of the group is a few
+    whole-buffer ops."""
+
+    def __init__(self, params, lr):
+        self.params = list(params)
+        self.lr = float(lr)
+        sizes = [p.data.size for p in self.params]
+        # Parameter i owns entries ends[i] - sizes[i] .. ends[i] - 1.
+        self.ends = np.cumsum(sizes, dtype=np.int64)
+        self.values = np.empty(sum(sizes))
+        self.views = self._views(self.values)
+        for p, view in zip(self.params, self.views):
+            view[...] = p.data
+            p.data = view
+        self.grads = np.empty_like(self.values)
+        self.grad_views = self._views(self.grads)
+        self.step_values = np.empty(self.values.size, dtype=STEP_DTYPE)
+        self.step_views = self._views(self.step_values)
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
+
+    def _views(self, buffer: np.ndarray) -> list[np.ndarray]:
+        return [buffer[end - p.data.size : end].reshape(p.data.shape)
+                for p, end in zip(self.params, self.ends)]
+
+    def gather_grads(self) -> None:
+        """Copy every gradient into `grads` (a None gradient reads as 0) and
+        bind each `.grad` to its view there; a no-op once they are bound."""
+        if all(p.grad is view for p, view in zip(self.params, self.grad_views)):
+            return
+        np.concatenate([np.zeros(view.size) if p.grad is None else np.ravel(p.grad)
+                        for p, view in zip(self.params, self.grad_views)], out=self.grads)
+        for p, view in zip(self.params, self.grad_views):
+            p.grad = view
+
+    def enter_step(self) -> None:
+        """Bind every `.data` to its view of a fresh STEP_DTYPE copy of the
+        masters (which restore_params may have written since the last step)."""
+        np.copyto(self.step_values, self.values)
+        for p, view in zip(self.params, self.step_views):
+            p.data = view
+
+    def leave_step(self) -> None:
+        """Bind every `.data` back to its master view and gather the step's
+        gradients as float64."""
+        for p, view in zip(self.params, self.views):
+            p.data = view
+        self.gather_grads()
+
+    def check(self) -> None:
+        """Refuse a parameter whose `.data` is no longer its view of `values`,
+        then a non-finite gradient or value, naming the first parameter that
+        holds one (its gradient checked before its value)."""
+        for p, view in zip(self.params, self.views):
+            if p.data is not view:
+                raise ValueError(f"AdamW.step: parameter '{p.name}' no longer views the "
+                                 f"optimizer's buffer (its .data was rebound after the "
+                                 f"optimizer was built)")
+        self.gather_grads()
+        if np.isfinite(self.grads).all() and np.isfinite(self.values).all():
+            return
+        bad_grad, bad_value = self._first_nonfinite(self.grads), self._first_nonfinite(self.values)
+        what, index = ("gradient", bad_grad) if bad_grad <= bad_value else ("value", bad_value)
+        raise NumericalError(f"AdamW.step: non-finite {what} "
+                             f"in parameter '{self.params[index].name}'")
+
+    def _first_nonfinite(self, buffer: np.ndarray) -> int:
+        """Index of the first parameter with a non-finite entry in `buffer`,
+        or the parameter count if there is none."""
+        bad = np.flatnonzero(~np.isfinite(buffer))
+        if bad.size == 0:
+            return len(self.params)
+        return int(np.searchsorted(self.ends, bad[0], side="right"))
+
+
 class AdamW:
-    """Adam with decoupled weight decay and per-group learning rates."""
+    """Adam with decoupled weight decay (Loshchilov & Hutter, arXiv
+    1711.05101) and per-group learning rates, applied to each ParamGroup as
+    whole-buffer ops (the multi-tensor form)."""
 
     def __init__(self, groups, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
-        self.groups = []
-        for g in groups:
-            self.groups.append({"params": list(g["params"]), "lr": float(g["lr"])})
+        self.groups = [ParamGroup(g["params"], g["lr"]) for g in groups]
+        # Tensors hash by identity; step_precision casts any other one alone.
+        self.owned = {p for g in self.groups for p in g.params}
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._state: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # Per-group gradient norms of the last step that reached backprop
         # (set by train_epoch, reported when training aborts).
         self.last_grad_norms: list[float] = []
 
     def zero_grad(self) -> None:
         for g in self.groups:
-            for p in g["params"]:
+            for p in g.params:
                 p.zero_grad()
 
     def step(self) -> None:
         """One update of every parameter. A non-finite gradient or parameter
         value is refused with a NumericalError naming the parameter: a value
-        that a relu zeroes on its way to the loss leaves the loss finite."""
+        that a relu zeroes on its way to the loss leaves the loss finite.
+        Nothing moves and `t` stays unless every group passes."""
         for g in self.groups:
-            for p in g["params"]:
-                for what, values in (("gradient", p.grad), ("value", p.data)):
-                    if values is not None and not np.all(np.isfinite(values)):
-                        raise NumericalError(f"AdamW.step: non-finite {what} "
-                                             f"in parameter '{p.name}'")
+            g.check()
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        debias1, debias2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         for g in self.groups:
-            lr = g["lr"]
-            for p in g["params"]:
-                grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-                m, v = self._state.get(id(p)) or (np.zeros_like(p.data), np.zeros_like(p.data))
-                m = b1 * m + (1.0 - b1) * grad
-                v = b2 * v + (1.0 - b2) * grad * grad
-                self._state[id(p)] = (m, v)
-                m_hat = m / (1.0 - b1 ** self.t)
-                v_hat = v / (1.0 - b2 ** self.t)
-                p.data -= lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data)
+            if g.m is None:
+                g.m, g.v = np.zeros_like(g.values), np.zeros_like(g.values)
+            m, v, grad, p = g.m, g.v, g.grads, g.values
+            # m = b1*m + (1-b1)*grad; v = b2*v + ((1-b2)*grad)*grad
+            m *= b1
+            update = np.multiply(grad, 1.0 - b1)
+            m += update
+            v *= b2
+            np.multiply(grad, 1.0 - b2, out=update)
+            update *= grad
+            v += update
+            # p -= lr*(m_hat/(sqrt(v_hat)+eps) + wd*p)
+            np.divide(m, debias1, out=update)
+            denom = v / debias2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            np.multiply(p, self.weight_decay, out=denom)
+            update += denom
+            update *= g.lr
+            p -= update
 
     def grad_norms(self) -> list[float]:
+        """Per group, the L2 norm of its gradients as one dot product."""
         norms = []
         for g in self.groups:
-            total = 0.0
-            for p in g["params"]:
-                if p.grad is not None:
-                    total += float(np.sum(p.grad * p.grad))
-            norms.append(float(np.sqrt(total)))
+            g.gather_grads()
+            norms.append(float(np.sqrt(np.dot(g.grads, g.grads))))
         return norms
 
 
@@ -294,48 +395,52 @@ def batch_joint_loss(model, batch_feats, class_weights, moe_cfg, train_cfg):
     return total, parts, {"ser": stages.out.ser_decision, "se": stages.out.se_decision}
 
 
-# The dtype of a training step's arithmetic; parameters are float64 masters.
-STEP_DTYPE = np.float32
-
-
 @contextmanager
-def step_precision(params: list[Tensor]) -> Iterator[None]:
-    """Run a step's forward and backward pass in STEP_DTYPE: each parameter's
-    float64 master is swapped for a STEP_DTYPE copy and every node made
-    inside holds STEP_DTYPE values. On the way out, by an exception too, the
-    masters are back and every gradient is float64."""
-    masters = [p.data for p in params]
+def step_precision(params: Sequence[Tensor], opt: AdamW | None = None) -> Iterator[None]:
+    """Run a step's forward and backward pass in STEP_DTYPE: every node made
+    inside holds STEP_DTYPE values, and so does every parameter the step
+    reads. Those are `params` plus, given `opt`, the parameters of its
+    groups, which run on each group's STEP_DTYPE copy of its masters, made
+    with one copy per group. Any other parameter of `params` is cast on its
+    own. On the way out, by an exception too, every `.data` is its float64
+    master again (for a group's parameter, the same view object) and every
+    gradient is float64, a group's gathered into its gradient buffer."""
+    groups = [] if opt is None else opt.groups
+    loose = [p for p in params if opt is None or p not in opt.owned]
+    masters = [p.data for p in loose]
     try:
-        for p in params:
+        for g in groups:
+            g.enter_step()
+        for p in loose:
             p.data = p.data.astype(STEP_DTYPE)
         with working_dtype(STEP_DTYPE):
             yield
     finally:
-        for p, master in zip(params, masters):
+        for g in groups:
+            g.leave_step()
+        for p, master in zip(loose, masters):
             p.data = master
             if p.grad is not None:
                 p.grad = p.grad.astype(np.float64)
 
 
 def train_epoch(opt: AdamW, batches: list[np.ndarray], loss_of, phase: int,
-                epoch: int, reads: list[Tensor] | None = None) -> dict:
+                epoch: int, reads: Sequence[Tensor] = ()) -> dict:
     """One epoch of `opt` over `batches`; returns the epoch's curve row.
 
     `loss_of(batch)` builds a step's loss and checks it, returning the loss
     tensor and its float parts (wce, l1, balance, total). It runs under
-    step_precision() over `reads`, every parameter the step reads (the
-    optimizer's own by default). Each part of the row is a running sum in
+    step_precision() over the optimizer's parameters and `reads`, any other
+    parameter the step reads. Each part of the row is a running sum in
     batch order divided by the batch count. A non-finite value anywhere in a
     step aborts with the optimizer's last gradient norms, which carry across
     epochs.
     """
-    if reads is None:
-        reads = [p for g in opt.groups for p in g["params"]]
     sums = {"wce": 0.0, "l1": 0.0, "balance": 0.0, "total": 0.0}
     for index, batch in enumerate(batches):
         opt.zero_grad()
         try:
-            with step_precision(reads):
+            with step_precision(reads, opt):
                 loss, parts = loss_of(batch)
                 backprop(loss)
             opt.last_grad_norms = opt.grad_norms()
@@ -485,10 +590,12 @@ def train_phase2(model, train_feats, dev_feats, phase1_checkpoint,
     best_loss = float("inf")
     best_epoch = -1
 
+    # A frozen stack's step reads the cached layer concatenation, no backbone
+    # tensor; an unfrozen one runs the layers and the frozen projection.
+    reads = [] if model.backbone.frozen else [model.backbone.projection, *bb]
     for epoch in range(cfg.phase2_epochs):
-        # Every parameter: an unfrozen stack also reads the frozen projection.
         curve.append(train_epoch(opt, _batches(len(train_feats), cfg.phase2_batch, rng),
-                                 step_loss, 2, epoch, reads=list(params.values())))
+                                 step_loss, 2, epoch, reads=reads))
 
         dev_total = evaluate_joint_loss(model, dev_feats, class_weights, moe_cfg, cfg) \
             if dev_feats else curve[-1]["total"]

@@ -184,6 +184,30 @@ def test_gen_refuses_a_negative_seed(tmp_path, capsys, item, field):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command,step", [("gen", "generate_corpus"), ("train", "train_phase1")])
+def test_an_allocation_too_large_for_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch,
+                                                                   command, step):
+    # An oversized data.train_size makes numpy raise its MemoryError subclass
+    # from generate_corpus; the failure is injected here, with no real huge
+    # allocation.
+    from framemoe import experiment
+
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(tmp_path / "run"))
+    if command == "train":
+        assert main(["gen", "--config", cfg_path]) == 0
+        capsys.readouterr()
+
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 763. MiB for an array with shape (100000000,)\n"
+                          "and data type int64")
+
+    monkeypatch.setattr(experiment, step, too_large)
+    assert main([command, "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err == ("out of memory: Unable to allocate 763. MiB for an array with shape "
+                   "(100000000,) and data type int64\n"), err
+
+
 def test_config_digest_stable_and_sensitive():
     a = ExperimentConfig()
     b = ExperimentConfig()

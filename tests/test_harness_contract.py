@@ -34,7 +34,7 @@ from framemoe.datagen import (
     noise_for,
     write_corpus,
 )
-from framemoe.experiment import gradcheck_config
+from framemoe.experiment import gradcheck_config, run_gen, run_train
 from framemoe import moe
 
 BENCH = Path(__file__).resolve().parents[1] / "framebench"
@@ -172,3 +172,34 @@ def test_the_analytics_tables_equal_the_reference_tallies():
         assert report.switch_agreement == want["switch_agreement.csv"]
         assert report.usage_by_snr == want["usage_by_snr.csv"]
         assert report.usage_by_label == want["usage_by_label.csv"]
+
+
+def test_the_benchmark_counts_one_adamw_step_per_optimizer_step_of_both_phases(tmp_path):
+    # tracing.py times the optimizer by wrapping AdamW.step on its class
+    # (training.adamw_step); an update moved out of that method would read
+    # as zero calls instead of failing.
+    from test_experiment import tiny_cfg
+
+    tracing = load_bench_module("tracing")
+    for module in tracing.LAYERS:
+        importlib.import_module(f"framemoe.{module}")
+    cfg = tiny_cfg(tmp_path / "run")
+    run_gen(cfg)
+    t, n = cfg.training, cfg.data.train_size
+
+    def steps(epochs, batch):
+        return epochs * -(-n // batch)
+
+    phase1 = steps(t.phase1_ser_epochs, t.phase1_ser_batch) + steps(t.phase1_se_epochs,
+                                                                     t.phase1_se_batch)
+    phase2 = steps(t.phase2_epochs, t.phase2_batch)
+    assert phase1 > 0 and phase2 > 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_train(cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["training.train_phase1"] == tracer.calls["training.train_phase2"] == 1
+    assert tracer.calls[tracing.ADAMW_STEP] == phase1 + phase2
+    assert tracer.total[tracing.ADAMW_STEP] > 0.0

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framemoe import autodiff, training
-from framemoe.autodiff import NumericalError, backprop, const, param
+from framemoe.autodiff import NumericalError, add, backprop, const, mul, param, sum_all
 from framemoe.backbone import concat_layers, frame_signal, run_layers
 from framemoe.config import (
     BackboneConfig,
@@ -40,6 +42,7 @@ from framemoe.training import (
     save_checkpoint,
     snapshot_params,
     step_precision,
+    train_epoch,
     train_phase1,
     train_phase2,
     weighted_cross_entropy,
@@ -484,6 +487,171 @@ def test_adamw_refuses_a_nonfinite_gradient_or_value_and_names_the_parameter():
         opt.step()
 
 
+class OracleAdamW:
+    """The per-parameter AdamW loop that the flat optimizer replaced. Its
+    gradients arrive as float64, as step_precision hands them over."""
+
+    def __init__(self, groups, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
+        self.groups = [{"params": list(g["params"]), "lr": float(g["lr"])} for g in groups]
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.state = {}
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for g in self.groups:
+            lr = g["lr"]
+            for p in g["params"]:
+                grad = p.grad if p.grad is not None else np.zeros_like(p.data)
+                m, v = self.state.get(id(p)) or (np.zeros_like(p.data), np.zeros_like(p.data))
+                m = b1 * m + (1.0 - b1) * grad
+                v = b2 * v + (1.0 - b2) * grad * grad
+                self.state[id(p)] = (m, v)
+                m_hat = m / (1.0 - b1 ** self.t)
+                v_hat = v / (1.0 - b2 ** self.t)
+                p.data -= lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data)
+
+
+@given(st.lists(st.lists(st.lists(st.integers(min_value=1, max_value=4), max_size=2),
+                         min_size=1, max_size=4), min_size=1, max_size=3),
+       st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=3, max_value=5))
+@settings(max_examples=60, deadline=None)
+def test_flat_adamw_equals_the_per_parameter_oracle_bit_for_bit(shapes, seed, steps):
+    # 1-3 groups with their own learning rates, tensors of random shapes
+    # (0-d included); each step hands every parameter a float64 or float32
+    # gradient, None, or the gradient it already holds.
+    rng = np.random.default_rng(seed)
+    lrs = rng.permutation([1e-1, 3e-2, 1e-3])[: len(shapes)]
+    weight_decay = float(rng.choice([0.0, 0.01, 0.1]))
+    flat_groups, oracle_groups = [], []
+    for gi, (group_shapes, lr) in enumerate(zip(shapes, lrs)):
+        values = [np.asarray(rng.standard_normal(tuple(s))) for s in group_shapes]
+        flat_groups.append({"params": [param(f"g{gi}.{i}", v.copy()) for i, v in enumerate(values)],
+                            "lr": lr})
+        oracle_groups.append({"params": [param(f"g{gi}.{i}", v.copy())
+                                         for i, v in enumerate(values)], "lr": lr})
+    opt = AdamW(flat_groups, weight_decay=weight_decay)
+    oracle = OracleAdamW(oracle_groups, weight_decay=weight_decay)
+    pairs = [(f, o) for fg, og in zip(flat_groups, oracle_groups)
+             for f, o in zip(fg["params"], og["params"])]
+    for _ in range(steps):
+        for f, o in pairs:
+            kind = rng.integers(4)
+            if kind == 0:
+                f.grad = o.grad = None
+            elif kind in (1, 2):
+                g = np.asarray(rng.standard_normal(f.shape) * 10.0 ** rng.integers(-3, 3))
+                f.grad = g.astype(np.float32) if kind == 1 else g
+                o.grad = f.grad.astype(np.float64)
+        opt.step()
+        oracle.step()
+        for f, o in pairs:
+            assert f.data.tobytes() == o.data.tobytes(), f.name
+    assert opt.t == oracle.t == steps
+    for g, og in zip(opt.groups, oracle_groups):
+        for moments, which in ((g.m, 0), (g.v, 1)):
+            want = [oracle.state[id(o)][which].reshape(-1) for o in og["params"]]
+            assert moments.tobytes() == np.concatenate(want).tobytes()
+
+
+def test_adamw_finds_the_nonfinite_tensor_through_the_offsets():
+    rng = np.random.default_rng(21)
+    first = [param(name, rng.standard_normal(shape))
+             for name, shape in (("a", (2, 3)), ("b", (4,)), ("c", (3, 2)))]
+    second = [param(name, rng.standard_normal(shape)) for name, shape in (("d", (5,)), ("e", (2, 2)))]
+    params = first + second
+    opt = AdamW([{"params": first, "lr": 0.1}, {"params": second, "lr": 0.01}])
+    for p in params:
+        p.grad = rng.standard_normal(p.shape)
+
+    def refused(match):
+        before = [p.data.copy() for p in params]
+        with pytest.raises(NumericalError, match=match):
+            opt.step()
+        for p, data in zip(params, before):
+            assert p.data.tobytes() == data.tobytes(), p.name
+        assert opt.t == 0 and opt.groups[0].m is None
+
+    # The first entry of a tensor sits right at its predecessor's end offset.
+    params[1].grad[0] = np.nan
+    refused("non-finite gradient in parameter 'b'$")
+    params[1].grad[0] = 0.5
+    params[4].data[0, 0] = np.inf
+    refused("non-finite value in parameter 'e'$")
+    # Within a group the first parameter holding one is named, its gradient
+    # checked before its value, as the per-parameter loop did.
+    params[4].data[0, 0] = 0.5
+    params[2].grad[0, 1] = np.inf
+    params[0].data[1, 2] = np.nan
+    refused("non-finite value in parameter 'a'$")
+    params[0].data[1, 2] = 0.5
+    refused("non-finite gradient in parameter 'c'$")
+    params[2].grad[0, 1] = 0.5
+    params[3].grad[4], params[3].data[0] = np.inf, np.nan
+    refused("non-finite gradient in parameter 'd'$")
+    params[3].grad[4], params[3].data[0] = 0.5, 0.5
+    opt.step()
+    assert opt.t == 1
+
+
+def test_restore_params_between_steps_reaches_the_next_float32_step():
+    # The float32 step copy is made afresh at each step's entry, never kept.
+    rng = np.random.default_rng(22)
+    named = {name: param(name, rng.standard_normal(shape))
+             for name, shape in (("w", (3, 2)), ("b", (2,)))}
+    opt = AdamW([{"params": list(named.values()), "lr": 0.1}])
+    snap = snapshot_params(named)
+    for p in named.values():
+        p.grad = rng.standard_normal(p.shape)
+    opt.step()
+    with step_precision([], opt):
+        moved = {name: p.data.copy() for name, p in named.items()}
+    assert moved["w"].tobytes() != snap["w"].astype(np.float32).tobytes()
+    restore_params(named, snap)
+    with step_precision([], opt):
+        seen = {name: p.data.copy() for name, p in named.items()}
+    for name, values in snap.items():
+        assert seen[name].dtype == np.float32
+        assert seen[name].tobytes() == values.astype(np.float32).tobytes(), name
+
+
+def test_an_aborted_step_leaves_every_parameter_on_its_float64_buffer_view():
+    rng = np.random.default_rng(23)
+    owned = [param("w", rng.standard_normal((3, 2))), param("b", rng.standard_normal(2))]
+    loose = param("loose", rng.standard_normal((2, 3)))
+    opt = AdamW([{"params": owned, "lr": 0.1}])
+    views = [p.data for p in owned]
+    master = loose.data
+
+    def loss_of(batch):
+        backprop(add(sum_all(mul(owned[0], owned[0])), sum_all(mul(loose, loose))))
+        assert {p.data.dtype for p in (*owned, loose)} == {np.dtype(np.float32)}
+        raise NumericalError("injected failure")
+
+    with pytest.raises(TrainingAborted, match="injected failure"):
+        train_epoch(opt, [np.arange(4)], loss_of, 2, 0, reads=[loose])
+    for p, view in zip(owned, views):
+        assert p.data is view and p.data.dtype == np.float64
+    assert {p.grad.dtype for p in (*owned, loose)} == {np.dtype(np.float64)}
+    assert loose.data is master
+    assert opt.t == 0
+
+
+def test_adamw_step_refuses_a_parameter_rebound_after_the_optimizer_was_built():
+    a = param("a", np.ones(3))
+    b = param("b", np.ones(2))
+    opt = AdamW([{"params": [a, b], "lr": 0.1}])
+    b.data = b.data.copy()
+    a.grad, b.grad = np.ones(3), np.ones(2)
+    with pytest.raises(ValueError, match="parameter 'b' no longer views the optimizer's buffer"):
+        opt.step()
+    np.testing.assert_array_equal(a.data, np.ones(3))
+    assert opt.t == 0
+
+
 def test_train_phase1_checks_each_head_loss():
     cfg = tiny_cfg()
     model = build_model(cfg)
@@ -667,7 +835,7 @@ def test_every_node_and_leaf_gradient_of_a_phase2_step_is_float32(monkeypatch, u
     model = build_model(cfg)
     feats = float32_features(tiny_feats(model, np.random.default_rng(18)))
     cfg.training.phase2_batch = len(feats)
-    made, grads, values = [], {}, set()
+    made, grads, values = [], {}, {}
     init = autodiff.Tensor.__init__
 
     def recording_init(self, data, *args, **kwargs):
@@ -678,7 +846,8 @@ def test_every_node_and_leaf_gradient_of_a_phase2_step_is_float32(monkeypatch, u
         backprop(loss)
         params = named_parameters(model)
         grads.update({name: p.grad.dtype for name, p in params.items() if p.grad is not None})
-        values.update(p.data.dtype for p in params.values())
+        for name, p in params.items():
+            values.setdefault(name, set()).add(p.data.dtype)
 
     monkeypatch.setattr(autodiff.Tensor, "__init__", recording_init)
     monkeypatch.setattr(training, "backprop", recording_backprop)
@@ -689,7 +858,13 @@ def test_every_node_and_leaf_gradient_of_a_phase2_step_is_float32(monkeypatch, u
     assert ("matmul" in ops) == unfrozen
     assert [(op, dtype) for op, dtype in made if dtype != np.float32] == []
     assert len(grads) >= 18 and set(grads.values()) == {np.dtype(np.float32)}
-    assert values == {np.dtype(np.float32)}
+    # The step reads every parameter but a frozen backbone, whose layer
+    # concatenation is cached: that stays float64, uncast.
+    read = {name for name in values if unfrozen or not name.startswith("backbone.")}
+    assert set().union(*(values[name] for name in read)) == {np.dtype(np.float32)}
+    unread = values.keys() - read
+    assert len(unread) == (0 if unfrozen else 5)
+    assert all(values[name] == {np.dtype(np.float64)} for name in unread)
     assert ("backbone.layer1.w" in grads) == unfrozen
     assert float_dtypes(named_parameters(model)) == {np.dtype(np.float64)}
 
