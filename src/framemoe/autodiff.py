@@ -387,15 +387,6 @@ def sqrt(a) -> Tensor:
     return _node("sqrt", data, (a,), backward)
 
 
-def log1p(a) -> Tensor:
-    a = _lift(a)
-
-    def backward(out: Tensor) -> None:
-        _accum(a, out.grad / (1.0 + a.data), fresh=True)
-
-    return _node("log1p", np.log1p(a.data), (a,), backward)
-
-
 def softmax_rows(a) -> Tensor:
     """Row-wise softmax with max subtraction for numerical stability."""
     a = _lift(a)

@@ -125,8 +125,12 @@ def init_backbone(rng: np.random.Generator, n_layers: int, width: int,
 def run_layers(spectra: np.ndarray, params: BackboneParams) -> list[Tensor]:
     """The stack on log1p spectrum frames at its own framing
     (`heads.log1p_spectrum(samples, frame, hop)`), returning all L+1 layer
-    outputs, each (rows, width); rows may stack several utterances."""
-    h = matmul(const(spectra), params.projection)
+    outputs, each (rows, width); rows may stack several utterances.
+
+    The projection is always frozen, so it enters as a constant of the
+    working dtype: inside a float32 training step, a float32 copy of its
+    float64 master; outside one, the master itself."""
+    h = matmul(const(spectra), const(params.projection.data))
     layers = [h]
     for w, b in params.affines:
         h = relu_affine(h, w, b)

@@ -711,7 +711,8 @@ def run_ablate(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
 
     args = [(base_dict, cell) for cell in cells]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # A fork pool starts all its workers up front; beyond one per cell they idle.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
             rows = list(pool.map(_run_ablation_cell, args))
     else:
         rows = [_run_ablation_cell(a) for a in args]

@@ -10,8 +10,11 @@ against the joint objective.
 Every training step of both phases runs its forward and backward pass in
 float32, on float32 copies of the parameters it reads and on float32 train
 features, as in mixed-precision training (Micikevicius et al., arXiv
-1710.03740). The float64 parameters stay the masters: the optimizer takes
-the step's gradients as float64 and updates the masters and its float64
+1710.03740). A step reads parameters only through the optimizer's groups,
+each on its group's float32 copy; the frozen backbone projection, which an
+unfrozen stack multiplies in-graph, enters as a constant of the step's
+dtype. The float64 parameters stay the masters: the optimizer takes the
+step's gradients as float64 and updates the masters and its float64
 moments. Everything outside a step stays float64: the dev pass, the
 best-epoch snapshots and the checkpoints, so that a checkpoint's dev loss
 and everything evaluated from it can be recomputed in float64.
@@ -33,7 +36,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -226,8 +229,6 @@ class AdamW:
 
     def __init__(self, groups, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
         self.groups = [ParamGroup(g["params"], g["lr"]) for g in groups]
-        # Tensors hash by identity; step_precision casts any other one alone.
-        self.owned = {p for g in self.groups for p in g.params}
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
@@ -396,42 +397,31 @@ def batch_joint_loss(model, batch_feats, class_weights, moe_cfg, train_cfg):
 
 
 @contextmanager
-def step_precision(params: Sequence[Tensor], opt: AdamW | None = None) -> Iterator[None]:
+def step_precision(opt: AdamW) -> Iterator[None]:
     """Run a step's forward and backward pass in STEP_DTYPE: every node made
-    inside holds STEP_DTYPE values, and so does every parameter the step
-    reads. Those are `params` plus, given `opt`, the parameters of its
-    groups, which run on each group's STEP_DTYPE copy of its masters, made
-    with one copy per group. Any other parameter of `params` is cast on its
-    own. On the way out, by an exception too, every `.data` is its float64
-    master again (for a group's parameter, the same view object) and every
-    gradient is float64, a group's gathered into its gradient buffer."""
-    groups = [] if opt is None else opt.groups
-    loose = [p for p in params if opt is None or p not in opt.owned]
-    masters = [p.data for p in loose]
+    inside holds STEP_DTYPE values, and so does every parameter of `opt`'s
+    groups, each on its group's STEP_DTYPE copy of its masters, made with
+    one copy per group. On the way out, by an exception too, every `.data`
+    is its float64 master view again and every gradient is float64,
+    gathered into its group's gradient buffer."""
     try:
-        for g in groups:
+        for g in opt.groups:
             g.enter_step()
-        for p in loose:
-            p.data = p.data.astype(STEP_DTYPE)
         with working_dtype(STEP_DTYPE):
             yield
     finally:
-        for g in groups:
+        for g in opt.groups:
             g.leave_step()
-        for p, master in zip(loose, masters):
-            p.data = master
-            if p.grad is not None:
-                p.grad = p.grad.astype(np.float64)
 
 
 def train_epoch(opt: AdamW, batches: list[np.ndarray], loss_of, phase: int,
-                epoch: int, reads: Sequence[Tensor] = ()) -> dict:
+                epoch: int) -> dict:
     """One epoch of `opt` over `batches`; returns the epoch's curve row.
 
     `loss_of(batch)` builds a step's loss and checks it, returning the loss
     tensor and its float parts (wce, l1, balance, total). It runs under
-    step_precision() over the optimizer's parameters and `reads`, any other
-    parameter the step reads. Each part of the row is a running sum in
+    step_precision(opt), so it may read only the optimizer's parameters
+    (and constants). Each part of the row is a running sum in
     batch order divided by the batch count. A non-finite value anywhere in a
     step aborts with the optimizer's last gradient norms, which carry across
     epochs.
@@ -440,7 +430,7 @@ def train_epoch(opt: AdamW, batches: list[np.ndarray], loss_of, phase: int,
     for index, batch in enumerate(batches):
         opt.zero_grad()
         try:
-            with step_precision(reads, opt):
+            with step_precision(opt):
                 loss, parts = loss_of(batch)
                 backprop(loss)
             opt.last_grad_norms = opt.grad_norms()
@@ -590,12 +580,9 @@ def train_phase2(model, train_feats, dev_feats, phase1_checkpoint,
     best_loss = float("inf")
     best_epoch = -1
 
-    # A frozen stack's step reads the cached layer concatenation, no backbone
-    # tensor; an unfrozen one runs the layers and the frozen projection.
-    reads = [] if model.backbone.frozen else [model.backbone.projection, *bb]
     for epoch in range(cfg.phase2_epochs):
         curve.append(train_epoch(opt, _batches(len(train_feats), cfg.phase2_batch, rng),
-                                 step_loss, 2, epoch, reads=reads))
+                                 step_loss, 2, epoch))
 
         dev_total = evaluate_joint_loss(model, dev_feats, class_weights, moe_cfg, cfg) \
             if dev_feats else curve[-1]["total"]

@@ -13,6 +13,7 @@ from framemoe.backbone import (
     run_layers,
     synth_layer_stack,
 )
+from framemoe.autodiff import working_dtype
 from framemoe.heads import log1p_spectrum
 
 
@@ -145,6 +146,24 @@ def test_synth_layer_stack_is_the_layer_concatenation_without_a_tape():
     rep = synth_layer_stack(spectra, bb)
     assert isinstance(rep, np.ndarray) and rep.shape == (spectra.shape[0], 3 * 4)
     np.testing.assert_array_equal(rep, concat_layers(run_layers(spectra, bb)).frames.data)
+
+
+def test_run_layers_lifts_the_projection_as_a_constant_of_the_working_dtype():
+    # Inside a float32 step the frozen float64 projection is cast once, so
+    # layer 0 is a float32 product; outside one it is the float64 product.
+    rng = np.random.default_rng(6)
+    bb = init_backbone(rng, n_layers=2, width=7, frame=32, hop=16, frozen=False)
+    spectra = log1p_spectrum(rng.standard_normal((3, 160)), bb.frame, bb.hop).reshape(-1, 17)
+    spectra32 = spectra.astype(np.float32)
+    master = bb.projection.data
+    with working_dtype(np.float32):
+        layer0 = run_layers(spectra32, bb)[0].data
+    assert layer0.dtype == np.float32
+    assert layer0.tobytes() == (spectra32 @ master.astype(np.float32)).tobytes()
+    layer0 = run_layers(spectra, bb)[0].data
+    assert layer0.dtype == np.float64
+    assert layer0.tobytes() == (spectra @ master).tobytes()
+    assert bb.projection.data is master
 
 
 def test_concat_representation_checks_width():

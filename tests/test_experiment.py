@@ -572,6 +572,30 @@ def test_ablate_refuses_a_damaged_grid_report_before_any_cell_trains(tmp_path):
     assert list((tmp_path / "grid").glob("ablate/**/checkpoint_final.json")) == []
 
 
+def test_ablate_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # The recorder's map runs in-process: no test starts real workers.
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiment, "_run_ablation_cell", lambda args: dict(args[1]))
+    rows = run_ablate(tiny_cfg(tmp_path / "grid"), jobs=10**6)
+    assert pools == [20]
+    assert rows == _ablation_cells()
+
+
 # ---------------------------------------------------------------------------
 # gradient audit
 

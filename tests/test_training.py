@@ -20,9 +20,11 @@ from framemoe.config import (
 from framemoe.heads import log1p_spectrum
 from framemoe.model import (
     Features,
+    backbone_parameters,
     build_model,
     compute_features,
     forward_features,
+    moe_head_parameters,
     named_parameters,
     representation,
 )
@@ -607,11 +609,11 @@ def test_restore_params_between_steps_reaches_the_next_float32_step():
     for p in named.values():
         p.grad = rng.standard_normal(p.shape)
     opt.step()
-    with step_precision([], opt):
+    with step_precision(opt):
         moved = {name: p.data.copy() for name, p in named.items()}
     assert moved["w"].tobytes() != snap["w"].astype(np.float32).tobytes()
     restore_params(named, snap)
-    with step_precision([], opt):
+    with step_precision(opt):
         seen = {name: p.data.copy() for name, p in named.items()}
     for name, values in snap.items():
         assert seen[name].dtype == np.float32
@@ -621,22 +623,19 @@ def test_restore_params_between_steps_reaches_the_next_float32_step():
 def test_an_aborted_step_leaves_every_parameter_on_its_float64_buffer_view():
     rng = np.random.default_rng(23)
     owned = [param("w", rng.standard_normal((3, 2))), param("b", rng.standard_normal(2))]
-    loose = param("loose", rng.standard_normal((2, 3)))
     opt = AdamW([{"params": owned, "lr": 0.1}])
     views = [p.data for p in owned]
-    master = loose.data
 
     def loss_of(batch):
-        backprop(add(sum_all(mul(owned[0], owned[0])), sum_all(mul(loose, loose))))
-        assert {p.data.dtype for p in (*owned, loose)} == {np.dtype(np.float32)}
+        backprop(sum_all(mul(owned[0], owned[0])))
+        assert {p.data.dtype for p in owned} == {np.dtype(np.float32)}
         raise NumericalError("injected failure")
 
     with pytest.raises(TrainingAborted, match="injected failure"):
-        train_epoch(opt, [np.arange(4)], loss_of, 2, 0, reads=[loose])
+        train_epoch(opt, [np.arange(4)], loss_of, 2, 0)
     for p, view in zip(owned, views):
         assert p.data is view and p.data.dtype == np.float64
-    assert {p.grad.dtype for p in (*owned, loose)} == {np.dtype(np.float64)}
-    assert loose.data is master
+    assert {p.grad.dtype for p in owned} == {np.dtype(np.float64)}
     assert opt.t == 0
 
 
@@ -836,6 +835,7 @@ def test_every_node_and_leaf_gradient_of_a_phase2_step_is_float32(monkeypatch, u
     feats = float32_features(tiny_feats(model, np.random.default_rng(18)))
     cfg.training.phase2_batch = len(feats)
     made, grads, values = [], {}, {}
+    projection = model.backbone.projection.data
     init = autodiff.Tensor.__init__
 
     def recording_init(self, data, *args, **kwargs):
@@ -848,6 +848,7 @@ def test_every_node_and_leaf_gradient_of_a_phase2_step_is_float32(monkeypatch, u
         grads.update({name: p.grad.dtype for name, p in params.items() if p.grad is not None})
         for name, p in params.items():
             values.setdefault(name, set()).add(p.data.dtype)
+        assert model.backbone.projection.data is projection
 
     monkeypatch.setattr(autodiff.Tensor, "__init__", recording_init)
     monkeypatch.setattr(training, "backprop", recording_backprop)
@@ -859,12 +860,15 @@ def test_every_node_and_leaf_gradient_of_a_phase2_step_is_float32(monkeypatch, u
     assert [(op, dtype) for op, dtype in made if dtype != np.float32] == []
     assert len(grads) >= 18 and set(grads.values()) == {np.dtype(np.float32)}
     # The step reads every parameter but a frozen backbone, whose layer
-    # concatenation is cached: that stays float64, uncast.
-    read = {name for name in values if unfrozen or not name.startswith("backbone.")}
+    # concatenation is cached: that stays float64, uncast. The projection is
+    # never cast either: an unfrozen step lifts it as a float32 constant.
+    read = {name for name in values if name != "backbone.projection"
+            and (unfrozen or not name.startswith("backbone."))}
     assert set().union(*(values[name] for name in read)) == {np.dtype(np.float32)}
     unread = values.keys() - read
-    assert len(unread) == (0 if unfrozen else 5)
+    assert len(unread) == (1 if unfrozen else 5)
     assert all(values[name] == {np.dtype(np.float64)} for name in unread)
+    assert model.backbone.projection.data is projection and projection.dtype == np.float64
     assert ("backbone.layer1.w" in grads) == unfrozen
     assert float_dtypes(named_parameters(model)) == {np.dtype(np.float64)}
 
@@ -908,7 +912,10 @@ def test_a_step_outside_step_precision_stays_float64_and_the_float32_step_agrees
         backprop(loss)
         return loss.data, {name: p.grad for name, p in params.items() if p.grad is not None}
 
-    with step_precision(list(params.values())):
+    # Grouped as train_phase2 groups the trainable parameters.
+    opt = AdamW([{"params": moe_head_parameters(model), "lr": 1e-3},
+                 {"params": backbone_parameters(model), "lr": 1e-3}])
+    with step_precision(opt):
         loss32, grads32 = step()
     loss64, grads64 = step()
     assert loss32.dtype == np.float32 and loss64.dtype == np.float64
