@@ -100,45 +100,32 @@ class ExperimentConfig:
     ssnr: SsnrConfig = field(default_factory=SsnrConfig)
 
 
+# The section dataclasses by name: a field annotated with one of them is
+# hydrated as a nested mapping, every other field as a checked leaf.
+SECTIONS = {cls.__name__: cls for cls in (BackboneConfig, MoeConfig, StftBlock, HeadsConfig,
+                                          TrainConfig, DataConfig, SsnrConfig)}
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Hydrate an ExperimentConfig from a plain nested dict, strictly."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
-    nested = {
-        "backbone": BackboneConfig,
-        "moe": MoeConfig,
-        "heads": HeadsConfig,
-        "training": TrainConfig,
-        "data": DataConfig,
-        "ssnr": SsnrConfig,
-    }
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"config: unknown keys {unknown}")
-    kwargs: dict = {}
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
-    for key, value in raw.items():
-        if key in nested:
-            kwargs[key] = _hydrate(nested[key], value, key)
-        else:
-            kwargs[key] = _checked(key, types[key], value)
-    return ExperimentConfig(**kwargs)
+    return _hydrate(ExperimentConfig, raw, "")
 
 
 def _hydrate(cls, raw, path: str):
+    """`cls` built from the mapping `raw` found at dotted `path` ("" at the root)."""
+    where = path or "config"
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(raw).__name__}")
+        raise ConfigError(f"{where}: expected a mapping, got {type(raw).__name__}")
     types = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(raw) - set(types))
+    unknown = sorted(set(raw) - set(types), key=str)
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}")
+        raise ConfigError(f"{where}: unknown keys {unknown}")
     kwargs = {}
     for key, value in raw.items():
-        if cls is HeadsConfig and key == "stft":
-            kwargs[key] = _hydrate(StftBlock, value, f"{path}.stft")
-        else:
-            kwargs[key] = _checked(f"{path}.{key}", types[key], value)
+        at = f"{path}.{key}" if path else key
+        section = SECTIONS.get(types[key])
+        kwargs[key] = (_hydrate(section, value, at) if section
+                       else _checked(at, types[key], value))
     return cls(**kwargs)
 
 

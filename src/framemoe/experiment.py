@@ -14,7 +14,7 @@ import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,17 +34,16 @@ from .autodiff import (
     record_kinks,
 )
 from .config import (
-    BackboneConfig,
     ConfigError,
     DataConfig,
     ExperimentConfig,
     HeadsConfig,
-    MoeConfig,
     StftBlock,
     component_rng,
     config_digest,
     config_from_dict,
     config_to_dict,
+    load_config,
     resolved_yaml,
     validate,
 )
@@ -262,8 +261,7 @@ def run_train(cfg: ExperimentConfig) -> dict:
                     extra={"norm_stats": asdict(stats),
                            "config_digest": config_digest(cfg)})
 
-    phase2 = train_phase2(model, train_feats, dev_feats, phase1.checkpoint,
-                          weights, cfg.training, cfg.moe, rng)
+    phase2 = train_phase2(model, train_feats, dev_feats, weights, cfg.training, cfg.moe, rng)
     save_checkpoint(run_dir / CHECKPOINT_FINAL, phase2.checkpoint,
                     extra={"norm_stats": asdict(stats),
                            "config_digest": config_digest(cfg)})
@@ -295,19 +293,17 @@ def run_train(cfg: ExperimentConfig) -> dict:
     }
 
 
-def load_trained(run_dir: str | Path) -> tuple[ExperimentConfig, JointModel, dict]:
-    """Rebuild the model from a run directory's resolved config and checkpoint."""
+def load_trained(run_dir: str | Path) -> tuple[ExperimentConfig, JointModel, NormStats]:
+    """Rebuild the model from a run directory's resolved config and checkpoint,
+    with the normalization stats it was trained with."""
     run_dir = Path(run_dir)
     cfg_path = run_dir / RESOLVED_CONFIG_NAME
     if not cfg_path.exists():
         raise ConfigError(f"{run_dir} has no {RESOLVED_CONFIG_NAME}; train there first")
-    import yaml
-
     try:
-        raw = yaml.safe_load(cfg_path.read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{cfg_path} is not readable YAML; retrain there") from exc
-    cfg = config_from_dict(raw)
+        cfg = load_config(cfg_path)
+    except ConfigError as exc:
+        raise ConfigError(f"{exc}; retrain there") from exc
     validate(cfg)
     ckpt_path = run_dir / CHECKPOINT_FINAL
     if not ckpt_path.exists():
@@ -324,13 +320,18 @@ def load_trained(run_dir: str | Path) -> tuple[ExperimentConfig, JointModel, dic
         raise ConfigError(
             f"{ckpt_path} was trained with a different config than {cfg_path}; "
             "retrain there")
+    try:
+        stats = NormStats(**meta.get("norm_stats", {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{ckpt_path} holds no usable norm_stats ({exc}); "
+                          "retrain there") from exc
     model = build_model(cfg)
     try:
         restore_params(named_parameters(model), params)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{ckpt_path} does not fit the model of {cfg_path} "
                           f"({exc.args[0]}); retrain there") from exc
-    return cfg, model, meta
+    return cfg, model, stats
 
 
 @dataclass
@@ -429,7 +430,7 @@ def run_eval(run_dir: str | Path) -> list[MetricsReport]:
     scoring both tasks and summarizing the sweep's top-1 experts."""
     start = time.monotonic()
     run_dir = Path(run_dir)
-    cfg, model, meta = load_trained(run_dir)
+    cfg, model, stats = load_trained(run_dir)
     read_report(run_dir)  # a damaged report is refused before the sweep writes anything
     scored = file_digest(run_dir / CHECKPOINT_FINAL)
     corpus_dir = run_dir / "corpus"
@@ -437,7 +438,6 @@ def run_eval(run_dir: str | Path) -> list[MetricsReport]:
         raise ConfigError(f"{corpus_dir} holds no corpus drawn from the data section "
                           f"and seed in {run_dir / RESOLVED_CONFIG_NAME}; retrain there")
     corpus = read_corpus(corpus_dir)
-    stats = NormStats(**meta["norm_stats"])
     test = eval_split(model, corpus.test, stats)
     reports: list[MetricsReport] = []
     ser_top1, se_top1 = [], []
@@ -467,13 +467,34 @@ def run_analyze(run_dir: str | Path) -> AnalyticsReport:
     run_dir = Path(run_dir)
     path = run_dir / REPORT_NAME
     report = read_report(run_dir)
-    if report.get("analytics") is None:
+    stored = report.get("analytics")
+    if stored is None:
         raise ConfigError(f"{run_dir} has no routing analytics; run eval there first")
     ckpt_path = run_dir / CHECKPOINT_FINAL
     if ckpt_path.exists() and report.get("scored_checkpoint_digest") != file_digest(ckpt_path):
         raise ConfigError(f"the routing analytics in {path} were not scored with "
                           f"{ckpt_path}; run eval there again")
-    return AnalyticsReport(**report["analytics"])
+    if problem := _analytics_problem(stored):
+        raise ConfigError(f"the routing analytics in {path} are damaged ({problem}); "
+                          "run eval there again")
+    return AnalyticsReport(**stored)
+
+
+def _analytics_problem(stored) -> str | None:
+    """Why a report's stored `analytics` cannot be read back as an
+    AnalyticsReport whose switch rows `analyze` prints, or None."""
+    names = [f.name for f in fields(AnalyticsReport)]
+    if not isinstance(stored, dict) or set(stored) != set(names):
+        return f"not a mapping of exactly {names}"
+    tables = [stored[name] for name in names if name != "n_experts"]
+    if type(stored["n_experts"]) is not int or not all(
+            isinstance(t, list) and all(isinstance(row, dict) for row in t) for t in tables):
+        return "n_experts must be an int and each table a list of rows"
+    keys = ("group_by", "condition", "se_switch", "ser_switch", "agreement")
+    for row in stored["switch_agreement"]:
+        if set(row) != set(keys) or any(type(row[k]) not in (int, float) for k in keys[2:]):
+            return f"switch row {row!r} does not hold {list(keys)} with numeric rates"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -485,34 +506,29 @@ def gradcheck_config(base: ExperimentConfig | None = None) -> ExperimentConfig:
 
     Keeps the routing shape (expert count, top-k, balancing flag) of the base
     config but shrinks every width so a full central-difference sweep stays
-    fast. All parameter kinds of the full pipeline are present.
+    fast. All parameter kinds of the full pipeline are present. The training
+    and ssnr sections are the base's own objects, so only the new backbone,
+    moe, heads and data sections may be changed on the result.
     """
     base = base or ExperimentConfig()
-    cfg = ExperimentConfig(
-        seed=base.seed,
-        output_dir=base.output_dir,
-        backbone=BackboneConfig(n_layers=2, width=6, frame=32, hop=16,
-                                unfrozen=base.backbone.unfrozen),
-        moe=MoeConfig(n_experts=base.moe.n_experts, top_k=base.moe.top_k,
-                      expert_hidden=12,
-                      balancing_loss_enabled=base.moe.balancing_loss_enabled,
-                      balancing_alpha=base.moe.balancing_alpha),
+    cfg = replace(
+        base,
+        backbone=replace(base.backbone, n_layers=2, width=6, frame=32, hop=16, seed=None),
+        moe=replace(base.moe, expert_hidden=12),
         heads=HeadsConfig(stft=StftBlock(window=32, hop=16, fft_size=32),
                           ser_hidden=8, se_hidden=12),
-        data=replace(base.data, utterance_len=160, train_size=2, dev_size=1,
-                     test_size=1),
-        training=base.training,
-        ssnr=base.ssnr,
+        data=replace(base.data, utterance_len=160, train_size=2, dev_size=1, test_size=1),
     )
     validate(cfg)
     return cfg
 
 
-# The gate margin guards routing flips inside the difference window, the
-# structurally dangerous non-smoothness. Kinks from relu and abs are benign
-# beyond ~1e-6: each parameter entry moves a pre-activation by at most its
-# sensitivity times the step, and measured errors stay far under tolerance.
-# The kink bar only rejects base points sitting essentially on a kink.
+# Both margins are measured once, at the base point, not at each probe: the
+# gate margin keeps routing ties away from the base point, and the kink bar
+# rejects base points sitting essentially on a relu or abs kink. Neither
+# bounds a probe, so a step larger than the kink margin can cross a kink and
+# show up as a large relative error (the audit config at seed 14 does;
+# ROADMAP item 3).
 GRADCHECK_GATE_MARGIN = 1e-3
 GRADCHECK_KINK_MARGIN = 1e-6
 GRADCHECK_MAX_ATTEMPTS = 25
@@ -661,11 +677,9 @@ def _run_ablation_cell(args: tuple[dict, dict]) -> dict:
     base_dict, cell = args
     base = config_from_dict(base_dict)
     cfg, applies = _cell_config(base, cell)
-    validate(cfg)
     summary = run_train(cfg)
-    _, model, meta = load_trained(cfg.output_dir)
+    _, model, stats = load_trained(cfg.output_dir)
     corpus = ensure_corpus(cfg)
-    stats = NormStats(**meta["norm_stats"])
     report, _ = eval_condition(model, cfg, stats, eval_split(model, corpus.dev, stats),
                                corpus.dev.noisy, cfg.data.train_noise_family,
                                cfg.data.train_snr_db)

@@ -547,9 +547,8 @@ def evaluate_joint_loss(model, feats, class_weights, moe_cfg, train_cfg) -> floa
     return parts["total"]
 
 
-def train_phase2(model, train_feats, dev_feats, phase1_checkpoint,
-                 class_weights, cfg, moe_cfg, rng) -> Phase2Result:
-    """Joint training of experts, gates, and heads from the phase-1 weights.
+def train_phase2(model, train_feats, dev_feats, class_weights, cfg, moe_cfg, rng) -> Phase2Result:
+    """Joint training of experts, gates, and heads from the weights the model holds.
 
     The backbone affine layers join in at their own learning rate when the
     backbone is unfrozen. After each epoch the joint loss on the dev split is
@@ -562,7 +561,6 @@ def train_phase2(model, train_feats, dev_feats, phase1_checkpoint,
     if not train_feats:
         raise ValueError("phase 2 needs a non-empty training set")
     params = named_parameters(model)
-    restore_params(params, phase1_checkpoint)
 
     groups = [{"params": moe_head_parameters(model), "lr": cfg.lr_heads_gates_experts}]
     bb = backbone_parameters(model)

@@ -1,13 +1,19 @@
 import json
+import math
+import re
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framemoe.cli import main
 from framemoe.config import (
+    SECTIONS,
     BackboneConfig,
     ConfigError,
     ExperimentConfig,
@@ -69,6 +75,107 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"moe": 3})
     with pytest.raises(ConfigError, match="mapping"):
         config_from_dict([1, 2])
+
+
+def _fields_under(cls, prefix=""):
+    """(dotted path, annotation) of every field of a config class, sections
+    included, in declaration order and depth first."""
+    for f in fields(cls):
+        path = f"{prefix}.{f.name}" if prefix else f.name
+        yield path, f.type
+        if f.type in SECTIONS:
+            yield from _fields_under(SECTIONS[f.type], path)
+
+
+_LEAF_VALUES = {
+    "int": st.integers(),
+    "float": st.floats(allow_nan=False, allow_infinity=False) | st.integers(),
+    "bool": st.booleans(),
+    "str": st.text(max_size=8),
+}
+
+
+def _leaf_values(annotation):
+    if annotation.endswith(" | None"):
+        return st.none() | _leaf_values(annotation.removesuffix(" | None"))
+    if annotation.startswith("list["):
+        return st.lists(_leaf_values(annotation[len("list["):-1]), max_size=4)
+    return _LEAF_VALUES[annotation]
+
+
+def _configs(cls=ExperimentConfig):
+    return st.builds(cls, **{f.name: _configs(SECTIONS[f.type]) if f.type in SECTIONS
+                             else _leaf_values(f.type) for f in fields(cls)})
+
+
+def _wrong_values(annotation):
+    """Values a field of `annotation` must refuse: wrong types (a bool is no
+    number), NaN and inf for floats, and null unless the field is nullable."""
+    nullable = annotation.endswith(" | None")
+    base = annotation.removesuffix(" | None")
+    wrong = {
+        "int": [True, 1.5, "1", [1]],
+        "float": [False, "1.0", [1.0], math.nan, math.inf, -math.inf],
+        "bool": [1, 0, "true", [True]],
+        "str": [1, True, ["x"], {"x": 1}],
+        "list[int]": [1, "1", [True], [1.5], ["1"], [None]],
+        "list[float]": [1.0, "1", [True], [math.nan], [-math.inf], ["1"], [None]],
+    }[base]
+    return wrong if nullable else [*wrong, None]
+
+
+def _set_at(raw, path, value):
+    *sections, leaf = path.split(".")
+    for name in sections:
+        raw = raw[name]
+    raw[leaf] = value
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=_configs(), data=st.data())
+def test_the_hydrator_round_trips_every_config_and_names_each_corruption(cfg, data):
+    raw = config_to_dict(cfg)
+    assert config_from_dict(raw) == cfg
+    paths = dict(_fields_under(ExperimentConfig))
+    sections = [path for path, annotation in paths.items() if annotation in SECTIONS]
+    kind = data.draw(st.sampled_from(["unknown-key", "non-mapping", "wrong-leaf"]))
+    if kind == "unknown-key":
+        where = data.draw(st.sampled_from(["", *sections]))
+        keys = data.draw(st.lists(st.sampled_from(["zz_extra", 7, 2.5, None]), min_size=1,
+                                  max_size=3, unique=True))
+        section = raw
+        for name in where.split(".") if where else []:
+            section = section[name]
+        section.update(dict.fromkeys(keys, 1))
+        named = [where or "config", "unknown keys", *map(repr, keys)]
+    elif kind == "non-mapping":
+        where = data.draw(st.sampled_from(sections))
+        _set_at(raw, where, data.draw(st.sampled_from([None, 3, "x", [1], True])))
+        named = [f"{where}: expected a mapping"]
+    else:
+        where = data.draw(st.sampled_from([p for p in paths if p not in sections]))
+        _set_at(raw, where, data.draw(st.sampled_from(_wrong_values(paths[where]))))
+        named = [f"{where}: expected"]
+    with pytest.raises(ConfigError) as exc_info:
+        config_from_dict(raw)
+    assert all(part in str(exc_info.value) for part in named), (named, exc_info.value)
+
+
+def _readme_bullet(section):
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    configuration = text.split("\n## Configuration\n")[1].split("\n## ")[0]
+    bullet = configuration.split(f"\n- `{section}`:")[1]
+    return bullet.split("\n- ")[0].split("\n\n")[0]
+
+
+def test_readme_names_every_config_leaf_in_its_sections_bullet():
+    for section, annotation in _fields_under(ExperimentConfig):
+        if "." in section or annotation not in SECTIONS:
+            continue
+        bullet = _readme_bullet(section)
+        for path, _ in _fields_under(SECTIONS[annotation], section):
+            leaf = path.rsplit(".", 1)[1]
+            assert re.search(rf"\b{leaf}\b", bullet), (path, bullet)
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -628,6 +735,60 @@ def test_cli_eval_refuses_a_checkpoint_tensor_that_does_not_fit(trained_run, tmp
     _assert_one_config_error(["eval", "--run", str(run)], capsys,
                              "checkpoint_final.json", "se.b2", "retrain there")
     assert not (run / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("stats", [None, [0.0, 1.0], {"mean": 0.0, "std": 0.0},
+                                   {"mean": float("nan"), "std": 1.0}],
+                         ids=["missing", "list", "zero-std", "nan-mean"])
+def test_cli_eval_refuses_damaged_norm_stats(trained_run, tmp_path, capsys, stats):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    path = run / "checkpoint_final.json"
+    payload = json.loads(path.read_text())
+    if stats is None:
+        del payload["norm_stats"]
+    else:
+        payload["norm_stats"] = stats
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error"), err
+    assert "checkpoint_final.json" in err and err.rstrip().endswith("retrain there"), err
+    assert not (run / "metrics.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def evaluated_run(trained_run, tmp_path_factory):
+    run = tmp_path_factory.mktemp("evaluated") / "run"
+    shutil.copytree(trained_run, run)
+    assert main(["eval", "--run", str(run)]) == 0
+    return run
+
+
+def _drop_condition(analytics):
+    del analytics["switch_agreement"][0]["condition"]
+    return analytics
+
+
+@pytest.mark.parametrize("damage", [
+    lambda a: {**a, "extra": 1},
+    lambda a: [a],
+    lambda a: "analytics",
+    lambda a: {**a, "switch_agreement": 3},
+    _drop_condition,
+    lambda a: {k: v for k, v in a.items() if k != "usage_by_snr"},
+], ids=["unknown-key", "list", "string", "int-table", "row-without-condition",
+        "missing-table"])
+def test_cli_analyze_refuses_damaged_analytics(evaluated_run, tmp_path, capsys, damage):
+    run = tmp_path / "run"
+    shutil.copytree(evaluated_run, run)
+    path = run / "report.json"
+    report = json.loads(path.read_text())
+    report["analytics"] = damage(report["analytics"])
+    path.write_text(json.dumps(report))
+    _assert_one_config_error(["analyze", "--run", str(run)], capsys,
+                             "report.json", "run eval there again")
 
 
 def test_cli_eval_and_analyze_refuse_a_damaged_report(trained_run, tmp_path, capsys):

@@ -50,7 +50,6 @@ from framemoe.datagen import contaminate_split, generate_corpus, read_corpus
 from framemoe.autodiff import GradCheckReport, NumericalError, ParamCheck, forward, no_tape
 from framemoe.model import Features, build_model, compute_features, named_parameters
 from framemoe.training import (
-    NormStats,
     class_weights_from_counts,
     load_checkpoint,
     norm_stats,
@@ -248,14 +247,14 @@ def test_run_train_lets_the_waveforms_go_before_phase1(tmp_path, monkeypatch):
 def test_load_trained_restores_checkpoint(tmp_path):
     cfg = tiny_cfg(tmp_path / "run")
     run_train(cfg)
-    loaded_cfg, model, meta = load_trained(cfg.output_dir)
+    loaded_cfg, model, stats = load_trained(cfg.output_dir)
     assert config_digest(loaded_cfg) == config_digest(cfg)
     params, _ = load_checkpoint(Path(cfg.output_dir) / "checkpoint_final.json")
     from framemoe.model import named_parameters
 
     for name, tensor in named_parameters(model).items():
         np.testing.assert_array_equal(tensor.data, params[name], err_msg=name)
-    assert "norm_stats" in meta
+    assert stats == norm_stats(ensure_corpus(cfg).train.noisy)
 
 
 def test_load_trained_missing_run_raises(tmp_path):
@@ -437,9 +436,8 @@ def test_eval_of_a_nonfinite_checkpoint_is_exit_code_2(tmp_path, capsys):
 def test_eval_condition_checks_the_logits_and_enhanced_spectra(tmp_path):
     cfg = tiny_cfg(tmp_path / "run")
     run_train(cfg)
-    _, model, meta = load_trained(cfg.output_dir)
+    _, model, stats = load_trained(cfg.output_dir)
     corpus = ensure_corpus(cfg)
-    stats = NormStats(**meta["norm_stats"])
     split = eval_split(model, corpus.test, stats)
     mixes = contaminate_split(corpus.test, "babble", 5.0, cfg.seed)
     model.se_head.w2.data[0, 0] = np.inf
@@ -553,9 +551,8 @@ def test_an_ablation_cell_scores_the_stored_dev_mixes(tmp_path):
     cell = {"routing": "sparse", "n_experts": 3, "balancing": True}
     cfg, _ = _cell_config(base, cell)
     row = _run_ablation_cell((config_to_dict(base), cell))
-    _, model, meta = load_trained(cfg.output_dir)
+    _, model, stats = load_trained(cfg.output_dir)
     corpus = ensure_corpus(cfg)
-    stats = NormStats(**meta["norm_stats"])
     report, _ = eval_condition(model, cfg, stats, eval_split(model, corpus.dev, stats),
                                corpus.dev.noisy, cfg.data.train_noise_family,
                                cfg.data.train_snr_db)
@@ -606,6 +603,20 @@ def _audit_cfg(unfrozen: bool, **moe):
     cfg = experiment.gradcheck_config(base)
     cfg.backbone.unfrozen = unfrozen
     return cfg
+
+
+@pytest.mark.parametrize("unfrozen", [False, True], ids=["frozen", "unfrozen"])
+def test_run_gradcheck_leaves_its_base_config_as_it_was(monkeypatch, unfrozen):
+    base = ExperimentConfig(seed=3)
+    base.backbone.unfrozen = unfrozen
+    before = config_to_dict(base)
+    audited = []
+    monkeypatch.setattr(experiment, "gradcheck_model",
+                        lambda cfg, **_: audited.append(config_to_dict(cfg)) or {"passed": True})
+    experiment.run_gradcheck(base)
+    assert config_to_dict(base) == before
+    assert [a["backbone"]["unfrozen"] for a in audited] == [False, True]
+    assert all(a["seed"] == 3 and a["backbone"]["width"] == 6 for a in audited)
 
 
 @pytest.mark.parametrize("moe", [{}, {"balancing_loss_enabled": True},

@@ -423,8 +423,8 @@ def test_train_phase2_returns_best_dev_parameters():
     dev = tiny_feats(model, rng, n=2)
     phase1 = train_phase1(model, feats, np.ones(4), cfg.training,
                           np.random.default_rng(2))
-    result = train_phase2(model, feats, dev, phase1.checkpoint, np.ones(4),
-                          cfg.training, cfg.moe, np.random.default_rng(3))
+    result = train_phase2(model, feats, dev, np.ones(4), cfg.training, cfg.moe,
+                          np.random.default_rng(3))
     assert len(result.dev_totals) == cfg.training.phase2_epochs
     assert result.best_epoch == int(np.argmin(result.dev_totals))
     after = named_parameters(model)
@@ -443,8 +443,9 @@ def test_train_phase2_aborts_on_nonfinite_loss():
     phase1 = snapshot_params(named_parameters(model))
     poisoned = next(n for n in phase1 if n.startswith("se."))
     phase1[poisoned][...] = np.inf
+    restore_params(named_parameters(model), phase1)
     with pytest.raises(TrainingAborted) as exc_info:
-        train_phase2(model, feats, feats[:1], phase1, np.ones(4),
+        train_phase2(model, feats, feats[:1], np.ones(4),
                      cfg.training, cfg.moe, np.random.default_rng(4))
     diag = exc_info.value.diagnostics
     assert diag["epoch"] == 0
@@ -466,7 +467,7 @@ def test_train_phase2_aborts_on_a_nonfinite_parameter_behind_a_relu():
     _, parts, _ = batch_joint_loss(model, feats[:2], np.ones(4), cfg.moe, cfg.training)
     assert np.isfinite(parts["total"])
     with pytest.raises(TrainingAborted, match="se.b1") as exc_info:
-        train_phase2(model, feats, feats[:1], phase1, np.ones(4),
+        train_phase2(model, feats, feats[:1], np.ones(4),
                      cfg.training, cfg.moe, np.random.default_rng(4))
     diag = exc_info.value.diagnostics
     assert (diag["epoch"], diag["batch"]) == (0, 0)
@@ -699,8 +700,8 @@ def test_an_abort_at_an_epoch_start_reports_the_previous_steps_grad_norms(
         if phase == 1:
             train_phase1(model, feats, np.ones(4), cfg.training, np.random.default_rng(5))
         else:
-            train_phase2(model, feats, feats[:0], snapshot_params(named_parameters(model)),
-                         np.ones(4), cfg.training, cfg.moe, np.random.default_rng(5))
+            train_phase2(model, feats, feats[:0], np.ones(4), cfg.training, cfg.moe,
+                         np.random.default_rng(5))
     diag = exc_info.value.diagnostics
     assert (diag["phase"], diag["epoch"], diag["batch"]) == (phase, 1, 0)
     assert len(stepped) == batches_per_epoch
@@ -852,8 +853,8 @@ def test_every_node_and_leaf_gradient_of_a_phase2_step_is_float32(monkeypatch, u
 
     monkeypatch.setattr(autodiff.Tensor, "__init__", recording_init)
     monkeypatch.setattr(training, "backprop", recording_backprop)
-    train_phase2(model, feats, feats[:0], snapshot_params(named_parameters(model)), np.ones(4),
-                 cfg.training, cfg.moe, np.random.default_rng(6))
+    train_phase2(model, feats, feats[:0], np.ones(4), cfg.training, cfg.moe,
+                 np.random.default_rng(6))
     ops = {op for op, _ in made}
     assert {"leaf", "affine", "relu_affine", "sum_rows_into", "log_softmax_rows"} <= ops
     assert ("matmul" in ops) == unfrozen
@@ -887,8 +888,8 @@ def test_train_phase2_keeps_float64_masters_dev_pass_snapshots_and_checkpoint(mo
         return snapshots[-1]
 
     monkeypatch.setattr(training, "snapshot_params", recording_snapshot)
-    result = train_phase2(model, feats, dev, snapshot_params(named_parameters(model)),
-                          np.ones(4), cfg.training, cfg.moe, np.random.default_rng(7))
+    result = train_phase2(model, feats, dev, np.ones(4), cfg.training, cfg.moe,
+                          np.random.default_rng(7))
     assert len(snapshots) >= 2
     for snap in (*snapshots, result.checkpoint):
         assert {a.dtype for a in snap.values()} == {np.dtype(np.float64)}
