@@ -23,8 +23,6 @@ class BackboneConfig:
     frame: int = 64
     hop: int = 32
     unfrozen: bool = False
-    # When null the backbone seed is derived from the root seed.
-    seed: int | None = None
 
 
 @dataclass
@@ -141,8 +139,6 @@ _SCALAR_TYPES = {
 
 
 def _type_ok(annotation: str, value) -> bool:
-    if annotation.endswith(" | None"):
-        return value is None or _type_ok(annotation.removesuffix(" | None"), value)
     if annotation.startswith("list["):
         item = annotation[len("list["):-1]
         return isinstance(value, list) and all(_type_ok(item, v) for v in value)
@@ -172,7 +168,10 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
         raise ConfigError(f"config file {path} is not valid YAML") from exc
     if raw is None:
         raw = {}
-    return config_from_dict(raw)
+    try:
+        return config_from_dict(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"config file {path}: {exc}") from exc
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
@@ -212,11 +211,9 @@ def validate(cfg: ExperimentConfig) -> None:
     problems: list[str] = []
     b, m, h, t, d, s = cfg.backbone, cfg.moe, cfg.heads, cfg.training, cfg.data, cfg.ssnr
 
-    # Seeds enter numpy's SeedSequence, which takes no negative entropy.
+    # The seed enters numpy's SeedSequence, which takes no negative entropy.
     if cfg.seed < 0:
         problems.append(f"seed must be >= 0, got {cfg.seed}")
-    if b.seed is not None and b.seed < 0:
-        problems.append(f"backbone.seed must be >= 0, got {b.seed}")
     if b.n_layers < 1:
         problems.append(f"backbone.n_layers must be >= 1, got {b.n_layers}")
     if b.width < 1:

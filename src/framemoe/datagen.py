@@ -8,9 +8,11 @@ low-band wash, a steady mid-band hiss, and sparse high-band bursts. One family
 contaminates the training split; the other two are held out for evaluation.
 
 Synthesis works on whole splits as (B, N) arrays: `clean_rows` draws a
-split's tones, `noise_rows` its noise and `contaminate_split` mixes it.
-`make_clean`, `make_noise` and `mix_at_snr` are their one-row calls, taking
-the same draws, so a signal made one at a time equals its row bit for bit.
+split's tones, `noise_rows` its noise and `mix_rows` mixes them;
+`contaminate_split` mixes a split with its keyed noise draws. A signal made
+one row at a time takes the same draws and equals its row bit for bit.
+`make_noise`, `noise_for` and `mix_at_snr` are one-row calls kept for the
+benchmark's checks.
 """
 
 from __future__ import annotations
@@ -155,14 +157,6 @@ def clean_rows(labels: np.ndarray, length: int, rng: np.random.Generator) -> np.
     return env
 
 
-def make_clean(label: EmotionLabel, length: int, sample_rate: int,
-               rng: np.random.Generator) -> Waveform:
-    """One amplitude-modulated harmonic tone from the class recipe: one row of
-    `clean_rows`, taking the same draws from `rng`."""
-    return Waveform(samples=clean_rows(np.array([int(label)]), length, rng)[0],
-                    sample_rate=sample_rate)
-
-
 @functools.lru_cache(maxsize=None)
 def _band_mask(length: int, band: tuple[float, float], edge: float = 0.01) -> np.ndarray:
     """Raised-cosine band mask over rfft bins, frequencies in cycles/sample.
@@ -240,8 +234,8 @@ def make_noise(family: str, length: int, sample_rate: int,
     return Waveform(samples=noise_rows(family, length, [rng])[0], sample_rate=sample_rate)
 
 
-def _mix_rows(clean: np.ndarray, noise: np.ndarray, snr_db: float,
-              name: Callable[[int], str]) -> np.ndarray:
+def mix_rows(clean: np.ndarray, noise: np.ndarray, snr_db: float,
+             name: Callable[[int], str]) -> np.ndarray:
     """Row i of (B, N) clean plus row i of (B, N) noise scaled to hit `snr_db`
     exactly; a failing row is named by `name(i)`. The inputs are not changed."""
     p_clean = np.mean(clean ** 2, axis=1)
@@ -272,8 +266,8 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float,
     """
     if len(noise) < len(clean):
         raise ValueError(f"noise ({len(noise)}) shorter than clean ({len(clean)})")
-    mixed = _mix_rows(clean.samples[None], noise.samples[None, : len(clean)], snr_db,
-                      lambda i: source_id or "mix")[0]
+    mixed = mix_rows(clean.samples[None], noise.samples[None, : len(clean)], snr_db,
+                     lambda i: source_id or "mix")[0]
     return NoisyUtterance(source_id=source_id,
                           noisy=Waveform(samples=mixed, sample_rate=clean.sample_rate),
                           family=family, snr_db=float(snr_db))
@@ -338,7 +332,7 @@ def contaminate_split(split: Split, family: str, snr_db: float, seed: int,
     noise = noise_rows(family, split.clean.shape[1],
                        [_noise_rng(seed, offset + i, family, snr_index)
                         for i in range(len(split.clean))])
-    return _mix_rows(split.clean, noise, snr_db, split.uid)
+    return mix_rows(split.clean, noise, snr_db, split.uid)
 
 
 # Split offsets keep noise draws unique across splits without coupling them

@@ -41,8 +41,6 @@ from .config import (
     StftBlock,
     component_rng,
     config_digest,
-    config_from_dict,
-    config_to_dict,
     load_config,
     resolved_yaml,
     validate,
@@ -51,13 +49,13 @@ from .datagen import (
     DIGEST_NAME,
     Corpus,
     Split,
+    clean_rows,
     contaminate_split,
     corpus_digest,
     generate_corpus,
     held_out_families,
-    make_clean,
-    make_noise,
-    mix_at_snr,
+    mix_rows,
+    noise_rows,
     read_corpus,
     split_counts,
     write_corpus,
@@ -513,7 +511,7 @@ def gradcheck_config(base: ExperimentConfig | None = None) -> ExperimentConfig:
     base = base or ExperimentConfig()
     cfg = replace(
         base,
-        backbone=replace(base.backbone, n_layers=2, width=6, frame=32, hop=16, seed=None),
+        backbone=replace(base.backbone, n_layers=2, width=6, frame=32, hop=16),
         moe=replace(base.moe, expert_hidden=12),
         heads=HeadsConfig(stft=StftBlock(window=32, hop=16, fft_size=32),
                           ser_hidden=8, se_hidden=12),
@@ -535,18 +533,17 @@ GRADCHECK_MAX_ATTEMPTS = 25
 
 
 def _gradcheck_batch(cfg: ExperimentConfig, model: JointModel, attempt: int):
-    """Two fresh utterances mixed and normalized for the audit."""
+    """Two fresh utterances mixed and normalized for the audit. Each takes its
+    label, its clean tone and its noise from one Generator in turn."""
+    d = cfg.data
     rng = component_rng(cfg.seed, "gradcheck", attempt)
-    labels, clean, noisy = [], [], []
+    labels, clean, noise = [], [], []
     for _ in range(2):
         labels.append(int(rng.integers(0, 4)))
-        wave = make_clean(EmotionLabel(labels[-1]), cfg.data.utterance_len,
-                          cfg.data.sample_rate, rng)
-        noise = make_noise(cfg.data.train_noise_family, cfg.data.utterance_len,
-                           cfg.data.sample_rate, rng)
-        clean.append(wave.samples)
-        noisy.append(mix_at_snr(wave, noise, cfg.data.train_snr_db).noisy.samples)
-    noisy, clean = np.stack(noisy), np.stack(clean)
+        clean.append(clean_rows(np.array([labels[-1]]), d.utterance_len, rng)[0])
+        noise.append(noise_rows(d.train_noise_family, d.utterance_len, [rng])[0])
+    clean = np.stack(clean)
+    noisy = mix_rows(clean, np.stack(noise), d.train_snr_db, lambda i: f"audit row {i}")
     stats = norm_stats(noisy)
     return compute_features(model, z_normalize(noisy, stats), labels,
                             z_normalize(clean, stats))
@@ -645,38 +642,30 @@ ABLATION_EXPERT_COUNTS = (1, 3, 5, 7, 9)
 ABLATION_BALANCING = (True, False)
 
 
-def _ablation_cells() -> list[dict]:
-    cells = []
-    for routing in ABLATION_ROUTINGS:
-        for n in ABLATION_EXPERT_COUNTS:
-            for balancing in ABLATION_BALANCING:
-                cells.append({"routing": routing, "n_experts": n,
-                              "balancing": balancing})
-    return cells
-
-
-def _cell_config(base: ExperimentConfig, cell: dict) -> tuple[ExperimentConfig, bool]:
-    """The per-cell config plus whether the balancing request applies.
+def _ablation_cells(base: ExperimentConfig) -> list[tuple[dict, ExperimentConfig]]:
+    """Each grid cell's table labels with its config, derived from the base.
 
     Dense routing with more than one expert cannot carry the balancing loss
     (it needs a hard top-1 assignment), so those cells run with it off and the
     table records it as not applied.
     """
-    cfg = config_from_dict(config_to_dict(base))
-    cfg.moe.n_experts = cell["n_experts"]
-    cfg.moe.top_k = 1 if cell["routing"] == "sparse" else cell["n_experts"]
-    applies = not cell["balancing"] or cfg.moe.top_k == 1
-    cfg.moe.balancing_loss_enabled = cell["balancing"] and cfg.moe.top_k == 1
-    tag = f"{cell['routing']}-n{cell['n_experts']}-bal{'on' if cell['balancing'] else 'off'}"
-    cfg.output_dir = str(Path(base.output_dir) / "ablate" / tag)
-    return cfg, applies
+    cells = []
+    for routing in ABLATION_ROUTINGS:
+        for n in ABLATION_EXPERT_COUNTS:
+            top_k = 1 if routing == "sparse" else n
+            for balancing in ABLATION_BALANCING:
+                tag = f"{routing}-n{n}-bal{'on' if balancing else 'off'}"
+                cfg = replace(base, output_dir=str(Path(base.output_dir) / "ablate" / tag),
+                              moe=replace(base.moe, n_experts=n, top_k=top_k,
+                                          balancing_loss_enabled=balancing and top_k == 1))
+                cells.append(({"routing": routing, "n_experts": n,
+                               "balancing_requested": balancing}, cfg))
+    return cells
 
 
-def _run_ablation_cell(args: tuple[dict, dict]) -> dict:
+def _run_ablation_cell(args: tuple[dict, ExperimentConfig]) -> dict:
     """Train one cell and score it on the dev split's stored training-condition mixes."""
-    base_dict, cell = args
-    base = config_from_dict(base_dict)
-    cfg, applies = _cell_config(base, cell)
+    cell, cfg = args
     summary = run_train(cfg)
     _, model, stats = load_trained(cfg.output_dir)
     corpus = ensure_corpus(cfg)
@@ -685,10 +674,8 @@ def _run_ablation_cell(args: tuple[dict, dict]) -> dict:
                                cfg.data.train_snr_db)
     totals = [row["total"] for row in summary["losses"]]
     return {
-        "routing": cell["routing"],
-        "n_experts": cell["n_experts"],
-        "balancing_requested": cell["balancing"],
-        "balancing_applied": applies and cell["balancing"],
+        **cell,
+        "balancing_applied": cfg.moe.balancing_loss_enabled,
         "final_total": totals[-1] if totals else float("nan"),
         "best_epoch": summary["best_epoch"],
         "f1_macro": report.f1_macro,
@@ -712,24 +699,21 @@ def run_ablate(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     ensure_corpus(cfg)
     corpus_dir = Path(cfg.output_dir) / "corpus"
 
-    base_dict = config_to_dict(cfg)
-    cells = _ablation_cells()
+    cells = _ablation_cells(cfg)
     # Cells read the shared corpus by symlinking their run dir to it.
-    for cell in cells:
-        cell_cfg, _ = _cell_config(cfg, cell)
+    for _, cell_cfg in cells:
         cell_dir = Path(cell_cfg.output_dir)
         cell_dir.mkdir(parents=True, exist_ok=True)
         link = cell_dir / "corpus"
         if not link.exists():
             link.symlink_to(corpus_dir.resolve(), target_is_directory=True)
 
-    args = [(base_dict, cell) for cell in cells]
     if jobs > 1:
         # A fork pool starts all its workers up front; beyond one per cell they idle.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
-            rows = list(pool.map(_run_ablation_cell, args))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
+            rows = list(pool.map(_run_ablation_cell, cells))
     else:
-        rows = [_run_ablation_cell(a) for a in args]
+        rows = [_run_ablation_cell(cell) for cell in cells]
 
     write_csv(run_dir / "ablation.csv", rows)
     update_report(run_dir, ablation=rows)

@@ -66,12 +66,8 @@ class JointModel:
 def build_model(cfg: ExperimentConfig) -> JointModel:
     """Construct every component from the config's seed split."""
     b = cfg.backbone
-    if b.seed is not None:
-        backbone_rng = np.random.default_rng(b.seed)
-    else:
-        backbone_rng = component_rng(cfg.seed, "backbone")
-    backbone = init_backbone(backbone_rng, n_layers=b.n_layers, width=b.width,
-                             frame=b.frame, hop=b.hop, frozen=not b.unfrozen)
+    backbone = init_backbone(component_rng(cfg.seed, "backbone"), n_layers=b.n_layers,
+                             width=b.width, frame=b.frame, hop=b.hop, frozen=not b.unfrozen)
 
     rng = component_rng(cfg.seed, "model")
     width = (b.n_layers + 1) * b.width

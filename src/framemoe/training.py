@@ -79,7 +79,10 @@ class NormStats:
     std: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.mean) or not np.isfinite(self.std) or self.std <= 0.0:
+        # A bool is no number here, as in the config hydrator.
+        real = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in (self.mean, self.std))
+        if not (real and np.isfinite(self.mean) and np.isfinite(self.std) and self.std > 0.0):
             raise ValueError(f"bad normalization stats: mean={self.mean} std={self.std}")
 
 

@@ -96,8 +96,6 @@ _LEAF_VALUES = {
 
 
 def _leaf_values(annotation):
-    if annotation.endswith(" | None"):
-        return st.none() | _leaf_values(annotation.removesuffix(" | None"))
     if annotation.startswith("list["):
         return st.lists(_leaf_values(annotation[len("list["):-1]), max_size=4)
     return _LEAF_VALUES[annotation]
@@ -110,18 +108,15 @@ def _configs(cls=ExperimentConfig):
 
 def _wrong_values(annotation):
     """Values a field of `annotation` must refuse: wrong types (a bool is no
-    number), NaN and inf for floats, and null unless the field is nullable."""
-    nullable = annotation.endswith(" | None")
-    base = annotation.removesuffix(" | None")
-    wrong = {
+    number), NaN and inf for floats, and null."""
+    return {
         "int": [True, 1.5, "1", [1]],
         "float": [False, "1.0", [1.0], math.nan, math.inf, -math.inf],
         "bool": [1, 0, "true", [True]],
         "str": [1, True, ["x"], {"x": 1}],
         "list[int]": [1, "1", [True], [1.5], ["1"], [None]],
         "list[float]": [1.0, "1", [True], [math.nan], [-math.inf], ["1"], [None]],
-    }[base]
-    return wrong if nullable else [*wrong, None]
+    }[annotation] + [None]
 
 
 def _set_at(raw, path, value):
@@ -199,14 +194,12 @@ def test_apply_overrides_parses_yaml_scalars():
         "data.train_snr_db=2.5",
         "backbone.unfrozen=true",
         "data.train_noise_family=ambient",
-        "backbone.seed=null",
         "heads.stft.fft_size=128",
     ])
     assert out.moe.n_experts == 5
     assert out.data.train_snr_db == 2.5
     assert out.backbone.unfrozen is True
     assert out.data.train_noise_family == "ambient"
-    assert out.backbone.seed is None
     assert out.heads.stft.fft_size == 128
     # The input config is untouched.
     assert cfg.moe.n_experts == 3
@@ -278,8 +271,7 @@ def test_snrs_beyond_300_db_are_one_config_error(tmp_path, capsys, item, field):
                                                   "data.eval_snrs_db=[-300,300]"]))
 
 
-@pytest.mark.parametrize("item,field", [("seed=-1", "seed"), ("backbone.seed=-1", "backbone.seed")],
-                         ids=["seed", "backbone.seed"])
+@pytest.mark.parametrize("item,field", [("seed=-1", "seed")], ids=["seed"])
 def test_gen_refuses_a_negative_seed(tmp_path, capsys, item, field):
     # numpy's SeedSequence takes no negative entropy; validate refuses the
     # seed before any corpus is drawn.
@@ -372,10 +364,9 @@ def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, capsys):
                  "data.class_proportions=[1,2,x,4]", "seed=0.5", "output_dir=3"):
         with pytest.raises(ConfigError, match="expected"):
             apply_overrides(ExperimentConfig(), [item])
-    # Ints are valid floats, and a null backbone seed is allowed.
-    cfg = apply_overrides(ExperimentConfig(), ["data.train_snr_db=5", "backbone.seed=null",
-                                               "backbone.seed=3"])
-    assert cfg.data.train_snr_db == 5 and cfg.backbone.seed == 3
+    # Ints are valid floats.
+    cfg = apply_overrides(ExperimentConfig(), ["data.train_snr_db=5"])
+    assert cfg.data.train_snr_db == 5
 
 
 @pytest.mark.parametrize("item", [
@@ -662,8 +653,7 @@ def test_cli_eval_notes_an_environment_other_than_trains(trained_run, tmp_path, 
                      "(differs in OPENBLAS_NUM_THREADS, numpy)"], lines
 
 
-@pytest.mark.parametrize("item,field", [("seed=-1", "seed"), ("backbone.seed=-1", "backbone.seed")],
-                         ids=["seed", "backbone.seed"])
+@pytest.mark.parametrize("item,field", [("seed=-1", "seed")], ids=["seed"])
 def test_train_refuses_a_negative_seed_and_keeps_the_earlier_outputs(trained_run, tmp_path,
                                                                       capsys, item, field):
     run = tmp_path / "run"
@@ -714,6 +704,35 @@ def test_cli_eval_refuses_a_damaged_run_file(trained_run, tmp_path, capsys, name
     assert not (run / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("raw,named", [
+    ({1: 2, "foo": 3}, "config: unknown keys [1, 'foo']"),
+    ({"moe": {"top_k": "x"}}, "moe.top_k: expected int, got 'x'"),
+], ids=["unknown-keys", "wrong-leaf"])
+def test_cli_config_file_that_does_not_hydrate_is_named(tmp_path, capsys, raw, named):
+    path = tmp_path / "f.yaml"
+    path.write_text(yaml.safe_dump({**raw, "output_dir": str(tmp_path / "run")}))
+    _assert_one_config_error(["train", "--config", str(path)], capsys,
+                             f"config file {path}: {named}")
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_eval_refuses_a_resolved_config_that_holds_a_backbone_seed(trained_run, tmp_path,
+                                                                       capsys):
+    # The backbone always draws from the run seed; its own seed field is gone.
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    path = run / "resolved_config.yaml"
+    raw = yaml.safe_load(path.read_text())
+    raw["backbone"]["seed"] = None
+    path.write_text(yaml.safe_dump(raw, sort_keys=True))
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"config error: config file {path}: backbone: unknown keys ['seed']; "
+                   "retrain there\n"), err
+    assert not (run / "metrics.csv").exists()
+
+
 def _drop_param(params, name):
     del params[name]
 
@@ -738,8 +757,9 @@ def test_cli_eval_refuses_a_checkpoint_tensor_that_does_not_fit(trained_run, tmp
 
 
 @pytest.mark.parametrize("stats", [None, [0.0, 1.0], {"mean": 0.0, "std": 0.0},
-                                   {"mean": float("nan"), "std": 1.0}],
-                         ids=["missing", "list", "zero-std", "nan-mean"])
+                                   {"mean": float("nan"), "std": 1.0},
+                                   {"mean": 0.0, "std": True}, {"mean": False, "std": 1.0}],
+                         ids=["missing", "list", "zero-std", "nan-mean", "bool-std", "bool-mean"])
 def test_cli_eval_refuses_damaged_norm_stats(trained_run, tmp_path, capsys, stats):
     run = tmp_path / "run"
     shutil.copytree(trained_run, run)

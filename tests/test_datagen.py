@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from framemoe.backbone import Waveform
-from framemoe.config import DataConfig, component_rng, component_seed
+from framemoe.config import DataConfig, ExperimentConfig, component_rng, component_seed
 from framemoe.datagen import (
     CLASS_FAMILIES,
     FAMILY_NAMES,
@@ -16,7 +17,6 @@ from framemoe.datagen import (
     contaminate_split,
     generate_corpus,
     held_out_families,
-    make_clean,
     make_noise,
     mix_at_snr,
     noise_for,
@@ -25,7 +25,10 @@ from framemoe.datagen import (
     split_counts,
     write_corpus,
 )
+from framemoe.experiment import _gradcheck_batch, gradcheck_config
 from framemoe.heads import EmotionLabel
+from framemoe.model import build_model, compute_features
+from framemoe.training import norm_stats, z_normalize
 
 
 def small_data_cfg(**kwargs):
@@ -90,6 +93,12 @@ def oracle_contaminate(name, clean, family, snr_db, seed, snr_index=0):
     return np.stack(rows)
 
 
+def one_clean(label, length, rng):
+    """One clean tone as a Waveform: a one-row call of `clean_rows`."""
+    return Waveform(samples=clean_rows(np.array([int(label)]), length, rng)[0],
+                    sample_rate=8000)
+
+
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -132,15 +141,43 @@ def test_overlapping_bursts_and_a_burst_cut_by_the_end_match_the_oracle():
 
 
 def test_interleaved_one_row_calls_match_the_oracle_on_one_generator():
-    # The audit batch alternates make_clean and make_noise on one Generator.
+    # The audit batch alternates one-row clean_rows and noise_rows calls on
+    # one Generator.
     got_rng, want_rng = np.random.default_rng(21), np.random.default_rng(21)
     for i in range(8):
         label, family = EmotionLabel(i % 4), FAMILY_NAMES[i % 3]
-        assert_same_bits(make_clean(label, 1001, 8000, got_rng).samples,
+        assert_same_bits(clean_rows(np.array([label]), 1001, got_rng)[0],
                          oracle_clean(label, 1001, want_rng))
-        assert_same_bits(make_noise(family, 1001, 8000, got_rng).samples,
+        assert_same_bits(noise_rows(family, 1001, [got_rng])[0],
                          oracle_noise(family, 1001, want_rng))
     assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("family,snr_db", [("babble", 5.0), ("ambient", -5.0),
+                                           ("impulsive", 10.0)])
+def test_the_audit_batch_draws_label_tone_and_noise_in_turn_from_one_generator(family, snr_db):
+    base = ExperimentConfig()
+    base.data = replace(base.data, train_noise_family=family, train_snr_db=snr_db)
+    for seed in (0, 14, 43):
+        cfg = gradcheck_config(replace(base, seed=seed))
+        model = build_model(cfg)
+        length = cfg.data.utterance_len
+        for attempt in (0, 1, 7):
+            rng = component_rng(seed, "gradcheck", attempt)
+            labels, clean, noisy = [], [], []
+            for _ in range(2):
+                labels.append(int(rng.integers(0, 4)))
+                clean.append(oracle_clean(labels[-1], length, rng))
+                noise = oracle_noise(family, length, rng)
+                noisy.append(mix_at_snr(Waveform(clean[-1], 8000), Waveform(noise, 8000),
+                                        snr_db).noisy.samples)
+            noisy, clean = np.stack(noisy), np.stack(clean)
+            stats = norm_stats(noisy)
+            want = compute_features(model, z_normalize(noisy, stats), labels,
+                                    z_normalize(clean, stats))
+            got = _gradcheck_batch(cfg, model, attempt)
+            for name in ("labels", "x_noisy", "x_clean", "rep"):
+                assert_same_bits(getattr(got, name), getattr(want, name))
 
 
 def test_split_counts_hand_cases():
@@ -166,12 +203,12 @@ def test_split_counts_always_sum_to_size():
         assert all(abs(c - r) < 1.0 for c, r in zip(counts, raw))
 
 
-def test_make_clean_deterministic_and_peaked_at_class_fundamental():
+def test_clean_rows_deterministic_and_peaked_at_class_fundamental():
     for label, fam in CLASS_FAMILIES.items():
-        a = make_clean(label, 1024, 8000, np.random.default_rng(7))
-        b = make_clean(label, 1024, 8000, np.random.default_rng(7))
-        np.testing.assert_array_equal(a.samples, b.samples)
-        spec = np.abs(np.fft.rfft(a.samples))
+        a = clean_rows(np.array([label]), 1024, np.random.default_rng(7))[0]
+        b = clean_rows(np.array([label]), 1024, np.random.default_rng(7))[0]
+        np.testing.assert_array_equal(a, b)
+        spec = np.abs(np.fft.rfft(a))
         peak = np.fft.rfftfreq(1024)[np.argmax(spec)]
         assert abs(peak - fam.f0) < 0.03, label
 
@@ -206,7 +243,7 @@ def test_make_noise_unknown_family_raises():
 @pytest.mark.parametrize("snr_db", [-5.0, 0.0, 2.5, 5.0, 10.0])
 def test_mix_at_snr_hits_target_exactly(snr_db):
     rng = np.random.default_rng(1)
-    clean = make_clean(EmotionLabel.HAPPINESS, 512, 8000, rng)
+    clean = one_clean(EmotionLabel.HAPPINESS, 512, rng)
     noise = make_noise("ambient", 512, 8000, rng)
     mixed = mix_at_snr(clean, noise, snr_db, family="ambient", source_id="u0")
     scaled = mixed.noisy.samples - clean.samples
@@ -219,7 +256,7 @@ def test_mix_at_snr_hits_target_exactly(snr_db):
 
 def test_mix_at_snr_crops_long_noise_from_start():
     rng = np.random.default_rng(2)
-    clean = make_clean(EmotionLabel.NEUTRAL, 200, 8000, rng)
+    clean = one_clean(EmotionLabel.NEUTRAL, 200, rng)
     noise = make_noise("babble", 512, 8000, rng)
     mixed = mix_at_snr(clean, noise, 0.0)
     residual = mixed.noisy.samples - clean.samples
@@ -230,7 +267,7 @@ def test_mix_at_snr_crops_long_noise_from_start():
 
 def test_mix_at_snr_validation():
     rng = np.random.default_rng(3)
-    clean = make_clean(EmotionLabel.ANGER, 256, 8000, rng)
+    clean = one_clean(EmotionLabel.ANGER, 256, rng)
     short = make_noise("babble", 128, 8000, rng)
     with pytest.raises(ValueError):
         mix_at_snr(clean, short, 0.0)
@@ -381,7 +418,7 @@ def test_classes_separable_by_nearest_spectral_centroid():
     spectra = {label: [] for label in EmotionLabel}
     for label in EmotionLabel:
         for _ in range(per_class):
-            wave = make_clean(label, 512, 8000, rng)
+            wave = one_clean(label, 512, rng)
             spectra[label].append(np.log1p(np.abs(np.fft.rfft(wave.samples))))
     centroids = {label: np.mean(s[: per_class // 2], axis=0)
                  for label, s in spectra.items()}

@@ -32,7 +32,6 @@ from framemoe.experiment import (
     ABLATION_EXPERT_COUNTS,
     ABLATION_ROUTINGS,
     _ablation_cells,
-    _cell_config,
     _run_ablation_cell,
     ensure_corpus,
     eval_condition,
@@ -523,34 +522,36 @@ def test_rerun_from_same_resolved_config_is_bit_identical(tmp_path):
 
 
 def test_ablation_grid_enumerates_every_cell(tmp_path):
-    cells = _ablation_cells()
+    base = tiny_cfg(tmp_path / "run")
+    before = config_to_dict(base)
+    cells = _ablation_cells(base)
     assert len(cells) == (len(ABLATION_ROUTINGS) * len(ABLATION_EXPERT_COUNTS)
                           * len(ABLATION_BALANCING)) == 20
-    assert len({tuple(sorted(c.items())) for c in cells}) == 20
-    base = tiny_cfg(tmp_path / "run")
+    assert len({tuple(sorted(c.items())) for c, _ in cells}) == 20
     dirs = set()
-    for cell in cells:
-        cfg, applies = _cell_config(base, cell)
-        routing, n, balancing = cell["routing"], cell["n_experts"], cell["balancing"]
+    for cell, cfg in cells:
+        routing, n, balancing = cell["routing"], cell["n_experts"], cell["balancing_requested"]
         assert cfg.moe.n_experts == n
         if routing == "sparse":
             assert cfg.moe.top_k == 1
         else:
             assert cfg.moe.top_k == n
-        # `applies` reports whether the request was satisfiable; an absent
-        # request is trivially satisfied.
-        assert applies == ((not balancing) or cfg.moe.top_k == 1)
         assert cfg.moe.balancing_loss_enabled == (balancing and cfg.moe.top_k == 1)
+        # Every other value is the base's.
+        assert {**config_to_dict(cfg), "output_dir": None, "moe": None} == {
+            **before, "output_dir": None, "moe": None}
         validate(cfg)
         dirs.add(cfg.output_dir)
     assert len(dirs) == 20
+    assert config_to_dict(base) == before
 
 
 def test_an_ablation_cell_scores_the_stored_dev_mixes(tmp_path):
     base = tiny_cfg(tmp_path / "grid")
-    cell = {"routing": "sparse", "n_experts": 3, "balancing": True}
-    cfg, _ = _cell_config(base, cell)
-    row = _run_ablation_cell((config_to_dict(base), cell))
+    cell, cfg = next((c, cfg) for c, cfg in _ablation_cells(base)
+                     if c == {"routing": "sparse", "n_experts": 3, "balancing_requested": True})
+    row = _run_ablation_cell((cell, cfg))
+    assert row["balancing_applied"] is True
     _, model, stats = load_trained(cfg.output_dir)
     corpus = ensure_corpus(cfg)
     report, _ = eval_condition(model, cfg, stats, eval_split(model, corpus.dev, stats),
@@ -587,10 +588,11 @@ def test_ablate_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(experiment, "_run_ablation_cell", lambda args: dict(args[1]))
-    rows = run_ablate(tiny_cfg(tmp_path / "grid"), jobs=10**6)
+    monkeypatch.setattr(experiment, "_run_ablation_cell", lambda args: args[0])
+    cfg = tiny_cfg(tmp_path / "grid")
+    rows = run_ablate(cfg, jobs=10**6)
     assert pools == [20]
-    assert rows == _ablation_cells()
+    assert rows == [cell for cell, _ in _ablation_cells(cfg)]
 
 
 # ---------------------------------------------------------------------------
