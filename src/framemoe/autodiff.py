@@ -28,6 +28,13 @@ A gradient a backward has just computed (a product, a quotient, a gather)
 becomes its operand's .grad as it is; only a gradient that may alias
 another array is copied.
 
+Each op computes its value in a compute closure that reads its operands'
+.data when called. A node keeps only its value (and, on the tape, its
+parents and backward closure), unless forward() is recording a base point:
+then every node made is recorded with its operands and its compute closure,
+and forward(graph, name) replays the recorded nodes downstream of leaf
+`name`, calling those closures again, instead of rebuilding the graph.
+
 Nodes do not check their values. A pass checks what it hands out with
 check_outputs(), which on a non-finite value re-runs the pass under
 check_nodes() so the error names the first op that made one.
@@ -36,7 +43,7 @@ check_nodes() so the error names the first op that made one.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -130,6 +137,11 @@ def check_nodes() -> Iterator[None]:
         _CHECK_NODES = prev
 
 
+# While forward() records a base point, the _Record that every new node is
+# appended to.
+_RECORD = None
+
+
 def check_outputs(what: str, arrays: Sequence[np.ndarray], rerun: Callable[[], object]) -> None:
     """Raise NumericalError if any of a pass's output arrays holds NaN or Inf.
 
@@ -137,7 +149,7 @@ def check_outputs(what: str, arrays: Sequence[np.ndarray], rerun: Callable[[], o
     first op that made a non-finite value; `what` names the outputs in the
     rare case the re-run does not raise.
     """
-    if all(np.all(np.isfinite(a)) for a in arrays):
+    if all(np.isfinite(a).all() for a in arrays):
         return
     if not _CHECK_NODES:
         with check_nodes():
@@ -229,24 +241,32 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _node(op: str, data: np.ndarray, parents: tuple, backward) -> Tensor:
+def _node(op: str, compute: Callable[[], np.ndarray], parents: tuple, backward) -> Tensor:
+    """A node holding compute()'s value. While a base point records, the
+    node is recorded with its operands and `compute`, which a replay calls
+    again; otherwise `compute` is dropped here. Operands whose shapes do not
+    fit make a ShapeError naming the op."""
+    try:
+        data = compute()
+    except ValueError as exc:
+        raise ShapeError(f"{op}: incompatible shapes {[p.shape for p in parents]}") from exc
     if _TAPE and any(_tracks(p) for p in parents):
-        return Tensor(data, _parents=parents, _backward=backward, _op=op)
-    return Tensor(data, _op=op)
+        out = Tensor(data, _parents=parents, _backward=backward, _op=op)
+    else:
+        out = Tensor(data, _op=op)
+    if _RECORD is not None:
+        _RECORD.nodes.append((out, parents, compute))
+    return out
 
 
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    try:
-        data = a.data + b.data
-    except ValueError as exc:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from exc
 
     def backward(out: Tensor) -> None:
         _accum(a, _unbroadcast(out.grad, a.data.shape))
         _accum(b, _unbroadcast(out.grad, b.data.shape))
 
-    return _node("add", data, (a, b), backward)
+    return _node("add", lambda: a.data + b.data, (a, b), backward)
 
 
 def neg(a) -> Tensor:
@@ -255,7 +275,7 @@ def neg(a) -> Tensor:
     def backward(out: Tensor) -> None:
         _accum(a, -out.grad, fresh=True)
 
-    return _node("neg", -a.data, (a,), backward)
+    return _node("neg", lambda: -a.data, (a,), backward)
 
 
 def sub(a, b) -> Tensor:
@@ -264,10 +284,6 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    try:
-        data = a.data * b.data
-    except ValueError as exc:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from exc
 
     def backward(out: Tensor) -> None:
         if _tracks(a):
@@ -275,7 +291,7 @@ def mul(a, b) -> Tensor:
         if _tracks(b):
             _accum(b, _unbroadcast(out.grad * a.data, b.data.shape), fresh=True)
 
-    return _node("mul", data, (a, b), backward)
+    return _node("mul", lambda: a.data * b.data, (a, b), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -291,18 +307,20 @@ def matmul(a, b) -> Tensor:
         if _tracks(b):
             _accum(b, a.data.T @ out.grad, fresh=True)
 
-    return _node("matmul", a.data @ b.data, (a, b), backward)
+    return _node("matmul", lambda: a.data @ b.data, (a, b), backward)
 
 
-def _affine_data(op: str, x: Tensor, w: Tensor, b: Tensor) -> np.ndarray:
-    """x @ w, then b added in place: the IEEE ops of add(matmul(x, w), b)."""
+def _affine_operands(op: str, x, w, b) -> tuple[Tensor, Tensor, Tensor]:
+    x, w, b = _lift(x), _lift(w), _lift(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"{op}: cannot multiply {x.shape} @ {w.shape}")
+    return x, w, b
+
+
+def _affine_data(x: Tensor, w: Tensor, b: Tensor) -> np.ndarray:
+    """x @ w, then b added in place: the IEEE ops of add(matmul(x, w), b)."""
     data = x.data @ w.data
-    try:
-        data += b.data
-    except ValueError as exc:
-        raise ShapeError(f"{op}: bias {b.shape} does not broadcast over {data.shape}") from exc
+    data += b.data
     return data
 
 
@@ -319,13 +337,12 @@ def _affine_backward(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
 
 def affine(x, w, b) -> Tensor:
     """x @ w + b with b broadcast over rows, as one node."""
-    x, w, b = _lift(x), _lift(w), _lift(b)
-    data = _affine_data("affine", x, w, b)
+    x, w, b = _affine_operands("affine", x, w, b)
 
     def backward(out: Tensor) -> None:
         _affine_backward(x, w, b, out.grad)
 
-    return _node("affine", data, (x, w, b), backward)
+    return _node("affine", lambda: _affine_data(x, w, b), (x, w, b), backward)
 
 
 def relu_affine(x, w, b) -> Tensor:
@@ -337,12 +354,14 @@ def relu_affine(x, w, b) -> Tensor:
     the pre-activation is checked too, so a non-finite value the relu would
     clip is still named here.
     """
-    x, w, b = _lift(x), _lift(w), _lift(b)
-    data = _affine_data("relu_affine", x, w, b)
-    _note_kink(data)
-    if _CHECK_NODES:
-        _check_finite("relu_affine", data)
-    np.maximum(data, 0.0, out=data)
+    x, w, b = _affine_operands("relu_affine", x, w, b)
+
+    def compute() -> np.ndarray:
+        data = _affine_data(x, w, b)
+        _note_kink(data)
+        if _CHECK_NODES:
+            _check_finite("relu_affine", data)
+        return np.maximum(data, 0.0, out=data)
 
     def backward(out: Tensor) -> None:
         # out.grad is this node's own (see _accum) and dropped after this call.
@@ -350,41 +369,44 @@ def relu_affine(x, w, b) -> Tensor:
         np.multiply(g, out.data > 0.0, out=g)
         _affine_backward(x, w, b, g)
 
-    return _node("relu_affine", data, (x, w, b), backward)
+    return _node("relu_affine", compute, (x, w, b), backward)
 
 
 def abs_(a) -> Tensor:
     """Elementwise absolute value; subgradient at 0 is defined as 0."""
     a = _lift(a)
-    _note_kink(a.data)
-    sign = np.sign(a.data)
+
+    def compute() -> np.ndarray:
+        _note_kink(a.data)
+        return np.abs(a.data)
 
     def backward(out: Tensor) -> None:
-        _accum(a, out.grad * sign, fresh=True)
+        _accum(a, out.grad * np.sign(a.data), fresh=True)
 
-    return _node("abs", np.abs(a.data), (a,), backward)
+    return _node("abs", compute, (a,), backward)
 
 
 def clamp_min(a, floor: float) -> Tensor:
     """max(a, floor) elementwise; gradient is zero where the floor binds."""
     a = _lift(a)
-    _note_kink(a.data, floor)
-    mask = a.data > floor
+
+    def compute() -> np.ndarray:
+        _note_kink(a.data, floor)
+        return np.maximum(a.data, floor)
 
     def backward(out: Tensor) -> None:
-        _accum(a, out.grad * mask, fresh=True)
+        _accum(a, out.grad * (a.data > floor), fresh=True)
 
-    return _node("clamp_min", np.maximum(a.data, floor), (a,), backward)
+    return _node("clamp_min", compute, (a,), backward)
 
 
 def sqrt(a) -> Tensor:
     a = _lift(a)
-    data = np.sqrt(a.data)
 
     def backward(out: Tensor) -> None:
-        _accum(a, out.grad * 0.5 / data, fresh=True)
+        _accum(a, out.grad * 0.5 / out.data, fresh=True)
 
-    return _node("sqrt", data, (a,), backward)
+    return _node("sqrt", lambda: np.sqrt(a.data), (a,), backward)
 
 
 def softmax_rows(a) -> Tensor:
@@ -392,48 +414,46 @@ def softmax_rows(a) -> Tensor:
     a = _lift(a)
     if a.ndim != 2:
         raise ShapeError(f"softmax_rows: expects a 2-d operand, got {a.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+
+    def compute() -> np.ndarray:
+        e = np.exp(a.data - a.data.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
 
     def backward(out: Tensor) -> None:
-        gy = out.grad
+        y, gy = out.data, out.grad
         _accum(a, y * (gy - (gy * y).sum(axis=1, keepdims=True)), fresh=True)
 
-    return _node("softmax_rows", y, (a,), backward)
+    return _node("softmax_rows", compute, (a,), backward)
 
 
 def log_softmax_rows(a) -> Tensor:
     a = _lift(a)
     if a.ndim != 2:
         raise ShapeError(f"log_softmax_rows: expects a 2-d operand, got {a.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    y = shifted - logz
+
+    def compute() -> np.ndarray:
+        shifted = a.data - a.data.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
     def backward(out: Tensor) -> None:
         gy = out.grad
-        _accum(a, gy - np.exp(y) * gy.sum(axis=1, keepdims=True), fresh=True)
+        _accum(a, gy - np.exp(out.data) * gy.sum(axis=1, keepdims=True), fresh=True)
 
-    return _node("log_softmax_rows", y, (a,), backward)
+    return _node("log_softmax_rows", compute, (a,), backward)
 
 
 def concat(parts: Sequence, axis: int) -> Tensor:
     parts = [_lift(p) for p in parts]
     if not parts:
         raise ShapeError("concat: needs at least one operand")
-    try:
-        data = np.concatenate([p.data for p in parts], axis=axis)
-    except ValueError as exc:
-        raise ShapeError(f"concat: incompatible shapes {[p.shape for p in parts]}") from exc
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
 
     def backward(out: Tensor) -> None:
+        splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
         for p, g in zip(parts, np.split(out.grad, splits, axis=axis)):
             _accum(p, g)
 
-    return _node("concat", data, tuple(parts), backward)
+    return _node("concat", lambda: np.concatenate([p.data for p in parts], axis=axis),
+                 tuple(parts), backward)
 
 
 def col(a, j: int) -> Tensor:
@@ -449,7 +469,7 @@ def col(a, j: int) -> Tensor:
         g[:, j : j + 1] = out.grad
         _accum(a, g, fresh=True)
 
-    return _node("col", a.data[:, j : j + 1].copy(), (a,), backward)
+    return _node("col", lambda: a.data[:, j : j + 1].copy(), (a,), backward)
 
 
 def sum_all(a) -> Tensor:
@@ -459,7 +479,7 @@ def sum_all(a) -> Tensor:
     def backward(out: Tensor) -> None:
         _accum(a, np.broadcast_to(out.grad, shape))
 
-    return _node("sum", np.sum(a.data), (a,), backward)
+    return _node("sum", lambda: np.sum(a.data), (a,), backward)
 
 
 def mean_all(a) -> Tensor:
@@ -472,7 +492,7 @@ def mean_all(a) -> Tensor:
     def backward(out: Tensor) -> None:
         _accum(a, np.broadcast_to(out.grad / size, shape))
 
-    return _node("mean", np.mean(a.data), (a,), backward)
+    return _node("mean", lambda: np.mean(a.data), (a,), backward)
 
 
 def mean_rows(a) -> Tensor:
@@ -487,20 +507,22 @@ def mean_rows(a) -> Tensor:
     def backward(out: Tensor) -> None:
         _accum(a, np.broadcast_to(out.grad / rows, (rows, a.shape[1])))
 
-    return _node("mean_rows", np.mean(a.data, axis=0, keepdims=True), (a,), backward)
+    return _node("mean_rows", lambda: np.mean(a.data, axis=0, keepdims=True), (a,), backward)
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _lift(a)
-    try:
-        data = a.data.reshape(shape)
-    except ValueError as exc:
-        raise ShapeError(f"reshape: cannot reshape {a.shape} to {tuple(shape)}") from exc
+
+    def compute() -> np.ndarray:
+        try:
+            return a.data.reshape(shape)
+        except ValueError as exc:
+            raise ShapeError(f"reshape: cannot reshape {a.shape} to {tuple(shape)}") from exc
 
     def backward(out: Tensor) -> None:
         _accum(a, out.grad.reshape(a.shape))
 
-    return _node("reshape", data, (a,), backward)
+    return _node("reshape", compute, (a,), backward)
 
 
 def sum_segments(a, segment: int) -> Tensor:
@@ -514,7 +536,8 @@ def sum_segments(a, segment: int) -> Tensor:
         _accum(a, np.repeat(out.grad, segment, axis=0), fresh=True)
 
     return _node("sum_segments",
-                 a.data.reshape(rows // segment, segment, cols).sum(axis=1), (a,), backward)
+                 lambda: a.data.reshape(rows // segment, segment, cols).sum(axis=1),
+                 (a,), backward)
 
 
 def take_rows(a, rows: np.ndarray) -> Tensor:
@@ -528,7 +551,7 @@ def take_rows(a, rows: np.ndarray) -> Tensor:
         g[rows] = out.grad
         _accum(a, g, fresh=True)
 
-    return _node("take_rows", a.data[rows], (a,), backward)
+    return _node("take_rows", lambda: a.data[rows], (a,), backward)
 
 
 def sum_rows_into(parts: Sequence[tuple], n_rows: int, cols: int) -> Tensor:
@@ -541,15 +564,20 @@ def sum_rows_into(parts: Sequence[tuple], n_rows: int, cols: int) -> Tensor:
     nothing.
     """
     parts = [(_lift(t), rows) for t, rows in parts]
-    data = np.zeros((n_rows, cols), dtype=_DTYPE)
     for t, rows in parts:
         if t.shape != (n_rows if rows is None else len(rows), cols):
             where = "every row" if rows is None else f"{len(rows)} rows"
             raise ShapeError(f"sum_rows_into: part {t.shape} for {where} of ({n_rows}, {cols})")
-        if rows is None:
-            data += t.data
-        else:
-            data[rows] += t.data
+    dtype = _DTYPE
+
+    def compute() -> np.ndarray:
+        data = np.zeros((n_rows, cols), dtype=dtype)
+        for t, rows in parts:
+            if rows is None:
+                data += t.data
+            else:
+                data[rows] += t.data
+        return data
 
     def backward(out: Tensor) -> None:
         for t, rows in parts:
@@ -558,7 +586,7 @@ def sum_rows_into(parts: Sequence[tuple], n_rows: int, cols: int) -> Tensor:
             else:
                 _accum(t, out.grad[rows], fresh=True)
 
-    return _node("sum_rows_into", data, tuple(t for t, _ in parts), backward)
+    return _node("sum_rows_into", compute, tuple(t for t, _ in parts), backward)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -610,24 +638,104 @@ def backprop(output: Tensor) -> None:
 
 
 @dataclass
+class _Record:
+    """A base point's build: every node an op made, in creation order, with
+    its operands and its compute closure; the holds declared on nodes; the
+    output; and, per probed leaf, the replay plan made from them."""
+
+    nodes: list[tuple[Tensor, tuple, Callable[[], np.ndarray]]] = field(default_factory=list)
+    holds: dict[int, list[Callable[[np.ndarray], bool]]] = field(default_factory=dict)
+    root: Tensor | None = None
+    plans: dict[int, list[tuple]] = field(default_factory=dict)
+
+    def complete(self) -> bool:
+        """Whether the output and every operand are recorded nodes or leaves.
+        A node no op here made (a Tensor given parents directly) has no
+        compute closure, so a replay could not pass a change through it."""
+        made = {id(node) for node, _, _ in self.nodes}
+        operands = [self.root, *(p for _, parents, _ in self.nodes for p in parents)]
+        return all(id(t) in made or not t._parents for t in operands)
+
+    def plan(self, leaf: Tensor) -> list[tuple]:
+        """The recorded nodes downstream of `leaf`, in creation order, each
+        with its compute closure, its holds and its base value."""
+        if id(leaf) not in self.plans:
+            moved, plan = {id(leaf)}, []
+            for node, parents, compute in self.nodes:
+                if any(id(p) in moved for p in parents):
+                    moved.add(id(node))
+                    plan.append((node, compute, self.holds.get(id(node)), node.data))
+            self.plans[id(leaf)] = plan
+        return self.plans[id(leaf)]
+
+    def replay(self, leaf: Tensor) -> Tensor | None:
+        """The output's value, as a new constant, with the nodes downstream of
+        `leaf` re-run; None if a hold breaks. Every replayed node holds its
+        base value again on return."""
+        plan = self.plan(leaf)
+        try:
+            for node, compute, holds, data in plan:
+                node.data = np.asarray(compute(), dtype=data.dtype)
+                if holds and not all(unchanged(node.data) for unchanged in holds):
+                    return None
+            return const(self.root.data)
+        finally:
+            for node, _, _, data in plan:
+                node.data = data
+
+
+def hold(node: Tensor, unchanged: Callable[[np.ndarray], bool]) -> None:
+    """Declare a value the caller took from node.data outside the graph (a
+    routing choice, say). A replay keeps such a value as it was at the base
+    point, so it holds only while unchanged(the node's replayed value) is
+    true; when it is not, the probe is a full build instead."""
+    if _RECORD is not None:
+        _RECORD.holds.setdefault(id(node), []).append(unchanged)
+
+
+@dataclass
 class Graph:
     """A scalar computation over named parameter leaves.
 
-    build(changed) assembles the output from the tensors in `params`; frozen
-    parameters are leaves with requires_grad False. build(None) computes it
-    all at a new base point; build(name), with only `name` moved off it, may
-    reuse base values that `name` does not feed, bit for bit. nondiff_guard(),
-    when given, lists the reasons the current point is not differentiable.
+    build() assembles the output from the tensors in `params`; frozen
+    parameters are leaves with requires_grad False. nondiff_guard(), when
+    given, lists the reasons the current point is not differentiable.
+    forward() keeps the recorded base point in _base.
     """
 
-    build: Callable[[str | None], Tensor]
+    build: Callable[[], Tensor]
     params: dict[str, Tensor]
     nondiff_guard: Callable[[], list[str]] | None = None
+    _base: _Record | None = field(default=None, init=False, repr=False, compare=False)
 
 
-def forward(graph: Graph, changed: str | None = None) -> Tensor:
-    """Evaluate the graph at the current parameter values (`changed` as in Graph)."""
-    return graph.build(changed)
+def forward(graph: Graph, name: str | None = None) -> Tensor:
+    """The graph's output at the current parameter values.
+
+    forward(graph) builds it all and records the build as the base point.
+    forward(graph, name), with only parameter `name` moved off the base
+    point, replays it: the recorded nodes downstream of that leaf re-run
+    their own compute closures in creation order, every other node keeps
+    its base value, and the output's value comes back as a new constant.
+    A replay that breaks a hold (a changed top-k choice, say), and any probe
+    of a graph with a node no op here made, is a full build that records
+    nothing. Either way the value is bit-equal to a full build's.
+    """
+    global _RECORD
+    if name is None:
+        prev, _RECORD = _RECORD, _Record()
+        try:
+            out = graph.build()
+        finally:
+            record, _RECORD = _RECORD, prev
+        record.root = out
+        graph._base = record if record.complete() else None
+        return out
+    if graph._base is not None:
+        value = graph._base.replay(graph.params[name])
+        if value is not None:
+            return value
+    return graph.build()
 
 
 @dataclass
@@ -669,18 +777,19 @@ def finite_difference_check(graph: Graph, step: float = 1e-5,
                             tolerance: float = 1e-4) -> GradCheckReport:
     """Compare analytic gradients against central differences entry by entry.
 
-    The base point is one forward(graph), each probe of parameter `name` one
-    forward(graph, name). Relative error uses a unit floor: |a - n| / max(|a|,
-    |n|, 1). If the graph's nondiff_guard flags the base point (a routing
-    tie, say), the checks are excluded and the flags are reported instead.
+    The base point is one forward(graph), which records it, and each probe
+    of parameter `name` one forward(graph, name), which replays only what
+    `name` feeds. Relative error uses a unit floor: |a - n| / max(|a|, |n|,
+    1). If the graph's nondiff_guard flags the base point (a routing tie,
+    say), the checks are excluded and the flags are reported instead.
     """
     if graph.nondiff_guard is not None:
         flags = graph.nondiff_guard()
         if flags:
             return GradCheckReport(checks=[], flags=list(flags), step=step, tolerance=tolerance)
 
-    def output(changed: str | None = None) -> Tensor:
-        out = forward(graph, changed)
+    def output(name: str | None = None) -> Tensor:
+        out = forward(graph, name)
         check_outputs("audited output", [out.data], lambda: forward(graph))
         return out
 
@@ -702,7 +811,7 @@ def finite_difference_check(graph: Graph, step: float = 1e-5,
         errs = np.zeros(flat.size)
         for i in range(flat.size):
             keep = flat[i]
-            # Probes need values only, and only what `name` feeds.
+            # Probes need values only.
             with no_tape():
                 flat[i] = keep + step
                 hi = float(output(name).data)

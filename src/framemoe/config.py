@@ -254,6 +254,13 @@ def validate(cfg: ExperimentConfig) -> None:
             problems.append(f"training.{name} must be > 0")
     if t.weight_decay < 0:
         problems.append(f"training.weight_decay must be >= 0, got {t.weight_decay}")
+    # With no term on, the phase-2 loss is a constant: training only decays
+    # the weights and the gradient audit passes vacuously.
+    if not (t.ser_loss_enabled or t.se_loss_enabled
+            or (m.balancing_loss_enabled and m.balancing_alpha > 0)):
+        problems.append("the phase-2 objective has no term: enable training.ser_loss_enabled, "
+                        "training.se_loss_enabled, or moe.balancing_loss_enabled with "
+                        "moe.balancing_alpha > 0")
 
     if min(d.train_size, d.dev_size, d.test_size) < 1:
         problems.append("data split sizes must all be >= 1")

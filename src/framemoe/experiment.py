@@ -555,8 +555,7 @@ class GradcheckInconclusive(RuntimeError):
 
 def _audit_graph(cfg: ExperimentConfig) -> tuple[Graph, int, float, float]:
     """The joint loss of the first audit batch whose margins clear both bars,
-    with its attempt number and margins. The Graph's build(None) records the
-    loss's stages; build(name) recomputes only those that `name` feeds."""
+    with its attempt number and margins."""
     model = build_model(cfg)
     for attempt in range(GRADCHECK_MAX_ATTEMPTS):
         feats = _gradcheck_batch(cfg, model, attempt)
@@ -570,16 +569,10 @@ def _audit_graph(cfg: ExperimentConfig) -> tuple[Graph, int, float, float]:
         raise GradcheckInconclusive(f"no audit batch in {GRADCHECK_MAX_ATTEMPTS} attempts cleared "
                                     f"gate tie margin > {GRADCHECK_GATE_MARGIN:.0e} and kink "
                                     f"margin > {GRADCHECK_KINK_MARGIN:.0e}")
-    recorded = {}
-
-    def build(changed: str | None):
-        stages = joint_loss_stages(model, feats, np.ones(4), cfg.moe, cfg.training,
-                                   None if changed is None else recorded["base"], changed)
-        if changed is None:
-            recorded["base"] = stages
-        return stages.total
-
-    return Graph(build=build, params=named_parameters(model)), attempt, gate_margin, kink_margin
+    graph = Graph(build=lambda: joint_loss_stages(model, feats, np.ones(4), cfg.moe,
+                                                  cfg.training).total,
+                  params=named_parameters(model))
+    return graph, attempt, gate_margin, kink_margin
 
 
 def gradcheck_model(cfg: ExperimentConfig, step: float = 1e-5,

@@ -25,6 +25,7 @@ from .autodiff import (
     affine,
     col,
     const,
+    hold,
     mean_rows,
     mul,
     param,
@@ -107,14 +108,11 @@ class RoutingDecision:
 @dataclass
 class TaskSequence:
     """The task-specific mixed representation, shape (B*T, D): B utterances
-    of `segment` = T frames each, stacked; segment defaults to all rows. A
-    mixture keeps its per-expert terms as (tensor, rows) pairs, rows None for
-    every row (the term None where no frame routes)."""
+    of `segment` = T frames each, stacked; segment defaults to all rows."""
 
     task: str
     z: Tensor
     segment: int | None = None
-    terms: list[tuple[Tensor, np.ndarray | None] | None] | None = None
 
     def __post_init__(self) -> None:
         if self.segment is None:
@@ -162,12 +160,17 @@ def gate_scores(gate: GatingNetwork, frames) -> Tensor:
     return softmax_rows(affine(frames, gate.w, gate.b))
 
 
+def _rank(gates: np.ndarray) -> np.ndarray:
+    """Each row's experts, best first; a tie goes to the lower index."""
+    return np.argsort(-gates, axis=1, kind="stable")
+
+
 def _topk_rows(gates: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Row-wise top-k selection: binary mask, (T, K) indices, min tie margin."""
     t, n = gates.shape
     if not 1 <= k <= n:
         raise ValueError(f"top_k={k} out of range for {n} experts")
-    order = np.argsort(-gates, axis=1, kind="stable")
+    order = _rank(gates)
     indices = order[:, :k]
     mask = np.zeros_like(gates)
     np.put_along_axis(mask, indices, 1.0, axis=1)
@@ -179,8 +182,7 @@ def _topk_rows(gates: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float
     return mask, indices, margin
 
 
-def mix(pool: ExpertPool, decision: RoutingDecision, rep: ConcatRepresentation,
-        base: TaskSequence | None = None, expert: int | None = None) -> TaskSequence:
+def mix(pool: ExpertPool, decision: RoutingDecision, rep: ConcatRepresentation) -> TaskSequence:
     """The retained-weight mixture z = 0 + term_0 + term_1 + ... in expert order.
 
     Expert n runs only on the frames that route to it, gathered, and its
@@ -190,28 +192,28 @@ def mix(pool: ExpertPool, decision: RoutingDecision, rep: ConcatRepresentation,
     row), whose retained weight is zero, so its term is +-0. An expert that
     takes every frame runs on all of them without a gather. The result is
     bit-equal to the dense sum over all experts: adding a zero-weighted term
-    never changes an IEEE accumulation. Given `base`, a mixture of the same
-    routing and frames, only expert `expert`'s term is recomputed and the
-    terms are summed again in the same order, bit for bit.
+    never changes an IEEE accumulation. The gathered rows come from the
+    decision's indices, outside the graph, so a replay of a recorded mixture
+    keeps them only while the routing is unchanged (see moe_forward).
     """
     frames, retained = rep.frames, decision.retained
     t = frames.shape[0]
     routed = (decision.indices[:, :, None] == np.arange(pool.n_experts)).any(axis=1)
-    terms = [None] * pool.n_experts if base is None else list(base.terms)
-    for n in range(pool.n_experts) if base is None else (expert,):
+    terms = []
+    for n in range(pool.n_experts):
         rows = np.flatnonzero(routed[:, n])
         if rows.size == 0:
             continue
         if rows.size == t:
-            terms[n] = (mul(col(retained, n), expert_forward(pool, n, frames)), None)
+            terms.append((mul(col(retained, n), expert_forward(pool, n, frames)), None))
             continue
         if rows.size == 1:
             r = rows[0]
             rows = np.array([r, r + 1] if r + 1 < t else [r - 1, r])
-        terms[n] = (mul(take_rows(col(retained, n), rows),
-                        expert_forward(pool, n, take_rows(frames, rows))), rows)
-    z = sum_rows_into([term for term in terms if term is not None], t, pool.out_width)
-    return TaskSequence(task=decision.task, z=z, segment=rep.segment, terms=terms)
+        terms.append((mul(take_rows(col(retained, n), rows),
+                          expert_forward(pool, n, take_rows(frames, rows))), rows))
+    z = sum_rows_into(terms, t, pool.out_width)
+    return TaskSequence(task=decision.task, z=z, segment=rep.segment)
 
 
 def moe_forward(pool: ExpertPool, gate: GatingNetwork, rep: ConcatRepresentation,
@@ -223,6 +225,9 @@ def moe_forward(pool: ExpertPool, gate: GatingNetwork, rep: ConcatRepresentation
             f"gate produces {gates.shape[1]} scores but pool has {pool.n_experts} experts"
         )
     mask, indices, margin = _topk_rows(gates.data, top_k)
+    # The mask, the gathered rows and the balancing tally all follow the
+    # indices: a replay that moves the gates holds only while they do not.
+    hold(gates, lambda data: np.array_equal(_rank(data)[:, :top_k], indices))
     decision = RoutingDecision(task=gate.task, gates=gates, retained=mul(gates, const(mask)),
                                indices=indices, top_k=top_k, tie_margin=margin)
     return mix(pool, decision, rep), decision

@@ -352,28 +352,19 @@ class LossStages:
     total: Tensor
 
 
-def joint_loss_stages(model, feats, class_weights, moe_cfg, train_cfg,
-                      base: LossStages | None = None, changed: str | None = None) -> LossStages:
+def joint_loss_stages(model, feats, class_weights, moe_cfg, train_cfg) -> LossStages:
     """The joint objective over a batch, stage by stage (see batch_joint_loss).
-    Given `base`, the stages where only parameter `changed` had another value,
-    a loss whose inputs forward_features hands back as base's own is base's."""
-    out = forward_features(model, feats, None if base is None else base.out, changed)
-
-    def kept(*names: str) -> bool:
-        return base is not None and all(getattr(out, n) is getattr(base.out, n) for n in names)
-
+    The gradient audit's graph builds its total once per base point."""
+    out = forward_features(model, feats)
     wce = l1 = const(np.zeros(()))
     if train_cfg.ser_loss_enabled:
-        wce = (base.wce if kept("ser_logits")
-               else weighted_cross_entropy(out.ser_logits, feats.labels, class_weights))
+        wce = weighted_cross_entropy(out.ser_logits, feats.labels, class_weights)
     if train_cfg.se_loss_enabled:
-        l1 = (base.l1 if kept("enhanced")
-              else l1_loss(out.enhanced, const(feats.x_clean.reshape(out.enhanced.shape))))
+        l1 = l1_loss(out.enhanced, const(feats.x_clean.reshape(out.enhanced.shape)))
     balance = None
     if moe_cfg.balancing_loss_enabled:
-        balance = (base.balance if kept("ser_decision", "se_decision")
-                   else mul(add(balancing_loss(out.ser_decision, moe_cfg.balancing_alpha),
-                                balancing_loss(out.se_decision, moe_cfg.balancing_alpha)), 0.5))
+        balance = mul(add(balancing_loss(out.ser_decision, moe_cfg.balancing_alpha),
+                          balancing_loss(out.se_decision, moe_cfg.balancing_alpha)), 0.5)
     return LossStages(out=out, wce=wce, l1=l1, balance=balance,
                       total=joint_loss(wce, l1, balance))
 

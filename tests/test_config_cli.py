@@ -240,6 +240,30 @@ def test_validate_balancing_needs_top1():
         validate(cfg)
 
 
+def test_validate_accepts_a_phase2_objective_of_one_term():
+    cfg = ExperimentConfig()
+    cfg.training.ser_loss_enabled = False
+    validate(cfg)
+    cfg.training.se_loss_enabled = False
+    cfg.moe.balancing_loss_enabled = True
+    validate(cfg)
+
+
+@pytest.mark.parametrize("balancing", ["moe.balancing_loss_enabled=false",
+                                       "moe.balancing_alpha=0"])
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_a_constant_phase2_objective_is_a_config_error(tmp_path, capsys, command, balancing):
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(tmp_path / "run"))
+    assert main([command, "--config", cfg_path, "--set", "training.ser_loss_enabled=false",
+                 "--set", "training.se_loss_enabled=false", "--set", balancing]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    for switch in ("training.ser_loss_enabled", "training.se_loss_enabled",
+                   "moe.balancing_loss_enabled"):
+        assert switch in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_validate_rejects_duplicate_eval_snrs(tmp_path, capsys):
     cfg = ExperimentConfig()
     cfg.data.eval_snrs_db = [-5.0, 0.0, -5.0]

@@ -50,6 +50,7 @@ from framemoe.autodiff import GradCheckReport, NumericalError, ParamCheck, forwa
 from framemoe.model import Features, build_model, compute_features, named_parameters
 from framemoe.training import (
     class_weights_from_counts,
+    joint_loss_stages,
     load_checkpoint,
     norm_stats,
     save_checkpoint,
@@ -650,6 +651,74 @@ def test_every_audit_probe_equals_a_full_forward_bit_for_bit(unfrozen, moe):
             probed.add(name.split(".")[0])
     assert probed == ({"backbone"} if unfrozen else set()) | {
         *(f"expert{n}" for n in range(cfg.moe.n_experts)), "gate", "ser", "se"}
+
+
+@pytest.mark.parametrize("moe", [{}, {"balancing_loss_enabled": True},
+                                 {"n_experts": 5, "top_k": 2}],
+                         ids=["default", "balancing", "n5-top2"])
+@pytest.mark.parametrize("unfrozen", [False, True], ids=["frozen", "unfrozen"])
+def test_audit_probes_in_sequence_each_start_from_the_base_values(unfrozen, moe):
+    # One base point for every probe: each must find the nodes the probes
+    # before it replayed back at their base values. The full forward runs
+    # on a twin graph of the same config and seed, so it records no base.
+    cfg = _audit_cfg(unfrozen, **moe)
+    graph, *_ = experiment._audit_graph(cfg)
+    twin, *_ = experiment._audit_graph(cfg)
+    builds = []
+    build = graph.build
+    graph.build = lambda: builds.append(1) or build()
+    step = 1e-5
+    with no_tape():
+        forward(graph)
+        for name, p in graph.params.items():
+            if not p.requires_grad:
+                continue
+            flat, twin_flat = p.data.reshape(-1), twin.params[name].data.reshape(-1)
+            for i in sorted({0, flat.size - 1}):
+                keep = flat[i]
+                for shift in (step, -step):
+                    flat[i] = twin_flat[i] = keep + shift
+                    replayed = float(forward(graph, name).data)
+                    assert replayed == float(forward(twin).data), (name, i, shift)
+                flat[i] = twin_flat[i] = keep
+    # No probe here moves a top-k choice, so each was a replay.
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("unfrozen", [False, True], ids=["frozen", "unfrozen"])
+def test_audit_probes_that_flip_routing_equal_a_full_forward(unfrozen):
+    # Steps of 0.5 move top-k choices and relu masks; a probe's value must
+    # still be the full forward's, computed on a model of its own.
+    cfg = _audit_cfg(unfrozen)
+    graph, attempt, *_ = experiment._audit_graph(cfg)
+    model = build_model(cfg)
+    feats = experiment._gradcheck_batch(cfg, model, attempt)
+    twin = named_parameters(model)
+
+    def full():
+        stages = joint_loss_stages(model, feats, np.ones(4), cfg.moe, cfg.training)
+        return float(stages.total.data), [stages.out.ser_decision.indices,
+                                          stages.out.se_decision.indices]
+
+    families = ("gate.", "backbone.") if unfrozen else ("gate.",)
+    flips = 0
+    with no_tape():
+        forward(graph)
+        _, base_routing = full()
+        for name, p in graph.params.items():
+            if not (p.requires_grad and name.startswith(families)):
+                continue
+            flat, twin_flat = p.data.reshape(-1), twin[name].data.reshape(-1)
+            for i in range(flat.size):
+                keep = flat[i]
+                for shift in (0.5, -0.5):
+                    flat[i] = twin_flat[i] = keep + shift
+                    value, routing = full()
+                    assert float(forward(graph, name).data) == value, (name, i, shift)
+                    flips += any(not np.array_equal(a, b)
+                                 for a, b in zip(routing, base_routing))
+                flat[i] = twin_flat[i] = keep
+    assert flips > 0
 
 
 def test_audit_runs_one_forward_per_base_point_and_probe(monkeypatch):
