@@ -15,8 +15,18 @@ from pathlib import Path
 
 from .autodiff import NumericalError
 from .config import ConfigError, apply_overrides, load_config, validate
-from .experiment import GradcheckInconclusive
-from .training import TrainingAborted
+from .experiment import (
+    GradcheckInconclusive,
+    environment_drift,
+    read_report,
+    run_ablate,
+    run_analyze,
+    run_eval,
+    run_gen,
+    run_gradcheck,
+    run_train,
+)
+from .training import LOSS_PARTS, TrainingAborted
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -43,30 +53,24 @@ def _run_dir(args: argparse.Namespace) -> str:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    from .experiment import run_gen
-
     corpus_dir = run_gen(_load_cfg(args))
     print(f"corpus written to {corpus_dir}")
     return 0
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from .experiment import run_train
-
     summary = run_train(_load_cfg(args))
     last = summary["losses"][-1] if summary["losses"] else {}
     print(f"run dir: {summary['run_dir']}")
     print(f"best epoch: {summary['best_epoch']}")
     if last:
-        print(f"final train loss: total={last['total']:.4f} "
-              f"(wce={last['wce']:.4f} l1={last['l1']:.4f} balance={last['balance']:.4f})")
+        parts = " ".join(f"{name}={last[name]:.4f}" for name in LOSS_PARTS if name != "total")
+        print(f"final train loss: total={last['total']:.4f} ({parts})")
     print(f"wall time: {summary['wall_time_s']:.1f}s")
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    from .experiment import environment_drift, read_report, run_eval
-
     run_dir = _run_dir(args)
     reports = run_eval(run_dir)
     for r in reports:
@@ -83,8 +87,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from .experiment import run_analyze
-
     report = run_analyze(_run_dir(args))
     for row in report.switch_agreement:
         print(f"{row['group_by']}={row['condition']}: "
@@ -94,8 +96,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    from .experiment import run_ablate
-
     rows = run_ablate(_load_cfg(args), jobs=args.jobs)
     for row in rows:
         bal = "on" if row["balancing_requested"] else "off"
@@ -107,8 +107,6 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    from .experiment import run_gradcheck
-
     cfg = _load_cfg(args)
     out = args.out or str(Path(cfg.output_dir) / "gradcheck_report.json")
     results = run_gradcheck(cfg, step=args.step, tolerance=args.tolerance,

@@ -72,11 +72,11 @@ from .model import (
     named_parameters,
 )
 from .training import (
+    LOSS_FIELDS,
     STEP_DTYPE,
     NormStats,
     batch_joint_loss,
     class_weights_from_counts,
-    joint_loss_stages,
     load_checkpoint,
     norm_stats,
     restore_params,
@@ -155,7 +155,7 @@ def ensure_corpus(cfg: ExperimentConfig) -> Corpus:
     Training always consumes the written (float32) container so that a
     pre-generated corpus and an auto-generated one behave identically.
     """
-    corpus_dir = Path(cfg.output_dir) / "corpus"
+    corpus_dir = make_dir(Path(cfg.output_dir) / "corpus")
     if not _holds_corpus_of(corpus_dir, cfg):
         write_corpus(generate_corpus(cfg.data, cfg.seed), corpus_dir, cfg.data, cfg.seed)
     return read_corpus(corpus_dir)
@@ -201,9 +201,6 @@ def environment_drift(report: dict) -> list[str]:
                   if train.get(key) != evaluated.get(key))
 
 
-LOSS_FIELDS = ["epoch", "wce", "l1", "balance", "total"]
-
-
 def _split_features(model: JointModel, split: Split, stats: NormStats, chunk: int,
                     dtype) -> Features:
     """The features of a whole split as `dtype` arrays, computed `chunk`
@@ -231,6 +228,8 @@ def run_train(cfg: ExperimentConfig) -> dict:
     validate(cfg)
     _check_train_classes(cfg.data)
     start = time.monotonic()
+    # A file where the corpus goes is refused before anything is written or removed.
+    make_dir(Path(cfg.output_dir) / "corpus")
     run_dir = prepare_run_dir(cfg)
     # An earlier run's outputs no longer describe this config: remove them
     # before training, so a run that aborts leaves none of them behind.
@@ -554,13 +553,19 @@ class GradcheckInconclusive(RuntimeError):
 
 
 def _audit_graph(cfg: ExperimentConfig) -> tuple[Graph, int, float, float]:
-    """The joint loss of the first audit batch whose margins clear both bars,
-    with its attempt number and margins."""
+    """The phase-2 objective (batch_joint_loss, with uniform class weights)
+    of the first audit batch whose margins clear both bars, with its attempt
+    number and margins. The margin pass and the graph's build are the same
+    call, so the audit checks the function that training minimizes."""
     model = build_model(cfg)
+
+    def loss(feats: Features):
+        return batch_joint_loss(model, feats, np.ones(4), cfg.moe, cfg.training)
+
     for attempt in range(GRADCHECK_MAX_ATTEMPTS):
         feats = _gradcheck_batch(cfg, model, attempt)
         with record_kinks() as kinks, no_tape():
-            _, _, decisions = batch_joint_loss(model, feats, np.ones(4), cfg.moe, cfg.training)
+            _, _, decisions = loss(feats)
         gate_margin = min(d.tie_margin for d in decisions.values())
         kink_margin = min(kinks) if kinks else float("inf")
         if gate_margin > GRADCHECK_GATE_MARGIN and kink_margin > GRADCHECK_KINK_MARGIN:
@@ -569,9 +574,7 @@ def _audit_graph(cfg: ExperimentConfig) -> tuple[Graph, int, float, float]:
         raise GradcheckInconclusive(f"no audit batch in {GRADCHECK_MAX_ATTEMPTS} attempts cleared "
                                     f"gate tie margin > {GRADCHECK_GATE_MARGIN:.0e} and kink "
                                     f"margin > {GRADCHECK_KINK_MARGIN:.0e}")
-    graph = Graph(build=lambda: joint_loss_stages(model, feats, np.ones(4), cfg.moe,
-                                                  cfg.training).total,
-                  params=named_parameters(model))
+    graph = Graph(build=lambda: loss(feats)[0], params=named_parameters(model))
     return graph, attempt, gate_margin, kink_margin
 
 
@@ -611,6 +614,9 @@ def run_gradcheck(base: ExperimentConfig | None = None, step: float = 1e-5,
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"gradcheck {name} must be finite and > 0, got {value}")
     if out_path is not None:
+        if Path(out_path).is_dir():
+            raise ConfigError(f"gradcheck report path {out_path} is a directory; "
+                              "name a file")
         make_dir(Path(out_path).parent)
     start = time.monotonic()
     results = {}
@@ -693,13 +699,16 @@ def run_ablate(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     corpus_dir = Path(cfg.output_dir) / "corpus"
 
     cells = _ablation_cells(cfg)
-    # Cells read the shared corpus by symlinking their run dir to it.
+    # Cells read the shared corpus through a symlink relative to their run
+    # dir, so a moved grid keeps its links; a link that does not resolve to
+    # the grid's corpus (an absolute one left by a moved grid) is replaced.
     for _, cell_cfg in cells:
-        cell_dir = Path(cell_cfg.output_dir)
-        cell_dir.mkdir(parents=True, exist_ok=True)
+        cell_dir = make_dir(cell_cfg.output_dir)
         link = cell_dir / "corpus"
+        if link.is_symlink() and link.resolve() != corpus_dir.resolve():
+            link.unlink()
         if not link.exists():
-            link.symlink_to(corpus_dir.resolve(), target_is_directory=True)
+            link.symlink_to(os.path.relpath(corpus_dir, cell_dir), target_is_directory=True)
 
     if jobs > 1:
         # A fork pool starts all its workers up front; beyond one per cell they idle.

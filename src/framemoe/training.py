@@ -5,7 +5,9 @@ denoising head on the L1 spectral loss and the classification head on the
 weighted cross entropy. Phase 2 starts from the phase-1 head weights, keeps
 the expert pool and gates at their initialization, and trains heads, gates,
 experts (and optionally the backbone affine layers at a second learning rate)
-against the joint objective.
+against the joint objective. One function, batch_joint_loss, builds that
+objective; the phase-2 steps, the dev pass and the gradient audit all take
+it from there. Its parts are the LOSS_PARTS, the columns of losses*.csv.
 
 Every training step of both phases runs its forward and backward pass in
 float32, on float32 copies of the parameters it reads and on float32 train
@@ -58,8 +60,16 @@ from .autodiff import (
     working_dtype,
 )
 from .files import write_atomic
-from .heads import N_CLASSES
-from .model import ModelOutputs, forward_features, representation
+from .heads import N_CLASSES, se_decode, ser_classify
+from .model import (
+    backbone_parameters,
+    forward_features,
+    moe_head_parameters,
+    named_parameters,
+    representation,
+    se_parameters,
+    ser_parameters,
+)
 from .moe import TASK_SE, TASK_SER, TaskSequence, balancing_loss, moe_forward
 
 
@@ -132,14 +142,6 @@ def weighted_cross_entropy(logits, labels, weights) -> Tensor:
 def l1_loss(pred, target) -> Tensor:
     """Mean absolute difference over all entries."""
     return mean_all(abs_(sub(pred, target)))
-
-
-def joint_loss(wce: Tensor, l1: Tensor, balance: Tensor | None = None) -> Tensor:
-    """Unweighted sum of the task losses, plus the balancing term if given."""
-    total = add(wce, l1)
-    if balance is not None:
-        total = add(total, balance)
-    return total
 
 
 # The dtype of a training step's arithmetic; parameters are float64 masters.
@@ -336,58 +338,45 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     return params, meta
 
 
+# The columns of losses*.csv: an epoch's mean of each loss part.
+LOSS_PARTS = ("wce", "l1", "balance", "total")
+LOSS_FIELDS = ["epoch", *LOSS_PARTS]
+
+
 def _batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
     order = rng.permutation(n)
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-@dataclass
-class LossStages:
-    """One batch's joint loss and the stage values it was built from."""
+def batch_joint_loss(model, batch_feats, class_weights, moe_cfg, train_cfg):
+    """The phase-2 objective over a batch, built as one graph: weighted cross
+    entropy plus L1, plus the balancing term when enabled, in that order (a
+    disabled task loss is a constant zero). Training steps, the dev pass and
+    the gradient audit all build it here.
 
-    out: ModelOutputs
-    wce: Tensor
-    l1: Tensor
-    balance: Tensor | None
-    total: Tensor
-
-
-def joint_loss_stages(model, feats, class_weights, moe_cfg, train_cfg) -> LossStages:
-    """The joint objective over a batch, stage by stage (see batch_joint_loss).
-    The gradient audit's graph builds its total once per base point."""
-    out = forward_features(model, feats)
-    wce = l1 = const(np.zeros(()))
+    Returns (total, parts, decisions): parts holds the float of each of
+    LOSS_PARTS, decisions the per-task routing pooled over the batch's
+    frames. The balancing term pools the frames of the whole batch and is
+    averaged over the two task gates, so the uniform-routing value stays at
+    alpha. All utterances have the same frame count, so the L1 mean over the
+    stacked frames equals the mean of the per-utterance L1 means.
+    """
+    out = forward_features(model, batch_feats)
+    wce = l1 = balance = const(np.zeros(()))
     if train_cfg.ser_loss_enabled:
-        wce = weighted_cross_entropy(out.ser_logits, feats.labels, class_weights)
+        wce = weighted_cross_entropy(out.ser_logits, batch_feats.labels, class_weights)
     if train_cfg.se_loss_enabled:
-        l1 = l1_loss(out.enhanced, const(feats.x_clean.reshape(out.enhanced.shape)))
-    balance = None
+        l1 = l1_loss(out.enhanced, const(batch_feats.x_clean.reshape(out.enhanced.shape)))
     if moe_cfg.balancing_loss_enabled:
         balance = mul(add(balancing_loss(out.ser_decision, moe_cfg.balancing_alpha),
                           balancing_loss(out.se_decision, moe_cfg.balancing_alpha)), 0.5)
-    return LossStages(out=out, wce=wce, l1=l1, balance=balance,
-                      total=joint_loss(wce, l1, balance))
-
-
-def batch_joint_loss(model, batch_feats, class_weights, moe_cfg, train_cfg):
-    """Joint objective over a batch of utterances, built as one graph.
-
-    Returns (total, parts, decisions) where parts holds float components and
-    decisions the per-task routing pooled over the batch's frames. The
-    balancing term is computed once over the frames of the whole batch
-    (per-batch pooling) and averaged over the two task gates so the
-    uniform-routing value stays at alpha. All utterances have the same frame
-    count, so the L1 mean over the stacked frames equals the mean of the
-    per-utterance L1 means.
-    """
-    stages = joint_loss_stages(model, batch_feats, class_weights, moe_cfg, train_cfg)
-    total = stages.total
+    total = add(wce, l1)
+    if moe_cfg.balancing_loss_enabled:
+        total = add(total, balance)
     check_outputs("joint loss", [total.data], lambda: batch_joint_loss(
         model, batch_feats, class_weights, moe_cfg, train_cfg))
-    parts = {"wce": float(stages.wce.data), "l1": float(stages.l1.data),
-             "balance": 0.0 if stages.balance is None else float(stages.balance.data),
-             "total": float(total.data)}
-    return total, parts, {"ser": stages.out.ser_decision, "se": stages.out.se_decision}
+    parts = dict(zip(LOSS_PARTS, (float(t.data) for t in (wce, l1, balance, total))))
+    return total, parts, {"ser": out.ser_decision, "se": out.se_decision}
 
 
 @contextmanager
@@ -413,14 +402,14 @@ def train_epoch(opt: AdamW, batches: list[np.ndarray], loss_of, phase: int,
     """One epoch of `opt` over `batches`; returns the epoch's curve row.
 
     `loss_of(batch)` builds a step's loss and checks it, returning the loss
-    tensor and its float parts (wce, l1, balance, total). It runs under
+    tensor and its float parts, one per LOSS_PARTS. It runs under
     step_precision(opt), so it may read only the optimizer's parameters
     (and constants). Each part of the row is a running sum in
     batch order divided by the batch count. A non-finite value anywhere in a
     step aborts with the optimizer's last gradient norms, which carry across
     epochs.
     """
-    sums = {"wce": 0.0, "l1": 0.0, "balance": 0.0, "total": 0.0}
+    sums = dict.fromkeys(LOSS_PARTS, 0.0)
     for index, batch in enumerate(batches):
         opt.zero_grad()
         try:
@@ -488,9 +477,6 @@ def train_phase1(model, train_feats, class_weights, cfg, rng) -> PhaseResult:
     denoising head the L1 spectral loss. Returns the loss curves and a
     snapshot of all parameters after training.
     """
-    from .heads import se_decode, ser_classify
-    from .model import named_parameters, se_parameters, ser_parameters
-
     if not train_feats:
         raise ValueError("phase 1 needs a non-empty training set")
     cached = cache_task_sequences(model, train_feats, cfg.phase2_batch)
@@ -516,7 +502,7 @@ def train_phase1(model, train_feats, class_weights, cfg, rng) -> PhaseResult:
             loss = loss_of(batch)
             check_outputs(f"phase-1 {what} loss", [loss.data], lambda: loss_of(batch))
             value = float(loss.data)
-            return loss, {"wce": 0.0, "l1": 0.0, "balance": 0.0, column: value, "total": value}
+            return loss, {**dict.fromkeys(LOSS_PARTS, 0.0), column: value, "total": value}
         return step_loss
 
     # One pass per head, classification first.
@@ -550,8 +536,6 @@ def train_phase2(model, train_feats, dev_feats, class_weights, cfg, moe_cfg, rng
     non-finite loss, gradient or parameter aborts with the last gradient
     norms attached.
     """
-    from .model import backbone_parameters, moe_head_parameters, named_parameters
-
     if not train_feats:
         raise ValueError("phase 2 needs a non-empty training set")
     params = named_parameters(model)

@@ -15,6 +15,7 @@ import math
 import statistics
 import time
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,9 +25,18 @@ from framemoe.analytics import analytics_report
 from framemoe.autodiff import const, softmax_rows
 from framemoe.backbone import ConcatRepresentation
 from framemoe.config import ExperimentConfig, validate
-from framemoe.datagen import Waveform, held_out_families, mix_at_snr
+from framemoe.datagen import (
+    Waveform,
+    contaminate_split,
+    held_out_families,
+    mix_at_snr,
+    read_corpus,
+)
 from framemoe.experiment import (
     ensure_corpus,
+    eval_condition,
+    eval_split,
+    load_trained,
     run_ablate,
     run_analyze,
     run_eval,
@@ -64,8 +74,10 @@ def toy_runs(tmp_path_factory):
     cache = {}
 
     def get(n_experts: int, seed: int, expert_hidden: int | None = None,
-            test_size: int | None = None):
-        key = (n_experts, seed, expert_hidden, test_size)
+            test_size: int | None = None, sweep: bool = True):
+        """The run of these deltas, with its full test sweep's reports when
+        `sweep` is set and no reports otherwise."""
+        key = (n_experts, seed, expert_hidden, test_size, sweep)
         if key not in cache:
             cfg = ExperimentConfig()
             cfg.seed = seed
@@ -84,7 +96,7 @@ def toy_runs(tmp_path_factory):
             validate(cfg)
             started = time.monotonic()
             summary = run_train(cfg)
-            reports = run_eval(cfg.output_dir)
+            reports = run_eval(cfg.output_dir) if sweep else None
             cache[key] = SimpleNamespace(
                 cfg=cfg, summary=summary, reports=reports,
                 seconds=time.monotonic() - started,
@@ -92,6 +104,19 @@ def toy_runs(tmp_path_factory):
         return cache[key]
 
     return get
+
+
+def score_cells(run, families, snr_db: float) -> list:
+    """The test-split reports of `run` at `snr_db` for each of `families`,
+    scored cell by cell as run_eval's sweep scores them."""
+    cfg, model, stats = load_trained(run.cfg.output_dir)
+    corpus = read_corpus(Path(cfg.output_dir) / "corpus")
+    test = eval_split(model, corpus.test, stats)
+    snr_index = cfg.data.eval_snrs_db.index(snr_db)
+    return [eval_condition(model, cfg, stats, test,
+                           contaminate_split(corpus.test, family, snr_db, cfg.seed, snr_index),
+                           family, snr_db)[0]
+            for family in families]
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +278,9 @@ def test_07_sparse_routing_matches_or_beats_single_expert_on_unseen_noise(toy_ru
     for n in (3, 1):
         for seed in C7_SEEDS:
             run = toy_runs(n, seed, expert_hidden=C7_EXPERT_HIDDEN,
-                           test_size=C7_TEST_SIZE)
-            for r in run.reports:
-                if r.snr_db == -5.0 and r.family in families:
-                    scores.setdefault((n, r.family), []).append(r.f1_macro)
+                           test_size=C7_TEST_SIZE, sweep=False)
+            for r in score_cells(run, families, -5.0):
+                scores.setdefault((n, r.family), []).append(r.f1_macro)
     for family in families:
         sparse = statistics.median(scores[(3, family)])
         single = statistics.median(scores[(1, family)])

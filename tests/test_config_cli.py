@@ -928,6 +928,46 @@ def test_cli_output_path_below_a_file_is_exit_code_1(tmp_path, capsys, monkeypat
     assert blocker.read_text() == "a file\n"
 
 
+@pytest.mark.parametrize("out", ["outdir", "."], ids=["directory", "cwd"])
+def test_cli_gradcheck_out_naming_a_directory_is_exit_code_1(tmp_path, capsys, monkeypatch,
+                                                             out):
+    # Refused before the audit runs, not by the report's rename after it.
+    from framemoe import experiment
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(experiment, "gradcheck_model", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    assert main(["gradcheck", "--set", f"output_dir={tmp_path / 'run'}", "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error") and "directory" in err[0]
+    assert list((tmp_path / "outdir").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_file_where_the_corpus_goes_is_exit_code_1(tmp_path, capsys, monkeypatch, command):
+    # Refused before any corpus is drawn and before train removes an
+    # earlier run's outputs.
+    from framemoe import experiment
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(experiment, "generate_corpus", no_work)
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "corpus").write_text("a file\n")
+    (run / "losses.csv").write_text("an earlier run's losses\n")
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(run))
+    assert main([command, "--config", cfg_path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error") and str(run / "corpus") in err[0]
+    assert (run / "corpus").read_text() == "a file\n"
+    assert (run / "losses.csv").read_text() == "an earlier run's losses\n"
+
+
 @pytest.mark.parametrize("args", [
     ["gradcheck", "--step", "0"],
     ["gradcheck", "--step", "nan"],

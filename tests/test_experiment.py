@@ -49,8 +49,8 @@ from framemoe.datagen import contaminate_split, generate_corpus, read_corpus
 from framemoe.autodiff import GradCheckReport, NumericalError, ParamCheck, forward, no_tape
 from framemoe.model import Features, build_model, compute_features, named_parameters
 from framemoe.training import (
+    batch_joint_loss,
     class_weights_from_counts,
-    joint_loss_stages,
     load_checkpoint,
     norm_stats,
     save_checkpoint,
@@ -596,6 +596,28 @@ def test_ablate_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
     assert rows == [cell for cell, _ in _ablation_cells(cfg)]
 
 
+def test_ablate_relinks_the_cells_of_a_moved_grid(tmp_path, monkeypatch):
+    # A grid whose cells link its corpus by absolute path (as grids were once
+    # written) is moved; each dangling link is replaced by one relative to
+    # its cell, which survives the next move.
+    monkeypatch.setattr(experiment, "_run_ablation_cell", lambda args: args[0])
+    cfg = tiny_cfg(tmp_path / "g1")
+    run_ablate(cfg)
+    cells = [Path(cell_cfg.output_dir).relative_to(tmp_path / "g1")
+             for _, cell_cfg in _ablation_cells(cfg)]
+    for cell in cells:
+        link = tmp_path / "g1" / cell / "corpus"
+        link.unlink()
+        link.symlink_to((tmp_path / "g1" / "corpus").resolve(), target_is_directory=True)
+    for old, new in (("g1", "g2"), ("g2", "g3")):
+        (tmp_path / old).rename(tmp_path / new)
+        run_ablate(tiny_cfg(tmp_path / new))
+        for cell in cells:
+            link = tmp_path / new / cell / "corpus"
+            assert not os.path.isabs(os.readlink(link))
+            assert link.resolve() == (tmp_path / new / "corpus").resolve()
+
+
 # ---------------------------------------------------------------------------
 # gradient audit
 
@@ -696,9 +718,8 @@ def test_audit_probes_that_flip_routing_equal_a_full_forward(unfrozen):
     twin = named_parameters(model)
 
     def full():
-        stages = joint_loss_stages(model, feats, np.ones(4), cfg.moe, cfg.training)
-        return float(stages.total.data), [stages.out.ser_decision.indices,
-                                          stages.out.se_decision.indices]
+        total, _, decisions = batch_joint_loss(model, feats, np.ones(4), cfg.moe, cfg.training)
+        return float(total.data), [d.indices for d in decisions.values()]
 
     families = ("gate.", "backbone.") if unfrozen else ("gate.",)
     flips = 0
