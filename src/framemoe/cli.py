@@ -1,9 +1,9 @@
 """Command line entry point.
 
 Subcommands: gen, train, eval, analyze, ablate, gradcheck. Exit codes:
-0 on success, 1 for configuration problems (a run too large for memory
-included), 2 for numerical failures (non-finite losses, gradients,
-parameters or outputs, a failed gradient audit).
+0 on success, 1 for usage errors and configuration problems (a run too
+large for memory included), 2 for numerical failures (non-finite losses,
+gradients, parameters or outputs, a failed gradient audit).
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    rows = run_ablate(_load_cfg(args), jobs=args.jobs)
+    rows = run_ablate(_load_cfg(args))
     for row in rows:
         bal = "on" if row["balancing_requested"] else "off"
         applied = "" if row["balancing_applied"] == row["balancing_requested"] else " (n/a)"
@@ -109,8 +109,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
     out = args.out or str(Path(cfg.output_dir) / "gradcheck_report.json")
-    results = run_gradcheck(cfg, step=args.step, tolerance=args.tolerance,
-                            out_path=out)
+    results = run_gradcheck(cfg, out_path=out)
     for variant in ("frozen", "unfrozen"):
         r = results[variant]
         status = "ok" if r["passed"] else "FAILED"
@@ -152,14 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="train the routing/expert-count/balancing grid")
     _add_config_args(p)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes (default 1)")
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of all gradients")
     _add_config_args(p)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--out", default=None, metavar="JSON",
                    help="report path (default: <output_dir>/gradcheck_report.json)")
     p.set_defaults(func=_cmd_gradcheck)
@@ -167,7 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 after its usage line; 2 is
+        # kept for numerical failures, so a usage error exits 1.
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except ConfigError as exc:

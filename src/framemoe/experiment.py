@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import platform
 import time
@@ -520,6 +521,9 @@ def gradcheck_config(base: ExperimentConfig | None = None) -> ExperimentConfig:
     return cfg
 
 
+# The audit's central-difference step and the relative error it accepts.
+GRADCHECK_STEP = 1e-5
+GRADCHECK_TOLERANCE = 1e-4
 # Both margins are measured once, at the base point, not at each probe: the
 # gate margin keeps routing ties away from the base point, and the kink bar
 # rejects base points sitting essentially on a relu or abs kink. Neither
@@ -578,9 +582,9 @@ def _audit_graph(cfg: ExperimentConfig) -> tuple[Graph, int, float, float]:
     return graph, attempt, gate_margin, kink_margin
 
 
-def gradcheck_model(cfg: ExperimentConfig, step: float = 1e-5,
-                    tolerance: float = 1e-4) -> dict:
-    """Audit analytic gradients of the whole pipeline loss for one config.
+def gradcheck_model(cfg: ExperimentConfig) -> dict:
+    """Audit analytic gradients of the whole pipeline loss for one config, at
+    GRADCHECK_STEP and GRADCHECK_TOLERANCE.
 
     Base points whose routing sits at a gate tie (or whose relu inputs sit on
     the kink) are not differentiable there, so such draws are rejected and a
@@ -588,7 +592,7 @@ def gradcheck_model(cfg: ExperimentConfig, step: float = 1e-5,
     none does, GradcheckInconclusive is raised.
     """
     graph, attempt, gate_margin, kink_margin = _audit_graph(cfg)
-    report = finite_difference_check(graph, step=step, tolerance=tolerance)
+    report = finite_difference_check(graph, step=GRADCHECK_STEP, tolerance=GRADCHECK_TOLERANCE)
     # NaN errors first (a NaN key leaves a sort out of order), then the largest.
     worst = sorted((c for c in report.checks if not c.skipped),
                    key=lambda c: (not math.isnan(c.max_rel_err), -c.max_rel_err))[:5]
@@ -607,12 +611,9 @@ def gradcheck_model(cfg: ExperimentConfig, step: float = 1e-5,
     }
 
 
-def run_gradcheck(base: ExperimentConfig | None = None, step: float = 1e-5,
-                  tolerance: float = 1e-4, out_path: str | Path | None = None) -> dict:
+def run_gradcheck(base: ExperimentConfig | None = None,
+                  out_path: str | Path | None = None) -> dict:
     """Audit both backbone variants at the compact geometry."""
-    for name, value in (("step", step), ("tolerance", tolerance)):
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"gradcheck {name} must be finite and > 0, got {value}")
     if out_path is not None:
         if Path(out_path).is_dir():
             raise ConfigError(f"gradcheck report path {out_path} is a directory; "
@@ -623,10 +624,10 @@ def run_gradcheck(base: ExperimentConfig | None = None, step: float = 1e-5,
     for variant in ("frozen", "unfrozen"):
         cfg = gradcheck_config(base)
         cfg.backbone.unfrozen = variant == "unfrozen"
-        results[variant] = gradcheck_model(cfg, step=step, tolerance=tolerance)
+        results[variant] = gradcheck_model(cfg)
     results["runtime_s"] = time.monotonic() - start
-    results["step"] = step
-    results["tolerance"] = tolerance
+    results["step"] = GRADCHECK_STEP
+    results["tolerance"] = GRADCHECK_TOLERANCE
     results["passed"] = all(results[v]["passed"] for v in ("frozen", "unfrozen"))
     if out_path is not None:
         write_atomic(out_path, json.dumps(results, sort_keys=True, indent=2))
@@ -685,11 +686,25 @@ def _run_ablation_cell(args: tuple[dict, ExperimentConfig]) -> dict:
     }
 
 
-def run_ablate(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
-    """Train the routing-by-experts-by-balancing grid and tabulate it."""
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_ablate(cfg: ExperimentConfig) -> list[dict]:
+    """Train the routing-by-experts-by-balancing grid and tabulate it.
+
+    The cells train in one pool of spawned workers, one per usable CPU and
+    at most one per cell. Each worker starts with OPENBLAS_NUM_THREADS=1, so
+    a cell's outputs have the bits of a one-thread run whatever the pool's
+    size; the calling process keeps its own BLAS threads. A failing cell
+    cancels the cells that have not started. As with every spawn pool, a
+    script that calls this must guard its entry point with
+    `if __name__ == "__main__":`.
+    """
     validate(cfg)
-    if jobs < 1:
-        raise ConfigError(f"ablate jobs must be >= 1, got {jobs}")
     _check_train_classes(cfg.data)
     run_dir = prepare_run_dir(cfg)
     # The grid's table is merged into report.json; refuse a damaged one before any cell trains.
@@ -710,12 +725,22 @@ def run_ablate(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
         if not link.exists():
             link.symlink_to(os.path.relpath(corpus_dir, cell_dir), target_is_directory=True)
 
-    if jobs > 1:
-        # A fork pool starts all its workers up front; beyond one per cell they idle.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            rows = list(pool.map(_run_ablation_cell, cells))
-    else:
-        rows = [_run_ablation_cell(cell) for cell in cells]
+    # Spawned, not forked: a forked worker would inherit this process's BLAS
+    # threads, and forking a threaded process is deprecated. Workers start
+    # when cells are submitted, so they see the variable; this process's
+    # BLAS was loaded before it is set.
+    pool = ProcessPoolExecutor(max_workers=min(len(cells), _usable_cpus()),
+                               mp_context=multiprocessing.get_context("spawn"))
+    previous = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        rows = list(pool.map(_run_ablation_cell, cells))
+    finally:
+        pool.shutdown(cancel_futures=True)
+        if previous is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = previous
 
     write_csv(run_dir / "ablation.csv", rows)
     update_report(run_dir, ablation=rows)

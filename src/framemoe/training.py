@@ -80,6 +80,10 @@ class TrainingAborted(RuntimeError):
         super().__init__(message)
         self.diagnostics = diagnostics
 
+    def __reduce__(self):
+        # Pickled whole, so an abort in a pool worker reaches the caller as one.
+        return type(self), (self.args[0], self.diagnostics)
+
 
 @dataclass
 class NormStats:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import shutil
 from dataclasses import fields
@@ -364,9 +365,30 @@ def test_component_seeds_are_disjoint_and_deterministic():
         component_seed(0, "nonsense")
 
 
-def test_cli_requires_a_subcommand():
-    with pytest.raises(SystemExit):
-        main([])
+def test_cli_requires_a_subcommand(capsys):
+    assert main([]) == 1
+    assert capsys.readouterr().err.startswith("usage: framemoe")
+
+
+@pytest.mark.parametrize("args", [["train", "--bogus"], ["ablate", "--jobs", "2"],
+                                  ["train", "--set"]],
+                         ids=["unknown-option", "removed-option", "missing-value"])
+def test_cli_usage_errors_are_exit_code_1(tmp_path, capsys, args):
+    # 2 is the numerical-failure code, so argparse's own exit code 2 is not
+    # passed on. The config named does not exist, so an option wrongly
+    # accepted fails fast, as a config error without the usage line.
+    assert main([*args, "--config", str(tmp_path / "missing.yaml")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: framemoe") and "error:" in err
+
+
+@pytest.mark.parametrize("command,removed", [("ablate", ["--jobs"]),
+                                             ("gradcheck", ["--step", "--tolerance"])])
+def test_cli_help_is_exit_code_0_and_lists_only_paths_and_config(capsys, command, removed):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--config" in out and "--set" in out
+    assert not any(option in out for option in removed)
 
 
 def test_cli_gen_writes_corpus(tmp_path, capsys):
@@ -639,6 +661,25 @@ def test_cli_phase1_abort_names_the_phase_and_writes_no_checkpoint(tmp_path, cap
     assert not list(run.glob("checkpoint_*"))
 
 
+def test_cli_ablate_reports_an_abort_in_a_worker_and_starts_no_further_cells(
+        tmp_path, capsys, monkeypatch):
+    # Phase 1 finishes and phase 2 diverges in every cell: the first abort
+    # ends the grid, and cells not yet started never start.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    before = dict(os.environ)
+    run = tmp_path / "grid"
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(run))
+    argv = ["ablate", "--config", cfg_path, "--set", "training.lr_heads_gates_experts=1.0e+300"]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2, lines
+    assert lines[0].startswith("training aborted: non-finite values in phase 2"), lines
+    assert json.loads(lines[1])["phase"] == 2
+    assert 1 <= len(list(run.glob("ablate/*/checkpoint_phase1.json"))) < 20
+    assert not (run / "ablation.csv").exists()
+    assert dict(os.environ) == before
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_cli_aborted_train_leaves_no_earlier_outputs(trained_run, tmp_path, capsys):
@@ -873,7 +914,9 @@ def test_cli_train_eval_analyze_pipeline(tmp_path, capsys):
     assert "metrics" in report and "analytics" in report
 
 
-def test_cli_gradcheck_writes_report_and_exit_codes(tmp_path, capsys):
+def test_cli_gradcheck_writes_report_and_exit_codes(tmp_path, capsys, monkeypatch):
+    from framemoe import experiment
+
     raw = tiny_cfg_dict(tmp_path / "run")
     raw["moe"]["n_experts"] = 1
     cfg_path = write_cfg(tmp_path, raw)
@@ -887,9 +930,10 @@ def test_cli_gradcheck_writes_report_and_exit_codes(tmp_path, capsys):
     assert "frozen" in printed and "unfrozen" in printed
 
     # An unreachable tolerance turns the same audit into exit code 2.
-    assert main(["gradcheck", "--config", cfg_path, "--out", str(out_path),
-                 "--tolerance", "1e-30"]) == 2
+    monkeypatch.setattr(experiment, "GRADCHECK_TOLERANCE", 1e-30)
+    assert main(["gradcheck", "--config", cfg_path, "--out", str(out_path)]) == 2
     assert "gradient audit failed" in capsys.readouterr().err
+    assert json.loads(out_path.read_text())["tolerance"] == 1e-30
 
 
 def test_cli_gradcheck_without_a_clearing_batch_is_exit_code_2(tmp_path, capsys):
@@ -976,10 +1020,13 @@ def test_a_file_where_the_corpus_goes_is_exit_code_1(tmp_path, capsys, monkeypat
     ["ablate", "--jobs", "0"],
 ])
 def test_cli_audit_step_tolerance_and_ablate_jobs_are_checked(tmp_path, capsys, args):
+    # The audit's step and tolerance and the grid's pool size are fixed: a
+    # script still passing the removed options is a usage error, refused
+    # before anything is written.
     cfg_path = write_cfg(tmp_path, tiny_cfg_dict(tmp_path / "run"))
     out_path = tmp_path / "audit.json"
     extra = ["--out", str(out_path)] if args[0] == "gradcheck" else []
     assert main([args[0], "--config", cfg_path, *extra, *args[1:]]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and args[1].lstrip("-") in err
+    assert "unrecognized arguments" in err and args[1] in err
     assert not out_path.exists() and not (tmp_path / "run").exists()

@@ -571,32 +571,68 @@ def test_ablate_refuses_a_damaged_grid_report_before_any_cell_trains(tmp_path):
     assert list((tmp_path / "grid").glob("ablate/**/checkpoint_final.json")) == []
 
 
-def test_ablate_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
-    # The recorder's map runs in-process: no test starts real workers.
-    pools = []
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Stand in for the spawn pool with one that runs each cell in this
+    process, as a stubbed cell function does not reach spawned workers.
+    Returns the sizes of the pools run_ablate asks for."""
+    sizes = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+    class InProcessPool:
+        def __init__(self, max_workers, mp_context):
+            assert mp_context.get_start_method() == "spawn"
+            sizes.append(max_workers)
 
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        def shutdown(self, cancel_futures):
+            assert cancel_futures
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def test_ablate_starts_no_more_workers_than_cells(tmp_path, monkeypatch, in_process_pool):
+    # One worker per usable CPU, and never more than the grid's 20 cells.
     monkeypatch.setattr(experiment, "_run_ablation_cell", lambda args: args[0])
     cfg = tiny_cfg(tmp_path / "grid")
-    rows = run_ablate(cfg, jobs=10**6)
-    assert pools == [20]
-    assert rows == [cell for cell, _ in _ablation_cells(cfg)]
+    for cpus in (1, 2, 10**6):
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda cpus=cpus: cpus)
+        rows = run_ablate(cfg)
+        assert rows == [cell for cell, _ in _ablation_cells(cfg)]
+    assert in_process_pool == [1, 2, 20]
 
 
-def test_ablate_relinks_the_cells_of_a_moved_grid(tmp_path, monkeypatch):
+def test_ablate_gives_the_same_table_with_one_worker_and_two(tmp_path, monkeypatch):
+    # Real spawned workers, each with one BLAS thread: every cell records
+    # that thread count, the table (but for its run_dir column) and the
+    # trained parameters do not depend on the pool's size, and the caller's
+    # environment is as it was.
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    tables, params = [], []
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda cpus=cpus: cpus)
+        grid = tmp_path / f"cpus{cpus}"
+        rows = run_ablate(tiny_cfg(grid))
+        assert dict(os.environ) == before
+        for row in rows:
+            report = json.loads((Path(row["run_dir"]) / "report.json").read_text())
+            assert report["environment_train"]["OPENBLAS_NUM_THREADS"] == "1"
+        table = [line.split(",") for line in (grid / "ablation.csv").read_text().splitlines()]
+        assert table[0][-1] == "run_dir"
+        tables.append([line[:-1] for line in table])
+        params.append([load_checkpoint(Path(row["run_dir"]) / "checkpoint_final.json")[0]
+                       for row in rows])
+    assert tables[0] == tables[1]
+    for a, b in zip(*params):
+        assert a.keys() == b.keys()
+        for name in a:
+            np.testing.assert_array_equal(a[name], b[name])
+
+
+def test_ablate_relinks_the_cells_of_a_moved_grid(tmp_path, monkeypatch, in_process_pool):
     # A grid whose cells link its corpus by absolute path (as grids were once
     # written) is moved; each dangling link is replaced by one relative to
     # its cell, which survives the next move.

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -446,6 +447,15 @@ def test_train_phase2_aborts_on_nonfinite_loss():
     assert "error" in diag
     # The step aborted inside its float32 pass; the float64 masters are back.
     assert float_dtypes(named_parameters(model)) == {np.dtype(np.float64)}
+
+
+def test_a_training_abort_survives_pickling():
+    # An abort in an ablation pool worker reaches the caller through pickle.
+    exc = TrainingAborted("non-finite values in phase 2 at epoch 0: affine",
+                          {"phase": 2, "epoch": 0, "last_grad_norms": [0.5]})
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is TrainingAborted
+    assert (str(back), back.diagnostics) == (str(exc), exc.diagnostics)
 
 
 def test_train_phase2_aborts_on_a_nonfinite_parameter_behind_a_relu():
