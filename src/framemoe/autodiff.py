@@ -21,12 +21,14 @@ beyond what the ops below use themselves.
 Three fused nodes keep only what their backward reads. affine(x, w, b) holds
 x @ w + b and its three operands, not the x @ w product. relu_affine(x, w,
 b) holds relu(x @ w + b) and its operands, not the pre-activation: its
-backward takes the relu mask from its own output. sum_rows_into builds a
-mixture from (tensor, rows) parts and holds the sum and the parts, not a
-scattered (n_rows, cols) copy of each part or a running sum per part.
-A gradient a backward has just computed (a product, a quotient, a gather)
-becomes its operand's .grad as it is; only a gradient that may alias
-another array is copied.
+backward takes the relu mask from its own output. mixture(retained, terms,
+n_rows) holds the routed experts' retained-weight sum and its operands, not
+a weight column, a product or a scattered copy per term. Each is bit-equal,
+value and gradients, to the composition it replaces: add(matmul(x, w), b),
+a relu after it, and per term a column, a gather, a mul, a scatter and an
+add. A gradient a backward has just computed (a product, a quotient, a
+gather) becomes its operand's .grad as it is; only a gradient that may
+alias another array is copied.
 
 Each op computes its value in a compute closure that reads its operands'
 .data when called. A node keeps only its value (and, on the tape, its
@@ -456,22 +458,6 @@ def concat(parts: Sequence, axis: int) -> Tensor:
                  tuple(parts), backward)
 
 
-def col(a, j: int) -> Tensor:
-    """Column j of a 2-d tensor, kept as a (rows, 1) slice."""
-    a = _lift(a)
-    if a.ndim != 2:
-        raise ShapeError(f"col: expects a 2-d operand, got {a.shape}")
-    if not 0 <= j < a.shape[1]:
-        raise ShapeError(f"col: index {j} out of range for shape {a.shape}")
-
-    def backward(out: Tensor) -> None:
-        g = np.zeros_like(a.data)
-        g[:, j : j + 1] = out.grad
-        _accum(a, g, fresh=True)
-
-    return _node("col", lambda: a.data[:, j : j + 1].copy(), (a,), backward)
-
-
 def sum_all(a) -> Tensor:
     a = _lift(a)
     shape = a.data.shape
@@ -554,39 +540,57 @@ def take_rows(a, rows: np.ndarray) -> Tensor:
     return _node("take_rows", lambda: a.data[rows], (a,), backward)
 
 
-def sum_rows_into(parts: Sequence[tuple], n_rows: int, cols: int) -> Tensor:
-    """An (n_rows, cols) sum that starts from zeros and adds each (tensor,
-    rows) part at its distinct rows, in order; rows None means every row.
+def mixture(retained, terms: Sequence[tuple], n_rows: int) -> Tensor:
+    """The retained-weight sum z = 0 + sum over terms of retained[:, n] * y,
+    as one (n_rows, cols) node. Each term (n, rows, y) weights expert n's
+    output y, one row per distinct index in `rows`, by column n of
+    `retained` at those rows and adds it at them; rows None means every row.
 
-    It equals zeros plus each part scattered to (n_rows, cols), added in the
-    same order, bit for bit: the sum starts at +0 and a round-to-nearest sum
+    It is bit-equal to zeros plus each term's mul(take_rows(col(retained,
+    n), rows), y) scattered to (n_rows, cols), added in term order, and to
+    that chain's gradients: the sum starts at +0 and a round-to-nearest sum
     that starts at +0 is never -0, so the +0 rows a scatter would add change
     nothing.
     """
-    parts = [(_lift(t), rows) for t, rows in parts]
-    for t, rows in parts:
-        if t.shape != (n_rows if rows is None else len(rows), cols):
-            where = "every row" if rows is None else f"{len(rows)} rows"
-            raise ShapeError(f"sum_rows_into: part {t.shape} for {where} of ({n_rows}, {cols})")
+    retained = _lift(retained)
+    terms = [(n, rows, _lift(y)) for n, rows, y in terms]
+    sizes = [(n, n_rows if rows is None else len(rows), y.shape) for n, rows, y in terms]
+    cols = sizes[0][2][-1] if sizes and sizes[0][2] else 0
+    if retained.ndim != 2 or retained.shape[0] != n_rows or not sizes or any(
+            not 0 <= n < retained.shape[1] or shape != (count, cols) for n, count, shape in sizes):
+        raise ShapeError(f"mixture: weights {retained.shape} for {n_rows} rows and terms "
+                         f"(expert, rows, shape) {sizes}")
     dtype = _DTYPE
+    every = slice(None)
 
     def compute() -> np.ndarray:
         data = np.zeros((n_rows, cols), dtype=dtype)
-        for t, rows in parts:
-            if rows is None:
-                data += t.data
-            else:
-                data[rows] += t.data
+        for n, rows, y in terms:
+            rows = every if rows is None else rows
+            data[rows] += retained.data[rows, n : n + 1] * y.data
         return data
 
     def backward(out: Tensor) -> None:
-        for t, rows in parts:
-            if rows is None:
-                _accum(t, out.grad)
+        weights = np.zeros_like(retained.data)
+        for n, rows, y in terms:
+            rows = every if rows is None else rows
+            g = out.grad[rows]
+            # mul's unbroadcast sum, added up as col's zero-padded gradients
+            # were: +0 plus a -0 is +0, but a lone term's is handed on as it is.
+            column = _unbroadcast(g * y.data, (len(g), 1))
+            if len(terms) == 1:
+                weights[rows, n : n + 1] = column
             else:
-                _accum(t, out.grad[rows], fresh=True)
+                weights[rows, n : n + 1] += column
+            if _tracks(y):
+                _accum(y, g * retained.data[rows, n : n + 1], fresh=True)
+        _accum(retained, weights, fresh=True)
 
-    return _node("sum_rows_into", compute, tuple(t for t, _ in parts), backward)
+    # The order of the parents sets the order in which backprop reaches the
+    # operands' own operands (the frames the experts and the gate share):
+    # the weights before the last term's output, as the chain reached them.
+    ys = [y for _, _, y in terms]
+    return _node("mixture", compute, (*ys[:-1], retained, ys[-1]), backward)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -698,14 +702,12 @@ class Graph:
     """A scalar computation over named parameter leaves.
 
     build() assembles the output from the tensors in `params`; frozen
-    parameters are leaves with requires_grad False. nondiff_guard(), when
-    given, lists the reasons the current point is not differentiable.
-    forward() keeps the recorded base point in _base.
+    parameters are leaves with requires_grad False. forward() keeps the
+    recorded base point in _base.
     """
 
     build: Callable[[], Tensor]
     params: dict[str, Tensor]
-    nondiff_guard: Callable[[], list[str]] | None = None
     _base: _Record | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -750,13 +752,8 @@ class ParamCheck:
 @dataclass
 class GradCheckReport:
     checks: list[ParamCheck]
-    flags: list[str]
     step: float
     tolerance: float
-
-    @property
-    def excluded(self) -> bool:
-        return bool(self.flags)
 
     @property
     def max_rel_err(self) -> float:
@@ -779,15 +776,11 @@ def finite_difference_check(graph: Graph, step: float = 1e-5,
 
     The base point is one forward(graph), which records it, and each probe
     of parameter `name` one forward(graph, name), which replays only what
-    `name` feeds. Relative error uses a unit floor: |a - n| / max(|a|, |n|,
-    1). If the graph's nondiff_guard flags the base point (a routing tie,
-    say), the checks are excluded and the flags are reported instead.
+    `name` feeds; a non-finite one re-runs a full build under check_nodes()
+    to name the first bad op. Relative error uses a unit floor: |a - n| /
+    max(|a|, |n|, 1). The caller picks a differentiable base point, off
+    routing ties and relu kinks (see record_kinks).
     """
-    if graph.nondiff_guard is not None:
-        flags = graph.nondiff_guard()
-        if flags:
-            return GradCheckReport(checks=[], flags=list(flags), step=step, tolerance=tolerance)
-
     def output(name: str | None = None) -> Tensor:
         out = forward(graph, name)
         check_outputs("audited output", [out.data], lambda: forward(graph))
@@ -824,4 +817,4 @@ def finite_difference_check(graph: Graph, step: float = 1e-5,
         worst = float(np.max(errs, initial=0.0))
         checks.append(ParamCheck(name=name, n_entries=flat.size,
                                  max_rel_err=worst, passed=worst < tolerance))
-    return GradCheckReport(checks=checks, flags=[], step=step, tolerance=tolerance)
+    return GradCheckReport(checks=checks, step=step, tolerance=tolerance)

@@ -4,9 +4,10 @@ A shared pool of two-layer relu experts maps each concatenated feature frame
 back to the layer width. Each task owns a single affine gate whose softmax
 scores are pruned to the top K per frame; the retained weights keep their
 original magnitudes (no renormalization) and the pruned ones are exactly zero.
-The mixture output is the retained-weight sum of expert outputs. Top-K is
-treated as a constant during backprop: gradients flow through the retained
-softmax values only.
+The mixture output is the retained-weight sum z_t = sum over n in TopK(t) of
+g_{t,n} E_n(x_t), one autodiff mixture node per task. Top-K is treated as a
+constant during backprop: gradients flow through the retained softmax values
+only.
 
 A batch of equal-length utterances is routed as one stacked matrix. Each
 expert runs only on the frames routed to it, gathered, and never on a single
@@ -23,16 +24,15 @@ import numpy as np
 from .autodiff import (
     Tensor,
     affine,
-    col,
     const,
     hold,
     mean_rows,
+    mixture,
     mul,
     param,
     relu_affine,
     softmax_rows,
     sum_all,
-    sum_rows_into,
     take_rows,
 )
 from .backbone import ConcatRepresentation
@@ -185,34 +185,32 @@ def _topk_rows(gates: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float
 def mix(pool: ExpertPool, decision: RoutingDecision, rep: ConcatRepresentation) -> TaskSequence:
     """The retained-weight mixture z = 0 + term_0 + term_1 + ... in expert order.
 
-    Expert n runs only on the frames that route to it, gathered, and its
-    retained-weighted output is added back at their rows; every other row
-    of that term is exactly zero and is not added. A lone routed frame is
-    gathered with a neighbour (the next row, or the previous one on the last
-    row), whose retained weight is zero, so its term is +-0. An expert that
-    takes every frame runs on all of them without a gather. The result is
-    bit-equal to the dense sum over all experts: adding a zero-weighted term
-    never changes an IEEE accumulation. The gathered rows come from the
-    decision's indices, outside the graph, so a replay of a recorded mixture
-    keeps them only while the routing is unchanged (see moe_forward).
+    One mixture node: expert n runs only on the frames that route to it,
+    gathered, and its output, weighted by column n of the retained weights,
+    is added back at their rows; every other row of that term is exactly
+    zero and is not added. A lone routed frame is gathered with a neighbour
+    (the next row, or the previous one on the last row), whose retained
+    weight is zero, so its term is +-0. An expert that takes every frame
+    runs on all of them without a gather. The result is bit-equal to the
+    dense sum over all experts: adding a zero-weighted term never changes an
+    IEEE accumulation. The gathered rows come from the decision's indices,
+    outside the graph, so a replay of a recorded mixture keeps them only
+    while the routing is unchanged (see moe_forward).
     """
-    frames, retained = rep.frames, decision.retained
+    frames = rep.frames
     t = frames.shape[0]
     routed = (decision.indices[:, :, None] == np.arange(pool.n_experts)).any(axis=1)
     terms = []
     for n in range(pool.n_experts):
         rows = np.flatnonzero(routed[:, n])
-        if rows.size == 0:
-            continue
         if rows.size == t:
-            terms.append((mul(col(retained, n), expert_forward(pool, n, frames)), None))
-            continue
-        if rows.size == 1:
-            r = rows[0]
-            rows = np.array([r, r + 1] if r + 1 < t else [r - 1, r])
-        terms.append((mul(take_rows(col(retained, n), rows),
-                          expert_forward(pool, n, take_rows(frames, rows))), rows))
-    z = sum_rows_into(terms, t, pool.out_width)
+            terms.append((n, None, expert_forward(pool, n, frames)))
+        elif rows.size:
+            if rows.size == 1:
+                r = rows[0]
+                rows = np.array([r, r + 1] if r + 1 < t else [r - 1, r])
+            terms.append((n, rows, expert_forward(pool, n, take_rows(frames, rows))))
+    z = mixture(decision.retained, terms, t)
     return TaskSequence(task=decision.task, z=z, segment=rep.segment)
 
 

@@ -417,11 +417,13 @@ def train_epoch(opt: AdamW, batches: list[np.ndarray], loss_of, phase: int,
     for index, batch in enumerate(batches):
         opt.zero_grad()
         try:
-            with step_precision(opt):
-                loss, parts = loss_of(batch)
-                backprop(loss)
-            opt.last_grad_norms = opt.grad_norms()
-            opt.step()
+            # A diverging step is refused by its own checks, not by numpy's warnings.
+            with np.errstate(all="ignore"):
+                with step_precision(opt):
+                    loss, parts = loss_of(batch)
+                    backprop(loss)
+                opt.last_grad_norms = opt.grad_norms()
+                opt.step()
         except NumericalError as exc:
             raise TrainingAborted(
                 f"non-finite values in phase {phase} at epoch {epoch}: {exc}",
@@ -526,7 +528,7 @@ def train_phase1(model, train_feats, class_weights, cfg, rng) -> PhaseResult:
 
 def evaluate_joint_loss(model, feats, class_weights, moe_cfg, train_cfg) -> float:
     """Forward-only joint loss over a whole split, as one pooled batch."""
-    with no_tape():
+    with no_tape(), np.errstate(all="ignore"):
         _, parts, _ = batch_joint_loss(model, feats, class_weights, moe_cfg, train_cfg)
     return parts["total"]
 

@@ -644,8 +644,6 @@ def test_cli_refuses_a_damaged_corpus_naming_the_record(trained_run, tmp_path, c
     assert not (run / "metrics.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_cli_phase1_abort_names_the_phase_and_writes_no_checkpoint(tmp_path, capsys):
     run = tmp_path / "run"
     cfg_path = write_cfg(tmp_path, tiny_cfg_dict(run))
@@ -662,7 +660,7 @@ def test_cli_phase1_abort_names_the_phase_and_writes_no_checkpoint(tmp_path, cap
 
 
 def test_cli_ablate_reports_an_abort_in_a_worker_and_starts_no_further_cells(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, capfd, monkeypatch):
     # Phase 1 finishes and phase 2 diverges in every cell: the first abort
     # ends the grid, and cells not yet started never start.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
@@ -671,7 +669,7 @@ def test_cli_ablate_reports_an_abort_in_a_worker_and_starts_no_further_cells(
     cfg_path = write_cfg(tmp_path, tiny_cfg_dict(run))
     argv = ["ablate", "--config", cfg_path, "--set", "training.lr_heads_gates_experts=1.0e+300"]
     assert main(argv) == 2
-    lines = capsys.readouterr().err.splitlines()
+    lines = capfd.readouterr().err.splitlines()
     assert len(lines) == 2, lines
     assert lines[0].startswith("training aborted: non-finite values in phase 2"), lines
     assert json.loads(lines[1])["phase"] == 2
@@ -680,8 +678,6 @@ def test_cli_ablate_reports_an_abort_in_a_worker_and_starts_no_further_cells(
     assert dict(os.environ) == before
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_cli_aborted_train_leaves_no_earlier_outputs(trained_run, tmp_path, capsys):
     run = tmp_path / "run"
     shutil.copytree(trained_run, run)

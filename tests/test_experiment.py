@@ -433,6 +433,22 @@ def test_eval_of_a_nonfinite_checkpoint_is_exit_code_2(tmp_path, capsys):
     assert not (Path(cfg.output_dir) / "metrics.csv").exists()
 
 
+def test_eval_of_a_huge_valued_checkpoint_prints_one_line(tmp_path, capfd):
+    # Finite weights whose products overflow: the output check refuses them,
+    # and numpy prints no warning on the way.
+    cfg = tiny_cfg(tmp_path / "run")
+    run_train(cfg)
+    ckpt_path = Path(cfg.output_dir) / "checkpoint_final.json"
+    params, meta = load_checkpoint(ckpt_path)
+    params["expert0.w1"][...] = 1e300
+    save_checkpoint(ckpt_path, params, extra=meta)
+    capfd.readouterr()
+    assert main(["eval", "--run", cfg.output_dir]) == 2
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: "), lines
+    assert not (Path(cfg.output_dir) / "metrics.csv").exists()
+
+
 def test_eval_condition_checks_the_logits_and_enhanced_spectra(tmp_path):
     cfg = tiny_cfg(tmp_path / "run")
     run_train(cfg)
@@ -803,7 +819,7 @@ def test_audit_worst_list_puts_nan_first_then_the_largest_errors(monkeypatch):
               for i, e in enumerate(errs)]
     monkeypatch.setattr(experiment, "finite_difference_check",
                         lambda graph, step, tolerance: GradCheckReport(
-                            checks=checks, flags=[], step=step, tolerance=tolerance))
+                            checks=checks, step=step, tolerance=tolerance))
     worst = experiment.gradcheck_model(experiment.gradcheck_config())["worst"]
     assert [w["name"] for w in worst] == ["p1", "p2", "p4", "p6", "p3"]
     assert math.isnan(worst[0]["max_rel_err"])

@@ -6,8 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from framemoe.autodiff import (
     backprop,
-    col,
     const,
+    mixture,
     mul,
     param,
     sum_all,
@@ -29,7 +29,7 @@ from framemoe.moe import (
     mix,
     moe_forward,
 )
-from test_autodiff import affine_oracle, grads_of, relu, same_bits, sum_rows_oracle
+from test_autodiff import affine_oracle, grads_of, mixture_oracle, relu, same_bits
 
 
 def topk_mask(scores: np.ndarray, k: int) -> np.ndarray:
@@ -578,26 +578,32 @@ def expert_graph_oracle(pool, n, frames):
     return affine_oracle(relu(affine_oracle(frames, e.w1, e.b1)), e.w2, e.b2)
 
 
-def mix_oracle(pool, decision, rep):
-    """The mixture as it was built: each routed term scattered to all rows and
-    added to zeros in expert order, on the composed expert ops."""
-    frames, retained = rep.frames, decision.retained
+def routed_terms(pool, indices, frames, expert=expert_graph_oracle):
+    """mix's (n, rows, y) terms for (T, K) `indices`: each expert on its
+    gathered frames, a lone frame gathered with a neighbour, and an expert
+    that takes every frame on all of them ungathered."""
     t = frames.shape[0]
-    routed = (decision.indices[:, :, None] == np.arange(pool.n_experts)).any(axis=1)
-    parts = []
+    routed = (indices[:, :, None] == np.arange(pool.n_experts)).any(axis=1)
+    terms = []
     for n in range(pool.n_experts):
         rows = np.flatnonzero(routed[:, n])
         if rows.size == 0:
             continue
         if rows.size == t:
-            parts.append((mul(col(retained, n), expert_graph_oracle(pool, n, frames)), None))
+            terms.append((n, None, expert(pool, n, frames)))
             continue
         if rows.size == 1:
             r = rows[0]
             rows = np.array([r, r + 1] if r + 1 < t else [r - 1, r])
-        parts.append((mul(take_rows(col(retained, n), rows),
-                          expert_graph_oracle(pool, n, take_rows(frames, rows))), rows))
-    return sum_rows_oracle(parts, t, pool.out_width)
+        terms.append((n, rows, expert(pool, n, take_rows(frames, rows))))
+    return terms
+
+
+def mix_oracle(pool, decision, rep):
+    """The mixture as it was built: each routed term scattered to all rows and
+    added to zeros in expert order, on the composed expert ops."""
+    terms = routed_terms(pool, decision.indices, rep.frames)
+    return mixture_oracle(decision.retained, terms, rep.frames.shape[0])
 
 
 def assert_mix_matches_oracle(pool, make_decision, rep, leaves, rng):
@@ -651,6 +657,40 @@ def test_mix_matches_the_scatter_and_add_chain_at_shipped_shapes(geometry, dtype
         assert frames.data.dtype == gates.data.dtype == dtype
         assert_mix_matches_oracle(pool, decision, rep, [frames, gates, *expert_leaves(pool)],
                                   rng)
+
+
+@given(st.data(), st.sampled_from([np.float64, np.float32]))
+@settings(max_examples=60, deadline=None)
+def test_mixture_matches_the_chain_at_drawn_routings(data, dtype):
+    # Drawn top-k routings reach lone gathered frames, experts that take
+    # every frame and k = N; frames holds a -0. The operands are compared as
+    # leaves, then as the gate and the experts make them from shared frames.
+    t = data.draw(st.integers(1, 8), label="frames")
+    n = data.draw(st.integers(1, 4), label="experts")
+    k = data.draw(st.integers(1, n), label="top_k")
+    indices = np.array([data.draw(st.permutations(range(n)))[:k] for _ in range(t)])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    mask = np.zeros((t, n))
+    np.put_along_axis(mask, indices, 1.0, axis=1)
+    with working_dtype(dtype):
+        pool, gate = make_pool_gate(rng, n, 8)
+        frames = param("frames", rng.standard_normal((t, 8)))
+        frames.data[data.draw(st.integers(0, t - 1)), data.draw(st.integers(0, 7))] = -0.0
+        upstream = rng.standard_normal((t, pool.out_width))
+        retained = param("retained", mask * gate_scores(gate, frames).data)
+        terms = [(m, rows, param(f"y{m}", y.data))
+                 for m, rows, y in routed_terms(pool, indices, frames, expert_forward)]
+        cases = [([retained, *(y for _, _, y in terms)],
+                  lambda op: op(retained, terms, t)),
+                 ([frames, gate.w, gate.b, *expert_leaves(pool)],
+                  lambda op: op(mul(gate_scores(gate, frames), const(mask)),
+                                routed_terms(pool, indices, frames, expert_forward), t))]
+        for leaves, build in cases:
+            got = grads_of(lambda: build(mixture), leaves, upstream)
+            want = grads_of(lambda: build(mixture_oracle), leaves, upstream)
+            assert got[0].dtype == dtype and same_bits(got[0], want[0])
+            for leaf, g, h in zip(leaves, got[1], want[1]):
+                assert same_bits(g, h), leaf.name
 
 
 def test_expert_graph_keeps_one_hidden_array():

@@ -427,8 +427,6 @@ def test_train_phase2_returns_best_dev_parameters():
     assert len(result.curve) == cfg.training.phase2_epochs
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_train_phase2_aborts_on_nonfinite_loss():
     cfg = tiny_cfg()
     model = build_model(cfg)
@@ -822,6 +820,25 @@ def test_a_phase2_step_hands_each_parameter_its_own_gradient():
             assert not np.shares_memory(g, h), (name, other)
 
 
+def test_a_phase2_graph_holds_one_mixture_node_per_task():
+    # Each task's retained-weight sum is one node, whatever the routing.
+    cfg = tiny_cfg(n_experts=3, balancing=False)
+    cfg.moe.top_k = 2
+    model = build_model(cfg)
+    feats = tiny_feats(model, np.random.default_rng(19))
+    loss, _, _ = batch_joint_loss(model, feats[:2], np.ones(4), cfg.moe, cfg.training)
+    ops, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node._backward is not None:
+                ops.append(node._backward.__qualname__.split(".")[0])
+            stack.extend(node._parents)
+    assert ops.count("mixture") == 2
+    assert not {"col", "sum_rows_into"} & set(ops)
+
+
 @pytest.mark.parametrize("unfrozen,se_loss", [(False, True), (True, True), (False, False)],
                          ids=["frozen", "unfrozen", "frozen-no-se-loss"])
 def test_every_node_and_leaf_gradient_of_a_phase2_step_is_float32(monkeypatch, unfrozen,
@@ -859,7 +876,7 @@ def test_every_node_and_leaf_gradient_of_a_phase2_step_is_float32(monkeypatch, u
     train_phase2(model, feats, feats[:0], np.ones(4), cfg.training, cfg.moe,
                  np.random.default_rng(6))
     ops = {op for op, _ in made}
-    assert {"leaf", "affine", "relu_affine", "sum_rows_into", "log_softmax_rows"} <= ops
+    assert {"leaf", "affine", "relu_affine", "mixture", "log_softmax_rows"} <= ops
     assert ("matmul" in ops) == unfrozen
     assert [(op, dtype) for op, dtype in made if dtype != np.float32] == []
     assert len(grads) >= 18 and set(grads.values()) == {np.dtype(np.float32)}
