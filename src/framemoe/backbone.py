@@ -4,7 +4,9 @@ The stack maps a waveform to L+1 frame-aligned layer outputs: layer 0 is a
 fixed random projection of log1p spectral magnitudes, each later layer is a
 relu affine transform of the previous one. All weights are drawn once from a
 seeded generator and are frozen by default; a config flag unfreezes the affine
-layers so the two-rate optimizer path can be exercised.
+layers so the two-rate optimizer path can be exercised. The experts read the
+layer concatenation as a ConcatRepresentation: the stacked frames and the
+utterance length in frames, nothing more.
 """
 
 from __future__ import annotations
@@ -45,18 +47,9 @@ class ConcatRepresentation:
     """
 
     frames: Tensor
-    n_layers: int
-    width: int
     segment: int | None = None
 
     def __post_init__(self) -> None:
-        if self.frames.ndim != 2:
-            raise ValueError(f"concat representation must be 2-d, got {self.frames.shape}")
-        expected = (self.n_layers + 1) * self.width
-        if self.frames.shape[1] != expected:
-            raise ValueError(
-                f"concat width {self.frames.shape[1]} does not match (L+1)*D = {expected}"
-            )
         if self.segment is None:
             self.segment = self.frames.shape[0]
         if self.segment < 1 or self.frames.shape[0] % self.segment:
@@ -147,5 +140,4 @@ def synth_layer_stack(spectra: np.ndarray, params: BackboneParams) -> np.ndarray
 
 def concat_layers(layers: list[Tensor], segment: int | None = None) -> ConcatRepresentation:
     """Concatenate layer outputs column-wise into one (T, (L+1)*D) matrix."""
-    return ConcatRepresentation(frames=concat(layers, axis=1), n_layers=len(layers) - 1,
-                                width=layers[0].shape[1], segment=segment)
+    return ConcatRepresentation(frames=concat(layers, axis=1), segment=segment)

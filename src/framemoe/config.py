@@ -127,12 +127,21 @@ def _hydrate(cls, raw, path: str):
     return cls(**kwargs)
 
 
+def _finite_float64(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float64 range
+        return False
+
+
 # Scalar field types by their annotation; bool is not accepted as a number,
-# and a float must be finite.
+# an int must fit int64, and a float, or an int given for one, must be a
+# finite float64.
 _SCALAR_TYPES = {
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "int": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                      and -2**63 <= v < 2**63),
     "float": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
-                        and (isinstance(v, int) or math.isfinite(v))),
+                        and _finite_float64(v)),
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
 }
@@ -164,7 +173,10 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
         raw = yaml.safe_load(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
-    except yaml.YAMLError as exc:
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not {exc.encoding} text") from exc
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: a scalar YAML cannot build, e.g. the date 2001-13-01.
         raise ConfigError(f"config file {path} is not valid YAML") from exc
     if raw is None:
         raw = {}
@@ -192,7 +204,7 @@ def apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentCo
             raise ConfigError(f"override '{item}': no config key '{leaf}'")
         try:
             node[leaf] = yaml.safe_load(value)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:
             raise ConfigError(f"override '{item}': value is not valid YAML") from exc
     return config_from_dict(raw)
 

@@ -412,12 +412,13 @@ def read_corpus(corpus_dir: str | Path) -> Corpus:
             raise refuse(name, "is missing")
     signals = np.fromfile(corpus_dir / SIGNALS_NAME, dtype="<f4")
     records = []
-    with open(corpus_dir / MANIFEST_NAME) as fh:
+    # Read as bytes, so that a line that is not text is refused like any other.
+    with open(corpus_dir / MANIFEST_NAME, "rb") as fh:
         for number, line in enumerate(fh, start=1):
             where = f"{MANIFEST_NAME} line {number}"
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError:
+            except ValueError:
                 rec = None
             if not isinstance(rec, dict):
                 raise refuse(where, "is not a JSON object")

@@ -132,7 +132,7 @@ def read_report(run_dir: Path,
 
     try:
         report = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSON or text decoding
         raise refuse(str(exc)) from exc
     if not isinstance(report, dict):
         raise refuse("not a JSON object")
@@ -144,9 +144,10 @@ def update_report(run_dir: Path, **fields) -> Path:
 
 
 def _holds_corpus_of(corpus_dir: Path, cfg: ExperimentConfig) -> bool:
-    """Whether corpus_dir holds a finished corpus of the config's data and seed."""
+    """Whether corpus_dir holds a finished corpus of the config's data and seed;
+    compared as bytes, so a digest that is not text names no corpus."""
     digest = corpus_dir / DIGEST_NAME
-    return digest.exists() and digest.read_text() == corpus_digest(cfg.data, cfg.seed)
+    return digest.exists() and digest.read_bytes() == corpus_digest(cfg.data, cfg.seed).encode()
 
 
 def ensure_corpus(cfg: ExperimentConfig) -> Corpus:
@@ -401,7 +402,7 @@ def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, split: EvalS
         scores["ssnr"].append(ssnr(clean_z, resynth, cfg.ssnr))
         scores["ssnr_noisy"].append(ssnr(clean_z, noisy_z[:, :span], cfg.ssnr))
 
-        seg = out.ser_seq.segment
+        seg = out.segment
         ser_top1.append(out.ser_decision.indices[:, 0].reshape(-1, seg))
         se_top1.append(out.se_decision.indices[:, 0].reshape(-1, seg))
 

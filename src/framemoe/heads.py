@@ -1,7 +1,7 @@
 """Task heads: emotion classification over pooled statistics and per-frame
 spectral denoising.
 
-The classification head pools each utterance's task sequence with attentive
+The classification head pools each utterance's mixed frames with attentive
 statistics (softmax-weighted mean and standard deviation over its frames) and
 maps the pooled vector to four class logits. The denoising head concatenates
 each mixed frame with the noisy log1p spectrum frame and decodes the clean
@@ -31,7 +31,6 @@ from .autodiff import (
     sum_segments,
 )
 from .backbone import frame_signal
-from .moe import TaskSequence
 
 N_CLASSES = 4
 VARIANCE_FLOOR = 1e-8
@@ -135,37 +134,36 @@ def init_se_head(rng: np.random.Generator, width: int, n_bins: int, hidden: int 
     )
 
 
-def attentive_stats_pool(head: SerHead, seq: TaskSequence) -> Tensor:
-    """Softmax-attention weighted mean and std over each utterance's frames,
-    shape (B, 2*D).
+def attentive_stats_pool(head: SerHead, z: Tensor, segment: int) -> Tensor:
+    """Softmax-attention weighted mean and std over each utterance's `segment`
+    rows of the mixed frames z, (B*segment, D); shape (B, 2*D).
 
     The standard deviation is floored at sqrt(1e-8) to keep the gradient
     finite on constant sequences.
     """
-    z, seg = seq.z, seq.segment
     scores = affine(z, head.scorer_w, head.scorer_b)
-    attn = reshape(softmax_rows(reshape(scores, (-1, seg))), (-1, 1))
-    mean = sum_segments(mul(attn, z), seg)
-    second = sum_segments(mul(attn, mul(z, z)), seg)
+    attn = reshape(softmax_rows(reshape(scores, (-1, segment))), (-1, 1))
+    mean = sum_segments(mul(attn, z), segment)
+    second = sum_segments(mul(attn, mul(z, z)), segment)
     std = sqrt(clamp_min(sub(second, mul(mean, mean)), VARIANCE_FLOOR))
     return concat([mean, std], axis=1)
 
 
-def ser_classify(head: SerHead, seq: TaskSequence) -> Tensor:
-    """Class logits from the pooled sequence, one row per utterance, (B, 4)."""
-    pooled = attentive_stats_pool(head, seq)
+def ser_classify(head: SerHead, z: Tensor, segment: int) -> Tensor:
+    """Class logits, one row per utterance of `segment` mixed frames, (B, 4)."""
+    pooled = attentive_stats_pool(head, z, segment)
     hidden = relu_affine(pooled, head.cls_w1, head.cls_b1)
     return affine(hidden, head.cls_w2, head.cls_b2)
 
 
-def se_decode(head: SeHead, seq: TaskSequence, noisy: Tensor) -> Tensor:
-    """Decode the clean log1p spectrum from mixed frames and the noisy
+def se_decode(head: SeHead, z: Tensor, noisy: Tensor) -> Tensor:
+    """Decode the clean log1p spectrum from mixed frames z and the noisy
     spectrum frames, one row each, shape (rows, n_bins)."""
-    if seq.z.shape[0] != noisy.shape[0]:
+    if z.shape[0] != noisy.shape[0]:
         raise ValueError(
-            f"sequence has {seq.z.shape[0]} frames but noisy spectrum has {noisy.shape[0]}"
+            f"mixed frames have {z.shape[0]} rows but noisy spectrum has {noisy.shape[0]}"
         )
-    x = concat([seq.z, noisy], axis=1)
+    x = concat([z, noisy], axis=1)
     hidden = relu_affine(x, head.w1, head.b1)
     return relu_affine(hidden, head.w2, head.b2)
 

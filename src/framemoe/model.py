@@ -45,7 +45,6 @@ from .moe import (
     ExpertPool,
     GatingNetwork,
     RoutingDecision,
-    TaskSequence,
     init_expert_pool,
     init_gate,
     moe_forward,
@@ -182,12 +181,11 @@ def compute_features(model: JointModel, noisy: np.ndarray, labels,
 @dataclass
 class ModelOutputs:
     """One batch's outputs; rows of utterance b are b*T .. (b+1)*T - 1, with
-    T = ser_seq.segment, and row b of ser_logits is its class scores."""
+    T = segment, and row b of ser_logits is its class scores."""
 
     ser_logits: Tensor
     enhanced: Tensor
-    ser_seq: TaskSequence
-    se_seq: TaskSequence
+    segment: int
     ser_decision: RoutingDecision
     se_decision: RoutingDecision
 
@@ -197,8 +195,7 @@ def representation(model: JointModel, feats: Features) -> ConcatRepresentation:
     segment = feats.x_noisy.shape[1]
     bb = model.backbone
     if bb.frozen:
-        return ConcatRepresentation(frames=const(_frames(feats.rep)), n_layers=bb.n_layers,
-                                    width=bb.width, segment=segment)
+        return ConcatRepresentation(frames=const(_frames(feats.rep)), segment=segment)
     return concat_layers(run_layers(_frames(feats.x_noisy), bb), segment=segment)
 
 
@@ -209,9 +206,8 @@ def forward_features(model: JointModel, feats: Features) -> ModelOutputs:
     recorded nodes below the probed parameter (autodiff.forward) and do not
     call it again, unless a probe changes a top-k choice."""
     rep = representation(model, feats)
-    ser_seq, ser_dec = moe_forward(model.pool, model.gates[TASK_SER], rep, model.top_k)
-    se_seq, se_dec = moe_forward(model.pool, model.gates[TASK_SE], rep, model.top_k)
-    return ModelOutputs(ser_logits=ser_classify(model.ser_head, ser_seq),
-                        enhanced=se_decode(model.se_head, se_seq, const(_frames(feats.x_noisy))),
-                        ser_seq=ser_seq, se_seq=se_seq,
-                        ser_decision=ser_dec, se_decision=se_dec)
+    ser_z, ser_dec = moe_forward(model.pool, model.gates[TASK_SER], rep, model.top_k)
+    se_z, se_dec = moe_forward(model.pool, model.gates[TASK_SE], rep, model.top_k)
+    return ModelOutputs(ser_logits=ser_classify(model.ser_head, ser_z, rep.segment),
+                        enhanced=se_decode(model.se_head, se_z, const(_frames(feats.x_noisy))),
+                        segment=rep.segment, ser_decision=ser_dec, se_decision=se_dec)

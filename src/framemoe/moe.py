@@ -7,7 +7,8 @@ original magnitudes (no renormalization) and the pruned ones are exactly zero.
 The mixture output is the retained-weight sum z_t = sum over n in TopK(t) of
 g_{t,n} E_n(x_t), one autodiff mixture node per task. Top-K is treated as a
 constant during backprop: gradients flow through the retained softmax values
-only.
+only. `moe_forward` returns z and the task's RoutingDecision; neither names
+its task, since the model keys its gates by task.
 
 A batch of equal-length utterances is routed as one stacked matrix. Each
 expert runs only on the frames routed to it, gathered, and never on a single
@@ -39,7 +40,6 @@ from .backbone import ConcatRepresentation
 
 TASK_SER = "ser"
 TASK_SE = "se"
-TASKS = (TASK_SER, TASK_SE)
 
 
 @dataclass
@@ -55,26 +55,22 @@ class ExpertPool:
     """N identical-shape experts mapping (L+1)*D features to D outputs."""
 
     experts: list[ExpertParams]
-    in_width: int
-    hidden: int
-    out_width: int
 
     @property
     def n_experts(self) -> int:
         return len(self.experts)
+
+    @property
+    def out_width(self) -> int:
+        return self.experts[0].w2.shape[1]
 
 
 @dataclass
 class GatingNetwork:
     """A single affine map from a feature frame to one score per expert."""
 
-    task: str
     w: Tensor
     b: Tensor
-
-    def __post_init__(self) -> None:
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task tag '{self.task}'")
 
 
 @dataclass
@@ -84,39 +80,26 @@ class RoutingDecision:
     gates: full softmax distribution, shape (T, N), T counting the frames of
         every utterance of a batch
     retained: gates with all but the top K entries per frame zeroed, same shape
-    indices: selected expert indices per frame, shape (T, K), best first
+    indices: selected expert indices per frame, shape (T, K), best first;
+        K is `top_k`
     tie_margin: smallest gap between the K-th and (K+1)-th gate value over all
         frames; infinity when K == N. Near-zero margins mark points where the
         selection is about to change.
     """
 
-    task: str
     gates: Tensor
     retained: Tensor
     indices: np.ndarray
-    top_k: int
     tie_margin: float
 
     def __post_init__(self) -> None:
-        if self.indices.shape != (self.gates.shape[0], self.top_k):
-            raise ValueError(
-                f"indices shape {self.indices.shape} does not match (T, K) = "
-                f"({self.gates.shape[0]}, {self.top_k})"
-            )
+        if self.indices.ndim != 2 or self.indices.shape[0] != self.gates.shape[0]:
+            raise ValueError(f"indices shape {self.indices.shape} is not "
+                             f"(T, K) with T = {self.gates.shape[0]}")
 
-
-@dataclass
-class TaskSequence:
-    """The task-specific mixed representation, shape (B*T, D): B utterances
-    of `segment` = T frames each, stacked; segment defaults to all rows."""
-
-    task: str
-    z: Tensor
-    segment: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.segment is None:
-            self.segment = self.z.shape[0]
+    @property
+    def top_k(self) -> int:
+        return self.indices.shape[1]
 
 
 def init_expert_pool(rng: np.random.Generator, n_experts: int, in_width: int,
@@ -134,14 +117,13 @@ def init_expert_pool(rng: np.random.Generator, n_experts: int, in_width: int,
             w2=param(f"expert{n}.w2", rng.uniform(-b_hid, b_hid, size=(hidden, out_width))),
             b2=param(f"expert{n}.b2", rng.uniform(-b_hid, b_hid, size=(out_width,))),
         ))
-    return ExpertPool(experts=experts, in_width=in_width, hidden=hidden, out_width=out_width)
+    return ExpertPool(experts=experts)
 
 
 def init_gate(rng: np.random.Generator, task: str, in_width: int, n_experts: int) -> GatingNetwork:
     """Small uniform weights, zero bias, so initial routing is near uniform."""
     bound = 1.0 / np.sqrt(in_width)
     return GatingNetwork(
-        task=task,
         w=param(f"gate.{task}.w", rng.uniform(-bound, bound, size=(in_width, n_experts))),
         b=param(f"gate.{task}.b", np.zeros(n_experts)),
     )
@@ -182,7 +164,7 @@ def _topk_rows(gates: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float
     return mask, indices, margin
 
 
-def mix(pool: ExpertPool, decision: RoutingDecision, rep: ConcatRepresentation) -> TaskSequence:
+def mix(pool: ExpertPool, decision: RoutingDecision, frames) -> Tensor:
     """The retained-weight mixture z = 0 + term_0 + term_1 + ... in expert order.
 
     One mixture node: expert n runs only on the frames that route to it,
@@ -197,7 +179,6 @@ def mix(pool: ExpertPool, decision: RoutingDecision, rep: ConcatRepresentation) 
     outside the graph, so a replay of a recorded mixture keeps them only
     while the routing is unchanged (see moe_forward).
     """
-    frames = rep.frames
     t = frames.shape[0]
     routed = (decision.indices[:, :, None] == np.arange(pool.n_experts)).any(axis=1)
     terms = []
@@ -210,13 +191,13 @@ def mix(pool: ExpertPool, decision: RoutingDecision, rep: ConcatRepresentation) 
                 r = rows[0]
                 rows = np.array([r, r + 1] if r + 1 < t else [r - 1, r])
             terms.append((n, rows, expert_forward(pool, n, take_rows(frames, rows))))
-    z = mixture(decision.retained, terms, t)
-    return TaskSequence(task=decision.task, z=z, segment=rep.segment)
+    return mixture(decision.retained, terms, t)
 
 
 def moe_forward(pool: ExpertPool, gate: GatingNetwork, rep: ConcatRepresentation,
-                top_k: int) -> tuple[TaskSequence, RoutingDecision]:
-    """Route every frame through its top-k experts and mix the outputs."""
+                top_k: int) -> tuple[Tensor, RoutingDecision]:
+    """Route every frame of `rep` through its top-k experts; returns the
+    mixed frames z, shape (rows, D), and the routing decision."""
     gates = gate_scores(gate, rep.frames)
     if gates.shape[1] != pool.n_experts:
         raise ValueError(
@@ -226,9 +207,9 @@ def moe_forward(pool: ExpertPool, gate: GatingNetwork, rep: ConcatRepresentation
     # The mask, the gathered rows and the balancing tally all follow the
     # indices: a replay that moves the gates holds only while they do not.
     hold(gates, lambda data: np.array_equal(_rank(data)[:, :top_k], indices))
-    decision = RoutingDecision(task=gate.task, gates=gates, retained=mul(gates, const(mask)),
-                               indices=indices, top_k=top_k, tie_margin=margin)
-    return mix(pool, decision, rep), decision
+    decision = RoutingDecision(gates=gates, retained=mul(gates, const(mask)),
+                               indices=indices, tie_margin=margin)
+    return mix(pool, decision, rep.frames), decision
 
 
 def balancing_loss(decision: RoutingDecision, alpha: float = 0.01) -> Tensor:

@@ -70,7 +70,7 @@ from .model import (
     se_parameters,
     ser_parameters,
 )
-from .moe import TASK_SE, TASK_SER, TaskSequence, balancing_loss, moe_forward
+from .moe import TASK_SE, TASK_SER, balancing_loss, moe_forward
 
 
 class TrainingAborted(RuntimeError):
@@ -447,19 +447,18 @@ def cache_task_sequences(model, feats, batch_size: int) -> dict[str, np.ndarray]
     """
     def sequences(batch):
         rep = representation(model, batch)
-        return [moe_forward(model.pool, model.gates[task], rep, model.top_k)[0]
+        return [moe_forward(model.pool, model.gates[task], rep, model.top_k)[0].data
                 for task in (TASK_SER, TASK_SE)]
 
-    parts: dict[str, list[np.ndarray]] = {TASK_SER: [], TASK_SE: []}
+    chunks = []
     with no_tape():
         for start in range(0, len(feats), batch_size):
             batch = feats[start : start + batch_size]
-            seqs = sequences(batch)
-            check_outputs("phase-1 task sequences", [seq.z.data for seq in seqs],
-                          lambda: sequences(batch))
-            for seq in seqs:
-                parts[seq.task].append(seq.z.data.reshape(-1, seq.segment, seq.z.shape[1]))
-    return {task: np.concatenate(arrays) for task, arrays in parts.items()}
+            chunks.append(sequences(batch))
+            check_outputs("phase-1 task sequences", chunks[-1], lambda: sequences(batch))
+    seg = feats.x_noisy.shape[1]
+    return {task: np.concatenate([chunk[i] for chunk in chunks]).reshape(len(feats), seg, -1)
+            for i, task in enumerate((TASK_SER, TASK_SE))}
 
 
 @dataclass
@@ -493,13 +492,12 @@ def train_phase1(model, train_feats, class_weights, cfg, rng) -> PhaseResult:
         return arrays[batch].reshape(len(batch) * seg, -1)
 
     def ser_loss(batch: np.ndarray) -> Tensor:
-        seq = TaskSequence(task=TASK_SER, z=const(stacked(cached["ser"], batch)), segment=seg)
-        return weighted_cross_entropy(ser_classify(model.ser_head, seq), labels[batch],
-                                      class_weights)
+        logits = ser_classify(model.ser_head, const(stacked(cached["ser"], batch)), seg)
+        return weighted_cross_entropy(logits, labels[batch], class_weights)
 
     def se_loss(batch: np.ndarray) -> Tensor:
-        seq = TaskSequence(task=TASK_SE, z=const(stacked(cached["se"], batch)), segment=seg)
-        enhanced = se_decode(model.se_head, seq, const(stacked(x_noisy, batch)))
+        z = const(stacked(cached["se"], batch))
+        enhanced = se_decode(model.se_head, z, const(stacked(x_noisy, batch)))
         return l1_loss(enhanced, const(stacked(x_clean, batch)))
 
     def checked(loss_of, column: str, what: str):

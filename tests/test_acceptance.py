@@ -139,7 +139,7 @@ def make_pool_gate_rep(rng, n, t, in_width=10, hidden=7, out_width=5):
     gate = init_gate(rng, TASK_SER if t % 2 else TASK_SE, in_width, n)
     gate.b.data = rng.normal(0.0, 0.5, n)
     frames = rng.standard_normal((t, in_width))
-    rep = ConcatRepresentation(frames=const(frames), n_layers=1, width=in_width // 2)
+    rep = ConcatRepresentation(frames=const(frames))
     return pool, gate, rep
 
 
@@ -161,13 +161,13 @@ def test_02_top_k_equal_n_matches_dense_soft_mixture():
         n = trial % 5 + 1
         t = int(rng.integers(1, 9))
         pool, gate, rep = make_pool_gate_rep(rng, n, t)
-        seq, decision = moe_forward(pool, gate, rep, top_k=n)
+        z, decision = moe_forward(pool, gate, rep, top_k=n)
         g = np_gates(gate, rep.frames.data)
         dense = np.zeros((t, pool.out_width))
         for j in range(n):
             dense = dense + g[:, j : j + 1] * np_expert(pool, j, rep.frames.data)
         assert decision.tie_margin == float("inf")
-        assert np.max(np.abs(seq.z.data - dense)) <= 1e-12
+        assert np.max(np.abs(z.data - dense)) <= 1e-12
 
 
 def test_03_sparse_dispatch_bit_equal_to_dense_formula():
@@ -180,12 +180,12 @@ def test_03_sparse_dispatch_bit_equal_to_dense_formula():
         t = int(rng.integers(1, 9))
         k = int(rng.integers(1, n + 1))
         pool, gate, rep = make_pool_gate_rep(rng, n, t)
-        seq, decision = moe_forward(pool, gate, rep, top_k=k)
+        z, decision = moe_forward(pool, gate, rep, top_k=k)
         full = np.zeros((t, pool.out_width))
         for j in range(n):
             full = full + decision.retained.data[:, j : j + 1] * np_expert(
                 pool, j, rep.frames.data)
-        assert seq.z.data.tobytes() == full.tobytes()
+        assert z.data.tobytes() == full.tobytes()
 
 
 def test_04_routing_invariant_to_constant_logit_shifts():
@@ -215,9 +215,9 @@ def test_05_balancing_loss_uniform_value_lower_bound_and_tally():
         np.put_along_axis(retained, indices, 1.0 / n, axis=1)
         from framemoe.moe import RoutingDecision
 
-        decision = RoutingDecision(task=TASK_SE, gates=const(gates),
+        decision = RoutingDecision(gates=const(gates),
                                    retained=const(retained), indices=indices,
-                                   top_k=1, tie_margin=0.0)
+                                   tie_margin=0.0)
         assert abs(float(balancing_loss(decision, alpha=0.01).data) - 0.01) <= 1e-15
 
     def tally_oracle(decision, alpha):

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framemoe.backbone import (
-    ConcatRepresentation,
     Waveform,
     concat_layers,
     frame_count,
@@ -133,7 +132,6 @@ def test_concat_layers_width_and_order():
     stack = run_layers(log1p_spectrum(wave.samples, bb.frame, bb.hop), bb)
     rep = concat_layers(stack)
     assert rep.frames.shape == (stack[0].shape[0], 4 * 5)
-    assert rep.n_layers == 3 and rep.width == 5
     for i, layer in enumerate(stack):
         np.testing.assert_array_equal(rep.frames.data[:, i * 5 : (i + 1) * 5],
                                       layer.data)
@@ -166,8 +164,3 @@ def test_run_layers_lifts_the_projection_as_a_constant_of_the_working_dtype():
     assert bb.projection.data is master
 
 
-def test_concat_representation_checks_width():
-    from framemoe.autodiff import const
-
-    with pytest.raises(ValueError):
-        ConcatRepresentation(frames=const(np.zeros((3, 10))), n_layers=2, width=4)

@@ -88,9 +88,11 @@ def _fields_under(cls, prefix=""):
             yield from _fields_under(SECTIONS[f.type], path)
 
 
+# Ints within the accepted range: int64 for an int leaf, and for a float
+# leaf any int that converts to a finite float64.
 _LEAF_VALUES = {
-    "int": st.integers(),
-    "float": st.floats(allow_nan=False, allow_infinity=False) | st.integers(),
+    "int": st.integers(-2**63, 2**63 - 1),
+    "float": st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2**1023, 2**1023),
     "bool": st.booleans(),
     "str": st.text(max_size=8),
 }
@@ -109,14 +111,16 @@ def _configs(cls=ExperimentConfig):
 
 def _wrong_values(annotation):
     """Values a field of `annotation` must refuse: wrong types (a bool is no
-    number), NaN and inf for floats, and null."""
+    number), ints outside int64, NaN, inf and ints beyond float64 for floats,
+    and null."""
     return {
-        "int": [True, 1.5, "1", [1]],
-        "float": [False, "1.0", [1.0], math.nan, math.inf, -math.inf],
+        "int": [True, 1.5, "1", [1], 2**63, -2**63 - 1],
+        "float": [False, "1.0", [1.0], math.nan, math.inf, -math.inf, 2**1024, -2**1024],
         "bool": [1, 0, "true", [True]],
         "str": [1, True, ["x"], {"x": 1}],
-        "list[int]": [1, "1", [True], [1.5], ["1"], [None]],
-        "list[float]": [1.0, "1", [True], [math.nan], [-math.inf], ["1"], [None]],
+        "list[int]": [1, "1", [True], [1.5], ["1"], [None], [2**63], [-2**63 - 1]],
+        "list[float]": [1.0, "1", [True], [math.nan], [-math.inf], ["1"], [None],
+                        [2**1024], [-2**1024]],
     }[annotation] + [None]
 
 
@@ -427,8 +431,9 @@ def test_nonfinite_config_floats_are_config_errors(tmp_path, capsys, item):
     err = capsys.readouterr().err
     assert "config error" in err and "expected" in err and "finite float" in err
     assert not (tmp_path / "run").exists()
-    # Huge ints are still finite floats.
-    apply_overrides(ExperimentConfig(), [f"ssnr.ceil_db={10 ** 400}"])
+    # Huge ints are still finite floats, as long as they convert to a finite
+    # float64.
+    apply_overrides(ExperimentConfig(), [f"ssnr.ceil_db={10 ** 300}"])
 
 
 def test_validate_rejects_unknown_noise_family(tmp_path, capsys):
@@ -578,6 +583,14 @@ def _nan_in(rid):
     return damage
 
 
+def _prefix_bytes(name):
+    """Put bytes that are not UTF-8 before the file's contents."""
+    def damage(directory):
+        path = directory / name
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    return damage
+
+
 def _remove_file(name):
     return lambda corpus: (corpus / name).unlink()
 
@@ -613,6 +626,7 @@ def trained_run(tmp_path_factory):
      "manifest.jsonl line 26 ", "unknown kind 'mixed'"),
     (_remove_file("signals.f32"), "signals.f32", "is missing"),
     (_remove_file("manifest.jsonl"), "manifest.jsonl", "is missing"),
+    (_prefix_bytes("manifest.jsonl"), "manifest.jsonl line 1 ", "not a JSON object"),
     (_set_field("dev-00002", "offset", "12"), "'dev-00002'", "has offset '12', not an int >= 0"),
     (_set_field("train-00001-noisy", "offset", -256), "'train-00001-noisy'",
      "has offset -256, not an int >= 0"),
@@ -627,8 +641,9 @@ def trained_run(tmp_path_factory):
      "manifest.jsonl line 20 ", "has source_id ['dev-00001'], not a string or null"),
 ], ids=["missing-mix", "non-finite", "truncated", "length", "sample-rate", "cut-line",
         "blank-line", "missing-key", "unknown-split", "unknown-kind", "missing-signals",
-        "missing-manifest", "string-offset", "negative-offset", "label-out-of-range",
-        "zero-length", "bool-label", "list-split", "object-id", "list-source-id"])
+        "missing-manifest", "manifest-not-text", "string-offset", "negative-offset",
+        "label-out-of-range", "zero-length", "bool-label", "list-split", "object-id",
+        "list-source-id"])
 def test_cli_refuses_a_damaged_corpus_naming_the_record(trained_run, tmp_path, capsys,
                                                         damage, record, problem):
     run = tmp_path / "run"
@@ -738,18 +753,70 @@ def _assert_one_config_error(argv, capsys, *parts):
         assert part in err, err
 
 
-@pytest.mark.parametrize("case", ["missing-file", "file-not-yaml", "override-not-yaml"])
+@pytest.mark.parametrize("case", ["missing-file", "file-not-yaml", "override-not-yaml",
+                                  "file-not-text", "file-impossible-date",
+                                  "override-impossible-date", "override-int-too-long"])
 def test_cli_unreadable_config_input_is_one_config_error(tmp_path, capsys, case):
     broken = tmp_path / "broken.yaml"
     broken.write_text("seed: [1\n")
     run = tmp_path / "run"
+    dated = tmp_path / "dated.yaml"
+    dated.write_text(f"output_dir: {run}\nseed: 2001-13-01\n")
+    not_text = Path(write_cfg(tmp_path, tiny_cfg_dict(run)))
+    not_text.write_bytes(b"\xff\xfe" + not_text.read_bytes())
+    # YAML reads 2001-13-01 as a date it cannot build, and Python refuses to
+    # read an int of more than 4300 digits.
     args, named = {
         "missing-file": (["--config", str(tmp_path / "nonexistent.yaml")], "nonexistent.yaml"),
         "file-not-yaml": (["--config", str(broken)], str(broken)),
         "override-not-yaml": (["--set", f"output_dir={run}", "--set", "seed=[1"], "'seed=[1'"),
+        "file-not-text": (["--config", str(not_text)], f"config file {not_text} is not utf-8 text"),
+        "file-impossible-date": (["--config", str(dated)], f"config file {dated} is not valid"),
+        "override-impossible-date": (["--set", f"output_dir={run}", "--set", "seed=2001-13-01"],
+                                     "'seed=2001-13-01': value is not valid YAML"),
+        "override-int-too-long": (["--set", f"output_dir={run}", "--set", "seed=" + "1" * 5000],
+                                  "value is not valid YAML"),
     }[case]
     _assert_one_config_error(["train", *args], capsys, named)
     assert not run.exists()
+
+
+@pytest.mark.parametrize("item", [
+    f"training.lr_heads_gates_experts={10**400}",
+    f"moe.balancing_alpha={10**400}",
+    f"data.class_proportions=[{10**400},1,1,1]",
+    f"moe.expert_hidden={10**20}",
+    f"heads.se_hidden={10**20}",
+    f"backbone.width={10**20}",
+    f"data.utterance_len={10**20}",
+    f"seed={2**63}",
+], ids=["lr-beyond-float64", "alpha-beyond-float64", "proportion-beyond-int64",
+        "expert-hidden-beyond-int64", "se-hidden-beyond-int64", "width-beyond-int64",
+        "utterance-len-beyond-int64", "seed-beyond-int64"])
+def test_cli_train_refuses_a_number_beyond_int64_or_float64(tmp_path, capsys, item):
+    # An int leaf takes int64 values; a float leaf takes ints that convert to
+    # a finite float64.
+    run = tmp_path / "run"
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(run))
+    _assert_one_config_error(["train", "--config", cfg_path, "--set", item], capsys,
+                             f"{item.partition('=')[0]}: expected")
+    assert not (run / "corpus").exists()
+
+
+@pytest.mark.parametrize("name,named", [
+    ("resolved_config.yaml", ["resolved_config.yaml is not utf-8 text", "retrain there"]),
+    ("report.json", ["report.json is not a readable report", "run eval there again"]),
+    ("corpus/source_digest.txt", ["holds no corpus drawn from", "retrain there"]),
+], ids=["resolved-config", "report", "corpus-digest"])
+def test_cli_eval_refuses_a_run_file_that_is_not_text(trained_run, tmp_path, capsys, name,
+                                                      named):
+    # Each file meets the refusal it already has for damage; a digest that is
+    # not text names no corpus.
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    _prefix_bytes(name)(run)
+    _assert_one_config_error(["eval", "--run", str(run)], capsys, *named)
+    assert not (run / "metrics.csv").exists()
 
 
 @pytest.mark.parametrize("name,text", [

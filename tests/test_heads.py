@@ -16,7 +16,6 @@ from framemoe.heads import (
     ser_classify,
     stft,
 )
-from framemoe.moe import TASK_SE, TASK_SER, TaskSequence
 
 
 def identity_se_head(width: int, n_bins: int) -> SeHead:
@@ -38,8 +37,8 @@ def make_wave(rng, n=512, sr=8000):
     return Waveform(samples=rng.standard_normal(n), sample_rate=sr)
 
 
-def make_seq(rng, t, width, task=TASK_SER):
-    return TaskSequence(task=task, z=const(rng.standard_normal((t, width))))
+def make_z(rng, t, width):
+    return const(rng.standard_normal((t, width)))
 
 
 def test_stft_matches_naive_dft():
@@ -136,18 +135,18 @@ def test_resynthesize_zero_reference_uses_unit_phase():
 def test_identity_se_head_is_exact_pass_through():
     rng = np.random.default_rng(4)
     noisy = const(rng.uniform(0.0, 3.0, (6, 9)))
-    seq = make_seq(rng, 6, 10, task=TASK_SE)
+    z = make_z(rng, 6, 10)
     head = identity_se_head(width=10, n_bins=9)
-    out = se_decode(head, seq, noisy)
+    out = se_decode(head, z, noisy)
     np.testing.assert_array_equal(out.data, noisy.data)
 
 
 def test_se_decode_shape_and_nonnegativity():
     rng = np.random.default_rng(5)
     noisy = const(rng.uniform(0.0, 2.0, (5, 9)))
-    seq = make_seq(rng, 5, 7, task=TASK_SE)
+    z = make_z(rng, 5, 7)
     head = init_se_head(rng, width=7, n_bins=9, hidden=12)
-    out = se_decode(head, seq, noisy)
+    out = se_decode(head, z, noisy)
     assert out.shape == (5, 9)
     assert np.all(out.data >= 0.0)
 
@@ -155,19 +154,19 @@ def test_se_decode_shape_and_nonnegativity():
 def test_se_decode_frame_count_mismatch_raises():
     rng = np.random.default_rng(6)
     noisy = const(np.zeros((4, 9)))
-    seq = make_seq(rng, 5, 7, task=TASK_SE)
+    z = make_z(rng, 5, 7)
     head = init_se_head(rng, width=7, n_bins=9)
     with pytest.raises(ValueError):
-        se_decode(head, seq, noisy)
+        se_decode(head, z, noisy)
 
 
 def test_attentive_pool_matches_numpy_oracle():
     rng = np.random.default_rng(7)
     width = 6
-    seq = make_seq(rng, 9, width)
+    z = make_z(rng, 9, width)
     head = init_ser_head(rng, width, hidden=8)
-    pooled = attentive_stats_pool(head, seq).data
-    z = seq.z.data
+    pooled = attentive_stats_pool(head, z, 9).data
+    z = z.data
     scores = (z @ head.scorer_w.data + head.scorer_b.data).reshape(-1)
     e = np.exp(scores - scores.max())
     a = (e / e.sum()).reshape(-1, 1)
@@ -182,12 +181,12 @@ def test_attentive_pool_matches_numpy_oracle():
 def test_attentive_pool_zero_scorer_gives_plain_moments():
     rng = np.random.default_rng(8)
     width = 5
-    seq = make_seq(rng, 12, width)
+    z = make_z(rng, 12, width)
     head = init_ser_head(rng, width)
     head.scorer_w.data[...] = 0.0
     head.scorer_b.data[...] = 0.0
-    pooled = attentive_stats_pool(head, seq).data
-    z = seq.z.data
+    pooled = attentive_stats_pool(head, z, 12).data
+    z = z.data
     np.testing.assert_allclose(pooled[0, :width], z.mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(pooled[0, width:], z.std(axis=0), atol=1e-7)
 
@@ -195,9 +194,9 @@ def test_attentive_pool_zero_scorer_gives_plain_moments():
 def test_attentive_pool_constant_sequence_hits_variance_floor():
     rng = np.random.default_rng(9)
     width = 4
-    seq = TaskSequence(task=TASK_SER, z=const(np.full((7, width), 3.0)))
+    z = const(np.full((7, width), 3.0))
     head = init_ser_head(rng, width)
-    pooled = attentive_stats_pool(head, seq).data
+    pooled = attentive_stats_pool(head, z, 7).data
     np.testing.assert_allclose(pooled[0, :width], np.full(width, 3.0), atol=1e-12)
     np.testing.assert_array_equal(pooled[0, width:], np.full(width, np.sqrt(1e-8)))
 
@@ -205,21 +204,21 @@ def test_attentive_pool_constant_sequence_hits_variance_floor():
 def test_ser_classify_is_frame_order_invariant():
     rng = np.random.default_rng(10)
     width = 6
-    seq = make_seq(rng, 11, width)
+    z = make_z(rng, 11, width)
     head = init_ser_head(rng, width)
-    logits = ser_classify(head, seq).data
+    logits = ser_classify(head, z, 11).data
     perm = rng.permutation(11)
-    shuffled = TaskSequence(task=TASK_SER, z=const(seq.z.data[perm]))
-    np.testing.assert_allclose(ser_classify(head, shuffled).data, logits,
+    shuffled = const(z.data[perm])
+    np.testing.assert_allclose(ser_classify(head, shuffled, 11).data, logits,
                                atol=1e-12)
 
 
 def test_ser_classify_shape_and_gradient_flow():
     rng = np.random.default_rng(11)
     width = 5
-    seq = make_seq(rng, 6, width)
+    z = make_z(rng, 6, width)
     head = init_ser_head(rng, width, hidden=8)
-    logits = ser_classify(head, seq)
+    logits = ser_classify(head, z, 6)
     assert logits.shape == (1, 4)
     backprop(sum_all(logits))
     for t in (head.scorer_w, head.scorer_b, head.cls_w1, head.cls_b1,

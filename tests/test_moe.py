@@ -47,9 +47,8 @@ def topk_mask(scores: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def make_rep(rng, t, n_layers=1, width=4):
-    frames = rng.standard_normal((t, (n_layers + 1) * width))
-    return ConcatRepresentation(frames=const(frames), n_layers=n_layers, width=width)
+def make_rep(rng, t, width=8):
+    return ConcatRepresentation(frames=const(rng.standard_normal((t, width))))
 
 
 def make_pool_gate(rng, n_experts, in_width, hidden=6, out_width=4, task=TASK_SER):
@@ -80,7 +79,7 @@ def test_expert_forward_zero_weights_give_zero_output():
 def test_expert_forward_composed_affine_oracle():
     # Hidden at least as wide as the input, weights chosen so relu never
     # clips: the expert is then the composition of its two affine maps.
-    pool = ExpertPool(experts=[], in_width=2, hidden=2, out_width=2)
+    pool = ExpertPool(experts=[])
     from framemoe.moe import ExpertParams
     from framemoe.autodiff import param
 
@@ -91,7 +90,7 @@ def test_expert_forward_composed_affine_oracle():
     pool.experts.append(ExpertParams(w1=param("e.w1", w1), b1=param("e.b1", b1),
                                      w2=param("e.w2", w2), b2=param("e.b2", b2)))
     x = np.array([[1.0, 2.0], [0.0, 1.0]])
-    rep = ConcatRepresentation(frames=const(x), n_layers=0, width=2)
+    rep = ConcatRepresentation(frames=const(x))
     expected = (x @ w1 + b1) @ w2 + b2
     np.testing.assert_allclose(expert_forward(pool, 0, rep.frames).data,
                                expected, atol=1e-12)
@@ -195,10 +194,10 @@ def test_routing_decision_invariants():
 
 def test_routing_decision_shape_check():
     with pytest.raises(ValueError):
-        RoutingDecision(task=TASK_SER, gates=const(np.full((3, 2), 0.5)),
+        RoutingDecision(gates=const(np.full((3, 2), 0.5)),
                         retained=const(np.zeros((3, 2))),
                         indices=np.zeros((2, 1), dtype=np.int64),
-                        top_k=1, tie_margin=0.1)
+                        tie_margin=0.1)
 
 
 def moe_oracle(pool, gate, frames, k):
@@ -222,9 +221,9 @@ def test_moe_forward_matches_brute_force_oracle():
         k = int(rng.integers(1, n + 1))
         pool, gate = make_pool_gate(rng, n, 8)
         rep = make_rep(rng, t)
-        seq, decision = moe_forward(pool, gate, rep, top_k=k)
+        got, decision = moe_forward(pool, gate, rep, top_k=k)
         z, gates, retained = moe_oracle(pool, gate, rep.frames.data, k)
-        np.testing.assert_array_equal(seq.z.data, z)
+        np.testing.assert_array_equal(got.data, z)
         np.testing.assert_allclose(decision.gates.data, gates, atol=1e-15)
         np.testing.assert_array_equal(decision.retained.data, retained)
 
@@ -238,14 +237,14 @@ def test_sparse_dispatch_is_bit_equal_to_dense_formula():
         t = int(rng.integers(1, 9))
         k = int(rng.integers(1, n + 1))
         pool, gate = make_pool_gate(rng, n, 6, hidden=5, out_width=3)
-        rep = make_rep(rng, t, width=3)
-        seq, decision = moe_forward(pool, gate, rep, top_k=k)
+        rep = make_rep(rng, t, width=6)
+        got, decision = moe_forward(pool, gate, rep, top_k=k)
 
         retained = decision.retained.data
         z = np.zeros((t, 3))
         for j in range(n):
             z = z + retained[:, j : j + 1] * expert_oracle(pool, j, rep.frames.data)
-        np.testing.assert_array_equal(seq.z.data, z)
+        np.testing.assert_array_equal(got.data, z)
 
 
 def test_hard_one_hot_gate_selects_single_expert():
@@ -255,10 +254,10 @@ def test_hard_one_hot_gate_selects_single_expert():
     # Huge bias difference drives the softmax to a numerical one-hot.
     gate.w.data[...] = 0.0
     gate.b.data[...] = [0.0, 500.0, 0.0]
-    seq, decision = moe_forward(pool, gate, rep, top_k=1)
+    z, decision = moe_forward(pool, gate, rep, top_k=1)
     np.testing.assert_array_equal(decision.indices[:, 0], np.ones(4, dtype=np.int64))
     np.testing.assert_allclose(decision.retained.data[:, 1], np.ones(4), atol=1e-15)
-    np.testing.assert_allclose(seq.z.data,
+    np.testing.assert_allclose(z.data,
                                expert_oracle(pool, 1, rep.frames.data), atol=1e-12)
 
 
@@ -269,9 +268,9 @@ def test_k_equals_n_matches_dense_soft_mixture():
         t = int(rng.integers(1, 9))
         pool, gate = make_pool_gate(rng, n, 8)
         rep = make_rep(rng, t)
-        sparse_seq, sparse_dec = moe_forward(pool, gate, rep, top_k=n)
-        dense_seq, dense_dec = moe_forward(pool, gate, rep, top_k=pool.n_experts)
-        np.testing.assert_allclose(sparse_seq.z.data, dense_seq.z.data, atol=1e-12)
+        sparse_z, sparse_dec = moe_forward(pool, gate, rep, top_k=n)
+        dense_z, dense_dec = moe_forward(pool, gate, rep, top_k=pool.n_experts)
+        np.testing.assert_allclose(sparse_z.data, dense_z.data, atol=1e-12)
         np.testing.assert_allclose(dense_dec.retained.data, dense_dec.gates.data,
                                    atol=1e-15)
         assert sparse_dec.tie_margin == float("inf")
@@ -288,8 +287,8 @@ def test_dense_uniform_gates_identical_experts_collapse():
     gate.w.data[...] = 0.0
     gate.b.data[...] = 0.0
     rep = make_rep(rng, 5)
-    seq, _ = moe_forward(pool, gate, rep, top_k=pool.n_experts)
-    np.testing.assert_allclose(seq.z.data,
+    z, _ = moe_forward(pool, gate, rep, top_k=pool.n_experts)
+    np.testing.assert_allclose(z.data,
                                expert_oracle(pool, 0, rep.frames.data), atol=1e-12)
 
 
@@ -299,7 +298,7 @@ def test_single_expert_routing_is_k_independent():
     rep = make_rep(rng, 6)
     sparse, _ = moe_forward(pool, gate, rep, top_k=1)
     dense, _ = moe_forward(pool, gate, rep, top_k=pool.n_experts)
-    np.testing.assert_array_equal(sparse.z.data, dense.z.data)
+    np.testing.assert_array_equal(sparse.data, dense.data)
 
 
 def test_logit_shift_leaves_selection_and_weights():
@@ -330,8 +329,8 @@ def test_gradients_flow_through_retained_weights_only():
     rng = np.random.default_rng(13)
     pool, gate = make_pool_gate(rng, 3, 8)
     rep = make_rep(rng, 4)
-    seq, decision = moe_forward(pool, gate, rep, top_k=1)
-    backprop(sum_all(seq.z))
+    z, decision = moe_forward(pool, gate, rep, top_k=1)
+    backprop(sum_all(z))
     assert gate.w.grad is not None and np.any(gate.w.grad)
     assert gate.b.grad is not None and np.any(gate.b.grad)
 
@@ -352,9 +351,9 @@ def make_decision(rng, t, n):
     gates = e / e.sum(axis=1, keepdims=True)
     retained = np.stack([topk_mask(row, 1) for row in gates])
     indices = np.argmax(retained, axis=1, keepdims=True)
-    return RoutingDecision(task=TASK_SER, gates=const(gates),
+    return RoutingDecision(gates=const(gates),
                            retained=const(retained), indices=indices,
-                           top_k=1, tie_margin=0.0)
+                           tie_margin=0.0)
 
 
 def test_balancing_loss_uniform_equals_alpha():
@@ -364,9 +363,9 @@ def test_balancing_loss_uniform_equals_alpha():
         indices = np.tile(np.arange(n), 4).reshape(t, 1)
         retained = np.zeros_like(gates)
         np.put_along_axis(retained, indices, 1.0 / n, axis=1)
-        decision = RoutingDecision(task=TASK_SE, gates=const(gates),
+        decision = RoutingDecision(gates=const(gates),
                                    retained=const(retained), indices=indices,
-                                   top_k=1, tie_margin=0.0)
+                                   tie_margin=0.0)
         np.testing.assert_allclose(balancing_loss(decision, alpha=0.01).data,
                                    0.01, atol=1e-15)
 
@@ -376,9 +375,9 @@ def test_balancing_loss_maximal_imbalance_equals_alpha_times_n():
     gates = np.zeros((t, n))
     gates[:, 0] = 1.0
     indices = np.zeros((t, 1), dtype=np.int64)
-    decision = RoutingDecision(task=TASK_SER, gates=const(gates),
+    decision = RoutingDecision(gates=const(gates),
                                retained=const(gates.copy()), indices=indices,
-                               top_k=1, tie_margin=1.0)
+                               tie_margin=1.0)
     np.testing.assert_allclose(balancing_loss(decision, alpha=0.01).data,
                                0.01 * n, atol=1e-15)
 
@@ -426,9 +425,9 @@ def batch_pooled_decision(rng):
     gates = e / e.sum(axis=1, keepdims=True)
     retained = top1_mask(gates)
     indices = np.argmax(retained, axis=1, keepdims=True)
-    return RoutingDecision(task=TASK_SER, gates=const(gates),
+    return RoutingDecision(gates=const(gates),
                            retained=const(retained), indices=indices,
-                           top_k=1, tie_margin=0.0)
+                           tie_margin=0.0)
 
 
 def test_balancing_loss_at_least_alpha_for_top1_routing():
@@ -470,9 +469,9 @@ def test_shared_pool_distinct_gates_share_expert_outputs():
     se_gate.w.data[...] = ser_gate.w.data
     se_gate.b.data[...] = ser_gate.b.data
     rep = make_rep(rng, 5)
-    ser_seq, _ = moe_forward(pool, ser_gate, rep, top_k=1)
-    se_seq, _ = moe_forward(pool, se_gate, rep, top_k=1)
-    np.testing.assert_array_equal(ser_seq.z.data, se_seq.z.data)
+    ser_z, _ = moe_forward(pool, ser_gate, rep, top_k=1)
+    se_z, _ = moe_forward(pool, se_gate, rep, top_k=1)
+    np.testing.assert_array_equal(ser_z.data, se_z.data)
 
 
 @pytest.mark.parametrize("experts", [
@@ -496,7 +495,7 @@ def test_mix_feeds_each_expert_exactly_its_routed_frames(monkeypatch, experts):
     gate.w.data[:3] = np.eye(3)
     frames = rng.standard_normal((12, 8))
     frames[:, :3] = 50.0 * np.eye(3)[experts]
-    rep = ConcatRepresentation(frames=const(frames), n_layers=1, width=4, segment=4)
+    rep = ConcatRepresentation(frames=const(frames), segment=4)
     seen = []
     real = moe.expert_forward
 
@@ -505,15 +504,14 @@ def test_mix_feeds_each_expert_exactly_its_routed_frames(monkeypatch, experts):
         return real(pool, n, x)
 
     monkeypatch.setattr(moe, "expert_forward", counted)
-    seq, decision = moe_forward(pool, gate, rep, top_k=1)
+    got, decision = moe_forward(pool, gate, rep, top_k=1)
     np.testing.assert_array_equal(decision.indices[:, 0], experts)
     counts = np.bincount(experts, minlength=3)
     assert seen == [(n, max(c, 2)) for n, c in enumerate(counts) if c]
-    assert seq.segment == 4
     z = np.zeros((12, 4))
     for n in range(3):
         z = z + decision.retained.data[:, n : n + 1] * expert_oracle(pool, n, frames)
-    assert seq.z.data.tobytes() == z.tobytes()
+    assert got.data.tobytes() == z.tobytes()
 
 
 # Expert geometries (rows T, in, hidden, out) the code runs: test_03's
@@ -543,7 +541,7 @@ def test_padded_gathers_match_the_full_product_at_shipped_shapes(geometry, dtype
     with working_dtype(dtype):
         pool = init_expert_pool(rng, 2, in_width, hidden, out_width)
         x = rng.standard_normal((t, in_width)).astype(dtype)
-        rep = ConcatRepresentation(frames=const(x), n_layers=1, width=in_width // 2)
+        rep = ConcatRepresentation(frames=const(x))
         full = [expert_forward(pool, n, const(x)).data for n in range(2)]
         for size in sorted({2, 3, t // 2, t - 1}):
             for trial in range(3):
@@ -556,20 +554,19 @@ def test_padded_gathers_match_the_full_product_at_shipped_shapes(geometry, dtype
                 experts[rows] = 0
                 gates = rng.dirichlet(np.ones(2), size=t).astype(dtype)
                 retained = gates * (np.arange(2) == experts[:, None])
-                decision = RoutingDecision(task=TASK_SER, gates=const(gates),
+                decision = RoutingDecision(gates=const(gates),
                                            retained=const(retained), indices=experts[:, None],
-                                           top_k=1, tie_margin=0.0)
+                                           tie_margin=0.0)
                 z = np.zeros((t, out_width), dtype)
                 for n in range(2):
                     z = z + retained[:, n : n + 1] * full[n]
-                assert mix(pool, decision, rep).z.data.tobytes() == z.tobytes(), (size, trial)
+                assert mix(pool, decision, rep.frames).data.tobytes() == z.tobytes(), (size, trial)
 
 
 def test_representation_segment_must_divide_frames():
     rng = np.random.default_rng(24)
     with pytest.raises(ValueError, match="do not split"):
-        ConcatRepresentation(frames=const(rng.standard_normal((10, 8))), n_layers=1,
-                             width=4, segment=4)
+        ConcatRepresentation(frames=const(rng.standard_normal((10, 8))), segment=4)
 
 
 def expert_graph_oracle(pool, n, frames):
@@ -608,7 +605,7 @@ def mix_oracle(pool, decision, rep):
 
 def assert_mix_matches_oracle(pool, make_decision, rep, leaves, rng):
     upstream = rng.standard_normal((rep.frames.shape[0], pool.out_width))
-    got = grads_of(lambda: mix(pool, make_decision(), rep).z, leaves, upstream)
+    got = grads_of(lambda: mix(pool, make_decision(), rep.frames), leaves, upstream)
     want = grads_of(lambda: mix_oracle(pool, make_decision(), rep), leaves, upstream)
     assert same_bits(got[0], want[0])
     for leaf, g, h in zip(leaves, got[1], want[1]):
@@ -628,7 +625,7 @@ def test_mix_matches_the_scatter_and_add_chain_at_random_routings():
         pool, gate = make_pool_gate(rng, n, 8)
         frames = param("frames", rng.standard_normal((t, 8)))
         frames.data[0, 0] = -0.0
-        rep = ConcatRepresentation(frames=frames, n_layers=1, width=4)
+        rep = ConcatRepresentation(frames=frames)
         assert_mix_matches_oracle(pool, lambda: moe_forward(pool, gate, rep, k)[1], rep,
                                   [frames, gate.w, gate.b, *expert_leaves(pool)], rng)
 
@@ -642,7 +639,7 @@ def test_mix_matches_the_scatter_and_add_chain_at_shipped_shapes(geometry, dtype
     with working_dtype(dtype):
         pool = init_expert_pool(rng, 3, in_width, hidden, out_width)
         frames = param("frames", rng.standard_normal((t, in_width)))
-        rep = ConcatRepresentation(frames=frames, n_layers=1, width=in_width // 2)
+        rep = ConcatRepresentation(frames=frames)
         second = np.ones(t, dtype=np.int64)
         second[int(rng.integers(t))] = 0
         indices = np.stack([np.full(t, 2), second], axis=1)
@@ -651,8 +648,8 @@ def test_mix_matches_the_scatter_and_add_chain_at_shipped_shapes(geometry, dtype
         gates = param("gates", rng.dirichlet(np.ones(3), size=t))
 
         def decision():
-            return RoutingDecision(task=TASK_SER, gates=gates, retained=mul(gates, const(mask)),
-                                   indices=indices, top_k=2, tie_margin=0.0)
+            return RoutingDecision(gates=gates, retained=mul(gates, const(mask)),
+                                   indices=indices, tie_margin=0.0)
 
         assert frames.data.dtype == gates.data.dtype == dtype
         assert_mix_matches_oracle(pool, decision, rep, [frames, gates, *expert_leaves(pool)],
