@@ -40,13 +40,16 @@ and forward(graph, name) replays the recorded nodes downstream of leaf
 Nodes do not check their values. A pass checks what it hands out with
 check_outputs(), which on a non-finite value re-runs the pass under
 check_nodes() so the error names the first op that made one.
+
+The engine's modes (record_kinks, no_tape, working_dtype, check_nodes and
+forward()'s recording) are module switches, each set for a block by _switch.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,21 +66,26 @@ class NumericalError(AutodiffError):
     """NaN or Inf in a checked value; message names the op or parameter."""
 
 
+@contextmanager
+def _switch(name: str, value):
+    """Set the module switch `name` to `value` for a block and yield it; the
+    previous value comes back on exit, by an exception too."""
+    switches = globals()
+    prev, switches[name] = switches[name], value
+    try:
+        yield value
+    finally:
+        switches[name] = prev
+
+
 # Optional kink recorder: while active, relu_affine/abs/clamp_min append the distance
 # of their inputs to the nearest non-differentiable point. Finite-difference
 # harnesses use this to reject base points too close to a kink.
 _KINK_TRACE: list[float] | None = None
 
 
-@contextmanager
-def record_kinks() -> Iterator[list[float]]:
-    global _KINK_TRACE
-    prev = _KINK_TRACE
-    _KINK_TRACE = []
-    try:
-        yield _KINK_TRACE
-    finally:
-        _KINK_TRACE = prev
+def record_kinks() -> AbstractContextManager[list[float]]:
+    return _switch("_KINK_TRACE", [])
 
 
 def _note_kink(x: np.ndarray, kink: float = 0.0) -> None:
@@ -90,17 +98,10 @@ def _note_kink(x: np.ndarray, kink: float = 0.0) -> None:
 _TAPE = True
 
 
-@contextmanager
-def no_tape() -> Iterator[None]:
+def no_tape() -> AbstractContextManager[bool]:
     """Forward-only evaluation: nodes made inside keep no parents or closures,
     so each intermediate is freed as soon as nothing reads it."""
-    global _TAPE
-    prev = _TAPE
-    _TAPE = False
-    try:
-        yield
-    finally:
-        _TAPE = prev
+    return _switch("_TAPE", False)
 
 
 # The dtype of every new node's value. Under numpy 2's promotion rules one
@@ -109,17 +110,10 @@ def no_tape() -> Iterator[None]:
 _DTYPE = np.float64
 
 
-@contextmanager
-def working_dtype(dtype) -> Iterator[None]:
+def working_dtype(dtype) -> AbstractContextManager:
     """Nodes made inside, constants and parameters lifted into a graph
     included, hold `dtype` values; leaves made before keep theirs."""
-    global _DTYPE
-    prev = _DTYPE
-    _DTYPE = dtype
-    try:
-        yield
-    finally:
-        _DTYPE = prev
+    return _switch("_DTYPE", dtype)
 
 
 # While True, every new node checks its values and names its op on a
@@ -127,16 +121,9 @@ def working_dtype(dtype) -> Iterator[None]:
 _CHECK_NODES = False
 
 
-@contextmanager
-def check_nodes() -> Iterator[None]:
+def check_nodes() -> AbstractContextManager[bool]:
     """Check every node made inside for NaN and Inf as it is constructed."""
-    global _CHECK_NODES
-    prev = _CHECK_NODES
-    _CHECK_NODES = True
-    try:
-        yield
-    finally:
-        _CHECK_NODES = prev
+    return _switch("_CHECK_NODES", True)
 
 
 # While forward() records a base point, the _Record that every new node is
@@ -723,13 +710,9 @@ def forward(graph: Graph, name: str | None = None) -> Tensor:
     of a graph with a node no op here made, is a full build that records
     nothing. Either way the value is bit-equal to a full build's.
     """
-    global _RECORD
     if name is None:
-        prev, _RECORD = _RECORD, _Record()
-        try:
+        with _switch("_RECORD", _Record()) as record:
             out = graph.build()
-        finally:
-            record, _RECORD = _RECORD, prev
         record.root = out
         graph._base = record if record.complete() else None
         return out

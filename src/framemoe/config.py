@@ -218,6 +218,13 @@ def config_digest(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(resolved_yaml(cfg).encode()).hexdigest()
 
 
+# The largest value of a leaf that sizes the model (a width, a layer count,
+# an expert count). At this cap every array such leaves shape holds under
+# 2**50 entries, so a model too large for memory fails its first allocation
+# instead of looping through an init or overflowing an array size.
+MAX_MODEL_SIZE = 2**16
+
+
 def validate(cfg: ExperimentConfig) -> None:
     """Raise ConfigError listing every inconsistent field."""
     problems: list[str] = []
@@ -254,6 +261,12 @@ def validate(cfg: ExperimentConfig) -> None:
         )
     if h.ser_hidden < 1 or h.se_hidden < 1:
         problems.append("head hidden widths must be >= 1")
+    sizes = {"backbone.n_layers": b.n_layers, "backbone.width": b.width,
+             "moe.n_experts": m.n_experts, "moe.expert_hidden": m.expert_hidden,
+             "heads.ser_hidden": h.ser_hidden, "heads.se_hidden": h.se_hidden}
+    for name, value in sizes.items():
+        if value > MAX_MODEL_SIZE:
+            problems.append(f"{name} must be <= {MAX_MODEL_SIZE}, got {value}")
 
     for name in ("phase1_se_epochs", "phase1_ser_epochs", "phase2_epochs"):
         if getattr(t, name) < 0:
@@ -285,10 +298,13 @@ def validate(cfg: ExperimentConfig) -> None:
         )
     if d.sample_rate < 1:
         problems.append(f"data.sample_rate must be >= 1, got {d.sample_rate}")
-    if len(d.class_proportions) != 4 or any(p <= 0 for p in d.class_proportions):
-        problems.append(f"data.class_proportions needs 4 positive entries, got {d.class_proportions}")
     from .backbone import frame_count
     from .datagen import FAMILY_NAMES, MAX_ABS_SNR_DB
+    from .heads import N_CLASSES
+
+    if len(d.class_proportions) != N_CLASSES or any(p <= 0 for p in d.class_proportions):
+        problems.append(f"data.class_proportions needs {N_CLASSES} positive entries, "
+                        f"got {d.class_proportions}")
 
     if d.train_noise_family not in FAMILY_NAMES:
         problems.append(

@@ -62,7 +62,7 @@ from .datagen import (
     write_corpus,
 )
 from .files import write_atomic, write_csv
-from .heads import EmotionLabel, log1p_spectrum, predict_label, resynthesize, stft
+from .heads import N_CLASSES, EmotionLabel, log1p_spectrum, predict_label, resynthesize, stft
 from .metrics import MetricsReport, f1_scores, ssnr
 from .model import (
     Features,
@@ -241,7 +241,7 @@ def run_train(cfg: ExperimentConfig) -> dict:
     corpus = ensure_corpus(cfg)
 
     stats = norm_stats(corpus.train.noisy)
-    counts = np.bincount(corpus.train.labels, minlength=4)
+    counts = np.bincount(corpus.train.labels, minlength=N_CLASSES)
     model = build_model(cfg)
     # The train features feed only float32 training steps. The dev pass stays
     # float64, so its loss is that of the float64 weights a checkpoint holds.
@@ -409,14 +409,14 @@ def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, split: EvalS
     means = {name: _mean_in_order(np.concatenate(parts)) for name, parts in scores.items()}
     y_true = source.labels
     macro, micro = f1_scores(y_true, y_pred)
-    label_counts = np.bincount(y_true, minlength=4)
+    label_counts = np.bincount(y_true, minlength=N_CLASSES)
     report = MetricsReport(
         family=family, snr_db=float(snr_db), f1_macro=macro, f1_micro=micro,
         ssnr_db=means["ssnr"], l1=means["l1"],
         ssnr_noisy_db=means["ssnr_noisy"], l1_noisy=means["l1_noisy"],
         n_utterances=len(source.labels),
         per_class_counts={EmotionLabel(c).name.lower(): int(label_counts[c])
-                          for c in range(4)},
+                          for c in range(N_CLASSES)},
     )
     return report, (np.concatenate(ser_top1), np.concatenate(se_top1))
 
@@ -544,7 +544,7 @@ def _gradcheck_batch(cfg: ExperimentConfig, model: JointModel, attempt: int):
     rng = component_rng(cfg.seed, "gradcheck", attempt)
     labels, clean, noise = [], [], []
     for _ in range(2):
-        labels.append(int(rng.integers(0, 4)))
+        labels.append(int(rng.integers(0, N_CLASSES)))
         clean.append(clean_rows(np.array([labels[-1]]), d.utterance_len, rng)[0])
         noise.append(noise_rows(d.train_noise_family, d.utterance_len, [rng])[0])
     clean = np.stack(clean)
@@ -566,7 +566,7 @@ def _audit_graph(cfg: ExperimentConfig) -> tuple[Graph, int, float, float]:
     model = build_model(cfg)
 
     def loss(feats: Features):
-        return batch_joint_loss(model, feats, np.ones(4), cfg.moe, cfg.training)
+        return batch_joint_loss(model, feats, np.ones(N_CLASSES), cfg.moe, cfg.training)
 
     for attempt in range(GRADCHECK_MAX_ATTEMPTS):
         feats = _gradcheck_batch(cfg, model, attempt)

@@ -1,12 +1,12 @@
 """Task heads: emotion classification over pooled statistics and per-frame
-spectral denoising.
+spectral denoising, each built on the model's one two-layer block, Mlp.
 
 The classification head pools each utterance's mixed frames with attentive
 statistics (softmax-weighted mean and standard deviation over its frames) and
-maps the pooled vector to four class logits. The denoising head concatenates
-each mixed frame with the noisy log1p spectrum frame and decodes the clean
-log1p spectrum with a small relu network; the final relu keeps outputs
-non-negative.
+maps the pooled vector to four class logits with an Mlp. The denoising head
+is an Mlp over each mixed frame concatenated with the noisy log1p spectrum
+frame, with a relu on its second layer too, so the decoded clean log1p
+spectrum is non-negative. Each expert of the pool (moe.py) is an Mlp too.
 """
 
 from __future__ import annotations
@@ -87,20 +87,8 @@ def resynthesize(log1p_mags: np.ndarray, phase_reference: np.ndarray,
 
 
 @dataclass
-class SerHead:
-    """Attention scorer plus a two-layer classifier over pooled statistics."""
-
-    scorer_w: Tensor
-    scorer_b: Tensor
-    cls_w1: Tensor
-    cls_b1: Tensor
-    cls_w2: Tensor
-    cls_b2: Tensor
-
-
-@dataclass
-class SeHead:
-    """Two-layer relu decoder from [z_t, x_t] frames to spectrum bins."""
+class Mlp:
+    """Two layers, (fan_in, hidden) and (hidden, out): each expert and both heads."""
 
     w1: Tensor
     b1: Tensor
@@ -108,30 +96,45 @@ class SeHead:
     b2: Tensor
 
 
-def init_ser_head(rng: np.random.Generator, width: int, hidden: int = 32) -> SerHead:
-    pooled = 2 * width
-    b_w = 1.0 / np.sqrt(width)
-    b_p = 1.0 / np.sqrt(pooled)
+def init_mlp(rng: np.random.Generator, prefix: str, fan_in: int, hidden: int, out: int) -> Mlp:
+    """Parameters `<prefix>.w1` ... `<prefix>.b2`, drawn in that order, each
+    layer uniform in +-1/sqrt(its fan-in)."""
+    b_in = 1.0 / np.sqrt(fan_in)
     b_h = 1.0 / np.sqrt(hidden)
+    return Mlp(
+        w1=param(f"{prefix}.w1", rng.uniform(-b_in, b_in, size=(fan_in, hidden))),
+        b1=param(f"{prefix}.b1", rng.uniform(-b_in, b_in, size=(hidden,))),
+        w2=param(f"{prefix}.w2", rng.uniform(-b_h, b_h, size=(hidden, out))),
+        b2=param(f"{prefix}.b2", rng.uniform(-b_h, b_h, size=(out,))),
+    )
+
+
+def mlp_forward(m: Mlp, x) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2, one row per row of x."""
+    return affine(relu_affine(x, m.w1, m.b1), m.w2, m.b2)
+
+
+@dataclass
+class SerHead:
+    """Attention scorer plus a two-layer classifier over pooled statistics."""
+
+    scorer_w: Tensor
+    scorer_b: Tensor
+    cls: Mlp
+
+
+def init_ser_head(rng: np.random.Generator, width: int, hidden: int = 32) -> SerHead:
+    b_w = 1.0 / np.sqrt(width)
     return SerHead(
         scorer_w=param("ser.scorer.w", rng.uniform(-b_w, b_w, size=(width, 1))),
         scorer_b=param("ser.scorer.b", rng.uniform(-b_w, b_w, size=(1,))),
-        cls_w1=param("ser.cls.w1", rng.uniform(-b_p, b_p, size=(pooled, hidden))),
-        cls_b1=param("ser.cls.b1", rng.uniform(-b_p, b_p, size=(hidden,))),
-        cls_w2=param("ser.cls.w2", rng.uniform(-b_h, b_h, size=(hidden, N_CLASSES))),
-        cls_b2=param("ser.cls.b2", rng.uniform(-b_h, b_h, size=(N_CLASSES,))),
+        cls=init_mlp(rng, "ser.cls", 2 * width, hidden, N_CLASSES),
     )
 
 
-def init_se_head(rng: np.random.Generator, width: int, n_bins: int, hidden: int = 64) -> SeHead:
-    b_in = 1.0 / np.sqrt(width + n_bins)
-    b_h = 1.0 / np.sqrt(hidden)
-    return SeHead(
-        w1=param("se.w1", rng.uniform(-b_in, b_in, size=(width + n_bins, hidden))),
-        b1=param("se.b1", rng.uniform(-b_in, b_in, size=(hidden,))),
-        w2=param("se.w2", rng.uniform(-b_h, b_h, size=(hidden, n_bins))),
-        b2=param("se.b2", rng.uniform(-b_h, b_h, size=(n_bins,))),
-    )
+def init_se_head(rng: np.random.Generator, width: int, n_bins: int, hidden: int = 64) -> Mlp:
+    """The denoising head, from [z_t, x_t] frames to spectrum bins."""
+    return init_mlp(rng, "se", width + n_bins, hidden, n_bins)
 
 
 def attentive_stats_pool(head: SerHead, z: Tensor, segment: int) -> Tensor:
@@ -151,12 +154,10 @@ def attentive_stats_pool(head: SerHead, z: Tensor, segment: int) -> Tensor:
 
 def ser_classify(head: SerHead, z: Tensor, segment: int) -> Tensor:
     """Class logits, one row per utterance of `segment` mixed frames, (B, 4)."""
-    pooled = attentive_stats_pool(head, z, segment)
-    hidden = relu_affine(pooled, head.cls_w1, head.cls_b1)
-    return affine(hidden, head.cls_w2, head.cls_b2)
+    return mlp_forward(head.cls, attentive_stats_pool(head, z, segment))
 
 
-def se_decode(head: SeHead, z: Tensor, noisy: Tensor) -> Tensor:
+def se_decode(head: Mlp, z: Tensor, noisy: Tensor) -> Tensor:
     """Decode the clean log1p spectrum from mixed frames z and the noisy
     spectrum frames, one row each, shape (rows, n_bins)."""
     if z.shape[0] != noisy.shape[0]:

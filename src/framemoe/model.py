@@ -30,7 +30,7 @@ from .backbone import (
 )
 from .config import ExperimentConfig, component_rng
 from .heads import (
-    SeHead,
+    Mlp,
     SerHead,
     init_se_head,
     init_ser_head,
@@ -57,7 +57,7 @@ class JointModel:
     pool: ExpertPool
     gates: dict[str, GatingNetwork]
     ser_head: SerHead
-    se_head: SeHead
+    se_head: Mlp
     top_k: int
 
 
@@ -85,7 +85,7 @@ def build_model(cfg: ExperimentConfig) -> JointModel:
 def named_parameters(model: JointModel) -> dict[str, Tensor]:
     """Every parameter tensor keyed by its name, in a stable order: backbone,
     experts, gates, classification head, denoising head."""
-    bb, ser, se = model.backbone, model.ser_head, model.se_head
+    bb, ser = model.backbone, model.ser_head
     tensors = [bb.projection]
     for w, b in bb.affines:
         tensors += [w, b]
@@ -93,8 +93,9 @@ def named_parameters(model: JointModel) -> dict[str, Tensor]:
         tensors += [e.w1, e.b1, e.w2, e.b2]
     for task in (TASK_SER, TASK_SE):
         tensors += [model.gates[task].w, model.gates[task].b]
-    tensors += [ser.scorer_w, ser.scorer_b, ser.cls_w1, ser.cls_b1, ser.cls_w2, ser.cls_b2]
-    tensors += [se.w1, se.b1, se.w2, se.b2]
+    tensors += [ser.scorer_w, ser.scorer_b]
+    for m in (ser.cls, model.se_head):
+        tensors += [m.w1, m.b1, m.w2, m.b2]
     return {t.name: t for t in tensors}
 
 

@@ -1,6 +1,7 @@
 """Frame-wise sparse mixture-of-experts with per-task gating.
 
-A shared pool of two-layer relu experts maps each concatenated feature frame
+A shared pool of experts, each the model's two-layer MLP (heads.Mlp, the
+block both heads are built from too), maps each concatenated feature frame
 back to the layer width. Each task owns a single affine gate whose softmax
 scores are pruned to the top K per frame; the retained weights keep their
 original magnitudes (no renormalization) and the pruned ones are exactly zero.
@@ -31,30 +32,22 @@ from .autodiff import (
     mixture,
     mul,
     param,
-    relu_affine,
     softmax_rows,
     sum_all,
     take_rows,
 )
 from .backbone import ConcatRepresentation
+from .heads import Mlp, init_mlp, mlp_forward
 
 TASK_SER = "ser"
 TASK_SE = "se"
 
 
 @dataclass
-class ExpertParams:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-
-@dataclass
 class ExpertPool:
     """N identical-shape experts mapping (L+1)*D features to D outputs."""
 
-    experts: list[ExpertParams]
+    experts: list[Mlp]
 
     @property
     def n_experts(self) -> int:
@@ -107,17 +100,8 @@ def init_expert_pool(rng: np.random.Generator, n_experts: int, in_width: int,
     """Uniform +-1/sqrt(fan_in) initialization for every expert layer."""
     if n_experts < 1:
         raise ValueError(f"need at least one expert, got {n_experts}")
-    experts = []
-    for n in range(n_experts):
-        b_in = 1.0 / np.sqrt(in_width)
-        b_hid = 1.0 / np.sqrt(hidden)
-        experts.append(ExpertParams(
-            w1=param(f"expert{n}.w1", rng.uniform(-b_in, b_in, size=(in_width, hidden))),
-            b1=param(f"expert{n}.b1", rng.uniform(-b_in, b_in, size=(hidden,))),
-            w2=param(f"expert{n}.w2", rng.uniform(-b_hid, b_hid, size=(hidden, out_width))),
-            b2=param(f"expert{n}.b2", rng.uniform(-b_hid, b_hid, size=(out_width,))),
-        ))
-    return ExpertPool(experts=experts)
+    return ExpertPool(experts=[init_mlp(rng, f"expert{n}", in_width, hidden, out_width)
+                               for n in range(n_experts)])
 
 
 def init_gate(rng: np.random.Generator, task: str, in_width: int, n_experts: int) -> GatingNetwork:
@@ -130,11 +114,10 @@ def init_gate(rng: np.random.Generator, task: str, in_width: int, n_experts: int
 
 
 def expert_forward(pool: ExpertPool, n: int, frames) -> Tensor:
-    """Expert n applied to every frame: relu affine followed by affine."""
+    """Expert n applied to every frame."""
     if not 0 <= n < pool.n_experts:
         raise ValueError(f"expert index {n} out of range for pool of {pool.n_experts}")
-    e = pool.experts[n]
-    return affine(relu_affine(frames, e.w1, e.b1), e.w2, e.b2)
+    return mlp_forward(pool.experts[n], frames)
 
 
 def gate_scores(gate: GatingNetwork, frames) -> Tensor:

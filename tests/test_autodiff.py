@@ -848,3 +848,81 @@ def test_working_dtype_sets_the_dtype_of_nodes_lifted_constants_and_gradients():
     with pytest.raises(ShapeError), working_dtype(np.float32):
         add(np.ones(2), np.ones(3))
     assert add(np.ones(2), np.ones(2)).data.dtype == np.float64
+
+
+def _within(scope, block):
+    with scope:
+        block()
+
+
+def _in_forward(block):
+    def build():
+        block()
+        return const(0.0)
+
+    forward(Graph(build=build, params={}))
+
+
+# Each mode of the engine: the module switch it sets and how a block runs
+# inside it.
+MODE_SWITCHES = {
+    "_KINK_TRACE": lambda block: _within(record_kinks(), block),
+    "_TAPE": lambda block: _within(no_tape(), block),
+    "_DTYPE": lambda block: _within(working_dtype(np.float32), block),
+    "_CHECK_NODES": lambda block: _within(check_nodes(), block),
+    "_RECORD": _in_forward,
+}
+
+
+class _Raised(Exception):
+    pass
+
+
+def _raise():
+    raise _Raised
+
+
+@pytest.mark.parametrize("switch", MODE_SWITCHES)
+def test_each_mode_switch_is_restored_after_a_block_that_raises_and_after_a_nested_one(switch):
+    run = MODE_SWITCHES[switch]
+
+    def value():
+        return getattr(autodiff, switch)
+
+    before = value()
+    seen = []
+
+    def outer():
+        held = value()
+        seen.append(held)
+        run(lambda: seen.append(value()))
+        assert value() is held
+        with pytest.raises(_Raised):
+            run(_raise)
+        assert value() is held
+
+    run(outer)
+    assert value() is before
+    # The switch was set inside both blocks: a new recorder per block where
+    # the mode holds one.
+    assert seen[0] is not before and seen[1] is not before
+    assert (seen[1] is not seen[0]) == (switch in ("_KINK_TRACE", "_RECORD"))
+    with pytest.raises(_Raised):
+        run(_raise)
+    assert value() is before
+
+
+def test_a_build_that_raises_leaves_no_recording_active():
+    records = []
+
+    def build():
+        records.append(autodiff._RECORD)
+        add(const(1.0), const(2.0))
+        raise _Raised
+
+    with pytest.raises(_Raised):
+        forward(Graph(build=build, params={}))
+    assert autodiff._RECORD is None
+    assert len(records[0].nodes) == 1
+    add(const(1.0), const(2.0))
+    assert len(records[0].nodes) == 1

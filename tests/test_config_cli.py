@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from framemoe.cli import main
 from framemoe.config import (
+    MAX_MODEL_SIZE,
     SECTIONS,
     BackboneConfig,
     ConfigError,
@@ -801,6 +802,35 @@ def test_cli_train_refuses_a_number_beyond_int64_or_float64(tmp_path, capsys, it
     _assert_one_config_error(["train", "--config", cfg_path, "--set", item], capsys,
                              f"{item.partition('=')[0]}: expected")
     assert not (run / "corpus").exists()
+
+
+# The leaves that size the model. Within int64 they can still ask for an
+# array no allocator can hold, or an init loop that never ends.
+MODEL_SIZE_LEAVES = ["backbone.n_layers", "backbone.width", "moe.n_experts",
+                     "moe.expert_hidden", "heads.ser_hidden", "heads.se_hidden"]
+
+
+@pytest.mark.parametrize("leaf", ["backbone.width", "moe.expert_hidden", "heads.ser_hidden",
+                                  "heads.se_hidden"])
+def test_cli_train_refuses_a_width_too_large_to_build(tmp_path, capsys, leaf):
+    run = tmp_path / "run"
+    cfg_path = write_cfg(tmp_path, tiny_cfg_dict(run))
+    assert main(["train", "--config", cfg_path, "--set", f"{leaf}={10**18}"]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"config error: invalid configuration:\n"
+                   f"  {leaf} must be <= {MAX_MODEL_SIZE}, got {10**18}\n"), err
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("leaf", MODEL_SIZE_LEAVES)
+def test_validate_caps_each_model_size_leaf(leaf):
+    # Validated only: a model at these sizes is never built here.
+    assert MAX_MODEL_SIZE == 2**16
+    validate(apply_overrides(ExperimentConfig(), [f"{leaf}={MAX_MODEL_SIZE}"]))
+    with pytest.raises(ConfigError) as exc_info:
+        validate(apply_overrides(ExperimentConfig(), [f"{leaf}={10**18}"]))
+    assert str(exc_info.value).splitlines()[1:] == [
+        f"  {leaf} must be <= {MAX_MODEL_SIZE}, got {10**18}"]
 
 
 @pytest.mark.parametrize("name,named", [

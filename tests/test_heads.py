@@ -5,7 +5,7 @@ from framemoe.autodiff import backprop, const, param, sum_all
 from framemoe.backbone import Waveform, frame_signal
 from framemoe.heads import (
     EmotionLabel,
-    SeHead,
+    Mlp,
     attentive_stats_pool,
     init_se_head,
     init_ser_head,
@@ -18,14 +18,14 @@ from framemoe.heads import (
 )
 
 
-def identity_se_head(width: int, n_bins: int) -> SeHead:
+def identity_se_head(width: int, n_bins: int) -> Mlp:
     """A decoder that passes the spectral half of its input through untouched.
 
     Valid because log1p magnitudes are non-negative, so both relus are exact
     identities on them.
     """
     w1 = np.vstack([np.zeros((width, n_bins)), np.eye(n_bins)])
-    return SeHead(
+    return Mlp(
         w1=param("se.w1", w1),
         b1=param("se.b1", np.zeros(n_bins)),
         w2=param("se.w2", np.eye(n_bins)),
@@ -221,8 +221,8 @@ def test_ser_classify_shape_and_gradient_flow():
     logits = ser_classify(head, z, 6)
     assert logits.shape == (1, 4)
     backprop(sum_all(logits))
-    for t in (head.scorer_w, head.scorer_b, head.cls_w1, head.cls_b1,
-              head.cls_w2, head.cls_b2):
+    for t in (head.scorer_w, head.scorer_b, head.cls.w1, head.cls.b1,
+              head.cls.w2, head.cls.b2):
         assert t.grad is not None
         assert np.any(t.grad != 0.0)
 
@@ -241,10 +241,53 @@ def test_init_heads_shapes():
     rng = np.random.default_rng(12)
     ser = init_ser_head(rng, width=6, hidden=10)
     assert ser.scorer_w.shape == (6, 1)
-    assert ser.cls_w1.shape == (12, 10)
-    assert ser.cls_w2.shape == (10, 4)
+    assert ser.cls.w1.shape == (12, 10)
+    assert ser.cls.w2.shape == (10, 4)
     se = init_se_head(rng, width=6, n_bins=9, hidden=10)
     assert se.w1.shape == (15, 10)
     assert se.w2.shape == (10, 9)
-    for t in (ser.scorer_w, ser.cls_b2, se.w1, se.b2):
+    for t in (ser.scorer_w, ser.cls.b2, se.w1, se.b2):
         assert t.requires_grad
+
+
+def test_build_model_draws_each_layer_in_order_at_its_fan_in_bound():
+    # An oracle independent of the library's initializers: the model
+    # Generator's draws, written out in order, with sizes distinct enough
+    # that a swapped shape or fan-in shows.
+    from framemoe.config import ExperimentConfig, component_rng
+    from framemoe.model import build_model, named_parameters
+
+    cfg = ExperimentConfig(seed=11)
+    cfg.backbone.n_layers, cfg.backbone.width = 2, 5
+    cfg.moe.n_experts, cfg.moe.expert_hidden = 3, 7
+    cfg.heads.ser_hidden, cfg.heads.se_hidden = 6, 9
+    width, n_bins = 3 * 5, cfg.backbone.frame // 2 + 1
+    rng = component_rng(cfg.seed, "model")
+    expected = {}
+
+    def uniform(name, fan_in, shape):
+        bound = 1.0 / np.sqrt(fan_in)
+        expected[name] = rng.uniform(-bound, bound, size=shape)
+
+    def two_layers(prefix, fan_in, hidden, out):
+        uniform(f"{prefix}.w1", fan_in, (fan_in, hidden))
+        uniform(f"{prefix}.b1", fan_in, (hidden,))
+        uniform(f"{prefix}.w2", hidden, (hidden, out))
+        uniform(f"{prefix}.b2", hidden, (out,))
+
+    for n in range(3):
+        two_layers(f"expert{n}", width, 7, 5)
+    for task in ("ser", "se"):
+        uniform(f"gate.{task}.w", width, (width, 3))
+        expected[f"gate.{task}.b"] = np.zeros(3)
+    uniform("ser.scorer.w", 5, (5, 1))
+    uniform("ser.scorer.b", 5, (1,))
+    two_layers("ser.cls", 10, 6, 4)
+    two_layers("se", 5 + n_bins, 9, n_bins)
+
+    params = {name: t for name, t in named_parameters(build_model(cfg)).items()
+              if not name.startswith("backbone.")}
+    assert list(params) == list(expected)
+    for name, values in expected.items():
+        np.testing.assert_array_equal(params[name].data, values, err_msg=name)
+        assert params[name].requires_grad, name

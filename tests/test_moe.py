@@ -80,15 +80,15 @@ def test_expert_forward_composed_affine_oracle():
     # Hidden at least as wide as the input, weights chosen so relu never
     # clips: the expert is then the composition of its two affine maps.
     pool = ExpertPool(experts=[])
-    from framemoe.moe import ExpertParams
+    from framemoe.heads import Mlp
     from framemoe.autodiff import param
 
     w1 = np.array([[1.0, 2.0], [0.5, 1.0]])
     b1 = np.array([10.0, 10.0])  # keeps every hidden unit positive
     w2 = np.array([[2.0, 0.0], [1.0, 3.0]])
     b2 = np.array([-1.0, 1.0])
-    pool.experts.append(ExpertParams(w1=param("e.w1", w1), b1=param("e.b1", b1),
-                                     w2=param("e.w2", w2), b2=param("e.b2", b2)))
+    pool.experts.append(Mlp(w1=param("e.w1", w1), b1=param("e.b1", b1),
+                            w2=param("e.w2", w2), b2=param("e.b2", b2)))
     x = np.array([[1.0, 2.0], [0.0, 1.0]])
     rep = ConcatRepresentation(frames=const(x))
     expected = (x @ w1 + b1) @ w2 + b2

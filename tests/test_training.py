@@ -657,7 +657,7 @@ def test_train_phase1_checks_each_head_loss():
     cfg = tiny_cfg()
     model = build_model(cfg)
     feats = tiny_feats(model, np.random.default_rng(15))
-    model.ser_head.cls_b2.data[0] = np.inf
+    model.ser_head.cls.b2.data[0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(TrainingAborted, match="affine") as exc_info:
         train_phase1(model, feats, np.ones(4), cfg.training, np.random.default_rng(1))
     diag = exc_info.value.diagnostics
