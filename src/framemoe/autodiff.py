@@ -735,8 +735,6 @@ class ParamCheck:
 @dataclass
 class GradCheckReport:
     checks: list[ParamCheck]
-    step: float
-    tolerance: float
 
     @property
     def max_rel_err(self) -> float:
@@ -800,4 +798,4 @@ def finite_difference_check(graph: Graph, step: float = 1e-5,
         worst = float(np.max(errs, initial=0.0))
         checks.append(ParamCheck(name=name, n_entries=flat.size,
                                  max_rel_err=worst, passed=worst < tolerance))
-    return GradCheckReport(checks=checks, step=step, tolerance=tolerance)
+    return GradCheckReport(checks=checks)

@@ -5,8 +5,8 @@ fixed random projection of log1p spectral magnitudes, each later layer is a
 relu affine transform of the previous one. All weights are drawn once from a
 seeded generator and are frozen by default; a config flag unfreezes the affine
 layers so the two-rate optimizer path can be exercised. The experts read the
-layer concatenation as a ConcatRepresentation: the stacked frames and the
-utterance length in frames, nothing more.
+layer concatenation as a ConcatRepresentation: the stacked frames, nothing
+more; the heads take the utterance length from the batch.
 """
 
 from __future__ import annotations
@@ -40,22 +40,10 @@ class Waveform:
 
 @dataclass
 class ConcatRepresentation:
-    """Column-wise concatenation of all layer outputs, shape (B*T, (L+1)*width).
-
-    The frames of B utterances of T frames each are stacked in order; `segment`
-    is T, and defaults to all rows (one utterance).
-    """
+    """Column-wise concatenation of all layer outputs, shape (B*T, (L+1)*width):
+    the frames of B utterances of T frames each, stacked in order."""
 
     frames: Tensor
-    segment: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.segment is None:
-            self.segment = self.frames.shape[0]
-        if self.segment < 1 or self.frames.shape[0] % self.segment:
-            raise ValueError(
-                f"{self.frames.shape[0]} frames do not split into utterances of {self.segment}"
-            )
 
 
 def frame_count(n_samples: int, frame: int, hop: int) -> int:
@@ -84,12 +72,7 @@ class BackboneParams:
     affines: list[tuple[Tensor, Tensor]]
     frame: int
     hop: int
-    width: int
     frozen: bool = True
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.affines)
 
 
 def init_backbone(rng: np.random.Generator, n_layers: int, width: int,
@@ -112,7 +95,7 @@ def init_backbone(rng: np.random.Generator, n_layers: int, width: int,
                   rng.uniform(-bound, bound, size=(width,)), frozen=frozen)
         affines.append((w, b))
     return BackboneParams(projection=proj, affines=affines,
-                          frame=frame, hop=hop, width=width, frozen=frozen)
+                          frame=frame, hop=hop, frozen=frozen)
 
 
 def run_layers(spectra: np.ndarray, params: BackboneParams) -> list[Tensor]:
@@ -138,6 +121,6 @@ def synth_layer_stack(spectra: np.ndarray, params: BackboneParams) -> np.ndarray
         return concat_layers(run_layers(spectra, params)).frames.data
 
 
-def concat_layers(layers: list[Tensor], segment: int | None = None) -> ConcatRepresentation:
+def concat_layers(layers: list[Tensor]) -> ConcatRepresentation:
     """Concatenate layer outputs column-wise into one (T, (L+1)*D) matrix."""
-    return ConcatRepresentation(frames=concat(layers, axis=1), segment=segment)
+    return ConcatRepresentation(frames=concat(layers, axis=1))

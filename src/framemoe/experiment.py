@@ -374,7 +374,7 @@ def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, split: EvalS
     bb = model.backbone
     source = split.source
     chunk = cfg.training.phase2_batch
-    y_pred, ser_top1, se_top1 = [], [], []
+    y_pred, top1 = [], {}
     scores: dict[str, list[np.ndarray]] = {"ssnr": [], "l1": [], "ssnr_noisy": [],
                                            "l1_noisy": []}
     for start in range(0, len(source.labels), chunk):
@@ -402,9 +402,8 @@ def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, split: EvalS
         scores["ssnr"].append(ssnr(clean_z, resynth, cfg.ssnr))
         scores["ssnr_noisy"].append(ssnr(clean_z, noisy_z[:, :span], cfg.ssnr))
 
-        seg = out.segment
-        ser_top1.append(out.ser_decision.indices[:, 0].reshape(-1, seg))
-        se_top1.append(out.se_decision.indices[:, 0].reshape(-1, seg))
+        for task, decision in out.decisions.items():
+            top1.setdefault(task, []).append(decision.indices[:, 0].reshape(len(labels), -1))
 
     means = {name: _mean_in_order(np.concatenate(parts)) for name, parts in scores.items()}
     y_true = source.labels
@@ -418,7 +417,7 @@ def eval_condition(model: JointModel, cfg: ExperimentConfig, stats, split: EvalS
         per_class_counts={EmotionLabel(c).name.lower(): int(label_counts[c])
                           for c in range(N_CLASSES)},
     )
-    return report, (np.concatenate(ser_top1), np.concatenate(se_top1))
+    return report, tuple(np.concatenate(cells) for cells in top1.values())
 
 
 def write_metrics_csv(path: Path, reports: list[MetricsReport]) -> None:
@@ -440,16 +439,15 @@ def run_eval(run_dir: str | Path) -> list[MetricsReport]:
     corpus = read_corpus(corpus_dir)
     test = eval_split(model, corpus.test, stats)
     reports: list[MetricsReport] = []
-    ser_top1, se_top1 = [], []
+    top1 = []
     for family in (cfg.data.train_noise_family, *held_out_families(cfg.data.train_noise_family)):
         for snr_index, snr_db in enumerate(cfg.data.eval_snrs_db):
             mixes = contaminate_split(corpus.test, family, snr_db, cfg.seed, snr_index)
-            report, (ser, se) = eval_condition(model, cfg, stats, test, mixes, family, snr_db)
+            report, tasks_top1 = eval_condition(model, cfg, stats, test, mixes, family, snr_db)
             reports.append(report)
-            ser_top1.append(ser)
-            se_top1.append(se)
+            top1.append(tasks_top1)
     n_test = len(corpus.test.labels)
-    analytics = analytics_report(np.concatenate(ser_top1), np.concatenate(se_top1),
+    analytics = analytics_report(*(np.concatenate(cells) for cells in zip(*top1)),
                                  np.repeat([r.snr_db for r in reports], n_test),
                                  np.tile(corpus.test.labels, len(reports)), cfg.moe.n_experts)
     write_metrics_csv(run_dir / METRICS_NAME, reports)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -76,13 +76,7 @@ class MetricsReport:
     per_class_counts: dict[str, int] = field(default_factory=dict)
 
     def as_row(self) -> dict:
-        row = {
-            "family": self.family, "snr_db": self.snr_db,
-            "f1_macro": self.f1_macro, "f1_micro": self.f1_micro,
-            "ssnr_db": self.ssnr_db, "l1": self.l1,
-            "ssnr_noisy_db": self.ssnr_noisy_db, "l1_noisy": self.l1_noisy,
-            "n_utterances": self.n_utterances,
-        }
-        for name, count in self.per_class_counts.items():
-            row[f"count_{name}"] = count
-        return row
+        """A column per field in order, the counts as one count_<class> each."""
+        row = asdict(self)
+        counts = row.pop("per_class_counts")
+        return row | {f"count_{name}": count for name, count in counts.items()}

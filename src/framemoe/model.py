@@ -10,7 +10,7 @@ they are computed once per split, in tape-free passes over chunks of its
 utterances written into arrays allocated once, and re-entered into each
 step's graph as constants. The unfrozen variant rebuilds the layers
 in-graph every step. A batch of utterances, all of one length, runs as a
-single graph over their stacked frames.
+single graph over their stacked frames, routed for each task in moe.TASKS.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .heads import (
 from .moe import (
     TASK_SE,
     TASK_SER,
+    TASKS,
     ExpertPool,
     GatingNetwork,
     RoutingDecision,
@@ -71,10 +72,7 @@ def build_model(cfg: ExperimentConfig) -> JointModel:
     width = (b.n_layers + 1) * b.width
     pool = init_expert_pool(rng, n_experts=cfg.moe.n_experts, in_width=width,
                             hidden=cfg.moe.expert_hidden, out_width=b.width)
-    gates = {
-        TASK_SER: init_gate(rng, TASK_SER, width, cfg.moe.n_experts),
-        TASK_SE: init_gate(rng, TASK_SE, width, cfg.moe.n_experts),
-    }
+    gates = {task: init_gate(rng, task, width, cfg.moe.n_experts) for task in TASKS}
     ser_head = init_ser_head(rng, width=b.width, hidden=cfg.heads.ser_hidden)
     se_head = init_se_head(rng, width=b.width, n_bins=b.frame // 2 + 1,
                            hidden=cfg.heads.se_hidden)
@@ -91,7 +89,7 @@ def named_parameters(model: JointModel) -> dict[str, Tensor]:
         tensors += [w, b]
     for e in model.pool.experts:
         tensors += [e.w1, e.b1, e.w2, e.b2]
-    for task in (TASK_SER, TASK_SE):
+    for task in TASKS:
         tensors += [model.gates[task].w, model.gates[task].b]
     tensors += [ser.scorer_w, ser.scorer_b]
     for m in (ser.cls, model.se_head):
@@ -171,9 +169,11 @@ def compute_features(model: JointModel, noisy: np.ndarray, labels,
     rep = None
     if bb.frozen:
         stacked = _frames(x_noisy)
-        rep = synth_layer_stack(stacked, bb)
-        check_outputs("frozen layer concatenation", [rep],
-                      lambda: synth_layer_stack(stacked, bb))
+        # The check refuses non-finite layers, without numpy's warnings.
+        with np.errstate(all="ignore"):
+            rep = synth_layer_stack(stacked, bb)
+            check_outputs("frozen layer concatenation", [rep],
+                          lambda: synth_layer_stack(stacked, bb))
         rep = rep.reshape(*x_noisy.shape[:2], -1)
     return Features(labels=np.asarray(labels, dtype=np.int64), x_noisy=x_noisy,
                     x_clean=x_clean, rep=rep)
@@ -181,23 +181,24 @@ def compute_features(model: JointModel, noisy: np.ndarray, labels,
 
 @dataclass
 class ModelOutputs:
-    """One batch's outputs; rows of utterance b are b*T .. (b+1)*T - 1, with
-    T = segment, and row b of ser_logits is its class scores."""
+    """One batch's outputs: row b of ser_logits and rows b*T .. (b+1)*T - 1
+    of enhanced are utterance b's; decisions are keyed in TASKS order."""
 
     ser_logits: Tensor
     enhanced: Tensor
-    segment: int
-    ser_decision: RoutingDecision
-    se_decision: RoutingDecision
+    decisions: dict[str, RoutingDecision]
 
 
-def representation(model: JointModel, feats: Features) -> ConcatRepresentation:
-    """The stacked backbone frames of a batch of equal-length utterances."""
-    segment = feats.x_noisy.shape[1]
+def route_tasks(model: JointModel, feats: Features) -> dict[str, tuple[Tensor, RoutingDecision]]:
+    """Each task's mixed frames z and routing decision, keyed in TASKS order,
+    over the stacked backbone frames of a batch of equal-length utterances."""
     bb = model.backbone
     if bb.frozen:
-        return ConcatRepresentation(frames=const(_frames(feats.rep)), segment=segment)
-    return concat_layers(run_layers(_frames(feats.x_noisy), bb), segment=segment)
+        rep = ConcatRepresentation(frames=const(_frames(feats.rep)))
+    else:
+        rep = concat_layers(run_layers(_frames(feats.x_noisy), bb))
+    return {task: moe_forward(model.pool, model.gates[task], rep, model.top_k)
+            for task in TASKS}
 
 
 def forward_features(model: JointModel, feats: Features) -> ModelOutputs:
@@ -206,9 +207,8 @@ def forward_features(model: JointModel, feats: Features) -> ModelOutputs:
     The gradient audit builds it once per base point; its probes replay the
     recorded nodes below the probed parameter (autodiff.forward) and do not
     call it again, unless a probe changes a top-k choice."""
-    rep = representation(model, feats)
-    ser_z, ser_dec = moe_forward(model.pool, model.gates[TASK_SER], rep, model.top_k)
-    se_z, se_dec = moe_forward(model.pool, model.gates[TASK_SE], rep, model.top_k)
-    return ModelOutputs(ser_logits=ser_classify(model.ser_head, ser_z, rep.segment),
-                        enhanced=se_decode(model.se_head, se_z, const(_frames(feats.x_noisy))),
-                        segment=rep.segment, ser_decision=ser_dec, se_decision=se_dec)
+    routed = route_tasks(model, feats)
+    return ModelOutputs(
+        ser_logits=ser_classify(model.ser_head, routed[TASK_SER][0], feats.x_noisy.shape[1]),
+        enhanced=se_decode(model.se_head, routed[TASK_SE][0], const(_frames(feats.x_noisy))),
+        decisions={task: decision for task, (_, decision) in routed.items()})

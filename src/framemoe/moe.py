@@ -41,6 +41,8 @@ from .heads import Mlp, init_mlp, mlp_forward
 
 TASK_SER = "ser"
 TASK_SE = "se"
+# The one task order: gates are drawn, named, routed and reported in it.
+TASKS = (TASK_SER, TASK_SE)
 
 
 @dataclass

@@ -34,6 +34,7 @@ built detaches it; the next step refuses it by name.
 
 from __future__ import annotations
 
+import functools
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -66,11 +67,11 @@ from .model import (
     forward_features,
     moe_head_parameters,
     named_parameters,
-    representation,
+    route_tasks,
     se_parameters,
     ser_parameters,
 )
-from .moe import TASK_SE, TASK_SER, balancing_loss, moe_forward
+from .moe import TASKS, balancing_loss
 
 
 class TrainingAborted(RuntimeError):
@@ -336,8 +337,14 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
     params = {}
     for name, entry in payload["params"].items():
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        params[name] = arr
+        # A bool is no number here (as in NormStats), nor an int beyond float64.
+        if any(isinstance(v, bool) for v in entry["data"]):
+            raise ValueError(f"parameter '{name}' holds a bool")
+        try:
+            arr = np.asarray(entry["data"], dtype=np.float64)
+        except OverflowError as exc:
+            raise ValueError(f"parameter '{name}': {exc}") from exc
+        params[name] = arr.reshape(entry["shape"])
     meta = {k: v for k, v in payload.items() if k not in ("format", "version", "params")}
     return params, meta
 
@@ -360,10 +367,10 @@ def batch_joint_loss(model, batch_feats, class_weights, moe_cfg, train_cfg):
 
     Returns (total, parts, decisions): parts holds the float of each of
     LOSS_PARTS, decisions the per-task routing pooled over the batch's
-    frames. The balancing term pools the frames of the whole batch and is
-    averaged over the two task gates, so the uniform-routing value stays at
-    alpha. All utterances have the same frame count, so the L1 mean over the
-    stacked frames equals the mean of the per-utterance L1 means.
+    frames, keyed in TASKS order. The balancing term pools the frames of the
+    whole batch and is averaged over the task gates, so the uniform-routing
+    value stays at alpha. Utterances share one frame count, so the L1 mean
+    over the stacked frames equals the mean of the per-utterance L1 means.
     """
     out = forward_features(model, batch_feats)
     wce = l1 = balance = const(np.zeros(()))
@@ -372,15 +379,15 @@ def batch_joint_loss(model, batch_feats, class_weights, moe_cfg, train_cfg):
     if train_cfg.se_loss_enabled:
         l1 = l1_loss(out.enhanced, const(batch_feats.x_clean.reshape(out.enhanced.shape)))
     if moe_cfg.balancing_loss_enabled:
-        balance = mul(add(balancing_loss(out.ser_decision, moe_cfg.balancing_alpha),
-                          balancing_loss(out.se_decision, moe_cfg.balancing_alpha)), 0.5)
+        terms = [balancing_loss(d, moe_cfg.balancing_alpha) for d in out.decisions.values()]
+        balance = mul(functools.reduce(add, terms), 1.0 / len(terms))
     total = add(wce, l1)
     if moe_cfg.balancing_loss_enabled:
         total = add(total, balance)
     check_outputs("joint loss", [total.data], lambda: batch_joint_loss(
         model, batch_feats, class_weights, moe_cfg, train_cfg))
     parts = dict(zip(LOSS_PARTS, (float(t.data) for t in (wce, l1, balance, total))))
-    return total, parts, {"ser": out.ser_decision, "se": out.se_decision}
+    return total, parts, out.decisions
 
 
 @contextmanager
@@ -446,9 +453,7 @@ def cache_task_sequences(model, feats, batch_size: int) -> dict[str, np.ndarray]
     batches of `batch_size`.
     """
     def sequences(batch):
-        rep = representation(model, batch)
-        return [moe_forward(model.pool, model.gates[task], rep, model.top_k)[0].data
-                for task in (TASK_SER, TASK_SE)]
+        return [z.data for z, _ in route_tasks(model, batch).values()]
 
     chunks = []
     with no_tape():
@@ -458,7 +463,7 @@ def cache_task_sequences(model, feats, batch_size: int) -> dict[str, np.ndarray]
             check_outputs("phase-1 task sequences", chunks[-1], lambda: sequences(batch))
     seg = feats.x_noisy.shape[1]
     return {task: np.concatenate([chunk[i] for chunk in chunks]).reshape(len(feats), seg, -1)
-            for i, task in enumerate((TASK_SER, TASK_SE))}
+            for i, task in enumerate(TASKS)}
 
 
 @dataclass

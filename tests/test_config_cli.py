@@ -899,8 +899,17 @@ def _flatten_param(params, name):
     params[name]["shape"] = [1, len(params[name]["data"])]
 
 
-@pytest.mark.parametrize("damage", [_drop_param, _flatten_param],
-                         ids=["missing-tensor", "misshapen-tensor"])
+def _huge_int_entry(params, name):
+    params[name]["data"][0] = 10**400
+
+
+def _bool_entries(params, name):
+    params[name]["data"] = [True] * len(params[name]["data"])
+
+
+@pytest.mark.parametrize("damage", [_drop_param, _flatten_param, _huge_int_entry, _bool_entries],
+                         ids=["missing-tensor", "misshapen-tensor", "int-beyond-float64",
+                              "bool-entries"])
 def test_cli_eval_refuses_a_checkpoint_tensor_that_does_not_fit(trained_run, tmp_path, capsys,
                                                                   damage):
     run = tmp_path / "run"

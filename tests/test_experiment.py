@@ -433,14 +433,17 @@ def test_eval_of_a_nonfinite_checkpoint_is_exit_code_2(tmp_path, capsys):
     assert not (Path(cfg.output_dir) / "metrics.csv").exists()
 
 
-def test_eval_of_a_huge_valued_checkpoint_prints_one_line(tmp_path, capfd):
+@pytest.mark.parametrize("name,value", [("expert0.w1", 1e300), ("backbone.projection", 1e308)],
+                         ids=["expert0.w1", "backbone.projection"])
+def test_eval_of_a_huge_valued_checkpoint_prints_one_line(tmp_path, capfd, name, value):
     # Finite weights whose products overflow: the output check refuses them,
-    # and numpy prints no warning on the way.
+    # in the routed pass or in the frozen stack's, and numpy prints no
+    # warning on the way.
     cfg = tiny_cfg(tmp_path / "run")
     run_train(cfg)
     ckpt_path = Path(cfg.output_dir) / "checkpoint_final.json"
     params, meta = load_checkpoint(ckpt_path)
-    params["expert0.w1"][...] = 1e300
+    params[name][...] = value
     save_checkpoint(ckpt_path, params, extra=meta)
     capfd.readouterr()
     assert main(["eval", "--run", cfg.output_dir]) == 2
@@ -818,8 +821,7 @@ def test_audit_worst_list_puts_nan_first_then_the_largest_errors(monkeypatch):
     checks = [ParamCheck(name=f"p{i}", n_entries=1, max_rel_err=e, passed=e < 1e-4)
               for i, e in enumerate(errs)]
     monkeypatch.setattr(experiment, "finite_difference_check",
-                        lambda graph, step, tolerance: GradCheckReport(
-                            checks=checks, step=step, tolerance=tolerance))
+                        lambda graph, step, tolerance: GradCheckReport(checks=checks))
     worst = experiment.gradcheck_model(experiment.gradcheck_config())["worst"]
     assert [w["name"] for w in worst] == ["p1", "p2", "p4", "p6", "p3"]
     assert math.isnan(worst[0]["max_rel_err"])

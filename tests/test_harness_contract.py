@@ -138,7 +138,7 @@ def test_the_benchmark_counts_each_routed_frame_as_one_expert_row():
     second = np.array([1, 2, 2, 0, 0, 1, 2, 2, 1, 1])
     frames = rng.standard_normal((10, 8))
     frames[:, :3] = 50.0 * np.eye(3)[first] + 25.0 * np.eye(3)[second]
-    rep = ConcatRepresentation(frames=const(frames), segment=5)
+    rep = ConcatRepresentation(frames=const(frames))
     tracer = tracing.Tracer()
     tracer.install()
     try:

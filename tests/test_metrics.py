@@ -171,6 +171,7 @@ def test_metrics_report_row_schema():
     assert row["family"] == "babble"
     assert row["count_anger"] == 2
     assert row["count_neutral"] == 8
-    assert set(row) == {"family", "snr_db", "f1_macro", "f1_micro", "ssnr_db",
-                        "l1", "ssnr_noisy_db", "l1_noisy", "n_utterances",
-                        "count_anger", "count_neutral"}
+    # The metrics.csv header, in this order.
+    assert list(row) == ["family", "snr_db", "f1_macro", "f1_micro", "ssnr_db",
+                         "l1", "ssnr_noisy_db", "l1_noisy", "n_utterances",
+                         "count_anger", "count_neutral"]

@@ -495,7 +495,7 @@ def test_mix_feeds_each_expert_exactly_its_routed_frames(monkeypatch, experts):
     gate.w.data[:3] = np.eye(3)
     frames = rng.standard_normal((12, 8))
     frames[:, :3] = 50.0 * np.eye(3)[experts]
-    rep = ConcatRepresentation(frames=const(frames), segment=4)
+    rep = ConcatRepresentation(frames=const(frames))
     seen = []
     real = moe.expert_forward
 
@@ -561,12 +561,6 @@ def test_padded_gathers_match_the_full_product_at_shipped_shapes(geometry, dtype
                 for n in range(2):
                     z = z + retained[:, n : n + 1] * full[n]
                 assert mix(pool, decision, rep.frames).data.tobytes() == z.tobytes(), (size, trial)
-
-
-def test_representation_segment_must_divide_frames():
-    rng = np.random.default_rng(24)
-    with pytest.raises(ValueError, match="do not split"):
-        ConcatRepresentation(frames=const(rng.standard_normal((10, 8))), segment=4)
 
 
 def expert_graph_oracle(pool, n, frames):

@@ -27,9 +27,8 @@ from framemoe.model import (
     forward_features,
     moe_head_parameters,
     named_parameters,
-    representation,
 )
-from framemoe.moe import moe_forward
+from framemoe.moe import TASKS, moe_forward
 from framemoe.training import (
     AdamW,
     TrainingAborted,
@@ -77,6 +76,12 @@ def tiny_feats(model, rng, n=4, length=160):
         noisy.append(clean[-1] + 0.3 * rng.standard_normal(length))
     return compute_features(model, np.stack(noisy), [i % 4 for i in range(n)],
                             np.stack(clean))
+
+
+def stacked_rep(model, feats):
+    """A batch's stacked layer concatenation, rebuilt from its noisy spectra."""
+    spectra = feats.x_noisy.reshape(-1, feats.x_noisy.shape[2])
+    return concat_layers(run_layers(spectra, model.backbone))
 
 
 def float32_features(feats):
@@ -359,11 +364,24 @@ def test_cache_task_sequences_matches_forward():
     t = feats.x_noisy.shape[1]
     assert cached["ser"].shape == cached["se"].shape == (3, t, cfg.backbone.width)
     for chunk in (slice(0, 2), slice(2, 3)):
-        rep = representation(model, feats[chunk])
-        for task in ("ser", "se"):
+        rep = stacked_rep(model, feats[chunk])
+        for task in TASKS:
             z, _ = moe_forward(model.pool, model.gates[task], rep, model.top_k)
             np.testing.assert_array_equal(cached[task][chunk].reshape(-1, cfg.backbone.width),
                                           z.data)
+
+
+def test_every_per_task_record_lists_the_tasks_in_order():
+    # The gates are drawn in this order, so it fixes the model's parameters.
+    assert TASKS == ("ser", "se")
+    cfg = tiny_cfg()
+    model = build_model(cfg)
+    feats = tiny_feats(model, np.random.default_rng(10), n=2)
+    assert list(model.gates) == list(TASKS)
+    assert list(forward_features(model, feats).decisions) == list(TASKS)
+    _, _, decisions = batch_joint_loss(model, feats, np.ones(4), cfg.moe, cfg.training)
+    assert list(decisions) == list(TASKS)
+    assert list(cache_task_sequences(model, feats, 2)) == list(TASKS)
 
 
 def test_train_phase1_updates_only_the_heads():
@@ -733,13 +751,13 @@ def test_batched_forward_matches_one_utterance_at_a_time(unfrozen):
     t = feats.x_noisy.shape[1]
     # Gates centred on the batch's mean frame, so that some expert serves
     # only part of the batch and the gathered path runs.
-    mean_frame = representation(model, feats).frames.data.mean(axis=0)
+    mean_frame = stacked_rep(model, feats).frames.data.mean(axis=0)
     for gate in model.gates.values():
         gate.w.data[...] = rng.normal(0.0, 1.0, gate.w.shape)
         gate.b.data[...] = -mean_frame @ gate.w.data
     batched = forward_features(model, feats)
     assert batched.ser_logits.shape == (5, 4)
-    for decision in (batched.ser_decision, batched.se_decision):
+    for decision in batched.decisions.values():
         used = decision.retained.data.reshape(5, t, -1).any(axis=1)
         assert not np.all(used.all(axis=0) == used.any(axis=0))
     for b in range(len(feats)):
@@ -749,8 +767,8 @@ def test_batched_forward_matches_one_utterance_at_a_time(unfrozen):
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(batched.enhanced.data[rows],
                                    single.enhanced.data, rtol=0, atol=1e-12)
-        for task in ("ser_decision", "se_decision"):
-            got, want = getattr(batched, task), getattr(single, task)
+        for task in TASKS:
+            got, want = batched.decisions[task], single.decisions[task]
             np.testing.assert_allclose(got.retained.data[rows], want.retained.data,
                                        rtol=0, atol=1e-12)
             np.testing.assert_array_equal(got.indices[rows], want.indices)
